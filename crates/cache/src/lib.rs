@@ -32,4 +32,6 @@ mod set_assoc;
 pub use hierarchy::{
     Hierarchy, HierarchyConfig, HierarchyStats, LevelStats, MemLevelEvent, Outcome,
 };
-pub use set_assoc::{Access, CacheConfig, CacheConfigError, CacheStats, Evicted, SetAssocCache};
+pub use set_assoc::{
+    Access, CacheConfig, CacheConfigError, CacheStats, Evicted, SetAssocCache, MAX_ASSOC,
+};

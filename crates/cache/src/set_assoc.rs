@@ -2,6 +2,13 @@
 
 use core::fmt;
 
+/// The most ways a set may have: a set's tag matches form one 64-bit mask,
+/// and the victim scan packs the way index into [`WAY_BITS`] bits.
+pub const MAX_ASSOC: u32 = 64;
+
+/// Bits of a packed victim key holding the way index.
+const WAY_BITS: u32 = MAX_ASSOC.trailing_zeros();
+
 /// Errors returned when constructing an invalid [`CacheConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheConfigError {
@@ -14,7 +21,10 @@ pub enum CacheConfigError {
     },
     /// Associativity must be non-zero.
     ZeroAssociativity,
-    /// Line size must be a non-zero power of two.
+    /// Associativity must not exceed [`MAX_ASSOC`].
+    TooManyWays(u32),
+    /// Line size must be a power of two of at least 2 bytes (a 1-byte line
+    /// could yield a tag equal to the invalid-way sentinel).
     BadLineSize(u64),
     /// The derived set count must be a power of two (index bits).
     SetsNotPowerOfTwo(u64),
@@ -31,8 +41,14 @@ impl fmt::Display for CacheConfigError {
                 "capacity {capacity} is not a non-zero multiple of the set size {set_bytes}"
             ),
             CacheConfigError::ZeroAssociativity => f.write_str("associativity must be non-zero"),
+            CacheConfigError::TooManyWays(a) => {
+                write!(
+                    f,
+                    "associativity {a} exceeds the maximum of {MAX_ASSOC} ways"
+                )
+            }
             CacheConfigError::BadLineSize(l) => {
-                write!(f, "line size {l} is not a non-zero power of two")
+                write!(f, "line size {l} is not a power of two of at least 2 bytes")
             }
             CacheConfigError::SetsNotPowerOfTwo(s) => {
                 write!(f, "derived set count {s} is not a power of two")
@@ -59,12 +75,16 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns a [`CacheConfigError`] unless capacity divides evenly into a
-    /// power-of-two number of sets.
+    /// power-of-two number of sets of 1 to [`MAX_ASSOC`] lines, each line
+    /// at least 2 bytes.
     pub fn new(capacity: u64, assoc: u32, line: u64) -> Result<Self, CacheConfigError> {
         if assoc == 0 {
             return Err(CacheConfigError::ZeroAssociativity);
         }
-        if line == 0 || !line.is_power_of_two() {
+        if assoc > MAX_ASSOC {
+            return Err(CacheConfigError::TooManyWays(assoc));
+        }
+        if line < 2 || !line.is_power_of_two() {
             return Err(CacheConfigError::BadLineSize(line));
         }
         let set_bytes = u64::from(assoc) * line;
@@ -122,43 +142,10 @@ impl CacheConfig {
     }
 }
 
-/// One cache way, packed to 16 bytes so a 4-way set scan touches a single
-/// cache line of the host: `meta` holds `stamp << 2 | dirty << 1 | valid`.
-/// The LRU stamp is a per-cache access counter, so `stamp << 2` cannot
-/// overflow before 2^62 accesses.
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    tag: u64,
-    meta: u64,
-}
-
-impl Way {
-    const VALID: u64 = 1;
-    const DIRTY: u64 = 2;
-
-    #[inline]
-    fn filled(tag: u64, dirty: bool, stamp: u64) -> Way {
-        Way {
-            tag,
-            meta: (stamp << 2) | (u64::from(dirty) << 1) | Way::VALID,
-        }
-    }
-
-    #[inline]
-    fn valid(self) -> bool {
-        self.meta & Way::VALID != 0
-    }
-
-    #[inline]
-    fn dirty(self) -> bool {
-        self.meta & Way::DIRTY != 0
-    }
-
-    #[inline]
-    fn stamp(self) -> u64 {
-        self.meta >> 2
-    }
-}
+/// Tag of an invalid way. No resident line carries it: lines are at least
+/// 2 bytes ([`CacheConfig::new`] rejects 1-byte lines), so a real tag has
+/// at most 63 significant bits.
+const NO_TAG: u64 = u64::MAX;
 
 /// A line evicted to make room for a fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,27 +198,72 @@ impl CacheStats {
 /// granularity. This structure is used for the L1/L2/LLC SRAM levels and for
 /// scheme metadata caches (where "addresses" are table-entry indices scaled
 /// by an entry size).
+///
+/// Ways live in two parallel arrays, so the scans of
+/// [`SetAssocCache::access`] are tight loops over plain words with no
+/// data-dependent branch: `tags` holds each way's tag ([`NO_TAG`] when
+/// invalid) and `meta` holds `stamp << 1 | dirty` (0 when invalid). The
+/// LRU stamp is a per-cache access counter starting at 1, so a valid way's
+/// meta word is at least 2.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    ways: Vec<Way>,
+    tags: Vec<u64>,
+    meta: Vec<u64>,
     stats: CacheStats,
+    assoc: usize,
     line_shift: u32,
     set_mask: u64,
     set_shift: u32,
     clock: u64,
 }
 
+/// Bit `w` is set iff way `w` of the set holds `tag`. Every way is
+/// compared, so the scan has no early exit to mispredict.
+#[inline]
+fn match_mask(tags: &[u64], tag: u64) -> u64 {
+    tags.iter()
+        .enumerate()
+        .fold(0, |mask, (w, &t)| mask | (u64::from(t == tag) << w))
+}
+
+/// The way to fill on a miss: the first way holding the minimum meta word.
+/// Invalid ways hold 0 and valid stamps are unique, so this is the first
+/// invalid way if any, else the least recently used one.
+///
+/// Each way becomes the key `meta << WAY_BITS | way`, so a plain integer
+/// minimum breaks ties toward the lower way. Four independent running
+/// minima, one per way index modulo 4, keep the dependent chain short.
+#[inline]
+fn victim_way(meta: &[u64]) -> usize {
+    let key = |w: usize, m: u64| (m << WAY_BITS) | w as u64;
+    let mut lanes = [u64::MAX; 4];
+    let chunks = meta.chunks_exact(4);
+    let base = meta.len() - chunks.remainder().len();
+    for (k, &m) in chunks.remainder().iter().enumerate() {
+        lanes[k] = key(base + k, m);
+    }
+    for (n, chunk) in chunks.enumerate() {
+        for (k, &m) in chunk.iter().enumerate() {
+            lanes[k] = lanes[k].min(key(4 * n + k, m));
+        }
+    }
+    let min = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+    (min & (u64::from(MAX_ASSOC) - 1)) as usize
+}
+
 impl SetAssocCache {
     /// Builds a cache from a validated configuration.
     pub fn new(cfg: CacheConfig) -> Self {
-        let ways = vec![Way::default(); (cfg.sets * u64::from(cfg.assoc)) as usize];
+        let ways = (cfg.sets * u64::from(cfg.assoc)) as usize;
         SetAssocCache {
+            tags: vec![NO_TAG; ways],
+            meta: vec![0; ways],
+            stats: CacheStats::default(),
+            assoc: cfg.assoc as usize,
             line_shift: cfg.line.trailing_zeros(),
             set_mask: cfg.sets - 1,
             set_shift: cfg.sets.trailing_zeros(),
-            ways,
-            stats: CacheStats::default(),
             clock: 0,
             cfg,
         }
@@ -253,63 +285,71 @@ impl SetAssocCache {
         (line & self.set_mask, line >> self.set_shift)
     }
 
+    #[inline]
     fn set_range(&self, set: u64) -> core::ops::Range<usize> {
-        let start = (set * u64::from(self.cfg.assoc)) as usize;
-        start..start + self.cfg.assoc as usize
+        let start = set as usize * self.assoc;
+        start..start + self.assoc
+    }
+
+    /// Index of `addr`'s way if its line is resident. Unlike
+    /// [`SetAssocCache::access`], this scan stops at the first match: its
+    /// main caller is the L1 fast path, which hits the same way op after
+    /// op, so the early exit predicts well.
+    #[inline]
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (set, tag) = self.set_of(addr);
+        let range = self.set_range(set);
+        let start = range.start;
+        self.tags[range]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| start + w)
     }
 
     /// Looks up `addr`, allocating it on miss (possibly evicting a victim).
     /// `write` marks the line dirty.
     ///
-    /// Hit scan and victim scan are fused into one pass over a set sliced
-    /// out once: a hit returns immediately; otherwise the pass has already
-    /// found the first invalid way (preferred victim) and the LRU way.
+    /// # Panics
+    ///
+    /// Panics once the cache has served 2^57 accesses, where the LRU stamp
+    /// would overflow the packed victim key.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.set_of(addr);
-        let start = (set * u64::from(self.cfg.assoc)) as usize;
-        let ways = &mut self.ways[start..start + self.cfg.assoc as usize];
+        assert!(
+            self.clock >> (63 - WAY_BITS) == 0,
+            "LRU clock overflows the packed victim key"
+        );
         self.stats.accesses += 1;
+        let (set, tag) = self.set_of(addr);
+        let range = self.set_range(set);
+        let tags = &mut self.tags[range.clone()];
+        let meta = &mut self.meta[range];
 
-        let mut lru = 0usize;
-        let mut lru_stamp = u64::MAX;
-        let mut invalid: Option<usize> = None;
-        for (i, w) in ways.iter_mut().enumerate() {
-            if w.valid() {
-                if w.tag == tag {
-                    w.meta = (clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
-                    self.stats.hits += 1;
-                    return Access {
-                        hit: true,
-                        evicted: None,
-                    };
-                }
-                if w.stamp() < lru_stamp {
-                    lru_stamp = w.stamp();
-                    lru = i;
-                }
-            } else if invalid.is_none() {
-                invalid = Some(i);
-            }
+        let mask = match_mask(tags, tag);
+        if mask != 0 {
+            let w = mask.trailing_zeros() as usize;
+            meta[w] = (self.clock << 1) | (meta[w] & 1) | u64::from(write);
+            self.stats.hits += 1;
+            return Access {
+                hit: true,
+                evicted: None,
+            };
         }
 
-        // Miss: fill the first invalid way, else evict the LRU victim.
-        let victim_idx = start + invalid.unwrap_or(lru);
-        let evicted = if invalid.is_some() {
+        let w = victim_way(meta);
+        let old = meta[w];
+        let evicted = if old == 0 {
             None
         } else {
-            let w = self.ways[victim_idx];
-            if w.dirty() {
-                self.stats.dirty_evictions += 1;
-            }
+            let dirty = old & 1 != 0;
+            self.stats.dirty_evictions += u64::from(dirty);
             Some(Evicted {
-                line_addr: self.reconstruct(set, w.tag),
-                dirty: w.dirty(),
+                line_addr: ((tags[w] << self.set_shift) | set) << self.line_shift,
+                dirty,
             })
         };
-
-        self.ways[victim_idx] = Way::filled(tag, write, clock);
+        tags[w] = tag;
+        meta[w] = (self.clock << 1) | u64::from(write);
         Access {
             hit: false,
             evicted,
@@ -329,77 +369,54 @@ impl SetAssocCache {
     /// wait for global ordering and be replayed in full.
     #[inline]
     pub fn access_if_hit(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let start = (set * u64::from(self.cfg.assoc)) as usize;
-        let ways = &mut self.ways[start..start + self.cfg.assoc as usize];
-        for w in ways.iter_mut() {
-            if w.valid() && w.tag == tag {
-                self.clock += 1;
-                w.meta = (self.clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
-                self.stats.accesses += 1;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        false
+        let Some(w) = self.find(addr) else {
+            return false;
+        };
+        self.clock += 1;
+        self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        true
     }
 
     /// Non-allocating residency probe.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_of(addr);
-        self.ways[self.set_range(set)]
-            .iter()
-            .any(|w| w.valid() && w.tag == tag)
+        self.find(addr).is_some()
     }
 
     /// Marks a resident line dirty without affecting LRU; returns whether the
     /// line was resident. Used by LGM's "mark instead of migrate" policy.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.set_of(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid() && w.tag == tag {
-                w.meta |= Way::DIRTY;
-                return true;
-            }
-        }
-        false
+        let Some(w) = self.find(addr) else {
+            return false;
+        };
+        self.meta[w] |= 1;
+        true
     }
 
     /// Removes a line; returns `Some(dirty)` if it was resident.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.set_of(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid() && w.tag == tag {
-                let dirty = w.dirty();
-                w.meta &= !(Way::VALID | Way::DIRTY);
-                return Some(dirty);
-            }
-        }
-        None
+        let w = self.find(addr)?;
+        let dirty = self.meta[w] & 1 != 0;
+        self.tags[w] = NO_TAG;
+        self.meta[w] = 0;
+        Some(dirty)
     }
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> u64 {
-        self.ways.iter().filter(|w| w.valid()).count() as u64
+        self.tags.iter().filter(|&&t| t != NO_TAG).count() as u64
     }
 
     /// Iterates over the addresses of all resident lines (diagnostics/tests).
     pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        let assoc = u64::from(self.cfg.assoc);
-        self.ways.iter().enumerate().filter_map(move |(i, w)| {
-            if w.valid() {
-                Some(self.reconstruct(i as u64 / assoc, w.tag))
-            } else {
-                None
-            }
-        })
-    }
-
-    #[inline]
-    fn reconstruct(&self, set: u64, tag: u64) -> u64 {
-        ((tag << self.set_shift) | set) << self.line_shift
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &tag)| tag != NO_TAG)
+            .map(move |(i, &tag)| {
+                ((tag << self.set_shift) | (i / self.assoc) as u64) << self.line_shift
+            })
     }
 
     /// Aligns an arbitrary byte address down to its line base.
@@ -445,6 +462,30 @@ mod tests {
             CacheConfig::new(3 * 2 * 64, 2, 64),
             Err(CacheConfigError::SetsNotPowerOfTwo(3))
         ));
+    }
+
+    #[test]
+    fn config_rejects_one_byte_lines() {
+        // A 1-byte line in a 1-set cache would make the tag the whole
+        // address, so u64::MAX would collide with the invalid-way sentinel.
+        assert_eq!(
+            CacheConfig::new(4, 4, 1),
+            Err(CacheConfigError::BadLineSize(1))
+        );
+        assert_eq!(
+            CacheConfig::new(1024, 2, 1),
+            Err(CacheConfigError::BadLineSize(1))
+        );
+        assert!(CacheConfig::new(8, 4, 2).is_ok(), "2-byte lines stay legal");
+    }
+
+    #[test]
+    fn config_caps_associativity() {
+        assert!(CacheConfig::new(64 * 64, MAX_ASSOC, 64).is_ok());
+        assert_eq!(
+            CacheConfig::new(128 * 64, 128, 64),
+            Err(CacheConfigError::TooManyWays(128))
+        );
     }
 
     #[test]
@@ -607,7 +648,231 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The array-of-structs kernel this cache replaced, kept verbatim as a
+    /// reference model: one 16-byte way per slot, `meta` packing
+    /// `stamp << 2 | dirty << 1 | valid`, and a fused hit/victim scan that
+    /// picks the first invalid way, else the LRU way.
+    #[derive(Clone, Copy, Default)]
+    struct Way {
+        tag: u64,
+        meta: u64,
+    }
+
+    impl Way {
+        const VALID: u64 = 1;
+        const DIRTY: u64 = 2;
+
+        fn valid(self) -> bool {
+            self.meta & Way::VALID != 0
+        }
+
+        fn dirty(self) -> bool {
+            self.meta & Way::DIRTY != 0
+        }
+
+        fn stamp(self) -> u64 {
+            self.meta >> 2
+        }
+    }
+
+    struct AosCache {
+        cfg: CacheConfig,
+        ways: Vec<Way>,
+        stats: CacheStats,
+        clock: u64,
+    }
+
+    impl AosCache {
+        fn new(cfg: CacheConfig) -> Self {
+            AosCache {
+                ways: vec![Way::default(); (cfg.sets * u64::from(cfg.assoc)) as usize],
+                stats: CacheStats::default(),
+                clock: 0,
+                cfg,
+            }
+        }
+
+        fn set_of(&self, addr: u64) -> (u64, u64) {
+            let line = addr >> self.cfg.line.trailing_zeros();
+            (
+                line & (self.cfg.sets - 1),
+                line >> self.cfg.sets.trailing_zeros(),
+            )
+        }
+
+        fn set_range(&self, set: u64) -> core::ops::Range<usize> {
+            let start = (set * u64::from(self.cfg.assoc)) as usize;
+            start..start + self.cfg.assoc as usize
+        }
+
+        fn reconstruct(&self, set: u64, tag: u64) -> u64 {
+            ((tag << self.cfg.sets.trailing_zeros()) | set) << self.cfg.line.trailing_zeros()
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> Access {
+            self.clock += 1;
+            let clock = self.clock;
+            let (set, tag) = self.set_of(addr);
+            let start = self.set_range(set).start;
+            self.stats.accesses += 1;
+            let mut lru = 0usize;
+            let mut lru_stamp = u64::MAX;
+            let mut invalid: Option<usize> = None;
+            let range = self.set_range(set);
+            for (i, w) in self.ways[range].iter_mut().enumerate() {
+                if w.valid() {
+                    if w.tag == tag {
+                        w.meta = (clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
+                        self.stats.hits += 1;
+                        return Access {
+                            hit: true,
+                            evicted: None,
+                        };
+                    }
+                    if w.stamp() < lru_stamp {
+                        lru_stamp = w.stamp();
+                        lru = i;
+                    }
+                } else if invalid.is_none() {
+                    invalid = Some(i);
+                }
+            }
+            let victim_idx = start + invalid.unwrap_or(lru);
+            let evicted = if invalid.is_some() {
+                None
+            } else {
+                let w = self.ways[victim_idx];
+                if w.dirty() {
+                    self.stats.dirty_evictions += 1;
+                }
+                Some(Evicted {
+                    line_addr: self.reconstruct(set, w.tag),
+                    dirty: w.dirty(),
+                })
+            };
+            self.ways[victim_idx] = Way {
+                tag,
+                meta: (clock << 2) | (u64::from(write) << 1) | Way::VALID,
+            };
+            Access {
+                hit: false,
+                evicted,
+            }
+        }
+
+        fn find(&mut self, addr: u64) -> Option<&mut Way> {
+            let (set, tag) = self.set_of(addr);
+            let range = self.set_range(set);
+            self.ways[range]
+                .iter_mut()
+                .find(|w| w.valid() && w.tag == tag)
+        }
+
+        fn access_if_hit(&mut self, addr: u64, write: bool) -> bool {
+            let clock = self.clock + 1;
+            let Some(w) = self.find(addr) else {
+                return false;
+            };
+            w.meta = (clock << 2) | (w.meta & 3) | (u64::from(write) << 1);
+            self.clock = clock;
+            self.stats.accesses += 1;
+            self.stats.hits += 1;
+            true
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            self.find(addr).is_some()
+        }
+
+        fn mark_dirty(&mut self, addr: u64) -> bool {
+            self.find(addr).map(|w| w.meta |= Way::DIRTY).is_some()
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            let w = self.find(addr)?;
+            let dirty = w.dirty();
+            w.meta &= !(Way::VALID | Way::DIRTY);
+            Some(dirty)
+        }
+
+        fn resident_lines(&self) -> Vec<u64> {
+            let assoc = u64::from(self.cfg.assoc);
+            self.ways
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.valid())
+                .map(|(i, w)| self.reconstruct(i as u64 / assoc, w.tag))
+                .collect()
+        }
+    }
+
+    /// Drives the kernel and the reference model through the same op
+    /// sequence, asserting every return value, the statistics and the
+    /// physical way order after each op. `ops` are `(op, line, write)`
+    /// with lines drawn from three times the cache's capacity, so sets
+    /// see cold fills, hits, conflict evictions and refills of
+    /// invalidated ways.
+    fn check_against_model(sets: u64, assoc: u32, ops: &[(u8, u64, bool)]) {
+        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64).unwrap();
+        let mut fast = SetAssocCache::new(cfg);
+        let mut model = AosCache::new(cfg);
+        for &(op, line, write) in ops {
+            // A byte offset inside the line exercises the line masking.
+            let addr = line * 64 + (line % 64);
+            match op {
+                0 | 1 => assert_eq!(fast.access(addr, write), model.access(addr, write)),
+                2 => assert_eq!(
+                    fast.access_if_hit(addr, write),
+                    model.access_if_hit(addr, write)
+                ),
+                3 => assert_eq!(fast.probe(addr), model.probe(addr)),
+                4 => assert_eq!(fast.mark_dirty(addr), model.mark_dirty(addr)),
+                _ => assert_eq!(fast.invalidate(addr), model.invalidate(addr)),
+            }
+            assert_eq!(*fast.stats(), model.stats);
+            assert_eq!(
+                fast.resident_lines().collect::<Vec<_>>(),
+                model.resident_lines()
+            );
+        }
+        assert_eq!(fast.occupancy(), model.resident_lines().len() as u64);
+    }
+
+    fn ops(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+        proptest::collection::vec((0u8..6, 0..lines, any::<bool>()), 1..400)
+    }
+
     proptest! {
+        /// One 4-way set: the scaled L1 of the 1/1024 runs.
+        #[test]
+        fn kernel_matches_model_1x4(ops in ops(12)) {
+            check_against_model(1, 4, &ops);
+        }
+
+        /// One 8-way set: the scaled L2.
+        #[test]
+        fn kernel_matches_model_1x8(ops in ops(24)) {
+            check_against_model(1, 8, &ops);
+        }
+
+        /// 8 sets of 16 ways: the scaled LLC.
+        #[test]
+        fn kernel_matches_model_8x16(ops in ops(384)) {
+            check_against_model(8, 16, &ops);
+        }
+
+        /// 4 sets of 2 ways: frequent conflicts.
+        #[test]
+        fn kernel_matches_model_4x2(ops in ops(24)) {
+            check_against_model(4, 2, &ops);
+        }
+
+        /// One set of the widest legal associativity.
+        #[test]
+        fn kernel_matches_model_1x64(ops in ops(192)) {
+            check_against_model(1, 64, &ops);
+        }
+
         /// The most recently touched line of a set is never the next victim.
         #[test]
         fn mru_line_survives_next_miss(addrs in proptest::collection::vec(0u64..4096, 1..200)) {

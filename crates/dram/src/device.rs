@@ -116,9 +116,15 @@ impl DeviceStats {
 /// CPU cycle at which the burst completes, advancing bank and bus state.
 /// Under [`ServiceModel::Queued`] a bounded FIFO per channel and per bank
 /// front-ends the calculator and charges explicit backpressure delay.
-/// Accesses must be presented in the order they reach the controller; the
-/// surrounding simulator guarantees this by processing cores
-/// smallest-cycle-first.
+/// Bank and bus state serialize accesses in *presentation* order, and the
+/// queues retire entries at each arrival's cycle; both are exact only when
+/// arrivals come in time order. The surrounding simulator does not
+/// guarantee that: it picks cores smallest-cycle-first, but an access can
+/// issue later than its pick clock, and schemes issue chained traffic at
+/// future cycles. An access stamped earlier than one already presented
+/// can thus wait behind it (the benchmark's
+/// `machine.req_out_of_order_frac` reads about 0.68 on `lbm-stream`). The
+/// ROADMAP item "Make DRAM arrival order causal" tracks the fix.
 #[derive(Clone, Debug)]
 pub struct DramDevice {
     cfg: DeviceConfig,

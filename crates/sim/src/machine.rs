@@ -9,7 +9,7 @@ use sim_types::{Cycle, MemReq, MemSide, TraceOp, TraceSource, TrafficClass};
 use workloads::{TraceGen, Workload};
 
 use crate::any_scheme::AnyScheme;
-use crate::page_alloc::PageAllocator;
+use crate::page_alloc::{PageAllocator, PageMemo};
 
 /// Default ops-per-pick cap of the epoch-batched [`Machine::run`] loop.
 ///
@@ -191,6 +191,14 @@ impl Machine {
     /// the other's state). All of this is pinned by the differential tests
     /// in `tests/batched_differential.rs` at float-bit granularity.
     ///
+    /// Two shortcuts keep private hits cheap without changing a result.
+    /// Each core keeps a one-entry page memo (see `PageMemo`) in front of
+    /// the page table; it is exact because the table is append-only and a
+    /// core's address space is fixed for the run. And phase 1 probes the
+    /// private L1 with [`Hierarchy::l1_access_fast`] before walking
+    /// [`Hierarchy::access`]: an L1 hit has no writeback and no miss, so
+    /// it skips the scheme entirely.
+    ///
     /// # Panics
     ///
     /// Panics if `batch` is zero.
@@ -215,6 +223,9 @@ impl Machine {
         // Per-core op decoded during run-ahead but found to need a shared
         // structure: it executes when the core is next globally earliest.
         let mut pending: Vec<Option<TraceOp>> = vec![None; ncores];
+        // Per-core last translation, consulted before the page table: a
+        // streaming core touches one page for dozens of ops in a row.
+        let mut memo = vec![PageMemo::EMPTY; ncores];
         // Highest clock-before-op any executed op (or trace-exhaustion
         // check) observed — the reference fires ticks up to exactly this
         // horizon, so the trailing catch-up below uses it.
@@ -284,32 +295,36 @@ impl Machine {
                     cores[i].advance_instructions(op.instructions());
 
                     let space = if shared_space { 0 } else { i as u8 };
-                    let (paddr, fresh_page) = pages.translate_tracking(space, op.addr);
+                    let (paddr, fresh_page) = memo[i].translate_tracking(pages, space, op.addr);
                     if os_hints && fresh_page {
                         let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
                         scheme.os_hint_used(page_base, 4096);
                     }
-                    let out = hierarchy.access(i, paddr, op.kind);
-
-                    if let Some(wb) = out.writeback {
-                        // Dirty LLC victim: buffered write to memory.
-                        let req = MemReq::write(wb, 64, cores[i].now()).on_core(i as u8);
-                        scheme.access(&req, dram);
-                    }
-                    if let Some(miss) = out.llc_miss {
-                        let at = cores[i].now() + out.latency;
-                        let req = MemReq {
-                            addr: miss,
-                            kind: op.kind,
-                            bytes: 64,
-                            at,
-                            core: i as u8,
-                        };
-                        let served = scheme.access(&req, dram);
-                        if op.kind.is_write() {
-                            cores[i].note_store();
-                        } else {
-                            cores[i].issue_llc_miss_load(served.done);
+                    // An L1 hit has no writeback and no miss, so it needs
+                    // nothing below the private L1; only a miss walks the
+                    // full hierarchy.
+                    if !hierarchy.l1_access_fast(i, paddr, op.kind) {
+                        let out = hierarchy.access(i, paddr, op.kind);
+                        if let Some(wb) = out.writeback {
+                            // Dirty LLC victim: buffered write to memory.
+                            let req = MemReq::write(wb, 64, cores[i].now()).on_core(i as u8);
+                            scheme.access(&req, dram);
+                        }
+                        if let Some(miss) = out.llc_miss {
+                            let at = cores[i].now() + out.latency;
+                            let req = MemReq {
+                                addr: miss,
+                                kind: op.kind,
+                                bytes: 64,
+                                at,
+                                core: i as u8,
+                            };
+                            let served = scheme.access(&req, dram);
+                            if op.kind.is_write() {
+                                cores[i].note_store();
+                            } else {
+                                cores[i].issue_llc_miss_load(served.done);
+                            }
                         }
                     }
 
@@ -341,8 +356,8 @@ impl Machine {
                         continue 'epoch;
                     };
                     let space = if shared_space { 0 } else { i as u8 };
-                    let local = pages
-                        .lookup(space, op.addr)
+                    let local = memo[i]
+                        .lookup(pages, space, op.addr)
                         .is_some_and(|paddr| hierarchy.l1_access_fast(i, paddr, op.kind));
                     if !local {
                         // Would touch a shared structure: stash it for the
@@ -714,7 +729,14 @@ impl Machine {
     /// the batched loop to this, field by field, at float-bit granularity.
     pub fn run_reference(&mut self, instrs_per_core: u64) -> RunResult {
         // Earliest unfinished core first (deterministic tie-break by
-        // index) — this keeps DRAM arrival order causal. Core clocks are
+        // index). This orders *picks*, not DRAM arrivals: the key is the
+        // clock before `advance_instructions`, which can jump it by a
+        // memory latency on a ROB-reach stall, and schemes issue fills,
+        // metadata and migrations at derived future cycles. Arrivals are
+        // therefore often out of time order (the benchmark's
+        // `machine.req_out_of_order_frac` reads about 0.68 on
+        // `lbm-stream`); making them causal is an open ROADMAP item
+        // ("Make DRAM arrival order causal"). Core clocks are
         // mirrored into a compact array of `now << shift | index` keys
         // (u64::MAX = finished), so the per-op earliest-core pick is a
         // branchless min-reduction over a few contiguous words — the

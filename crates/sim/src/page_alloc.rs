@@ -243,6 +243,78 @@ impl PageAllocator {
     }
 }
 
+/// One core's most recent translation: a one-entry `(vpage, frame)` memo
+/// in front of [`PageAllocator`], consulted by the epoch-batched machine
+/// loop before the hashed table.
+///
+/// The memo is exact, never a cache that can go stale: the page table is
+/// append-only (a mapping, once made, is never changed or removed) and a
+/// core's address space is fixed for the whole run, so a remembered
+/// mapping is the one the table would return. A memo miss makes exactly
+/// the table call the caller asked for, so first-touch order, the frame
+/// RNG stream and the first-touch flag are unchanged. A memo serves one
+/// address space; debug builds check every hit against the table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PageMemo {
+    vpage: u64,
+    frame_base: u64,
+}
+
+impl PageMemo {
+    /// Remembers nothing: no virtual page number reaches `u64::MAX`.
+    pub(crate) const EMPTY: PageMemo = PageMemo {
+        vpage: u64::MAX,
+        frame_base: 0,
+    };
+
+    #[inline]
+    fn hit(&self, vaddr: VAddr) -> Option<PAddr> {
+        (vaddr.raw() / PAGE == self.vpage)
+            .then(|| PAddr::new(self.frame_base | (vaddr.raw() % PAGE)))
+    }
+
+    #[inline]
+    fn remember(&mut self, vaddr: VAddr, paddr: PAddr) {
+        self.vpage = vaddr.raw() / PAGE;
+        self.frame_base = paddr.raw() & !(PAGE - 1);
+    }
+
+    /// [`PageAllocator::translate_tracking`] through the memo. A memo hit
+    /// is a page mapped earlier, so it never reports a first touch.
+    #[inline]
+    pub(crate) fn translate_tracking(
+        &mut self,
+        pages: &mut PageAllocator,
+        space: u8,
+        vaddr: VAddr,
+    ) -> (PAddr, bool) {
+        if let Some(paddr) = self.hit(vaddr) {
+            debug_assert_eq!(pages.lookup(space, vaddr), Some(paddr), "stale page memo");
+            return (paddr, false);
+        }
+        let (paddr, fresh) = pages.translate_tracking(space, vaddr);
+        self.remember(vaddr, paddr);
+        (paddr, fresh)
+    }
+
+    /// [`PageAllocator::lookup`] through the memo.
+    #[inline]
+    pub(crate) fn lookup(
+        &mut self,
+        pages: &PageAllocator,
+        space: u8,
+        vaddr: VAddr,
+    ) -> Option<PAddr> {
+        if let Some(paddr) = self.hit(vaddr) {
+            debug_assert_eq!(pages.lookup(space, vaddr), Some(paddr), "stale page memo");
+            return Some(paddr);
+        }
+        let paddr = pages.lookup(space, vaddr)?;
+        self.remember(vaddr, paddr);
+        Some(paddr)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +446,33 @@ mod tests {
         assert_eq!(q.raw() / PAGE, p.raw() / PAGE);
         assert_eq!(q.raw() % PAGE, 0xfff);
         assert_eq!(a.lookup(1, VAddr::new(0x1234)), None, "spaces isolated");
+    }
+
+    /// The memo answers exactly what the table answers, and its misses
+    /// make the table call they stand for: a first touch through the memo
+    /// draws the same frame and reports it fresh.
+    #[test]
+    fn page_memo_agrees_with_the_table() {
+        let mut a = PageAllocator::new(1 << 20, 4);
+        let mut b = PageAllocator::new(1 << 20, 4);
+        let mut memo = PageMemo::EMPTY;
+        assert_eq!(memo.lookup(&a, 0, VAddr::new(0x1234)), None);
+        for v in [0x1234u64, 0x1fff, 0x1000, 0x5008, 0x1010, 0x5ff8, 0x9000] {
+            let va = VAddr::new(v);
+            assert_eq!(
+                memo.translate_tracking(&mut a, 0, va),
+                b.translate_tracking(0, va),
+                "vaddr {v:#x}"
+            );
+            assert_eq!(memo.lookup(&a, 0, va), b.lookup(0, va));
+        }
+        assert_eq!(a.table_digest(), b.table_digest());
+        assert_eq!(memo.lookup(&a, 0, VAddr::new(0xa000)), None);
+        // A lookup miss leaves the memo on the last mapped page.
+        assert_eq!(
+            memo.lookup(&a, 0, VAddr::new(0x9abc)),
+            b.lookup(0, VAddr::new(0x9abc))
+        );
     }
 
     #[test]

@@ -176,7 +176,10 @@ fn queued_is_schedule_independent() {
 /// Note the split: at depth 8 only MemPod and LGM move off the unbounded
 /// digests — their bulk-swap bursts (whole-slab migrations issued
 /// back-to-back at one timestamp) are the only streams deep enough to
-/// fill eight per-bank slots on this workload. The demand-paced schemes
+/// fill an eight-entry per-channel queue on this workload. (The per-bank
+/// queue never delays an access: every entry it holds is already covered
+/// by the bank's ready time, so dropping its delay leaves these digests
+/// unchanged.) The demand-paced schemes
 /// (Hybrid2, Tagless, DFC, Chameleon) never saturate a depth-8 queue on
 /// `lbm`, so their digests coincide with the reference — coincidence of
 /// values, not a shared code path; the depth-1 test below shows every
