@@ -210,13 +210,6 @@ impl Hierarchy {
     /// L1 victim into L2 and from there spill into the shared LLC, so
     /// everything below L1 belongs to the globally ordered path.
     ///
-    /// This is the probe/credit split the *parallel* machine loop pulls
-    /// apart: a speculation thread owning a detached L1 bank performs the
-    /// bank half ([`SetAssocCache::access_if_hit`]) privately — it cannot
-    /// touch these shared aggregate counters — and the hits are credited
-    /// later, in one deterministic sum, via
-    /// [`Hierarchy::credit_speculated_l1_hits`].
-    ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
@@ -232,54 +225,11 @@ impl Hierarchy {
         }
     }
 
-    /// Read-only residency probe of `core`'s private L1: `true` iff
-    /// `addr`'s line is resident. Mutates nothing — not the LRU clock, not
-    /// a counter — so a speculative probe can never perturb shared state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    #[inline]
-    pub fn l1_probe(&self, core: usize, addr: PAddr) -> bool {
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        self.l1[core].probe(addr.raw())
-    }
-
-    /// Credits `hits` speculative L1 hits into the aggregate counters — the
-    /// deferred half of [`Hierarchy::l1_access_fast`] for hits consumed on
-    /// detached banks (see [`Hierarchy::detach_l1`]). Order-independent
-    /// (u64 sums), so crediting per-core side buffers in any grouping
-    /// yields byte-identical statistics.
-    pub fn credit_speculated_l1_hits(&mut self, hits: u64) {
-        self.stats.l1.accesses += hits;
-        self.stats.l1.hits += hits;
-    }
-
-    /// Detaches the private L1 banks so the parallel machine loop can hand
-    /// each speculation worker exclusive ownership of its core's bank.
-    /// While detached, per-core accesses must go through
-    /// [`Hierarchy::access_detached`]; reattach with
-    /// [`Hierarchy::attach_l1`] before using [`Hierarchy::access`] again.
-    pub fn detach_l1(&mut self) -> Vec<SetAssocCache> {
-        std::mem::take(&mut self.l1)
-    }
-
-    /// Restores banks taken by [`Hierarchy::detach_l1`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank count does not match the configured core count.
-    pub fn attach_l1(&mut self, banks: Vec<SetAssocCache>) {
-        assert_eq!(banks.len(), self.cfg.cores, "L1 bank count mismatch");
-        self.l1 = banks;
-    }
-
     /// Runs one access from `core` through the hierarchy.
     ///
     /// # Panics
     ///
-    /// Panics if `core` is out of range, or if the L1 banks are currently
-    /// detached (see [`Hierarchy::detach_l1`]).
+    /// Panics if `core` is out of range.
     pub fn access(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
         assert!(core < self.cfg.cores, "core {core} out of range");
         let Hierarchy {
@@ -289,33 +239,85 @@ impl Hierarchy {
             llc,
             stats,
         } = self;
-        access_impl(cfg, &mut l1[core], &mut l2[core], llc, stats, addr, kind)
-    }
+        let (l1, l2) = (&mut l1[core], &mut l2[core]);
+        let a = addr.raw();
+        let write = kind.is_write();
 
-    /// [`Hierarchy::access`] with `core`'s private L1 bank held outside the
-    /// hierarchy — the parallel machine loop's drain path, where banks live
-    /// in per-core slots that speculation workers take ownership of. Byte-
-    /// identical to `access` on the same bank state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_detached(
-        &mut self,
-        l1: &mut SetAssocCache,
-        core: usize,
-        addr: PAddr,
-        kind: AccessKind,
-    ) -> Outcome {
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        let Hierarchy {
-            cfg,
-            l2,
-            llc,
-            stats,
-            ..
-        } = self;
-        access_impl(cfg, l1, &mut l2[core], llc, stats, addr, kind)
+        // L1.
+        stats.l1.accesses += 1;
+        let l1_out = l1.access(a, write);
+        if l1_out.hit {
+            stats.l1.hits += 1;
+            return Outcome {
+                latency: cfg.l1_latency,
+                llc_miss: None,
+                writeback: None,
+                llc_fill: None,
+                llc_evict: None,
+            };
+        }
+        // L1 victim writebacks are absorbed by L2 (allocate-on-write below).
+        let l1_victim = l1_out.evicted;
+
+        // L2. Inserting a dirty L1 victim may itself displace a dirty L2
+        // line, which must continue down to the LLC.
+        stats.l2.accesses += 1;
+        let mut spilled_by_l1_victim = None;
+        if let Some(v) = l1_victim {
+            if v.dirty {
+                spilled_by_l1_victim = l2.access(v.line_addr, true).evicted;
+            }
+        }
+        let l2_out = l2.access(a, false);
+        let l2_victim = l2_out.evicted;
+        if l2_out.hit {
+            stats.l2.hits += 1;
+            // Even on an L2 hit, displaced L2 victims may spill to the LLC.
+            let wb = spill_to_llc(llc, stats, spilled_by_l1_victim)
+                .or_else(|| spill_to_llc(llc, stats, l2_victim));
+            return Outcome {
+                latency: cfg.l2_latency,
+                llc_miss: None,
+                writeback: wb,
+                llc_fill: None,
+                llc_evict: None,
+            };
+        }
+
+        // LLC (shared).
+        stats.llc.accesses += 1;
+        let spill = spill_to_llc(llc, stats, spilled_by_l1_victim)
+            .or_else(|| spill_to_llc(llc, stats, l2_victim));
+        let llc_out = llc.access(a, false);
+        let mut writeback = spill;
+        let mut llc_evict = None;
+        if let Some(v) = llc_out.evicted {
+            llc_evict = Some(PAddr::new(v.line_addr));
+            if v.dirty {
+                stats.writebacks += 1;
+                // At most one dirty writeback per access reaches memory in
+                // this model; prefer the demand-path victim.
+                writeback = Some(PAddr::new(v.line_addr));
+            }
+        }
+        if llc_out.hit {
+            stats.llc.hits += 1;
+            return Outcome {
+                latency: cfg.llc_latency,
+                llc_miss: None,
+                writeback,
+                llc_fill: None,
+                llc_evict: None,
+            };
+        }
+
+        Outcome {
+            latency: cfg.llc_latency,
+            llc_miss: Some(PAddr::new(llc.line_base(a))),
+            writeback,
+            llc_fill: Some(PAddr::new(llc.line_base(a))),
+            llc_evict,
+        }
     }
 
     /// Per-level raw cache statistics (L1s, L2s, LLC) for diagnostics.
@@ -325,98 +327,6 @@ impl Hierarchy {
             self.l2.iter().map(|c| *c.stats()).collect(),
             *self.llc.stats(),
         )
-    }
-}
-
-/// The body of [`Hierarchy::access`], over explicitly split borrows so the
-/// same path serves attached banks (`access`) and detached ones
-/// (`access_detached`) without duplicating the spill logic.
-fn access_impl(
-    cfg: &HierarchyConfig,
-    l1: &mut SetAssocCache,
-    l2: &mut SetAssocCache,
-    llc: &mut SetAssocCache,
-    stats: &mut HierarchyStats,
-    addr: PAddr,
-    kind: AccessKind,
-) -> Outcome {
-    let a = addr.raw();
-    let write = kind.is_write();
-
-    // L1.
-    stats.l1.accesses += 1;
-    let l1_out = l1.access(a, write);
-    if l1_out.hit {
-        stats.l1.hits += 1;
-        return Outcome {
-            latency: cfg.l1_latency,
-            llc_miss: None,
-            writeback: None,
-            llc_fill: None,
-            llc_evict: None,
-        };
-    }
-    // L1 victim writebacks are absorbed by L2 (allocate-on-write below).
-    let l1_victim = l1_out.evicted;
-
-    // L2. Inserting a dirty L1 victim may itself displace a dirty L2
-    // line, which must continue down to the LLC.
-    stats.l2.accesses += 1;
-    let mut spilled_by_l1_victim = None;
-    if let Some(v) = l1_victim {
-        if v.dirty {
-            spilled_by_l1_victim = l2.access(v.line_addr, true).evicted;
-        }
-    }
-    let l2_out = l2.access(a, false);
-    let l2_victim = l2_out.evicted;
-    if l2_out.hit {
-        stats.l2.hits += 1;
-        // Even on an L2 hit, displaced L2 victims may spill to the LLC.
-        let wb = spill_to_llc(llc, stats, spilled_by_l1_victim)
-            .or_else(|| spill_to_llc(llc, stats, l2_victim));
-        return Outcome {
-            latency: cfg.l2_latency,
-            llc_miss: None,
-            writeback: wb,
-            llc_fill: None,
-            llc_evict: None,
-        };
-    }
-
-    // LLC (shared).
-    stats.llc.accesses += 1;
-    let spill = spill_to_llc(llc, stats, spilled_by_l1_victim)
-        .or_else(|| spill_to_llc(llc, stats, l2_victim));
-    let llc_out = llc.access(a, false);
-    let mut writeback = spill;
-    let mut llc_evict = None;
-    if let Some(v) = llc_out.evicted {
-        llc_evict = Some(PAddr::new(v.line_addr));
-        if v.dirty {
-            stats.writebacks += 1;
-            // At most one dirty writeback per access reaches memory in
-            // this model; prefer the demand-path victim.
-            writeback = Some(PAddr::new(v.line_addr));
-        }
-    }
-    if llc_out.hit {
-        stats.llc.hits += 1;
-        return Outcome {
-            latency: cfg.llc_latency,
-            llc_miss: None,
-            writeback,
-            llc_fill: None,
-            llc_evict: None,
-        };
-    }
-
-    Outcome {
-        latency: cfg.llc_latency,
-        llc_miss: Some(PAddr::new(llc.line_base(a))),
-        writeback,
-        llc_fill: Some(PAddr::new(llc.line_base(a))),
-        llc_evict,
     }
 }
 
@@ -582,66 +492,6 @@ mod tests {
         assert_eq!(l1a, l1b);
         assert_eq!(l2a, l2b);
         assert_eq!(llca, llcb);
-    }
-
-    /// Driving a hierarchy through detached banks (`access_detached` for
-    /// misses, `access_if_hit` on the bank + deferred credit for hits) must
-    /// be byte-identical to the attached fast path.
-    #[test]
-    fn detached_banks_are_equivalent_to_attached() {
-        let mut det = tiny();
-        let mut reference = tiny();
-        let ops: [(usize, u64, AccessKind); 8] = [
-            (0, 0x1000, AccessKind::Read),
-            (0, 0x1000, AccessKind::Write),
-            (1, 0x1000, AccessKind::Read),
-            (0, 0x1008, AccessKind::Read),
-            (0, 0x2000, AccessKind::Write),
-            (0, 0x2010, AccessKind::Read),
-            (1, 0x1030, AccessKind::Read),
-            (0, 0x1000, AccessKind::Read),
-        ];
-        let mut banks = det.detach_l1();
-        let mut speculated_hits = 0u64;
-        for (core, addr, kind) in ops {
-            let a = PAddr::new(addr);
-            if banks[core].access_if_hit(a.raw(), kind.is_write()) {
-                speculated_hits += 1;
-            } else {
-                det.access_detached(&mut banks[core], core, a, kind);
-            }
-            if !reference.l1_access_fast(core, a, kind) {
-                reference.access(core, a, kind);
-            }
-        }
-        det.attach_l1(banks);
-        det.credit_speculated_l1_hits(speculated_hits);
-        assert_eq!(det.stats(), reference.stats());
-        assert_eq!(det.level_stats(), reference.level_stats());
-    }
-
-    /// `l1_probe` is a pure residency query: no counters, no LRU motion.
-    #[test]
-    fn l1_probe_is_read_only() {
-        let mut h = tiny();
-        let a = PAddr::new(0x1000);
-        assert!(!h.l1_probe(0, a));
-        h.access(0, a, AccessKind::Read);
-        let stats_before = h.stats().clone();
-        let levels_before = h.level_stats();
-        assert!(h.l1_probe(0, a));
-        assert!(!h.l1_probe(1, a));
-        assert_eq!(h.stats(), &stats_before);
-        assert_eq!(h.level_stats(), levels_before);
-    }
-
-    #[test]
-    #[should_panic(expected = "bank count mismatch")]
-    fn attaching_wrong_bank_count_panics() {
-        let mut h = tiny();
-        let mut banks = h.detach_l1();
-        banks.pop();
-        h.attach_l1(banks);
     }
 
     #[test]

@@ -252,59 +252,6 @@ impl Core {
             self.cycle = t;
         }
     }
-
-    /// [`Core::advance_instructions`] for one op of an optimistic run-ahead
-    /// window, with the window's bookkeeping side-buffered into `buf`.
-    ///
-    /// The core state mutates exactly as the globally ordered loop would —
-    /// `ceil(n / width)` is applied **per op**, not to a window sum, because
-    /// the rounding differs (`ceil(3/4) + ceil(3/4) = 2` but `ceil(6/4) =
-    /// 2` only by luck; `ceil(1/4) * 8 ≠ ceil(8/4)` in general) — while the
-    /// side buffer records what the parallel machine loop must commit
-    /// globally afterwards: op/instruction totals for statistics credit and
-    /// the clock-before-op maximum for the interval-tick horizon.
-    #[inline]
-    pub fn advance_instructions_buffered(&mut self, n: u64, buf: &mut SideBuffer) {
-        buf.record(self.cycle.raw(), n);
-        self.advance_instructions(n);
-    }
-}
-
-/// Side buffer for one optimistic run-ahead window.
-///
-/// While a core speculates through provably core-local ops on its own
-/// thread, everything the rest of the machine will eventually need to know
-/// about the window accumulates here instead of touching shared state. The
-/// fields are commutative summaries (sums and a max), so committing per-core
-/// buffers in any grouping yields byte-identical global state — the property
-/// that lets windows execute concurrently without rollback.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SideBuffer {
-    /// Core-local ops consumed in this window.
-    pub ops: u64,
-    /// Instructions advanced through the core in this window.
-    pub instructions: u64,
-    /// Highest clock-before-op observed (the window's contribution to the
-    /// machine's interval-tick horizon).
-    pub horizon: u64,
-}
-
-impl SideBuffer {
-    /// Records one op: the core clock as the op began and the instructions
-    /// it retires.
-    #[inline]
-    pub fn record(&mut self, clock_before: u64, instructions: u64) {
-        self.ops += 1;
-        self.instructions += instructions;
-        self.horizon = self.horizon.max(clock_before);
-    }
-
-    /// Folds another window's buffer into this one (order-independent).
-    pub fn merge(&mut self, other: SideBuffer) {
-        self.ops += other.ops;
-        self.instructions += other.instructions;
-        self.horizon = self.horizon.max(other.horizon);
-    }
 }
 
 #[cfg(test)]
@@ -479,63 +426,6 @@ mod tests {
                 mshrs: 1,
             },
         );
-    }
-
-    /// The buffered advance mutates the core identically to the plain one
-    /// while the side buffer captures per-window totals and horizon.
-    #[test]
-    fn buffered_advance_matches_plain_advance() {
-        let mut plain = core();
-        let mut buffered = core();
-        let mut buf = SideBuffer::default();
-        let ops: [u64; 5] = [3, 1, 0, 7, 4];
-        for n in ops {
-            plain.advance_instructions(n);
-            buffered.advance_instructions_buffered(n, &mut buf);
-        }
-        assert_eq!(buffered.now(), plain.now());
-        assert_eq!(buffered.stats(), plain.stats());
-        assert_eq!(buf.ops, 5);
-        assert_eq!(buf.instructions, 15);
-        // Horizon is the clock *before* the last op: 3+1+0+7 instrs at
-        // width 4 = ceil(3/4)+ceil(1/4)+0+ceil(7/4) = 1+1+2 = 4 cycles.
-        assert_eq!(buf.horizon, 4);
-    }
-
-    /// Per-op ceil rounding differs from window-sum rounding; the side
-    /// buffer must not tempt callers into summing.
-    #[test]
-    fn per_op_rounding_is_not_window_sum_rounding() {
-        let mut per_op = core();
-        let mut buf = SideBuffer::default();
-        for _ in 0..4 {
-            per_op.advance_instructions_buffered(1, &mut buf);
-        }
-        let mut summed = core();
-        summed.advance_instructions(buf.instructions);
-        assert_eq!(per_op.now(), Cycle::new(4)); // 4 × ceil(1/4)
-        assert_eq!(summed.now(), Cycle::new(1)); // ceil(4/4)
-    }
-
-    #[test]
-    fn side_buffer_merge_is_commutative() {
-        let mut a = SideBuffer {
-            ops: 3,
-            instructions: 40,
-            horizon: 17,
-        };
-        let b = SideBuffer {
-            ops: 2,
-            instructions: 9,
-            horizon: 100,
-        };
-        let mut c = b;
-        c.merge(a);
-        a.merge(b);
-        assert_eq!(a, c);
-        assert_eq!(a.ops, 5);
-        assert_eq!(a.instructions, 49);
-        assert_eq!(a.horizon, 100);
     }
 
     #[test]

@@ -48,15 +48,15 @@ pub struct DeviceStats {
     pub writes: u64,
     /// Bytes moved per traffic class, indexed by [`TrafficClass::index`].
     pub bytes_by_class: [u64; 5],
-    /// Admissions that found a service queue full (bounded model only; each
-    /// queue level that pushes back counts once).
+    /// Admissions that found the channel's service queue full (bounded
+    /// model only).
     pub queue_stalls: u64,
     /// Total cycles requests spent waiting for queue admission.
     pub queue_stall_cycles: u64,
-    /// Sum over accesses of the post-issue occupancy of the channel and
-    /// bank queues the access flowed through (bounded model only).
+    /// Sum over accesses of the post-issue occupancy of the channel queue
+    /// the access flowed through (bounded model only).
     pub queue_occupancy_sum: u64,
-    /// Largest single-queue occupancy ever observed.
+    /// Largest channel-queue occupancy ever observed.
     pub queue_peak_occupancy: u64,
 }
 
@@ -80,8 +80,8 @@ impl DeviceStats {
         }
     }
 
-    /// Mean combined (channel + bank) queue occupancy seen per access;
-    /// 0 when idle, and identically 0 under [`ServiceModel::Unbounded`].
+    /// Mean channel-queue occupancy seen per access; 0 when idle, and
+    /// identically 0 under [`ServiceModel::Unbounded`].
     pub fn mean_queue_occupancy(&self) -> f64 {
         if self.accesses == 0 {
             0.0
@@ -114,8 +114,10 @@ impl DeviceStats {
 ///
 /// The device is a timing *calculator*: [`DramDevice::serve`] returns the
 /// CPU cycle at which the burst completes, advancing bank and bus state.
-/// Under [`ServiceModel::Queued`] a bounded FIFO per channel and per bank
-/// front-ends the calculator and charges explicit backpressure delay.
+/// Under [`ServiceModel::Queued`] a bounded FIFO per channel front-ends
+/// the calculator and charges explicit backpressure delay. There is no
+/// per-bank queue: every entry one would hold completes by `bank.ready`,
+/// which the start time already waits for.
 /// Bank and bus state serialize accesses in *presentation* order, and the
 /// queues retire entries at each arrival's cycle; both are exact only when
 /// arrivals come in time order. The surrounding simulator does not
@@ -134,7 +136,6 @@ pub struct DramDevice {
     energy: EnergyCounter,
     model: ServiceModel,
     chan_queues: Vec<BoundedQueue>,
-    bank_queues: Vec<BoundedQueue>,
     chan_mask: u64,
     chan_shift: u32,
     t_cas_cpu: u64,
@@ -166,7 +167,6 @@ impl DramDevice {
             energy: EnergyCounter::new(),
             model: ServiceModel::Unbounded,
             chan_queues: vec![BoundedQueue::new(); cfg.channels as usize],
-            bank_queues: vec![BoundedQueue::new(); n_banks],
             t_cas_cpu,
             t_rcd_cpu,
             t_rp_cpu,
@@ -228,9 +228,9 @@ impl DramDevice {
     /// Serves one access and returns its completion and admission cycles.
     ///
     /// Under [`ServiceModel::Queued`] the access is first admitted through
-    /// the bounded channel queue, then the bounded bank queue; a full queue
-    /// delays admission until its oldest in-flight entry drains
-    /// (backpressure), and the delay is charged ahead of the array timing.
+    /// the bounded channel queue; a full queue delays admission until its
+    /// oldest in-flight entry drains (backpressure), and the delay is
+    /// charged ahead of the array timing.
     /// Under [`ServiceModel::Unbounded`] admission is immediate and the
     /// path below is exactly the pre-service-layer closed form.
     ///
@@ -244,23 +244,14 @@ impl DramDevice {
 
         let queued = match self.model {
             ServiceModel::Unbounded => a.at,
-            ServiceModel::Queued { depth } => {
-                let mut t = a.at;
-                for q in [
-                    &mut self.chan_queues[channel],
-                    &mut self.bank_queues[bank_idx],
-                ] {
-                    match q.admit(t, depth) {
-                        Ok(admitted) => t = admitted,
-                        Err(bp) => {
-                            self.stats.queue_stalls += 1;
-                            self.stats.queue_stall_cycles += bp.until - t;
-                            t = bp.until;
-                        }
-                    }
+            ServiceModel::Queued { depth } => match self.chan_queues[channel].admit(a.at, depth) {
+                Ok(admitted) => admitted,
+                Err(bp) => {
+                    self.stats.queue_stalls += 1;
+                    self.stats.queue_stall_cycles += bp.until - a.at;
+                    bp.until
                 }
-                t
-            }
+            },
         };
 
         let bank = &mut self.banks[bank_idx];
@@ -280,13 +271,11 @@ impl DramDevice {
         self.bus_free[channel] = done;
 
         if let ServiceModel::Queued { .. } = self.model {
-            self.chan_queues[channel].push(done);
-            self.bank_queues[bank_idx].push(done);
-            let chan_occ = self.chan_queues[channel].occupancy() as u64;
-            let bank_occ = self.bank_queues[bank_idx].occupancy() as u64;
-            self.stats.queue_occupancy_sum += chan_occ + bank_occ;
-            self.stats.queue_peak_occupancy =
-                self.stats.queue_peak_occupancy.max(chan_occ.max(bank_occ));
+            let queue = &mut self.chan_queues[channel];
+            queue.push(done);
+            let occ = queue.occupancy() as u64;
+            self.stats.queue_occupancy_sum += occ;
+            self.stats.queue_peak_occupancy = self.stats.queue_peak_occupancy.max(occ);
         }
 
         self.stats.accesses += 1;

@@ -15,11 +15,11 @@
 //!   requests flow straight into the closed-form bank/bus timing calculator.
 //!   This reduces *byte-identically* to the pre-redesign results and is what
 //!   all pinned goldens and paper figures use.
-//! * **`Queued { depth }`** — each channel and each bank front-ends the
-//!   calculator with a bounded FIFO of in-flight requests. A request that
-//!   finds its queue full suffers explicit [`Backpressure`]: it is admitted
-//!   only when the oldest in-flight entry drains, and the stall is charged on
-//!   top of the usual CAS/RCD/RP timing.
+//! * **`Queued { depth }`** — each channel front-ends the calculator with a
+//!   bounded FIFO of in-flight requests. A request that finds its queue full
+//!   suffers explicit [`Backpressure`]: it is admitted only when the oldest
+//!   in-flight entry drains, and the stall is charged on top of the usual
+//!   CAS/RCD/RP timing.
 
 use std::collections::VecDeque;
 
@@ -37,10 +37,10 @@ pub enum ServiceModel {
     /// to the pre-service-layer simulator.
     #[default]
     Unbounded,
-    /// Bounded per-channel and per-bank FIFO queues of `depth` in-flight
-    /// requests each; overflow produces [`Backpressure`].
+    /// Bounded per-channel FIFO queues of `depth` in-flight requests each;
+    /// overflow produces [`Backpressure`].
     Queued {
-        /// Maximum in-flight requests per channel queue and per bank queue.
+        /// Maximum in-flight requests per channel queue.
         depth: u32,
     },
 }

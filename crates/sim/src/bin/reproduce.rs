@@ -11,7 +11,8 @@
 //! options:
 //!   --exp <id>        experiment id (fig01..fig18, table2, abl-budget,
 //!                     abl-stack, evalsuite, all)          [default: evalsuite]
-//!   --scale <den>     capacity divisor vs the paper's system [default: 64]
+//!   --scale <den>     capacity divisor vs the paper's system, a power of
+//!                     two in [1, 2048]                   [default: 64]
 //!   --instrs <n>      instructions per core per run       [default: 300000]
 //!   --smoke           run the 3-benchmark smoke set instead of all 30
 //!   --seed <n>        RNG seed                            [default: 2020]
@@ -20,17 +21,12 @@
 //!                     1 = per-op reference scheduling. Results are
 //!                     byte-identical for every value (CI `cmp`s batched
 //!                     vs `--batch 1` output)          [default: 4096]
-//!   --machine-threads <n>  scoped worker threads stepping each machine's
-//!                     cores concurrently (optimistic run-ahead windows);
-//!                     1 = today's single-threaded schedule. Results are
-//!                     byte-identical for every value (CI `cmp`s
-//!                     `--machine-threads 2/4` vs the reference) [default: 1]
 //!   --service <model> memory-service model: unbounded (closed-form
-//!                     reference) or queued[:depth] (bounded per-channel/
-//!                     per-bank service queues with backpressure; depth
-//!                     defaults to 8). Unlike --batch/--machine-threads
-//!                     this knob CHANGES results — queued latencies grow
-//!                     under contention             [default: unbounded]
+//!                     reference) or queued[:depth] (bounded per-channel
+//!                     service queues with backpressure; depth defaults
+//!                     to 8). Unlike --batch this knob CHANGES results —
+//!                     queued latencies grow under contention
+//!                                                  [default: unbounded]
 //!   --shard <K/N>     run only slice K of an N-way split of the grid and
 //!                     emit the machine-readable shard cells instead of the
 //!                     rendered reports (evalsuite / scenario grids only)
@@ -51,9 +47,8 @@
 //!                         (pure function of <n> and --seed; the first
 //!                         100 outputs at seed 2020 are pinned in CI)
 //!   --list                list the active scenario catalog and exit
-//!   (--scale/--instrs/--seed/--threads/--batch/--machine-threads/
-//!   --service/--shard/--runlog/--out
-//!   apply as above)
+//!   (--scale/--instrs/--seed/--threads/--batch/--service/--shard/
+//!   --runlog/--out apply as above)
 //!
 //! merge subcommand (reassemble a sharded run):
 //!   merge <file>...   merge shard files back into the full grid and print
@@ -81,9 +76,9 @@
 //!                         threshold for in-process takeover   [default: 60]
 //!   --listen <addr>       listen address              [default: 127.0.0.1:0]
 //!   --addr-file <file>    write the bound address here (ephemeral ports)
-//!   (--ratio/--scale/--instrs/--seed/--threads/--batch/
-//!   --machine-threads/--service/--runlog/--out
-//!   apply as above; output is byte-identical to the monolithic run)
+//!   (--ratio/--scale/--instrs/--seed/--threads/--batch/--service/
+//!   --runlog/--out apply as above; output is byte-identical to the
+//!   monolithic run)
 //!
 //! worker subcommand (one cluster worker process):
 //!   worker <host:port>    lease slices from a dispatcher until `done`
@@ -94,25 +89,23 @@
 //!
 //! Exit status: 0 on success, 1 on runtime failure (I/O, inconsistent
 //! shard files, corrupt run records), 2 on a usage error (unknown
-//! flag/subcommand/id, malformed filter value). Argument handling never
-//! panics; sizing *values* are not semantically validated, so an extreme
-//! `--scale` can still trip the simulator's own structural asserts
-//! (`ScaledSystem::new`) once the run starts.
+//! flag/subcommand/id, malformed filter value, a `--scale` outside the
+//! powers of two in [1, 2048]). Argument handling never panics.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
 use sim::shard::{self, ShardSpec};
-use sim::{cluster, runlog, scenario, EvalConfig, GridId, NmRatio, ServiceModel};
+use sim::{cluster, runlog, scenario, EvalConfig, GridId, NmRatio, ScaledSystem, ServiceModel};
 
 /// One-screen usage summary printed alongside every usage error.
 const USAGE: &str = "\
 usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
-                 [--batch N] [--machine-threads N] [--service MODEL] [--smoke]
+                 [--batch N] [--service MODEL] [--smoke]
                  [--shard K/N] [--runlog DIR] [--out FILE] [--list]
        reproduce scenario <name|all> [--spec FILE | --generate N]
                  [--ratio 1gb|2gb|4gb] [--scale N]
                  [--instrs N] [--seed N] [--threads N] [--batch N]
-                 [--machine-threads N] [--service MODEL] [--shard K/N]
-                 [--runlog DIR] [--out FILE] [--list]
+                 [--service MODEL] [--shard K/N] [--runlog DIR]
+                 [--out FILE] [--list]
        reproduce merge <file>... [--out FILE]
        reproduce query <dir|file>... [--scheme TOK] [--workload NAME]
                  [--ratio 1gb|2gb|4gb] [--service MODEL] [--since-record N]
@@ -123,15 +116,15 @@ usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
                  [--shards N] [--workers-expected K] [--deadline-secs S]
                  [--listen ADDR] [--addr-file FILE] [--ratio 1gb|2gb|4gb]
                  [--scale N] [--instrs N] [--seed N] [--threads N]
-                 [--batch N] [--machine-threads N] [--service MODEL]
-                 [--runlog DIR] [--out FILE]
+                 [--batch N] [--service MODEL] [--runlog DIR] [--out FILE]
        reproduce worker <host:port> [--threads N] [--fault-stall-secs S]
                  [--fault-duplicate]
 
 run `reproduce --list` for experiment ids, `reproduce scenario --list`
 for the scenario catalog; see the module docs for flag semantics.
 MODEL is unbounded (the closed-form reference, default) or
-queued[:depth] (bounded per-channel/per-bank service queues).";
+queued[:depth] (bounded per-channel service queues).
+N for --scale is a power of two in [1, 2048].";
 
 /// A fully parsed command line.
 #[derive(Debug, PartialEq)]
@@ -189,16 +182,19 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Re
 }
 
 /// Consumes one of the sizing flags shared by every run subcommand
-/// (`--scale/--instrs/--seed/--threads/--batch/--machine-threads/
-/// --service`) at `args[i]`, returning the next index, or `None` if
-/// `args[i]` is some other argument.
+/// (`--scale/--instrs/--seed/--threads/--batch/--service`) at `args[i]`,
+/// returning the next index, or `None` if `args[i]` is some other
+/// argument.
 fn parse_sizing_flag(
     cfg: &mut EvalConfig,
     args: &[String],
     i: usize,
 ) -> Result<Option<usize>, String> {
     match args[i].as_str() {
-        "--scale" => cfg.scale_den = flag_value(args, i, "--scale")?,
+        "--scale" => {
+            cfg.scale_den = flag_value(args, i, "--scale")?;
+            ScaledSystem::check_scale_den(cfg.scale_den).map_err(|e| format!("--scale: {e}"))?;
+        }
         "--instrs" => cfg.instrs_per_core = flag_value(args, i, "--instrs")?,
         "--seed" => cfg.seed = flag_value(args, i, "--seed")?,
         "--threads" => cfg.threads = flag_value(args, i, "--threads")?,
@@ -206,14 +202,6 @@ fn parse_sizing_flag(
             cfg.batch = flag_value(args, i, "--batch")?;
             if cfg.batch == 0 {
                 return Err("--batch must be at least 1 (1 = per-op reference scheduling)".into());
-            }
-        }
-        "--machine-threads" => {
-            cfg.machine_threads = flag_value(args, i, "--machine-threads")?;
-            if cfg.machine_threads == 0 {
-                return Err(
-                    "--machine-threads must be at least 1 (1 = single-threaded stepping)".into(),
-                );
             }
         }
         "--service" => {
@@ -1223,33 +1211,21 @@ mod tests {
     }
 
     #[test]
-    fn machine_threads_flag_parses_and_validates() {
-        match parse(&["--machine-threads", "4"]).unwrap() {
-            Command::Eval { cfg, .. } => assert_eq!(cfg.machine_threads, 4),
-            other => panic!("unexpected {other:?}"),
+    fn scale_flag_accepts_only_powers_of_two_in_range() {
+        for den in ["1", "2048"] {
+            match parse(&["--scale", den]).unwrap() {
+                Command::Eval { cfg, .. } => assert_eq!(cfg.scale_den.to_string(), den),
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        match parse(&["scenario", "all", "--machine-threads", "2"]).unwrap() {
-            Command::Scenario { cfg, .. } => assert_eq!(cfg.machine_threads, 2),
-            other => panic!("unexpected {other:?}"),
+        // Values the simulator cannot size are usage errors (exit 2)
+        // naming the valid range, never panics inside a worker.
+        for den in ["0", "3", "96", "1536", "4096"] {
+            let err = parse(&["--scale", den]).unwrap_err();
+            assert!(err.contains("[1, 2048]"), "--scale {den}: {err}");
+            let err = parse(&["scenario", "all", "--scale", den]).unwrap_err();
+            assert!(err.contains("--scale"), "scenario --scale {den}: {err}");
         }
-        // Default when the flag is absent: single-threaded stepping.
-        match parse(&[]).unwrap() {
-            Command::Eval { cfg, .. } => assert_eq!(cfg.machine_threads, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Bad values are usage errors (exit 2), never panics.
-        assert!(parse(&["--machine-threads"])
-            .unwrap_err()
-            .contains("--machine-threads"));
-        assert!(parse(&["--machine-threads", "many"])
-            .unwrap_err()
-            .contains("--machine-threads"));
-        assert!(parse(&["--machine-threads", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse(&["scenario", "all", "--machine-threads", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
     }
 
     #[test]

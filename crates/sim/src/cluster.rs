@@ -1284,9 +1284,6 @@ fn run_lease(
         seed: job.seed,
         threads: wc.threads,
         batch: job.batch as usize,
-        // Machine-level stepping is a local scheduling choice, not part
-        // of the leased work description (results are identical).
-        machine_threads: 1,
         service: job.service,
     };
     let stop = AtomicBool::new(false);

@@ -1,12 +1,10 @@
 //! The full-system event loop.
 
-use std::sync::{mpsc, RwLock};
-
-use cpu::{Core, CoreConfig, SideBuffer};
+use cpu::{Core, CoreConfig};
 use dram::{DramSystem, SchemeStats};
-use mem_cache::{Hierarchy, SetAssocCache};
+use mem_cache::Hierarchy;
 use sim_types::{Cycle, MemReq, MemSide, TraceOp, TraceSource, TrafficClass};
-use workloads::{TraceGen, Workload};
+use workloads::Workload;
 
 use crate::any_scheme::AnyScheme;
 use crate::page_alloc::{PageAllocator, PageMemo};
@@ -400,329 +398,6 @@ impl Machine {
         self.result()
     }
 
-    /// The optimistic parallel event loop: [`Machine::run_batched`]'s
-    /// run-ahead windows executed concurrently on `threads` scoped worker
-    /// threads, byte-identical to [`Machine::run_reference`] by
-    /// construction for every thread count.
-    ///
-    /// `threads == 1` (the default everywhere) *is* the batched loop —
-    /// this method delegates — so existing schedules are untouched.
-    ///
-    /// # Schedule
-    ///
-    /// The loop alternates two phases:
-    ///
-    /// * **Drain** — while the globally earliest core (same packed-key pick
-    ///   as the reference) holds a stashed shared op, that op executes
-    ///   sequentially on this thread under full reference semantics:
-    ///   interval ticks at its clock, first-touch translation, the full
-    ///   hierarchy walk, scheme and DRAM. Shared interactions therefore
-    ///   happen in exactly the reference order, one at a time.
-    /// * **Speculate** — once the earliest core has no decoded op, every
-    ///   unfinished, pending-free core's run-ahead window executes
-    ///   *concurrently*: each worker owns that core's `Core`, private-L1
-    ///   bank and trace source outright (ownership round-trips through
-    ///   channels each round; no locks on the hot path) and speculates
-    ///   through provably core-local ops — already-mapped pages (read-only
-    ///   lookups against the frozen page table) whose lines hit the private
-    ///   L1 — into a per-core [`SideBuffer`]. The first op needing a shared
-    ///   structure is stashed as pending and ends the window.
-    ///
-    /// # Why no rollback is ever needed
-    ///
-    /// Speculated ops touch only state no other core can observe: the
-    /// core's own clock/stats and its private L1 bank. Page-table reads
-    /// commute with drains because the table is append-only (a page seen
-    /// mapped stays mapped; a page seen unmapped merely stashes the op
-    /// conservatively — it replays through the full path at its exact
-    /// reference position). L1 hits commute with interval ticks and with
-    /// other cores' shared ops, and their statistics credit is a
-    /// commutative sum deferred to one
-    /// [`Hierarchy::credit_speculated_l1_hits`] call. Windows are merged in
-    /// core order regardless of completion order, so the arrival schedule
-    /// of worker results is unobservable. `tests/batched_differential.rs`
-    /// pins all of this to the reference at float-bit granularity for every
-    /// `--machine-threads` value.
-    ///
-    /// Whether a round runs on the workers or inline on this thread is
-    /// gated by the previous round's yield (channel round-trips only pay
-    /// off when windows are long); the gate is itself deterministic, and
-    /// either path produces identical bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` or `threads` is zero.
-    pub fn run_parallel(
-        &mut self,
-        instrs_per_core: u64,
-        batch: usize,
-        threads: usize,
-    ) -> RunResult {
-        self.run_parallel_telemetry(instrs_per_core, batch, threads)
-            .0
-    }
-
-    /// [`Machine::run_parallel`] plus the deterministic schedule telemetry
-    /// (identical for every `threads >= 2`; zeros when the call delegates
-    /// to the batched loop at `threads == 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` or `threads` is zero.
-    pub fn run_parallel_telemetry(
-        &mut self,
-        instrs_per_core: u64,
-        batch: usize,
-        threads: usize,
-    ) -> (RunResult, ParallelTelemetry) {
-        assert!(threads > 0, "machine threads must be at least 1");
-        assert!(batch > 0, "batch must be at least 1 (1 = per-op reference)");
-        let ncores = self.cores.len();
-        let threads = threads.min(ncores);
-        if threads <= 1 {
-            return (
-                self.run_batched(instrs_per_core, batch),
-                ParallelTelemetry::default(),
-            );
-        }
-
-        let shared_space = self.workload.shared_address_space();
-        let os_hints = self.os_hints;
-        let idx_bits = ncores.next_power_of_two().trailing_zeros().max(1);
-
-        // Per-core ownership bundles the rounds hand to workers. The page
-        // table moves behind a local RwLock: workers hold read guards for
-        // the duration of a window, the drain phase takes the write guard
-        // per first-touch translation; the phases strictly alternate, so
-        // the lock is never contended — it exists to prove the sharing
-        // safe, not to arbitrate it.
-        let mut slots: Vec<Option<Slot>> = {
-            let cores = std::mem::take(&mut self.cores);
-            let banks = self.hierarchy.detach_l1();
-            let sources = self.workload.detach_sources();
-            cores
-                .into_iter()
-                .zip(banks)
-                .zip(sources)
-                .map(|((core, l1), src)| Some(Slot { core, l1, src }))
-                .collect()
-        };
-        let pages_lock = RwLock::new(std::mem::replace(
-            &mut self.pages,
-            PageAllocator::new(4096, 0),
-        ));
-
-        let mut keys: Vec<u64> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let c = &s.as_ref().expect("slot populated").core;
-                if c.retired() < instrs_per_core {
-                    scheduler_key(c.now().raw(), i, idx_bits)
-                } else {
-                    u64::MAX
-                }
-            })
-            .collect();
-        let mut pending: Vec<Option<TraceOp>> = vec![None; ncores];
-        let mut tick_horizon: u64 = 0;
-        // All windows merged: `ops` is the deferred L1-hit credit,
-        // `horizon` joins the trailing tick catch-up.
-        let mut spec = SideBuffer::default();
-        let mut telemetry = ParallelTelemetry::default();
-
-        // Dispatch a round to the workers only when the previous round
-        // speculated enough ops to amortize the channel round-trip;
-        // below that, speculate inline. A pure scheduling decision —
-        // both paths produce identical bytes — that lets low-locality
-        // workloads (tiny windows) degrade to batched-loop speed
-        // instead of drowning in synchronization. Deterministic, since
-        // window yields are.
-        const INLINE_THRESHOLD: u64 = 512;
-        let mut last_yield = u64::MAX; // optimistic: first round goes wide
-
-        std::thread::scope(|s| {
-            let pages_ref = &pages_lock;
-            let (done_tx, done_rx) = mpsc::channel::<SpecDone>();
-            let mut task_txs: Vec<mpsc::Sender<SpecTask>> = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = mpsc::channel::<SpecTask>();
-                let done_tx = done_tx.clone();
-                s.spawn(move || {
-                    for SpecTask { idx, slot } in rx {
-                        let pages = pages_ref.read().expect("page table lock poisoned");
-                        let done =
-                            speculate(slot, idx, &pages, shared_space, instrs_per_core, batch);
-                        drop(pages);
-                        if done_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                });
-                task_txs.push(tx);
-            }
-            drop(done_tx);
-
-            let Machine {
-                hierarchy,
-                scheme,
-                dram,
-                next_tick,
-                ..
-            } = &mut *self;
-
-            loop {
-                // The same earliest-core pick as the reference schedule.
-                let best = keys.iter().copied().fold(u64::MAX, u64::min);
-                if best == u64::MAX {
-                    break;
-                }
-                let i = (best & ((1 << idx_bits) - 1)) as usize;
-
-                if let Some(op) = pending[i].take() {
-                    // Drain: the earliest core's stashed shared op, under
-                    // full reference semantics at its reference position.
-                    let slot = slots[i].as_mut().expect("slot home during drain");
-                    let now = slot.core.now().raw();
-                    tick_horizon = tick_horizon.max(now);
-                    while now >= *next_tick {
-                        let t = Cycle::new(*next_tick);
-                        scheme.on_tick(t, dram);
-                        *next_tick += scheme.tick_period().unwrap_or(u64::MAX);
-                    }
-                    slot.core.advance_instructions(op.instructions());
-
-                    let space = if shared_space { 0 } else { i as u8 };
-                    let (paddr, fresh_page) = {
-                        let mut pages = pages_ref.write().expect("page table lock poisoned");
-                        pages.translate_tracking(space, op.addr)
-                    };
-                    if os_hints && fresh_page {
-                        let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
-                        scheme.os_hint_used(page_base, 4096);
-                    }
-                    let out = hierarchy.access_detached(&mut slot.l1, i, paddr, op.kind);
-
-                    if let Some(wb) = out.writeback {
-                        // Dirty LLC victim: buffered write to memory.
-                        let req = MemReq::write(wb, 64, slot.core.now()).on_core(i as u8);
-                        scheme.access(&req, dram);
-                    }
-                    if let Some(miss) = out.llc_miss {
-                        let at = slot.core.now() + out.latency;
-                        let req = MemReq {
-                            addr: miss,
-                            kind: op.kind,
-                            bytes: 64,
-                            at,
-                            core: i as u8,
-                        };
-                        let served = scheme.access(&req, dram);
-                        if op.kind.is_write() {
-                            slot.core.note_store();
-                        } else {
-                            slot.core.issue_llc_miss_load(served.done);
-                        }
-                    }
-                    telemetry.drained_ops += 1;
-                    keys[i] = if slot.core.retired() >= instrs_per_core {
-                        u64::MAX
-                    } else {
-                        scheduler_key(slot.core.now().raw(), i, idx_bits)
-                    };
-                    continue;
-                }
-
-                // The earliest core has no decoded op: run a speculation
-                // round over every unfinished, pending-free core (the
-                // earliest included — it is pending-free by the branch
-                // above). Each makes at least one op of progress, so the
-                // loop terminates.
-                let eligible: Vec<usize> = (0..ncores)
-                    .filter(|&j| keys[j] != u64::MAX && pending[j].is_none())
-                    .collect();
-                telemetry.rounds += 1;
-                let mut results: Vec<Option<SpecDone>> = (0..ncores).map(|_| None).collect();
-                if last_yield >= INLINE_THRESHOLD && eligible.len() > 1 {
-                    telemetry.dispatched_rounds += 1;
-                    for (n, &j) in eligible.iter().enumerate() {
-                        let slot = slots[j].take().expect("slot double-dispatched");
-                        task_txs[n % threads]
-                            .send(SpecTask { idx: j, slot })
-                            .expect("speculation worker died");
-                    }
-                    for _ in 0..eligible.len() {
-                        let done = done_rx.recv().expect("speculation worker died");
-                        let idx = done.idx;
-                        results[idx] = Some(done);
-                    }
-                } else {
-                    telemetry.inline_rounds += 1;
-                    let pages = pages_ref.read().expect("page table lock poisoned");
-                    for &j in &eligible {
-                        let slot = slots[j].take().expect("slot double-dispatched");
-                        results[j] = Some(speculate(
-                            slot,
-                            j,
-                            &pages,
-                            shared_space,
-                            instrs_per_core,
-                            batch,
-                        ));
-                    }
-                }
-                // Merge in core order: worker completion order is
-                // unobservable, so results are deterministic.
-                let mut round_yield = 0u64;
-                for j in eligible {
-                    let done = results[j].take().expect("result for eligible core");
-                    round_yield += done.buf.ops;
-                    spec.merge(done.buf);
-                    pending[j] = done.pending;
-                    keys[j] = if done.finished {
-                        u64::MAX
-                    } else {
-                        scheduler_key(done.slot.core.now().raw(), j, idx_bits)
-                    };
-                    slots[j] = Some(done.slot);
-                }
-                last_yield = round_yield;
-            }
-            // task_txs drops here; workers see closed channels and exit,
-            // and the scope joins them before returning.
-        });
-
-        // Reinstall the detached state, credit the deferred L1 hits, and
-        // finish exactly like the batched loop.
-        let mut cores = Vec::with_capacity(ncores);
-        let mut banks = Vec::with_capacity(ncores);
-        let mut sources = Vec::with_capacity(ncores);
-        for slot in &mut slots {
-            let Slot { core, l1, src } = slot.take().expect("slot home at teardown");
-            cores.push(core);
-            banks.push(l1);
-            sources.push(src);
-        }
-        self.cores = cores;
-        self.hierarchy.attach_l1(banks);
-        self.workload.attach_sources(sources);
-        self.pages = pages_lock.into_inner().expect("page table lock poisoned");
-        self.hierarchy.credit_speculated_l1_hits(spec.ops);
-        telemetry.speculated_ops = spec.ops;
-
-        tick_horizon = tick_horizon.max(spec.horizon);
-        while tick_horizon >= self.next_tick {
-            let t = Cycle::new(self.next_tick);
-            self.scheme.on_tick(t, &mut self.dram);
-            self.next_tick += self.scheme.tick_period().unwrap_or(u64::MAX);
-        }
-        for c in &mut self.cores {
-            c.drain();
-        }
-        self.scheme.on_finish();
-        (self.result(), telemetry)
-    }
-
     /// The per-op reference event loop — PR 2's hot path, kept verbatim as
     /// the semantic oracle for [`Machine::run_batched`]. Every op re-picks
     /// the earliest unfinished core; `tests/batched_differential.rs` holds
@@ -875,129 +550,6 @@ impl Machine {
     }
 }
 
-/// One core's exclusively owned state, handed to a speculation worker for
-/// the duration of a run-ahead window: the interval core, its private-L1
-/// bank (detached from the [`Hierarchy`]) and its trace source. Everything
-/// a window may touch travels in the slot; everything shared stays behind.
-struct Slot {
-    core: Core,
-    l1: SetAssocCache,
-    src: TraceGen,
-}
-
-/// A speculation-round work item: core `idx`'s slot, moving to a worker.
-struct SpecTask {
-    idx: usize,
-    slot: Slot,
-}
-
-/// A completed run-ahead window coming back from a worker.
-struct SpecDone {
-    idx: usize,
-    slot: Slot,
-    /// The first op that needed a shared structure, stashed for the drain
-    /// phase to execute at its exact reference position.
-    pending: Option<TraceOp>,
-    /// The core hit its instruction target (or exhausted its trace).
-    finished: bool,
-    /// The window's side-buffered accounting (ops, instructions, horizon).
-    buf: SideBuffer,
-}
-
-/// One optimistic run-ahead window — the parallel counterpart of
-/// [`Machine::run_batched`]'s phase 2, op for op: consume provably
-/// core-local ops (mapped page, private-L1 hit) until the first shared
-/// interaction, the instruction target, trace exhaustion, or the batch
-/// budget. Reads the shared page table only through `lookup` and mutates
-/// only the slot's own state plus the side buffer.
-fn speculate(
-    mut slot: Slot,
-    idx: usize,
-    pages: &PageAllocator,
-    shared_space: bool,
-    instrs_per_core: u64,
-    budget: usize,
-) -> SpecDone {
-    let mut buf = SideBuffer::default();
-    let mut pending = None;
-    let mut finished = false;
-    let mut left = budget;
-    let space = if shared_space { 0 } else { idx as u8 };
-    loop {
-        let now = slot.core.now().raw();
-        let Some(op) = slot.src.next_op() else {
-            // Trace exhausted (generators are unbounded, but a VecTrace in
-            // tests may end). The exhaustion check observes the clock, so
-            // it joins the tick horizon like any other pick.
-            buf.horizon = buf.horizon.max(now);
-            let remaining = instrs_per_core - slot.core.retired();
-            slot.core.advance_instructions(remaining);
-            finished = true;
-            break;
-        };
-        let local = pages
-            .lookup(space, op.addr)
-            .is_some_and(|paddr| slot.l1.access_if_hit(paddr.raw(), op.kind.is_write()));
-        if !local {
-            // Would touch a shared structure: end the window. The core's
-            // clock still reads "before the op" — its arrival key in the
-            // reference schedule.
-            pending = Some(op);
-            break;
-        }
-        slot.core
-            .advance_instructions_buffered(op.instructions(), &mut buf);
-        if slot.core.retired() >= instrs_per_core {
-            finished = true;
-            break;
-        }
-        left -= 1;
-        if left == 0 {
-            break;
-        }
-    }
-    SpecDone {
-        idx,
-        slot,
-        pending,
-        finished,
-        buf,
-    }
-}
-
-/// Deterministic accounting of one [`Machine::run_parallel`] schedule.
-///
-/// Every field is a function of (workload, seed, batch, instruction
-/// target) alone — the worker count and completion order are unobservable —
-/// so the telemetry doubles as a cross-host fingerprint: two machines
-/// disagreeing here are not running the same schedule.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParallelTelemetry {
-    /// Speculation rounds executed.
-    pub rounds: u64,
-    /// Rounds dispatched to worker threads.
-    pub dispatched_rounds: u64,
-    /// Rounds speculated inline on the stepping thread (yield gate).
-    pub inline_rounds: u64,
-    /// Ops consumed inside run-ahead windows (the concurrent fraction).
-    pub speculated_ops: u64,
-    /// Ops executed sequentially in the drain phase (shared interactions).
-    pub drained_ops: u64,
-}
-
-impl ParallelTelemetry {
-    /// Fraction of memory ops consumed inside run-ahead windows — the
-    /// parallelizable fraction an Amdahl projection starts from.
-    pub fn speculated_fraction(&self) -> f64 {
-        let total = self.speculated_ops + self.drained_ops;
-        if total == 0 {
-            0.0
-        } else {
-            self.speculated_ops as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,65 +629,6 @@ mod tests {
     #[should_panic(expected = "batch must be at least 1")]
     fn zero_batch_rejected() {
         machine(1).run_batched(1_000, 0);
-    }
-
-    #[test]
-    fn parallel_matches_reference_bit_for_bit() {
-        let r1 = machine(11).run_reference(15_000);
-        for threads in [2, 3, 4] {
-            let mut m = machine(11);
-            let r = m.run_parallel(15_000, DEFAULT_BATCH, threads);
-            assert_eq!(r1.cycles, r.cycles, "threads={threads}");
-            assert_eq!(r1.instructions, r.instructions, "threads={threads}");
-            assert_eq!(r1.mem_ops, r.mem_ops, "threads={threads}");
-            assert_eq!(r1.fm_traffic, r.fm_traffic, "threads={threads}");
-            assert_eq!(r1.footprint, r.footprint, "threads={threads}");
-            assert_eq!(r1.mpki.to_bits(), r.mpki.to_bits(), "threads={threads}");
-            assert_eq!(
-                r1.energy_mj.to_bits(),
-                r.energy_mj.to_bits(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_preserves_first_touch_order() {
-        let mut a = machine(13);
-        let _ = a.run_reference(12_000);
-        let mut b = machine(13);
-        let _ = b.run_parallel(12_000, DEFAULT_BATCH, 2);
-        assert_eq!(a.page_table_digest(), b.page_table_digest());
-    }
-
-    #[test]
-    fn parallel_one_thread_is_the_batched_loop() {
-        let r1 = machine(4).run_batched(10_000, DEFAULT_BATCH);
-        let mut m = machine(4);
-        let (r2, t) = m.run_parallel_telemetry(10_000, DEFAULT_BATCH, 1);
-        assert_eq!(r1.cycles, r2.cycles);
-        assert_eq!(r1.mem_ops, r2.mem_ops);
-        assert_eq!(t, ParallelTelemetry::default());
-    }
-
-    #[test]
-    fn parallel_telemetry_is_schedule_determined() {
-        let mut a = machine(6);
-        let (ra, ta) = a.run_parallel_telemetry(10_000, DEFAULT_BATCH, 2);
-        let mut b = machine(6);
-        let (rb, tb) = b.run_parallel_telemetry(10_000, DEFAULT_BATCH, 4);
-        assert_eq!(ta, tb, "worker count must be unobservable");
-        assert_eq!(ra.cycles, rb.cycles);
-        assert_eq!(ta.rounds, ta.dispatched_rounds + ta.inline_rounds);
-        assert_eq!(ra.mem_ops, ta.speculated_ops + ta.drained_ops);
-        assert!(ta.speculated_fraction() > 0.0);
-        assert!(ta.speculated_fraction() <= 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "machine threads must be at least 1")]
-    fn zero_machine_threads_rejected() {
-        machine(1).run_parallel(1_000, DEFAULT_BATCH, 0);
     }
 
     #[test]

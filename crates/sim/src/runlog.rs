@@ -261,10 +261,10 @@ pub fn ops_per_sec(mem_ops: u64, secs: f64) -> f64 {
 }
 
 /// FNV-1a digest over the *result-affecting* knobs (ratio, scale,
-/// instrs, seed, service model). Threads, batch and machine-threads are
-/// deliberately excluded — the scheduler's byte-identity contracts make
-/// them irrelevant to results, so records from a `--batch 1` reference
-/// run pair with batched or parallel-stepped runs. The service model is
+/// instrs, seed, service model). Threads and batch are deliberately
+/// excluded — the scheduler's byte-identity contracts make them
+/// irrelevant to results, so records from a `--batch 1` reference run
+/// pair with batched runs. The service model is
 /// *included*: bounded queues change every latency, so a queued record
 /// must never pair with an unbounded baseline.
 pub fn config_digest(ratio: NmRatio, cfg: &EvalConfig) -> u64 {
@@ -276,7 +276,6 @@ pub fn config_digest(ratio: NmRatio, cfg: &EvalConfig) -> u64 {
         seed,
         threads: _,
         batch: _,
-        machine_threads: _,
         service,
     } = *cfg;
     let canon = format!(

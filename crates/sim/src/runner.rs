@@ -74,20 +74,15 @@ pub struct EvalConfig {
     pub threads: usize,
     /// Ops-per-pick cap of the epoch-batched machine loop (`--batch`);
     /// 1 degenerates to the per-op reference schedule. Any value yields
-    /// byte-identical results — this is a scheduling knob, never a
-    /// semantic one. Default [`DEFAULT_BATCH`].
+    /// byte-identical results (pinned by `tests/batched_differential.rs`)
+    /// — this is a scheduling knob, never a semantic one, so it is excluded
+    /// from the run-record config digest. Default [`DEFAULT_BATCH`].
     pub batch: usize,
-    /// Scoped worker threads stepping one machine's cores concurrently
-    /// (`--machine-threads`); 1 = today's single-threaded epoch-batched
-    /// schedule. Like `batch`, a scheduling knob: every value yields
-    /// byte-identical results (pinned by `tests/batched_differential.rs`),
-    /// so it is excluded from the run-record config digest. Default 1.
-    pub machine_threads: usize,
     /// Memory-service model (`--service`): [`ServiceModel::Unbounded`] is
     /// the closed-form reference path; `Queued { depth }` engages bounded
-    /// per-channel/per-bank service queues with backpressure. Unlike
-    /// `batch`/`machine_threads` this is a *semantic* knob — it changes
-    /// results and is part of the config digest.
+    /// per-channel service queues with backpressure. Unlike `batch` this is
+    /// a *semantic* knob — it changes results and is part of the config
+    /// digest.
     pub service: ServiceModel,
 }
 
@@ -105,7 +100,6 @@ impl EvalConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             batch: DEFAULT_BATCH,
-            machine_threads: 1,
             service: ServiceModel::Unbounded,
         }
     }
@@ -119,7 +113,6 @@ impl EvalConfig {
             seed: 7,
             threads: 4,
             batch: DEFAULT_BATCH,
-            machine_threads: 1,
             service: ServiceModel::Unbounded,
         }
     }
@@ -260,7 +253,7 @@ pub fn run_one(
         workload,
         cfg.seed,
     );
-    machine.run_parallel(cfg.instrs_per_core, cfg.batch, cfg.machine_threads)
+    machine.run_batched(cfg.instrs_per_core, cfg.batch)
 }
 
 /// [`run_one`] plus the wall-clock seconds the run took — the timing the
@@ -291,6 +284,16 @@ mod tests {
         }
         let b = build_scheme(SchemeKind::Baseline, &sys);
         assert_eq!(b.flat_capacity_bytes(), sys.fm_bytes);
+    }
+
+    #[test]
+    fn all_schemes_build_at_the_largest_scale() {
+        for ratio in NmRatio::ALL {
+            let sys = ScaledSystem::new(ratio, ScaledSystem::MAX_SCALE_DEN);
+            for kind in SchemeKind::MAIN.into_iter().chain([SchemeKind::Baseline]) {
+                let _ = build_scheme(kind, &sys);
+            }
+        }
     }
 
     #[test]

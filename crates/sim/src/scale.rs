@@ -66,20 +66,46 @@ pub struct ScaledSystem {
 }
 
 impl ScaledSystem {
+    /// The largest scale denominator: at `1/2048` the 64 MB DRAM cache is
+    /// exactly one XTA set (16 ways of 2 KB sectors).
+    pub(crate) const MAX_SCALE_DEN: u64 = (64 << 20) / (16 * 2048);
+
+    /// Checks that `den` is a usable scale denominator: a power of two in
+    /// `[1, MAX_SCALE_DEN]`. Other values either shrink the DRAM cache
+    /// below one XTA set or leave capacities that do not split evenly into
+    /// the schemes' pods and power-of-two set counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the valid range.
+    pub fn check_scale_den(den: u64) -> Result<(), String> {
+        let max = Self::MAX_SCALE_DEN;
+        if den > max {
+            Err(format!(
+                "scale too extreme: 1/{den} shrinks the DRAM cache below one XTA set \
+                 (the scale denominator must be a power of two in [1, {max}])"
+            ))
+        } else if !den.is_power_of_two() {
+            Err(format!(
+                "the scale denominator must be a power of two in [1, {max}], got {den}"
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Derives the system for `ratio` at `1/scale_den` of paper scale.
     ///
     /// # Panics
     ///
-    /// Panics if `scale_den` is zero or so large that NM vanishes.
+    /// Panics if [`ScaledSystem::check_scale_den`] rejects `scale_den`.
     pub fn new(ratio: NmRatio, scale_den: u64) -> Self {
-        assert!(scale_den > 0, "scale denominator must be non-zero");
+        if let Err(e) = Self::check_scale_den(scale_den) {
+            panic!("{e}");
+        }
         let nm_bytes = ratio.nm_bytes_paper() / scale_den;
         let fm_bytes = (16u64 << 30) / scale_den;
         let cache_bytes = (64u64 << 20) / scale_den;
-        assert!(
-            cache_bytes >= 16 * 2048,
-            "scale too extreme: the DRAM cache shrinks below one XTA set"
-        );
         let hier = HierarchyConfig::scaled(8, 1, scale_den);
         ScaledSystem {
             scale_den,

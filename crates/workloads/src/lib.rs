@@ -154,20 +154,6 @@ impl Workload {
         &mut self.sources[i]
     }
 
-    /// Detaches the per-core trace sources so the parallel machine loop can
-    /// hand each speculation worker exclusive ownership of its core's
-    /// generator. While detached, [`Workload::source_mut`] panics; restore
-    /// with [`Workload::attach_sources`].
-    pub fn detach_sources(&mut self) -> Vec<TraceGen> {
-        std::mem::take(&mut self.sources)
-    }
-
-    /// Restores sources taken by [`Workload::detach_sources`].
-    pub fn attach_sources(&mut self, sources: Vec<TraceGen>) {
-        assert!(self.sources.is_empty(), "sources already attached");
-        self.sources = sources;
-    }
-
     /// The per-core virtual footprint (bytes) the runner must map for core
     /// `i`: the whole space when shared, the private partition otherwise.
     pub fn core_space_bytes(&self, _i: usize) -> u64 {

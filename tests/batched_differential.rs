@@ -16,117 +16,10 @@ use hybrid2::caches::Hierarchy;
 use hybrid2::harness::build_scheme;
 use hybrid2::prelude::*;
 use hybrid2::traffic::WorkloadSpec;
-use hybrid2::{RunResult, ScaledSystem, SchemeStats, DEFAULT_BATCH};
+use hybrid2::{ScaledSystem, DEFAULT_BATCH};
 
-/// Exhaustive float-bit comparison of two run results. Destructures every
-/// field of [`RunResult`] and [`SchemeStats`] so that adding a field
-/// without extending this check fails to compile.
-fn assert_bitwise_eq(a: &RunResult, b: &RunResult, ctx: &str) {
-    let RunResult {
-        scheme,
-        workload,
-        cycles,
-        instructions,
-        mem_ops,
-        mpki,
-        nm_served,
-        fm_traffic,
-        nm_traffic,
-        energy_mj,
-        footprint,
-        nm_queue_mean,
-        nm_queue_max,
-        fm_queue_mean,
-        fm_queue_max,
-        stats,
-    } = a;
-    assert_eq!(*scheme, b.scheme, "{ctx}: scheme");
-    assert_eq!(*workload, b.workload, "{ctx}: workload");
-    assert_eq!(*cycles, b.cycles, "{ctx}: cycles");
-    assert_eq!(*instructions, b.instructions, "{ctx}: instructions");
-    assert_eq!(*mem_ops, b.mem_ops, "{ctx}: mem_ops");
-    assert_eq!(mpki.to_bits(), b.mpki.to_bits(), "{ctx}: mpki bits");
-    assert_eq!(
-        nm_served.to_bits(),
-        b.nm_served.to_bits(),
-        "{ctx}: nm_served bits"
-    );
-    assert_eq!(*fm_traffic, b.fm_traffic, "{ctx}: fm_traffic");
-    assert_eq!(*nm_traffic, b.nm_traffic, "{ctx}: nm_traffic");
-    assert_eq!(
-        energy_mj.to_bits(),
-        b.energy_mj.to_bits(),
-        "{ctx}: energy bits"
-    );
-    assert_eq!(*footprint, b.footprint, "{ctx}: footprint");
-    assert_eq!(
-        nm_queue_mean.to_bits(),
-        b.nm_queue_mean.to_bits(),
-        "{ctx}: nm_queue_mean bits"
-    );
-    assert_eq!(*nm_queue_max, b.nm_queue_max, "{ctx}: nm_queue_max");
-    assert_eq!(
-        fm_queue_mean.to_bits(),
-        b.fm_queue_mean.to_bits(),
-        "{ctx}: fm_queue_mean bits"
-    );
-    assert_eq!(*fm_queue_max, b.fm_queue_max, "{ctx}: fm_queue_max");
-    let SchemeStats {
-        requests,
-        reads,
-        writes,
-        served_from_nm,
-        lookup_hits,
-        lookup_misses,
-        moved_into_nm,
-        moved_out_of_nm,
-        dirty_writebacks,
-        metadata_reads,
-        metadata_writes,
-        fetched_bytes,
-        used_bytes,
-    } = stats;
-    assert_eq!(*requests, b.stats.requests, "{ctx}: stats.requests");
-    assert_eq!(*reads, b.stats.reads, "{ctx}: stats.reads");
-    assert_eq!(*writes, b.stats.writes, "{ctx}: stats.writes");
-    assert_eq!(
-        *served_from_nm, b.stats.served_from_nm,
-        "{ctx}: stats.served_from_nm"
-    );
-    assert_eq!(
-        *lookup_hits, b.stats.lookup_hits,
-        "{ctx}: stats.lookup_hits"
-    );
-    assert_eq!(
-        *lookup_misses, b.stats.lookup_misses,
-        "{ctx}: stats.lookup_misses"
-    );
-    assert_eq!(
-        *moved_into_nm, b.stats.moved_into_nm,
-        "{ctx}: stats.moved_into_nm"
-    );
-    assert_eq!(
-        *moved_out_of_nm, b.stats.moved_out_of_nm,
-        "{ctx}: stats.moved_out_of_nm"
-    );
-    assert_eq!(
-        *dirty_writebacks, b.stats.dirty_writebacks,
-        "{ctx}: stats.dirty_writebacks"
-    );
-    assert_eq!(
-        *metadata_reads, b.stats.metadata_reads,
-        "{ctx}: stats.metadata_reads"
-    );
-    assert_eq!(
-        *metadata_writes, b.stats.metadata_writes,
-        "{ctx}: stats.metadata_writes"
-    );
-    assert_eq!(
-        *fetched_bytes, b.stats.fetched_bytes,
-        "{ctx}: stats.fetched_bytes"
-    );
-    assert_eq!(*used_bytes, b.stats.used_bytes, "{ctx}: stats.used_bytes");
-}
+mod common;
+use common::assert_bitwise_eq;
 
 /// Builds the same machine `run_one` would, but leaves the run call (and
 /// the OS-hints toggle) to the caller so reference and batched loops can
@@ -150,9 +43,8 @@ fn machine(kind: SchemeKind, spec: &'static WorkloadSpec, seed: u64, os_hints: b
     }
 }
 
-/// Reference vs batched at several batch sizes — and, for each batch, vs
-/// the optimistic parallel loop at 2 and 4 machine threads — with
-/// page-placement digest equality on top of the full result comparison.
+/// Reference vs batched at several batch sizes, with page-placement
+/// digest equality on top of the full result comparison.
 fn differential(
     kind: SchemeKind,
     spec: &'static WorkloadSpec,
@@ -173,17 +65,6 @@ fn differential(
             m.page_table_digest(),
             "{ctx}: first-touch allocation order diverged"
         );
-        for threads in [2, 4] {
-            let mut p = machine(kind, spec, seed, os_hints);
-            let got = p.run_parallel(instrs, batch, threads);
-            let ctx = format!("{ctx}/machine-threads {threads}");
-            assert_bitwise_eq(&want, &got, &ctx);
-            assert_eq!(
-                reference.page_table_digest(),
-                p.page_table_digest(),
-                "{ctx}: first-touch allocation order diverged"
-            );
-        }
     }
 }
 
@@ -288,16 +169,14 @@ mod proptests {
 
     proptest! {
         /// First-touch allocation order — and with it every result field —
-        /// is invariant under the batch size AND the machine thread count,
-        /// for random (workload, seed, batch, threads, window) tuples. One
-        /// sweep holds reference, batched, and parallel loops to float-bit
-        /// equality.
+        /// is invariant under the batch size, for random (workload, seed,
+        /// batch, window) tuples: the batched loop matches the reference
+        /// at float-bit granularity.
         #[test]
         fn first_touch_order_invariant_under_batch(
             wl in 0usize..WORKLOADS.len(),
             seed in 0u64..1_000,
             batch in 1usize..=96,
-            threads in 1usize..=4,
             instrs in 1_000u64..4_000,
         ) {
             let spec = catalog::by_name(WORKLOADS[wl]).unwrap();
@@ -311,25 +190,8 @@ mod proptests {
                 "allocation order diverged: {} seed {} batch {}",
                 spec.name, seed, batch
             );
-            prop_assert_eq!(want.footprint, got.footprint);
-            prop_assert_eq!(want.cycles, got.cycles);
-            prop_assert_eq!(want.fm_traffic, got.fm_traffic);
-            prop_assert_eq!(want.nm_traffic, got.nm_traffic);
-            prop_assert_eq!(want.energy_mj.to_bits(), got.energy_mj.to_bits());
-
-            let mut parallel = machine(SchemeKind::Hybrid2, spec, seed, false);
-            let par = parallel.run_parallel(instrs, batch, threads);
-            prop_assert_eq!(
-                reference.page_table_digest(),
-                parallel.page_table_digest(),
-                "allocation order diverged: {} seed {} batch {} threads {}",
-                spec.name, seed, batch, threads
-            );
-            prop_assert_eq!(want.footprint, par.footprint);
-            prop_assert_eq!(want.cycles, par.cycles);
-            prop_assert_eq!(want.fm_traffic, par.fm_traffic);
-            prop_assert_eq!(want.nm_traffic, par.nm_traffic);
-            prop_assert_eq!(want.energy_mj.to_bits(), par.energy_mj.to_bits());
+            let ctx = format!("{} seed {seed} batch {batch} instrs {instrs}", spec.name);
+            assert_bitwise_eq(&want, &got, &ctx);
         }
     }
 }

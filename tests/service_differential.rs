@@ -4,16 +4,16 @@
 //!
 //! 1. **Unbounded reduces to the closed form.** `ServiceModel::Unbounded`
 //!    must be float-bit identical to the pre-redesign positional-API
-//!    timing on every MAIN scheme, every batch size, and every machine
-//!    thread count — the service layer's queues must be fully inert. The
+//!    timing on every MAIN scheme and every batch size — the service
+//!    layer's queues must be fully inert. The
 //!    absolute numbers are pinned by `tests/determinism_golden.rs` (those
 //!    goldens predate the service layer and did not move); this file adds
 //!    the schedule cross-product and the all-fields bitwise comparison.
 //! 2. **Queued is a deterministic experiment of its own.** Bounded queues
 //!    change latencies (that's their point), so queued runs get their own
 //!    pinned digests here, and must stay byte-identical across batch
-//!    sizes and machine thread counts — the scheduler contracts hold for
-//!    every service model, not just the reference one.
+//!    sizes — the scheduler contracts hold for every service model, not
+//!    just the reference one.
 //!
 //! Depth monotonicity (a smaller queue never finishes earlier) is proven
 //! and proptested at the device level in `dram::device`, where the row
@@ -26,67 +26,31 @@ use hybrid2::prelude::*;
 use hybrid2::traffic::WorkloadSpec;
 use hybrid2::{RunResult, ScaledSystem, ServiceModel, DEFAULT_BATCH};
 
+mod common;
+use common::assert_bitwise_eq;
+
 const SEED: u64 = 2020;
 
-fn cfg(service: ServiceModel, batch: usize, machine_threads: usize) -> EvalConfig {
+fn cfg(service: ServiceModel, batch: usize) -> EvalConfig {
     EvalConfig {
         scale_den: 1024,
         instrs_per_core: 200_000,
         seed: SEED,
         threads: 1,
         batch,
-        machine_threads,
         service,
     }
 }
 
-/// Bitwise comparison over every result field that is a pure function of
-/// the configuration (wall-clock fields don't exist on RunResult; all of
-/// it qualifies).
-fn assert_bitwise_eq(a: &RunResult, b: &RunResult, ctx: &str) {
-    assert_eq!(a.scheme, b.scheme, "{ctx}: scheme");
-    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
-    assert_eq!(a.instructions, b.instructions, "{ctx}: instructions");
-    assert_eq!(a.mem_ops, b.mem_ops, "{ctx}: mem_ops");
-    assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{ctx}: mpki bits");
-    assert_eq!(
-        a.nm_served.to_bits(),
-        b.nm_served.to_bits(),
-        "{ctx}: nm_served bits"
-    );
-    assert_eq!(a.fm_traffic, b.fm_traffic, "{ctx}: fm_traffic");
-    assert_eq!(a.nm_traffic, b.nm_traffic, "{ctx}: nm_traffic");
-    assert_eq!(
-        a.energy_mj.to_bits(),
-        b.energy_mj.to_bits(),
-        "{ctx}: energy bits"
-    );
-    assert_eq!(a.footprint, b.footprint, "{ctx}: footprint");
-    assert_eq!(
-        a.nm_queue_mean.to_bits(),
-        b.nm_queue_mean.to_bits(),
-        "{ctx}: nm_queue_mean bits"
-    );
-    assert_eq!(a.nm_queue_max, b.nm_queue_max, "{ctx}: nm_queue_max");
-    assert_eq!(
-        a.fm_queue_mean.to_bits(),
-        b.fm_queue_mean.to_bits(),
-        "{ctx}: fm_queue_mean bits"
-    );
-    assert_eq!(a.fm_queue_max, b.fm_queue_max, "{ctx}: fm_queue_max");
-    assert_eq!(a.stats, b.stats, "{ctx}: scheme stats");
-}
-
-/// Runs `kind` on a short window under `service` with an explicit
-/// (batch, machine-threads) schedule, bypassing `run_one` so the three
-/// machine loops can be driven directly.
+/// Runs `kind` on a short window under `service` with an explicit batch
+/// size, bypassing `run_one` so both machine loops can be driven directly
+/// (batch 1 runs the per-op reference loop).
 fn run_scheduled(
     kind: SchemeKind,
     spec: &'static WorkloadSpec,
     service: ServiceModel,
     instrs: u64,
     batch: usize,
-    threads: usize,
 ) -> RunResult {
     let scale_den = 1024;
     let sys = ScaledSystem::new(NmRatio::OneGb, scale_den);
@@ -99,15 +63,14 @@ fn run_scheduled(
         workload,
         SEED,
     );
-    match (batch, threads) {
-        (1, 1) => m.run_reference(instrs),
-        (b, 1) => m.run_batched(instrs, b),
-        (b, t) => m.run_parallel(instrs, b, t),
+    match batch {
+        1 => m.run_reference(instrs),
+        b => m.run_batched(instrs, b),
     }
 }
 
-/// Unbounded service is float-bit identical across the whole schedule
-/// cross-product (batch × machine threads) on every MAIN scheme plus the
+/// Unbounded service is float-bit identical across batch sizes on every
+/// MAIN scheme plus the
 /// baseline — and its queue telemetry is identically zero: the service
 /// layer must be inert under the reference model.
 #[test]
@@ -118,7 +81,7 @@ fn unbounded_is_schedule_independent_with_inert_queues() {
         .chain([SchemeKind::Baseline])
         .collect();
     for kind in schemes {
-        let want = run_scheduled(kind, spec, ServiceModel::Unbounded, 20_000, 1, 1);
+        let want = run_scheduled(kind, spec, ServiceModel::Unbounded, 20_000, 1);
         assert_eq!(
             (
                 want.nm_queue_mean,
@@ -129,28 +92,27 @@ fn unbounded_is_schedule_independent_with_inert_queues() {
             (0.0, 0, 0.0, 0),
             "{kind:?}: unbounded runs must keep queue telemetry at zero"
         );
-        for (batch, threads) in [(DEFAULT_BATCH, 1), (DEFAULT_BATCH, 2), (7, 4)] {
-            let got = run_scheduled(kind, spec, ServiceModel::Unbounded, 20_000, batch, threads);
-            let ctx = format!("{kind:?}/unbounded/batch {batch}/machine-threads {threads}");
+        for batch in [DEFAULT_BATCH, 7] {
+            let got = run_scheduled(kind, spec, ServiceModel::Unbounded, 20_000, batch);
+            let ctx = format!("{kind:?}/unbounded/batch {batch}");
             assert_bitwise_eq(&want, &got, &ctx);
         }
     }
 }
 
 /// Queued service is a different experiment but the same *deterministic*
-/// one under every schedule: batch size and machine thread count must not
-/// move a single bit of a queued run either.
+/// one under every schedule: the batch size must not move a single bit of
+/// a queued run either.
 #[test]
 fn queued_is_schedule_independent() {
     let spec = catalog::by_name("lbm").unwrap();
     for kind in [SchemeKind::Hybrid2, SchemeKind::Chameleon, SchemeKind::Dfc] {
         for depth in [1, 8] {
             let service = ServiceModel::Queued { depth };
-            let want = run_scheduled(kind, spec, service, 20_000, 1, 1);
-            for (batch, threads) in [(DEFAULT_BATCH, 1), (DEFAULT_BATCH, 2), (7, 4)] {
-                let got = run_scheduled(kind, spec, service, 20_000, batch, threads);
-                let ctx =
-                    format!("{kind:?}/queued:{depth}/batch {batch}/machine-threads {threads}");
+            let want = run_scheduled(kind, spec, service, 20_000, 1);
+            for batch in [DEFAULT_BATCH, 7] {
+                let got = run_scheduled(kind, spec, service, 20_000, batch);
+                let ctx = format!("{kind:?}/queued:{depth}/batch {batch}");
                 assert_bitwise_eq(&want, &got, &ctx);
             }
         }
@@ -163,7 +125,7 @@ fn queued_is_schedule_independent() {
 ///
 /// Captured when the service layer was introduced. Rationale for why
 /// these are *new* goldens rather than the existing ones: bounded
-/// per-channel/per-bank queues charge admission delay on top of the
+/// per-channel queues charge admission delay on top of the
 /// closed-form CAS/RCD/RP timing, so cycle counts legitimately grow under
 /// contention, and every timing-dependent scheme decision downstream
 /// (migration thresholds, epoch boundaries, swap victims) can shift with
@@ -176,10 +138,8 @@ fn queued_is_schedule_independent() {
 /// Note the split: at depth 8 only MemPod and LGM move off the unbounded
 /// digests — their bulk-swap bursts (whole-slab migrations issued
 /// back-to-back at one timestamp) are the only streams deep enough to
-/// fill an eight-entry per-channel queue on this workload. (The per-bank
-/// queue never delays an access: every entry it holds is already covered
-/// by the bank's ready time, so dropping its delay leaves these digests
-/// unchanged.) The demand-paced schemes
+/// fill an eight-entry per-channel queue on this workload. The
+/// demand-paced schemes
 /// (Hybrid2, Tagless, DFC, Chameleon) never saturate a depth-8 queue on
 /// `lbm`, so their digests coincide with the reference — coincidence of
 /// values, not a shared code path; the depth-1 test below shows every
@@ -240,7 +200,7 @@ fn queued_digests_are_pinned() {
     let spec = catalog::by_name("lbm").unwrap();
     let service = ServiceModel::Queued { depth: 8 };
     for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic) in QUEUED8_MATRIX {
-        let r = run_one(kind, spec, NmRatio::OneGb, &cfg(service, DEFAULT_BATCH, 1));
+        let r = run_one(kind, spec, NmRatio::OneGb, &cfg(service, DEFAULT_BATCH));
         let got = (
             r.instructions,
             r.cycles,
@@ -271,13 +231,13 @@ fn queued_backpressure_is_observable_end_to_end() {
         SchemeKind::Hybrid2,
         spec,
         NmRatio::OneGb,
-        &cfg(ServiceModel::Unbounded, DEFAULT_BATCH, 1),
+        &cfg(ServiceModel::Unbounded, DEFAULT_BATCH),
     );
     let tight = run_one(
         SchemeKind::Hybrid2,
         spec,
         NmRatio::OneGb,
-        &cfg(ServiceModel::Queued { depth: 1 }, DEFAULT_BATCH, 1),
+        &cfg(ServiceModel::Queued { depth: 1 }, DEFAULT_BATCH),
     );
     assert!(
         tight.nm_queue_max >= 1 && tight.fm_queue_max >= 1,
