@@ -40,10 +40,12 @@ fn digest(r: &hybrid2::RunResult) -> (u64, u64, u64) {
 }
 
 /// Pinned digests for every MAIN scheme on the golden (workload, seed):
-/// `(kind, instructions, cycles, nm_served ‱, fm_traffic, nm_traffic)`.
-/// Captured before the hot-path overhaul (PR 2) so every devirtualization
-/// or translation change is semantics-checked against the original code.
-const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
+/// `(kind, instructions, cycles, nm_served ‱, fm_traffic, nm_traffic,
+/// energy_mj bits)`. Captured before the hot-path overhaul (PR 2) so every
+/// devirtualization or translation change is semantics-checked against the
+/// original code; the energy column (the IEEE-754 bits of `energy_mj`) was
+/// added before the DRAM service kernel was rewritten.
+const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
     (
         SchemeKind::MemPod,
         1_600_012,
@@ -51,6 +53,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         4_184,
         5_314_432,
         5_105_280,
+        0x3fff_fbed_11cc_ed3f,
     ),
     (
         SchemeKind::Chameleon,
@@ -59,6 +62,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         8_606,
         3_592_576,
         8_076_800,
+        0x3ffc_848e_405b_4b10,
     ),
     (
         SchemeKind::Lgm,
@@ -67,6 +71,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         3_180,
         4_621_376,
         3_562_304,
+        0x3ffa_7b43_0998_6ec7,
     ),
     (
         SchemeKind::Tagless,
@@ -75,6 +80,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         9_957,
         1_593_344,
         6_269_056,
+        0x3fe8_a2d8_3367_9e65,
     ),
     (
         SchemeKind::Dfc,
@@ -83,6 +89,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         9_830,
         1_664_512,
         8_786_496,
+        0x3ff6_13d8_1a38_038a,
     ),
     (
         SchemeKind::Hybrid2,
@@ -91,13 +98,16 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64); 6] = [
         8_806,
         4_495_872,
         8_946_240,
+        0x3ffe_6f12_f717_67ea,
     ),
 ];
 
 #[test]
 fn per_scheme_digest_matrix_is_stable() {
     let spec = catalog::by_name(GOLDEN_WORKLOAD).unwrap();
-    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic) in GOLDEN_MATRIX {
+    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits) in
+        GOLDEN_MATRIX
+    {
         let r = run_one(kind, spec, NmRatio::OneGb, &golden_cfg());
         let got = (
             r.instructions,
@@ -105,10 +115,18 @@ fn per_scheme_digest_matrix_is_stable() {
             (r.nm_served * 10_000.0).round() as u64,
             r.fm_traffic,
             r.nm_traffic,
+            r.energy_mj.to_bits(),
         );
         assert_eq!(
             got,
-            (instructions, cycles, nm_served_bp, fm_traffic, nm_traffic),
+            (
+                instructions,
+                cycles,
+                nm_served_bp,
+                fm_traffic,
+                nm_traffic,
+                energy_bits
+            ),
             "golden digest moved for {kind:?}: got {got:?} — if this change \
              is intentional, update GOLDEN_MATRIX and explain the semantic \
              change in the commit message"
@@ -133,10 +151,10 @@ fn hybrid2_lbm_digest_is_stable() {
 /// Pinned digests for one Phased and one Mix scenario under Hybrid2,
 /// captured when the scenario engine was introduced (same golden seed and
 /// sizing as the benchmark digests): `(scenario, instructions, cycles,
-/// nm_served ‱, fm_traffic, nm_traffic)`. The byte-identical rule covers
+/// nm_served ‱, fm_traffic, nm_traffic, energy_mj bits)`. The byte-identical rule covers
 /// composite workloads too: steal-order changes in the matrix scheduler or
 /// refactors of the composite generators must not move these numbers.
-const GOLDEN_SCENARIOS: [(&str, u64, u64, u64, u64, u64); 2] = [
+const GOLDEN_SCENARIOS: [(&str, u64, u64, u64, u64, u64, u64); 2] = [
     (
         "tile-chase-drift",
         1_600_054,
@@ -144,6 +162,7 @@ const GOLDEN_SCENARIOS: [(&str, u64, u64, u64, u64, u64); 2] = [
         8_183,
         16_464_640,
         32_717_760,
+        0x4021_3895_539f_f666,
     ),
     (
         "stream-chase",
@@ -152,12 +171,15 @@ const GOLDEN_SCENARIOS: [(&str, u64, u64, u64, u64, u64); 2] = [
         7_907,
         6_198_272,
         12_081_024,
+        0x4009_96a5_2d33_8562,
     ),
 ];
 
 #[test]
 fn scenario_digests_are_stable() {
-    for (name, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic) in GOLDEN_SCENARIOS {
+    for (name, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits) in
+        GOLDEN_SCENARIOS
+    {
         let spec = workloads::scenarios::workload_of(name).expect("scenario exists");
         let r = run_one(SchemeKind::Hybrid2, spec, NmRatio::OneGb, &golden_cfg());
         let got = (
@@ -166,10 +188,18 @@ fn scenario_digests_are_stable() {
             (r.nm_served * 10_000.0).round() as u64,
             r.fm_traffic,
             r.nm_traffic,
+            r.energy_mj.to_bits(),
         );
         assert_eq!(
             got,
-            (instructions, cycles, nm_served_bp, fm_traffic, nm_traffic),
+            (
+                instructions,
+                cycles,
+                nm_served_bp,
+                fm_traffic,
+                nm_traffic,
+                energy_bits
+            ),
             "golden scenario digest moved for {name}: got {got:?} — if this \
              change is intentional, update GOLDEN_SCENARIOS and explain the \
              semantic change in the commit message"
