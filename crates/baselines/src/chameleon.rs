@@ -11,7 +11,7 @@
 //! slice Hybrid2 uses and run it as a sub-blocked (64 B granular,
 //! over-fetch free) cache of FM blocks.
 //!
-//! Simplifications (DESIGN.md §3): the OS/ISA free-page machinery
+//! Simplifications: the OS/ISA free-page machinery
 //! (ISA-Alloc/ISA-Free) is not modelled — the cache-mode slice is fixed
 //! rather than tracking free pages, which matches how the Hybrid2 paper
 //! itself provisions the comparison. The slice is managed write-through

@@ -59,9 +59,11 @@ impl FlatRemap {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or the remap cache shape is invalid.
+    /// Panics if any dimension is zero, a block is not a power of two
+    /// between 64 B and 4 KB (one `skip_lines` bit per 64-byte line), or the
+    /// remap cache shape is invalid.
     pub fn new(block_bytes: u64, nm_blocks: u64, fm_blocks: u64, remap_cache_bytes: u64) -> Self {
-        assert!(block_bytes.is_power_of_two() && block_bytes >= 64);
+        assert!(block_bytes.is_power_of_two() && (64..=4096).contains(&block_bytes));
         assert!(nm_blocks > 0 && fm_blocks > 0);
         let total = nm_blocks + fm_blocks;
         let remap = (0..total)
@@ -189,69 +191,16 @@ impl FlatRemap {
             panic!("swap_into_nm called on an NM-resident block");
         };
         let victim_block = self.inverted[victim_slot as usize];
-        let lines = (self.block_bytes / 64) as u32;
-        let moved_in = lines - skip_lines.count_ones().min(lines);
+        let all_lines = u64::MAX >> (64 - self.block_bytes / 64);
+        let fm_sector = (MemSide::Fm, fm_slot * self.block_bytes);
+        let nm_sector = (MemSide::Nm, victim_slot * self.block_bytes);
+        let class = TrafficClass::Migration;
 
-        // Inbound: FM -> NM (only the lines not skipped).
-        for i in 0..lines {
-            if skip_lines & (1 << i) != 0 {
-                continue;
-            }
-            let off = u64::from(i) * 64;
-            dram.submit(ServiceRequest::new(
-                MemSide::Fm,
-                Ticket::CONTROLLER,
-                DramAccess {
-                    addr: fm_slot * self.block_bytes + off,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Migration,
-                    at,
-                },
-            ));
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                Ticket::CONTROLLER,
-                DramAccess {
-                    addr: victim_slot * self.block_bytes + off,
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Migration,
-                    at,
-                },
-            ));
-        }
-        let _ = moved_in;
+        // Inbound: FM -> NM, only the lines not skipped.
+        dram.copy_lines(!skip_lines & all_lines, fm_sector, nm_sector, 64, class, at);
         // Outbound: NM victim -> the vacated FM slot (full block; swaps move
         // whole blocks out, the paper's "double the overheads of copying").
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Nm,
-                Ticket::CONTROLLER,
-                DramAccess {
-                    addr: victim_slot * self.block_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Migration,
-                    at,
-                },
-            )
-            .with_count(lines),
-        );
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Fm,
-                Ticket::CONTROLLER,
-                DramAccess {
-                    addr: fm_slot * self.block_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Migration,
-                    at,
-                },
-            )
-            .with_count(lines),
-        );
+        dram.copy_lines(all_lines, nm_sector, fm_sector, 64, class, at);
 
         self.remap[fm_block as usize] = BlockLoc::Nm(victim_slot);
         self.remap[victim_block as usize] = BlockLoc::Fm(fm_slot);
@@ -374,6 +323,89 @@ mod tests {
         r.swap_into_nm(10, 0, 0x0000_FFFF, Cycle::ZERO, &mut dram);
         let fm_reads = dram.device(MemSide::Fm).stats().reads;
         assert_eq!(fm_reads, 16, "only unskipped lines read from FM");
+    }
+
+    /// The line-by-line copy `swap_into_nm` once issued: per unskipped
+    /// line, one FM read then one NM write; then the counted outbound block
+    /// and the two remap-table writes.
+    fn per_line_swap(
+        r: &FlatRemap,
+        fm_block: u64,
+        victim_slot: u64,
+        skip: u64,
+        at: Cycle,
+        dram: &mut DramSystem,
+    ) {
+        let BlockLoc::Fm(fm_slot) = r.peek(fm_block) else {
+            unreachable!("reference swap of an NM-resident block")
+        };
+        let victim_block = r.block_at(victim_slot);
+        let (fm_base, nm_base) = (fm_slot * 2048, victim_slot * 2048);
+        let copy = |dram: &mut DramSystem, side, addr, kind, count| {
+            let access = DramAccess {
+                addr,
+                bytes: 64,
+                kind,
+                class: TrafficClass::Migration,
+                at,
+            };
+            dram.submit(ServiceRequest::new(side, Ticket::CONTROLLER, access).with_count(count));
+        };
+        for i in (0..32).filter(|i| skip & (1 << i) == 0) {
+            copy(dram, MemSide::Fm, fm_base + i * 64, AccessKind::Read, 1);
+            copy(dram, MemSide::Nm, nm_base + i * 64, AccessKind::Write, 1);
+        }
+        copy(dram, MemSide::Nm, nm_base, AccessKind::Read, 32);
+        copy(dram, MemSide::Fm, fm_base, AccessKind::Write, 32);
+        for block in [fm_block, victim_block] {
+            dram.submit(ServiceRequest::new(
+                MemSide::Nm,
+                Ticket::CONTROLLER,
+                DramAccess {
+                    addr: r.meta_base + ((block * 8) & !63),
+                    bytes: 64,
+                    kind: AccessKind::Write,
+                    class: TrafficClass::Metadata,
+                    at,
+                },
+            ));
+        }
+    }
+
+    #[test]
+    fn coalesced_swap_matches_per_line_copy() {
+        let mut rng = sim_types::rng::SplitMix64::new(11);
+        for model in [
+            dram::ServiceModel::Unbounded,
+            dram::ServiceModel::Queued { depth: 1 },
+            dram::ServiceModel::Queued { depth: 8 },
+        ] {
+            let mut r = FlatRemap::new(2048, 8, 64, 4096);
+            let mut dram = DramSystem::paper_default().with_service(model);
+            let mut reference = dram.clone();
+            let mut at = Cycle::ZERO;
+            for _ in 0..300 {
+                let block = loop {
+                    let b = rng.gen_range(72);
+                    if !r.peek(b).is_nm() {
+                        break b;
+                    }
+                };
+                let slot = rng.gen_range(8);
+                // Mix sparse, dense, empty and full skip masks.
+                let skip = match rng.gen_range(4) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => rng.next_u64() & rng.next_u64(),
+                    _ => rng.next_u64(),
+                };
+                at += rng.gen_range(2_000);
+                per_line_swap(&r, block, slot, skip, at, &mut reference);
+                r.swap_into_nm(block, slot, skip, at, &mut dram);
+                assert_eq!(dram, reference, "{model:?}: swap traffic diverged");
+            }
+            assert_eq!(dram.total_energy(), reference.total_energy());
+        }
     }
 
     #[test]

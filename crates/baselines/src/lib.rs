@@ -21,8 +21,7 @@
 //! respective remap cache to be equal to that of the XTA ... for a fair
 //! comparison").
 //!
-//! Fidelity notes and deliberate simplifications are listed per-module and
-//! in `DESIGN.md` §3.
+//! Fidelity notes and deliberate simplifications are listed per module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

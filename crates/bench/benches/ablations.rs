@@ -1,4 +1,4 @@
-//! Regenerates the DESIGN.md ablations (budget reset period, free-stack
+//! Regenerates the ablation studies (budget reset period, free-stack
 //! on-chip window) and times the full Hybrid2 policy.
 
 use bench::{bench_cfg, kernel_cfg, print_reports};

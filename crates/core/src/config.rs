@@ -73,7 +73,7 @@ pub enum ConfigError {
         assoc: u32,
     },
     /// NM flat region too small relative to the cache (the FIFO allocator
-    /// needs headroom; see DESIGN.md §4 invariants).
+    /// needs headroom).
     FlatRegionTooSmall {
         /// Flat NM sectors remaining.
         flat: u64,

@@ -185,6 +185,7 @@ impl Dcmc {
         };
         let g = self.layout.geometry;
         let lines = g.lines_per_sector();
+        let all_lines = u64::MAX >> (64 - lines);
         let line_bytes = g.line_size() as u32;
         // §3.8: a sector the OS declared dead needs neither migration nor
         // writebacks — drop it and recycle the slot.
@@ -213,36 +214,16 @@ impl Dcmc {
         ) {
             Decision::Evict => {
                 // Write dirty lines back to FM; no remap structures change.
-                let nm_base = self.layout.nm_slot_addr(victim.nm_slot);
-                let fm_base = self.layout.fm_loc_addr(fm);
-                for i in 0..lines {
-                    if victim.dirty & (1 << i) != 0 {
-                        let off = u64::from(i) * g.line_size();
-                        dram.submit(ServiceRequest::new(
-                            MemSide::Nm,
-                            Ticket::CONTROLLER,
-                            DramAccess {
-                                addr: nm_base + off,
-                                bytes: line_bytes,
-                                kind: AccessKind::Read,
-                                class: TrafficClass::Writeback,
-                                at,
-                            },
-                        ));
-                        dram.submit(ServiceRequest::new(
-                            MemSide::Fm,
-                            Ticket::CONTROLLER,
-                            DramAccess {
-                                addr: fm_base + off,
-                                bytes: line_bytes,
-                                kind: AccessKind::Write,
-                                class: TrafficClass::Writeback,
-                                at,
-                            },
-                        ));
-                        self.stats.dirty_writebacks += 1;
-                    }
-                }
+                let dirty = victim.dirty & all_lines;
+                dram.copy_lines(
+                    dirty,
+                    (MemSide::Nm, self.layout.nm_slot_addr(victim.nm_slot)),
+                    (MemSide::Fm, self.layout.fm_loc_addr(fm)),
+                    line_bytes,
+                    TrafficClass::Writeback,
+                    at,
+                );
+                self.stats.dirty_writebacks += u64::from(dirty.count_ones());
                 // The slot returns to the cache pool's free list.
                 self.tables.set_sector_at(victim.nm_slot, None);
                 let inv_addr = self.layout.inverted_entry_addr(victim.nm_slot);
@@ -254,35 +235,14 @@ impl Dcmc {
                     self.fm_budget = self.fm_budget.saturating_sub(net_cost);
                 }
                 // Fetch the lines not yet in NM (§3.6 case 2, migrate arm).
-                let nm_base = self.layout.nm_slot_addr(victim.nm_slot);
-                let fm_base = self.layout.fm_loc_addr(fm);
-                for i in 0..lines {
-                    if victim.valid & (1 << i) == 0 {
-                        let off = u64::from(i) * g.line_size();
-                        dram.submit(ServiceRequest::new(
-                            MemSide::Fm,
-                            Ticket::CONTROLLER,
-                            DramAccess {
-                                addr: fm_base + off,
-                                bytes: line_bytes,
-                                kind: AccessKind::Read,
-                                class: TrafficClass::Migration,
-                                at,
-                            },
-                        ));
-                        dram.submit(ServiceRequest::new(
-                            MemSide::Nm,
-                            Ticket::CONTROLLER,
-                            DramAccess {
-                                addr: nm_base + off,
-                                bytes: line_bytes,
-                                kind: AccessKind::Write,
-                                class: TrafficClass::Migration,
-                                at,
-                            },
-                        ));
-                    }
-                }
+                dram.copy_lines(
+                    !victim.valid & all_lines,
+                    (MemSide::Fm, self.layout.fm_loc_addr(fm)),
+                    (MemSide::Nm, self.layout.nm_slot_addr(victim.nm_slot)),
+                    line_bytes,
+                    TrafficClass::Migration,
+                    at,
+                );
                 // The vacated FM location becomes reusable.
                 let eff = self.stack.push(fm);
                 if eff.touches_nm {

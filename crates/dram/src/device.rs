@@ -27,14 +27,14 @@ pub struct DramAccess {
 }
 
 /// Per-bank state: which row is open and when the bank is next available.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Bank {
     open_row: Option<u64>,
     ready: Cycle,
 }
 
 /// Traffic statistics kept by a device, broken down by [`TrafficClass`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Total accesses served.
     pub accesses: u64,
@@ -108,6 +108,17 @@ impl DeviceStats {
             self.queue_stall_cycles as f64 / self.accesses as f64
         }
     }
+
+    /// Counts `n` accesses of `a`'s kind, class and size.
+    #[inline]
+    fn count(&mut self, a: &DramAccess, n: u64) {
+        self.accesses += n;
+        match a.kind {
+            AccessKind::Read => self.reads += n,
+            AccessKind::Write => self.writes += n,
+        }
+        self.bytes_by_class[a.class.index()] += n * u64::from(a.bytes);
+    }
 }
 
 /// A DRAM device (the NM HBM2 stack or the FM DDR4 DIMMs).
@@ -127,20 +138,32 @@ impl DeviceStats {
 /// can thus wait behind it (the benchmark's
 /// `machine.req_out_of_order_frac` reads about 0.68 on `lbm-stream`). The
 /// ROADMAP item "Make DRAM arrival order causal" tracks the fix.
-#[derive(Clone, Debug)]
+///
+/// Every geometry parameter is a power of two ([`DeviceConfig::validate`]),
+/// so the address map is precomputed as shifts and masks.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DramDevice {
     cfg: DeviceConfig,
     banks: Vec<Bank>,
     bus_free: Vec<Cycle>,
     stats: DeviceStats,
-    energy: EnergyCounter,
     model: ServiceModel,
     chan_queues: Vec<BoundedQueue>,
     chan_mask: u64,
     chan_shift: u32,
+    /// Shift that drops the granule offset and the channel bits.
+    high_shift: u32,
+    row_shift: u32,
+    bank_mask: u64,
+    bank_shift: u32,
+    /// Offset mask of the largest aligned block that maps to one bank and
+    /// one row: the smaller of a row and an interleave granule.
+    run_mask: u64,
     t_cas_cpu: u64,
     t_rcd_cpu: u64,
     t_rp_cpu: u64,
+    /// CPU cycles the bus is busy for a 64-byte burst.
+    transfer_64_cpu: u64,
 }
 
 impl DramDevice {
@@ -153,23 +176,24 @@ impl DramDevice {
     pub fn new(cfg: DeviceConfig) -> Self {
         cfg.validate().expect("invalid DRAM device configuration");
         let n_banks = (cfg.channels * cfg.banks_per_channel) as usize;
-        let banks = vec![Bank::default(); n_banks];
-        let bus_free = vec![Cycle::ZERO; cfg.channels as usize];
-        let t_cas_cpu = cfg.clock.to_cpu(cfg.t_cas);
-        let t_rcd_cpu = cfg.clock.to_cpu(cfg.t_rcd);
-        let t_rp_cpu = cfg.clock.to_cpu(cfg.t_rp);
+        let chan_shift = cfg.interleave_bytes.trailing_zeros();
         DramDevice {
-            chan_mask: u64::from(cfg.channels) - 1,
-            chan_shift: cfg.interleave_bytes.trailing_zeros(),
-            banks,
-            bus_free,
+            banks: vec![Bank::default(); n_banks],
+            bus_free: vec![Cycle::ZERO; cfg.channels as usize],
             stats: DeviceStats::default(),
-            energy: EnergyCounter::new(),
             model: ServiceModel::Unbounded,
             chan_queues: vec![BoundedQueue::new(); cfg.channels as usize],
-            t_cas_cpu,
-            t_rcd_cpu,
-            t_rp_cpu,
+            chan_mask: u64::from(cfg.channels) - 1,
+            chan_shift,
+            high_shift: chan_shift + cfg.channels.trailing_zeros(),
+            row_shift: cfg.row_bytes.trailing_zeros(),
+            bank_mask: u64::from(cfg.banks_per_channel) - 1,
+            bank_shift: cfg.banks_per_channel.trailing_zeros(),
+            run_mask: cfg.row_bytes.min(cfg.interleave_bytes) - 1,
+            t_cas_cpu: cfg.clock.to_cpu(cfg.t_cas),
+            t_rcd_cpu: cfg.clock.to_cpu(cfg.t_rcd),
+            t_rp_cpu: cfg.clock.to_cpu(cfg.t_rp),
+            transfer_64_cpu: cfg.clock.to_cpu(cfg.transfer_cycles(64)),
             cfg,
         }
     }
@@ -199,24 +223,42 @@ impl DramDevice {
         &self.stats
     }
 
-    /// Accumulated dynamic energy.
-    pub fn energy(&self) -> &EnergyCounter {
-        &self.energy
+    /// Dynamic energy of the traffic served so far, derived from the byte
+    /// and activation counters.
+    pub fn energy(&self) -> EnergyCounter {
+        EnergyCounter::from_counts(
+            self.stats.total_bytes(),
+            self.cfg.rw_fj_per_bit,
+            self.stats.activations,
+            self.cfg.act_pre_pj,
+        )
     }
 
     /// Decomposes a device byte address into (channel, bank-index, row).
+    #[inline]
     fn map(&self, addr: u64) -> (usize, usize, u64) {
-        let channel = ((addr >> self.chan_shift) & self.chan_mask) as usize;
+        let channel = (addr >> self.chan_shift) & self.chan_mask;
         // Remove the channel bits so consecutive granules within a channel
         // are contiguous in bank/row space.
-        let high = addr >> (self.chan_shift + self.chan_mask.count_ones());
         let low = addr & ((1 << self.chan_shift) - 1);
-        let chan_addr = (high << self.chan_shift) | low;
-        let row_global = chan_addr / self.cfg.row_bytes;
-        let bank_in_chan = (row_global % u64::from(self.cfg.banks_per_channel)) as usize;
-        let row = row_global / u64::from(self.cfg.banks_per_channel);
-        let bank = channel * self.cfg.banks_per_channel as usize + bank_in_chan;
-        (channel, bank, row)
+        let chan_addr = ((addr >> self.high_shift) << self.chan_shift) | low;
+        let row_global = chan_addr >> self.row_shift;
+        let bank = (channel << self.bank_shift) | (row_global & self.bank_mask);
+        (
+            channel as usize,
+            bank as usize,
+            row_global >> self.bank_shift,
+        )
+    }
+
+    /// CPU cycles the data bus is busy transferring `bytes`.
+    #[inline]
+    fn transfer_cpu(&self, bytes: u32) -> u64 {
+        if bytes == 64 {
+            self.transfer_64_cpu
+        } else {
+            self.cfg.clock.to_cpu(self.cfg.transfer_cycles(bytes))
+        }
     }
 
     /// Serves one access and returns its completion cycle; shorthand for
@@ -239,6 +281,57 @@ impl DramDevice {
     /// an empty bank pays tRCD+tCAS; data transfer then waits for the channel
     /// data bus and occupies it for the burst duration.
     pub fn serve(&mut self, a: DramAccess) -> ServiceResult {
+        self.serve_mapped(a).0
+    }
+
+    /// Serves `count` back-to-back accesses of `a.bytes` at stride
+    /// `a.bytes`, all arriving at `a.at`, with exactly the outcome of
+    /// `count` [`DramDevice::serve`] calls. Returns the completion of the
+    /// last access and the admission of the first (`a.at` for each when
+    /// `count` is 0).
+    ///
+    /// Under [`ServiceModel::Unbounded`] the accesses after the first one
+    /// in an aligned block that maps to a single bank and row (the smaller
+    /// of a row and an interleave granule) are charged in one step: each
+    /// finds its row open and its bank and bus released by its predecessor,
+    /// so it completes exactly tCAS plus one transfer later. Queued
+    /// admission is per access, so [`ServiceModel::Queued`] serves every
+    /// access individually.
+    pub fn serve_burst(&mut self, a: DramAccess, count: u32) -> ServiceResult {
+        let stride = u64::from(a.bytes);
+        let count = u64::from(count);
+        let mut out = ServiceResult {
+            ready: a.at,
+            queued: a.at,
+        };
+        let mut i = 0;
+        while i < count {
+            let addr = a.addr + i * stride;
+            let (r, channel, bank) = self.serve_mapped(DramAccess { addr, ..a });
+            if i == 0 {
+                out.queued = r.queued;
+            }
+            out.ready = r.ready;
+            i += 1;
+            if i == count || self.model != ServiceModel::Unbounded {
+                continue;
+            }
+            let hits = ((addr | self.run_mask) - addr)
+                .checked_div(stride)
+                .map_or(count - i, |h| h.min(count - i));
+            out.ready += hits * (self.t_cas_cpu + self.transfer_cpu(a.bytes));
+            self.banks[bank].ready = out.ready;
+            self.bus_free[channel] = out.ready;
+            self.stats.row_hits += hits;
+            self.stats.count(&a, hits);
+            i += hits;
+        }
+        out
+    }
+
+    /// [`DramDevice::serve`], also returning the channel and bank used.
+    #[inline]
+    fn serve_mapped(&mut self, a: DramAccess) -> (ServiceResult, usize, usize) {
         debug_assert!(a.bytes > 0, "zero-length DRAM access");
         let (channel, bank_idx, row) = self.map(a.addr);
 
@@ -254,6 +347,7 @@ impl DramDevice {
             },
         };
 
+        let transfer = self.transfer_cpu(a.bytes);
         let bank = &mut self.banks[bank_idx];
         let start = queued.max(bank.ready);
         let (array_latency, activated) = match bank.open_row {
@@ -262,7 +356,6 @@ impl DramDevice {
             None => (self.t_rcd_cpu + self.t_cas_cpu, true),
         };
         let data_ready = start + array_latency;
-        let transfer = self.cfg.clock.to_cpu(self.cfg.transfer_cycles(a.bytes));
         let bus_start = data_ready.max(self.bus_free[channel]);
         let done = bus_start + transfer;
 
@@ -278,25 +371,21 @@ impl DramDevice {
             self.stats.queue_peak_occupancy = self.stats.queue_peak_occupancy.max(occ);
         }
 
-        self.stats.accesses += 1;
         if activated {
             self.stats.activations += 1;
-            self.energy.add_activation(self.cfg.act_pre_pj);
         } else {
             self.stats.row_hits += 1;
         }
-        match a.kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
-        }
-        self.stats.bytes_by_class[a.class.index()] += u64::from(a.bytes);
-        self.energy
-            .add_burst(u64::from(a.bytes), self.cfg.rw_fj_per_bit);
+        self.stats.count(&a, 1);
 
-        ServiceResult {
-            ready: done,
-            queued,
-        }
+        (
+            ServiceResult {
+                ready: done,
+                queued,
+            },
+            channel,
+            bank_idx,
+        )
     }
 }
 

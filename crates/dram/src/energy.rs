@@ -1,9 +1,10 @@
 //! Dynamic-energy accounting (Figure 18 of the paper).
 //!
 //! The paper reports *dynamic* memory energy only (static/refresh energy is
-//! proportional to runtime and excluded). We mirror that: every data burst
+//! proportional to runtime and excluded). We mirror that: every byte moved
 //! charges read/write + I/O energy per bit, and every row activation charges
-//! one ACT/PRE pair.
+//! one ACT/PRE pair. Both are linear in a device's counters, so a device
+//! derives its energy from its byte and activation totals.
 
 use core::fmt;
 
@@ -25,17 +26,14 @@ impl EnergyCounter {
         }
     }
 
-    /// Charges a data burst of `bytes` at `fj_per_bit`.
-    #[inline]
-    pub fn add_burst(&mut self, bytes: u64, fj_per_bit: u64) {
-        self.rw_fj += u128::from(bytes) * 8 * u128::from(fj_per_bit);
-    }
-
-    /// Charges one row activate/precharge pair of `act_pre_pj` picojoules.
-    #[inline]
-    pub fn add_activation(&mut self, act_pre_pj: u64) {
-        self.act_fj += u128::from(act_pre_pj) * 1_000;
-        self.activations += 1;
+    /// The energy of moving `bytes` at `fj_per_bit` plus `activations` row
+    /// activate/precharge pairs of `act_pre_pj` picojoules each.
+    pub fn from_counts(bytes: u64, fj_per_bit: u64, activations: u64, act_pre_pj: u64) -> Self {
+        EnergyCounter {
+            rw_fj: u128::from(bytes) * 8 * u128::from(fj_per_bit),
+            act_fj: u128::from(activations) * u128::from(act_pre_pj) * 1_000,
+            activations,
+        }
     }
 
     /// Total dynamic energy in millijoules.
@@ -83,37 +81,34 @@ impl fmt::Display for EnergyCounter {
 mod tests {
     use super::*;
 
+    fn burst(bytes: u64, fj_per_bit: u64) -> EnergyCounter {
+        EnergyCounter::from_counts(bytes, fj_per_bit, 0, 0)
+    }
+
     #[test]
     fn burst_energy_matches_hand_computation() {
-        let mut e = EnergyCounter::new();
         // 64 bytes at 6.4 pJ/bit = 64*8*6.4 pJ = 3276.8 pJ.
-        e.add_burst(64, 6_400);
+        let e = burst(64, 6_400);
         assert!((e.rw_mj() - 3276.8e-9).abs() < 1e-15);
     }
 
     #[test]
     fn activation_energy_matches_table() {
-        let mut e = EnergyCounter::new();
-        e.add_activation(15_000); // 15 nJ
+        let e = EnergyCounter::from_counts(0, 0, 1, 15_000); // 15 nJ
         assert!((e.act_mj() - 15e-6).abs() < 1e-12);
         assert_eq!(e.activations(), 1);
     }
 
     #[test]
     fn totals_are_sums() {
-        let mut e = EnergyCounter::new();
-        e.add_burst(128, 33_000);
-        e.add_activation(15_000);
+        let e = EnergyCounter::from_counts(128, 33_000, 1, 15_000);
         assert!((e.total_mj() - (e.rw_mj() + e.act_mj())).abs() < 1e-18);
     }
 
     #[test]
     fn merge_adds_componentwise() {
-        let mut a = EnergyCounter::new();
-        a.add_burst(64, 6_400);
-        a.add_activation(15_000);
-        let mut b = EnergyCounter::new();
-        b.add_burst(64, 6_400);
+        let a = EnergyCounter::from_counts(64, 6_400, 1, 15_000);
+        let mut b = burst(64, 6_400);
         b.merge(&a);
         assert_eq!(b.activations(), 1);
         assert!((b.rw_mj() - 2.0 * a.rw_mj()).abs() < 1e-18);
@@ -121,18 +116,12 @@ mod tests {
 
     #[test]
     fn display_mentions_units() {
-        let mut e = EnergyCounter::new();
-        e.add_burst(64, 6_400);
-        assert!(e.to_string().contains("mJ"));
+        assert!(burst(64, 6_400).to_string().contains("mJ"));
     }
 
     #[test]
     fn fm_bit_energy_exceeds_nm() {
         // Sanity on Table 1: moving a byte in FM costs ~5x NM energy.
-        let mut nm = EnergyCounter::new();
-        nm.add_burst(64, 6_400);
-        let mut fm = EnergyCounter::new();
-        fm.add_burst(64, 33_000);
-        assert!(fm.rw_mj() > 4.0 * nm.rw_mj());
+        assert!(burst(64, 33_000).rw_mj() > 4.0 * burst(64, 6_400).rw_mj());
     }
 }

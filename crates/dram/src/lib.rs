@@ -14,9 +14,9 @@
 //!
 //! The model captures what the paper's evaluation depends on — row-hit vs
 //! row-miss latency, bank conflicts, and bandwidth saturation of the narrow
-//! FM bus versus the wide NM interface. Requests are processed in arrival
-//! order per device (FCFS with an open-page row policy); see `DESIGN.md` §3
-//! for the substitution note.
+//! FM bus versus the wide NM interface. Requests are processed in the order
+//! they are presented to a device (FCFS with an open-page row policy),
+//! which is not always arrival order; see [`DramDevice`].
 //!
 //! All traffic flows through the ticketed service layer ([`service`]):
 //! schemes build a [`ServiceRequest`] (a [`DramAccess`] plus target side,
@@ -24,7 +24,7 @@
 //! [`ServiceResult`] with both completion and queue-admission cycles. The
 //! default [`ServiceModel::Unbounded`] is the closed-form reference —
 //! byte-identical to the pre-service-layer calculator — while
-//! [`ServiceModel::Queued`] bounds each channel and bank behind a FIFO of
+//! [`ServiceModel::Queued`] bounds each channel behind a FIFO of
 //! configurable depth whose overflow charges explicit [`Backpressure`]
 //! delay on top of the CAS/RCD/RP timing.
 //!

@@ -195,16 +195,15 @@ pub struct Backpressure {
     pub until: Cycle,
 }
 
-/// A bounded FIFO of in-flight completion cycles guarding one service node
-/// (a channel or a bank).
+/// A bounded FIFO of in-flight completion cycles guarding one channel.
 ///
 /// Entries are the completion (drain) cycles of admitted requests, pushed in
-/// program order; because a node serves requests in order, the entries are
-/// non-decreasing, so the front is always the earliest drain. Admission
+/// program order; because a channel's data bus serves requests in order, the
+/// entries are non-decreasing, so the front is always the earliest drain. Admission
 /// first retires every entry that has drained by the arrival cycle; if the
 /// queue is still at `depth`, the arrival suffers [`Backpressure`] until the
 /// front drains (which frees its slot).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BoundedQueue {
     done: VecDeque<Cycle>,
 }
@@ -238,7 +237,7 @@ impl BoundedQueue {
     pub fn push(&mut self, done: Cycle) {
         debug_assert!(
             self.done.back().is_none_or(|&d| d <= done),
-            "service-node completions must be non-decreasing"
+            "channel completions must be non-decreasing"
         );
         self.done.push_back(done);
     }

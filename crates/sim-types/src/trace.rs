@@ -1,7 +1,7 @@
 //! The trace vocabulary: what a workload feeds a core.
 //!
 //! The paper drives its simulator with Pin-captured instruction traces; we
-//! drive ours with synthesized ones (see `DESIGN.md` §3). Either way a trace
+//! drive ours with synthesized ones (the `workloads` crate). Either way a trace
 //! is a sequence of [`TraceOp`]s: "execute `gap` non-memory instructions,
 //! then perform this memory access".
 

@@ -1,4 +1,4 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md §5).
+//! Ablation studies beyond the paper's figures.
 //!
 //! * **Budget reset period** — §3.7.3 fixes the FM-access budget reset at
 //!   100 K cycles; this sweep shows the sensitivity (too short starves

@@ -1,5 +1,5 @@
 //! One experiment per table/figure of the paper's evaluation (§5), plus
-//! the extra ablations promised in `DESIGN.md`.
+//! extra ablations (`ablations.rs`).
 //!
 //! Every experiment is a pure function of an [`EvalConfig`] and a workload
 //! set, returning printable [`Report`]s; the `reproduce` binary and the

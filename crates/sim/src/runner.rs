@@ -185,16 +185,29 @@ pub fn build_scheme(kind: SchemeKind, sys: &ScaledSystem) -> AnyScheme {
             cache_bytes_paper,
             sector,
             line,
-        } => Dcmc::new(hybrid2_config(
-            sys,
-            cache_bytes_paper / sys.scale_den,
-            sector,
-            line,
-            Variant::Full,
-        ))
-        .expect("design-space config is valid")
-        .into(),
+        } => Dcmc::new(design_point_config(sys, cache_bytes_paper, sector, line))
+            .expect("design-space config is valid")
+            .into(),
     }
+}
+
+/// The Hybrid2 configuration of a Figure 11 design point (cache size at
+/// paper scale, sector, line) on a `sys`-sized machine. At large scale
+/// divisors the scaled cache of some points holds less than one XTA set;
+/// [`Hybrid2Config::validate`] rejects those.
+pub(crate) fn design_point_config(
+    sys: &ScaledSystem,
+    cache_bytes_paper: u64,
+    sector: u64,
+    line: u64,
+) -> Hybrid2Config {
+    hybrid2_config(
+        sys,
+        cache_bytes_paper / sys.scale_den,
+        sector,
+        line,
+        Variant::Full,
+    )
 }
 
 fn hybrid2_config(

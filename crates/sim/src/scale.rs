@@ -1,4 +1,5 @@
-//! Proportional scaling of the paper's system (DESIGN.md §3, substitution 2).
+//! Proportional scaling of the paper's system: every capacity divided by
+//! one power-of-two denominator.
 
 use mem_cache::HierarchyConfig;
 

@@ -5,7 +5,7 @@
 //! OpenMP NAS benchmarks (run as 8 threads sharing one address space). We
 //! cannot redistribute or capture those traces, so this crate synthesizes
 //! per-benchmark address streams from composable access-pattern primitives
-//! (see `DESIGN.md` §3, substitution 1):
+//! (PAPER.md, "What the reproduction covers"):
 //!
 //! * streaming / strided walks — stencil and grid codes (lbm, sp.D, bt.D…),
 //! * uniform-random and pointer-chase jumps — mcf, omnetpp, deepsjeng,

@@ -4,7 +4,7 @@ use sim_types::rng::SplitMix64;
 use sim_types::{TraceOp, TraceSource, VAddr};
 
 /// The family of synthetic access patterns used to stand in for the paper's
-/// benchmarks (see `DESIGN.md` §3).
+/// benchmarks (PAPER.md, "What the reproduction covers").
 ///
 /// Real applications mix *spatial* locality (streams, runs) with *temporal*
 /// locality (hot working sets, re-walked tiles); these primitives expose

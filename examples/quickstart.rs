@@ -9,7 +9,8 @@ use hybrid2::prelude::*;
 
 fn main() {
     // A small, fast configuration: 1/1024 of the paper's capacities with a
-    // proportional instruction window (see DESIGN.md §3 on scaling).
+    // proportional instruction window (see `ScaledSystem` in
+    // crates/sim/src/scale.rs).
     let cfg = EvalConfig {
         scale_den: 1024,
         instrs_per_core: 1_000_000,
