@@ -30,7 +30,41 @@ impl BlockLoc {
     pub fn is_nm(self) -> bool {
         matches!(self, BlockLoc::Nm(_))
     }
+
+    /// The table entry for this location: bit 31 set for FM, the slot in
+    /// the low 31 bits. [`FlatRemap::new`] bounds every slot below 2^31;
+    /// a larger slot panics rather than being truncated.
+    #[inline]
+    fn pack(self) -> u32 {
+        let (side, slot) = match self {
+            BlockLoc::Nm(slot) => (0, slot),
+            BlockLoc::Fm(slot) => (FM_BIT, slot),
+        };
+        assert!(
+            slot < MAX_BLOCKS,
+            "block slot {slot} overflows a packed entry"
+        );
+        side | slot as u32
+    }
+
+    /// Inverse of [`BlockLoc::pack`].
+    #[inline]
+    fn unpack(entry: u32) -> Self {
+        let slot = u64::from(entry & !FM_BIT);
+        if entry & FM_BIT == 0 {
+            BlockLoc::Nm(slot)
+        } else {
+            BlockLoc::Fm(slot)
+        }
+    }
 }
+
+/// Side bit of a packed remap entry: set when the block lives in FM.
+const FM_BIT: u32 = 1 << 31;
+
+/// Bound on the flat space's block count: below it, every block index and
+/// every slot fits a packed `u32` entry.
+const MAX_BLOCKS: u64 = 1 << 31;
 
 /// Shared remapping substrate for block-migration schemes.
 #[derive(Clone, Debug)]
@@ -38,8 +72,10 @@ pub struct FlatRemap {
     block_bytes: u64,
     nm_blocks: u64,
     fm_blocks: u64,
-    remap: Vec<BlockLoc>,
-    inverted: Vec<u64>,
+    /// Block → location, one [`BlockLoc::pack`]ed entry per block.
+    remap: Vec<u32>,
+    /// NM slot → block.
+    inverted: Vec<u32>,
     remap_cache: SetAssocCache,
     /// On-chip remap-cache hit latency in cycles.
     cache_latency: u64,
@@ -59,13 +95,18 @@ impl FlatRemap {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero, a block is not a power of two
-    /// between 64 B and 4 KB (one `skip_lines` bit per 64-byte line), or the
-    /// remap cache shape is invalid.
+    /// Panics if any dimension is zero, the flat space holds 2^31 blocks or
+    /// more, a block is not a power of two between 64 B and 4 KB (one
+    /// `skip_lines` bit per 64-byte line), or the remap cache shape is
+    /// invalid.
     pub fn new(block_bytes: u64, nm_blocks: u64, fm_blocks: u64, remap_cache_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two() && (64..=4096).contains(&block_bytes));
         assert!(nm_blocks > 0 && fm_blocks > 0);
         let total = nm_blocks + fm_blocks;
+        assert!(
+            total < MAX_BLOCKS,
+            "flat space of {total} blocks exceeds the packed remap range (< 2^31)"
+        );
         let remap = (0..total)
             .map(|b| {
                 if b < nm_blocks {
@@ -73,9 +114,10 @@ impl FlatRemap {
                 } else {
                     BlockLoc::Fm(b - nm_blocks)
                 }
+                .pack()
             })
             .collect();
-        let inverted = (0..nm_blocks).collect();
+        let inverted = (0..nm_blocks as u32).collect();
         // Remap-cache entries are 8 B; model it as a 4-way cache of 64 B
         // lines over the table's address space (8 entries per line).
         let cache_bytes = remap_cache_bytes.max(4 * 64);
@@ -127,12 +169,12 @@ impl FlatRemap {
     /// Current location of `block` *without* modelling lookup cost
     /// (policy bookkeeping).
     pub fn peek(&self, block: u64) -> BlockLoc {
-        self.remap[block as usize]
+        BlockLoc::unpack(self.remap[block as usize])
     }
 
     /// The flat block stored in NM slot `slot`.
     pub fn block_at(&self, slot: u64) -> u64 {
-        self.inverted[slot as usize]
+        u64::from(self.inverted[slot as usize])
     }
 
     /// Looks up `block`'s location, charging the remap-cache latency on a
@@ -158,7 +200,7 @@ impl FlatRemap {
             ))
             .ready
         };
-        (self.remap[block as usize], ready)
+        (self.peek(block), ready)
     }
 
     /// Device byte address of a block location plus `offset`.
@@ -187,10 +229,10 @@ impl FlatRemap {
         at: Cycle,
         dram: &mut DramSystem,
     ) {
-        let BlockLoc::Fm(fm_slot) = self.remap[fm_block as usize] else {
+        let BlockLoc::Fm(fm_slot) = self.peek(fm_block) else {
             panic!("swap_into_nm called on an NM-resident block");
         };
-        let victim_block = self.inverted[victim_slot as usize];
+        let victim_block = self.block_at(victim_slot);
         let all_lines = u64::MAX >> (64 - self.block_bytes / 64);
         let fm_sector = (MemSide::Fm, fm_slot * self.block_bytes);
         let nm_sector = (MemSide::Nm, victim_slot * self.block_bytes);
@@ -202,9 +244,9 @@ impl FlatRemap {
         // whole blocks out, the paper's "double the overheads of copying").
         dram.copy_lines(all_lines, nm_sector, fm_sector, 64, class, at);
 
-        self.remap[fm_block as usize] = BlockLoc::Nm(victim_slot);
-        self.remap[victim_block as usize] = BlockLoc::Fm(fm_slot);
-        self.inverted[victim_slot as usize] = fm_block;
+        self.remap[fm_block as usize] = BlockLoc::Nm(victim_slot).pack();
+        self.remap[victim_block as usize] = BlockLoc::Fm(fm_slot).pack();
+        self.inverted[victim_slot as usize] = fm_block as u32;
         self.swaps += 1;
 
         // Remap-table updates for both blocks.
@@ -240,14 +282,14 @@ impl FlatRemap {
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut nm_seen = vec![false; self.nm_blocks as usize];
         let mut fm_seen = vec![false; self.fm_blocks as usize];
-        for (b, loc) in self.remap.iter().enumerate() {
-            match *loc {
+        for (b, &entry) in self.remap.iter().enumerate() {
+            match BlockLoc::unpack(entry) {
                 BlockLoc::Nm(s) => {
                     if nm_seen[s as usize] {
                         return Err(format!("NM slot {s} doubly mapped"));
                     }
                     nm_seen[s as usize] = true;
-                    if self.inverted[s as usize] != b as u64 {
+                    if self.block_at(s) != b as u64 {
                         return Err(format!("inverted[{s}] != {b}"));
                     }
                 }
@@ -453,5 +495,107 @@ mod tests {
     fn swapping_nm_block_panics() {
         let (mut r, mut dram) = remap();
         r.swap_into_nm(0, 0, 0, Cycle::ZERO, &mut dram);
+    }
+
+    #[test]
+    fn packed_entries_round_trip_the_largest_index() {
+        for slot in [0, 1, MAX_BLOCKS - 1] {
+            for loc in [BlockLoc::Nm(slot), BlockLoc::Fm(slot)] {
+                assert_eq!(BlockLoc::unpack(loc.pack()), loc);
+            }
+        }
+        assert_eq!(BlockLoc::Fm(MAX_BLOCKS - 1).pack(), u32::MAX);
+        assert_eq!(BlockLoc::Nm(MAX_BLOCKS - 1).pack(), u32::MAX >> 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a packed entry")]
+    fn packing_a_slot_of_2_pow_31_panics() {
+        BlockLoc::Fm(MAX_BLOCKS).pack();
+    }
+
+    #[test]
+    #[should_panic(expected = "packed remap range")]
+    fn rejects_a_table_of_2_pow_31_blocks() {
+        FlatRemap::new(64, 1, MAX_BLOCKS - 1, 4096);
+    }
+
+    #[test]
+    fn table_entries_are_four_bytes() {
+        let (r, _) = remap();
+        assert_eq!(std::mem::size_of_val(&r.remap[0]), 4);
+        assert_eq!(std::mem::size_of_val(&r.inverted[0]), 4);
+    }
+}
+
+/// The packed tables against the enum-vector tables they replaced.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The remap state as it was stored before packing: one `BlockLoc` per
+    /// block and one `u64` per NM slot, updated the way `swap_into_nm` did.
+    struct Reference {
+        remap: Vec<BlockLoc>,
+        inverted: Vec<u64>,
+    }
+
+    impl Reference {
+        fn new(nm_blocks: u64, fm_blocks: u64) -> Self {
+            let remap = (0..nm_blocks)
+                .map(BlockLoc::Nm)
+                .chain((0..fm_blocks).map(BlockLoc::Fm))
+                .collect();
+            Reference {
+                remap,
+                inverted: (0..nm_blocks).collect(),
+            }
+        }
+
+        fn swap_into_nm(&mut self, fm_block: u64, victim_slot: u64) {
+            let BlockLoc::Fm(fm_slot) = self.remap[fm_block as usize] else {
+                unreachable!("reference swap of an NM-resident block")
+            };
+            let victim_block = self.inverted[victim_slot as usize];
+            self.remap[fm_block as usize] = BlockLoc::Nm(victim_slot);
+            self.remap[victim_block as usize] = BlockLoc::Fm(fm_slot);
+            self.inverted[victim_slot as usize] = fm_block;
+        }
+    }
+
+    proptest! {
+        /// Random swap sequences over random shapes: every lookup answers
+        /// what the reference answers, and the bijection holds after every
+        /// step.
+        #[test]
+        fn packed_tables_match_reference(
+            nm in 1u64..12,
+            fm in 1u64..40,
+            steps in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..80),
+        ) {
+            let mut r = FlatRemap::new(64, nm, fm, 4096);
+            let mut reference = Reference::new(nm, fm);
+            let mut dram = DramSystem::paper_default();
+            let total = nm + fm;
+            for (i, (pick, slot, locate)) in steps.into_iter().enumerate() {
+                let block = pick % total;
+                let at = Cycle::ZERO + 100 * i as u64;
+                if locate {
+                    prop_assert_eq!(r.locate(block, at, &mut dram).0, reference.remap[block as usize]);
+                } else if !r.peek(block).is_nm() {
+                    let slot = slot % nm;
+                    r.swap_into_nm(block, slot, 0, at, &mut dram);
+                    reference.swap_into_nm(block, slot);
+                }
+                r.check_invariants().unwrap();
+                for b in 0..total {
+                    prop_assert_eq!(r.peek(b), reference.remap[b as usize]);
+                }
+                for s in 0..nm {
+                    prop_assert_eq!(r.block_at(s), reference.inverted[s as usize]);
+                }
+            }
+        }
     }
 }

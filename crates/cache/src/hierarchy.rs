@@ -3,7 +3,7 @@
 //! Private L1 (64 KB, 4-way, 1 cycle) and L2 (256 KB, 8-way, 9 cycles) per
 //! core plus one shared, non-inclusive 8 MB 16-way LLC (14 cycles). The
 //! hierarchy filters the raw trace into the LLC-miss/writeback stream that
-//! the memory schemes see, and reports the events LGM and DFC observe.
+//! the memory schemes see.
 
 use sim_types::{AccessKind, PAddr};
 
@@ -86,11 +86,6 @@ pub struct Outcome {
     pub llc_miss: Option<PAddr>,
     /// A dirty LLC victim that must be written back to memory.
     pub writeback: Option<PAddr>,
-    /// LLC events observed for this access (used by LGM/DFC).
-    pub llc_fill: Option<PAddr>,
-    /// Clean or dirty line evicted from the LLC (dirty ones also appear in
-    /// `writeback`).
-    pub llc_evict: Option<PAddr>,
 }
 
 /// Per-level aggregate statistics.
@@ -141,20 +136,6 @@ pub struct Hierarchy {
     stats: HierarchyStats,
 }
 
-/// An LLC-level event fed to observers such as LGM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemLevelEvent {
-    /// A line was filled into the LLC.
-    Fill(PAddr),
-    /// A line left the LLC (`dirty` = needs memory writeback).
-    Evict {
-        /// Address of the evicted line.
-        addr: PAddr,
-        /// Whether it was dirty.
-        dirty: bool,
-    },
-}
-
 impl Hierarchy {
     /// Builds the hierarchy.
     ///
@@ -185,17 +166,6 @@ impl Hierarchy {
     /// LLC line size in bytes.
     pub fn line_size(&self) -> u64 {
         self.cfg.llc.line_size()
-    }
-
-    /// True if `addr`'s line is resident in the shared LLC (LGM's probe).
-    pub fn llc_contains(&self, addr: PAddr) -> bool {
-        self.llc.probe(addr.raw())
-    }
-
-    /// Marks `addr`'s LLC line dirty if resident (LGM's "mark instead of
-    /// migrate" optimization); returns whether it was resident.
-    pub fn llc_mark_dirty(&mut self, addr: PAddr) -> bool {
-        self.llc.mark_dirty(addr.raw())
     }
 
     /// The private-hit fast path of the epoch-batched machine loop: if
@@ -252,8 +222,6 @@ impl Hierarchy {
                 latency: cfg.l1_latency,
                 llc_miss: None,
                 writeback: None,
-                llc_fill: None,
-                llc_evict: None,
             };
         }
         // L1 victim writebacks are absorbed by L2 (allocate-on-write below).
@@ -273,30 +241,33 @@ impl Hierarchy {
         if l2_out.hit {
             stats.l2.hits += 1;
             // Even on an L2 hit, displaced L2 victims may spill to the LLC.
+            // Known model defect (see the LLC path below): the `or_else`
+            // drops the demand-path L2 victim when the first spill returns a
+            // writeback.
             let wb = spill_to_llc(llc, stats, spilled_by_l1_victim)
                 .or_else(|| spill_to_llc(llc, stats, l2_victim));
             return Outcome {
                 latency: cfg.l2_latency,
                 llc_miss: None,
                 writeback: wb,
-                llc_fill: None,
-                llc_evict: None,
             };
         }
 
-        // LLC (shared).
+        // LLC (shared). Known model defect, kept because fixing it moves
+        // every result: when the L1-victim spill displaces a dirty LLC line,
+        // the `or_else` never runs the second spill, so a dirty demand-path
+        // L2 victim is inserted into neither the LLC nor memory.
         stats.llc.accesses += 1;
         let spill = spill_to_llc(llc, stats, spilled_by_l1_victim)
             .or_else(|| spill_to_llc(llc, stats, l2_victim));
         let llc_out = llc.access(a, false);
         let mut writeback = spill;
-        let mut llc_evict = None;
         if let Some(v) = llc_out.evicted {
-            llc_evict = Some(PAddr::new(v.line_addr));
             if v.dirty {
                 stats.writebacks += 1;
-                // At most one dirty writeback per access reaches memory in
-                // this model; prefer the demand-path victim.
+                // `Outcome` carries one writeback: a dirty demand-path LLC
+                // victim replaces the spill's, so that spill victim is
+                // counted in `stats.writebacks` but never reaches memory.
                 writeback = Some(PAddr::new(v.line_addr));
             }
         }
@@ -306,8 +277,6 @@ impl Hierarchy {
                 latency: cfg.llc_latency,
                 llc_miss: None,
                 writeback,
-                llc_fill: None,
-                llc_evict: None,
             };
         }
 
@@ -315,8 +284,6 @@ impl Hierarchy {
             latency: cfg.llc_latency,
             llc_miss: Some(PAddr::new(llc.line_base(a))),
             writeback,
-            llc_fill: Some(PAddr::new(llc.line_base(a))),
-            llc_evict,
         }
     }
 
@@ -404,7 +371,6 @@ mod tests {
         let mut h = tiny();
         let out = h.access(0, PAddr::new(0x1234), AccessKind::Read);
         assert_eq!(out.llc_miss, Some(PAddr::new(0x1200)));
-        assert_eq!(out.llc_fill, Some(PAddr::new(0x1200)));
     }
 
     #[test]
@@ -430,17 +396,6 @@ mod tests {
         }
         assert!(saw_writeback, "dirty lines must eventually write back");
         assert!(h.stats().writebacks > 0);
-    }
-
-    #[test]
-    fn llc_probe_and_mark_dirty() {
-        let mut h = tiny();
-        let a = PAddr::new(0x4000);
-        h.access(0, a, AccessKind::Read);
-        assert!(h.llc_contains(a));
-        assert!(h.llc_mark_dirty(a));
-        assert!(!h.llc_contains(PAddr::new(0x8000)));
-        assert!(!h.llc_mark_dirty(PAddr::new(0x8000)));
     }
 
     #[test]

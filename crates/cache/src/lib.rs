@@ -29,9 +29,7 @@
 mod hierarchy;
 mod set_assoc;
 
-pub use hierarchy::{
-    Hierarchy, HierarchyConfig, HierarchyStats, LevelStats, MemLevelEvent, Outcome,
-};
+pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, LevelStats, Outcome};
 pub use set_assoc::{
     Access, CacheConfig, CacheConfigError, CacheStats, Evicted, SetAssocCache, MAX_ASSOC,
 };

@@ -87,6 +87,14 @@ pub enum ConfigError {
         /// The offending byte count.
         bytes: u64,
     },
+    /// The remap tables hold 31-bit indices: the flat space and the NM
+    /// slots must each number fewer than 2^31 sectors.
+    TooManySectors {
+        /// Flat-space sectors.
+        flat: u64,
+        /// NM data slots.
+        slots: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -107,6 +115,11 @@ impl fmt::Display for ConfigError {
             ConfigError::UnalignedCapacity { which, bytes } => {
                 write!(f, "{which} capacity {bytes} is not a non-zero multiple of the sector size")
             }
+            ConfigError::TooManySectors { flat, slots } => write!(
+                f,
+                "{flat} flat sectors and {slots} NM slots exceed the remap tables' \
+                 31-bit index range"
+            ),
         }
     }
 }
@@ -244,6 +257,14 @@ impl Hybrid2Config {
             });
         }
 
+        let flat_sectors = nm_flat_sectors + fm_sectors;
+        if flat_sectors >= crate::remap::MAX_ENTRIES || slots >= crate::remap::MAX_ENTRIES {
+            return Err(ConfigError::TooManySectors {
+                flat: flat_sectors,
+                slots,
+            });
+        }
+
         Ok(Layout {
             geometry: g,
             nm_sectors_total,
@@ -253,7 +274,7 @@ impl Hybrid2Config {
             cache_sectors,
             nm_flat_sectors,
             fm_sectors,
-            flat_sectors: nm_flat_sectors + fm_sectors,
+            flat_sectors,
             remap_entries,
             inverted_entries,
         })
@@ -439,6 +460,40 @@ mod tests {
         assert!(matches!(
             cfg.validate(),
             Err(ConfigError::CacheTooLarge { .. }) | Err(ConfigError::FlatRegionTooSmall { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_sector_counts_beyond_the_packed_range() {
+        // 64 GB of NM holds the metadata of a 2^31-sector flat space.
+        let mut cfg = Hybrid2Config::paper_default();
+        let sector = cfg.geometry.sector_size();
+        cfg.nm_bytes = 64 << 30;
+        let with_fm = |fm_sectors: u64| Hybrid2Config {
+            fm_bytes: fm_sectors * sector,
+            ..cfg
+        };
+        // Each FM sector grows the flat space by at most one sector, so the
+        // largest accepted FM size yields exactly 2^31 - 1 flat sectors.
+        let (mut ok, mut err) = (1u64, 1u64 << 31);
+        while err - ok > 1 {
+            let mid = ok + (err - ok) / 2;
+            if with_fm(mid).validate().is_ok() {
+                ok = mid;
+            } else {
+                err = mid;
+            }
+        }
+        assert_eq!(with_fm(ok).validate().unwrap().flat_sectors, (1 << 31) - 1);
+        assert!(matches!(
+            with_fm(err).validate(),
+            Err(ConfigError::TooManySectors { flat, .. }) if flat == 1 << 31
+        ));
+        // 2^32 NM sectors overflow the slot index as well.
+        cfg.nm_bytes = (1 << 32) * sector;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TooManySectors { slots, .. }) if slots >= 1 << 31
         ));
     }
 

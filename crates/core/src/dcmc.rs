@@ -32,12 +32,12 @@ pub struct Dcmc {
     /// loop's interval contract (see `on_tick`).
     last_tick: Cycle,
     stats: SchemeStats,
-    /// §3.8 extension: OS-hinted dead sectors (indexed by flat sector id).
-    unused: Vec<bool>,
-    /// Count of `true` entries in `unused`. Every demand access must
-    /// revive its sector, but without hints there is nothing to revive —
-    /// the counter lets the per-request hot path skip the random write
-    /// into the (large) `unused` vector entirely.
+    /// §3.8 extension: OS-hinted dead sectors, one bit per flat sector id.
+    unused: Vec<u64>,
+    /// Count of set bits in `unused`. Every demand access must revive its
+    /// sector, but without hints there is nothing to revive — the counter
+    /// lets the per-request hot path skip the random access into the
+    /// `unused` bitmap entirely.
     unused_live: u64,
     /// §3.8: Figure-8 swap copies skipped thanks to hints.
     swaps_avoided: u64,
@@ -74,7 +74,7 @@ impl Dcmc {
             last_budget_reset: Cycle::ZERO,
             last_tick: Cycle::ZERO,
             stats: SchemeStats::default(),
-            unused: vec![false; layout.flat_sectors as usize],
+            unused: vec![0; layout.flat_sectors.div_ceil(64) as usize],
             unused_live: 0,
             swaps_avoided: 0,
             writebacks_avoided: 0,
@@ -130,7 +130,25 @@ impl Dcmc {
 
     /// §3.8: sectors currently hinted unused.
     pub fn unused_sector_count(&self) -> u64 {
-        self.unused.iter().filter(|u| **u).count() as u64
+        self.unused.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// True if flat sector `sector` is hinted dead.
+    fn is_unused(&self, sector: u64) -> bool {
+        self.unused[(sector / 64) as usize] & (1 << (sector % 64)) != 0
+    }
+
+    /// Marks flat sector `sector` dead or live, keeping `unused_live`.
+    fn set_unused(&mut self, sector: u64, dead: bool) {
+        let (word, bit) = (&mut self.unused[(sector / 64) as usize], 1 << (sector % 64));
+        if (*word & bit != 0) != dead {
+            *word ^= bit;
+            if dead {
+                self.unused_live += 1;
+            } else {
+                self.unused_live -= 1;
+            }
+        }
     }
 
     fn remap_is_free(&self) -> bool {
@@ -189,7 +207,7 @@ impl Dcmc {
         let line_bytes = g.line_size() as u32;
         // §3.8: a sector the OS declared dead needs neither migration nor
         // writebacks — drop it and recycle the slot.
-        if self.unused_live > 0 && self.unused[victim.sector.index()] {
+        if self.unused_live > 0 && self.is_unused(victim.sector.raw()) {
             if victim.dirty != 0 {
                 self.writebacks_avoided += 1;
             }
@@ -308,7 +326,7 @@ impl Dcmc {
                 self.meta_read(addr, at, dram);
             }
             // §3.8: dead data need not be copied — only the remap changes.
-            if self.unused_live > 0 && self.unused[sec.index()] {
+            if self.unused_live > 0 && self.is_unused(sec.raw()) {
                 self.swaps_avoided += 1;
             } else {
                 dram.submit(
@@ -437,11 +455,7 @@ impl MemoryScheme for Dcmc {
         }
         // §3.8: any touch revives a hinted-dead sector (implicit realloc).
         if self.unused_live > 0 {
-            let u = &mut self.unused[sector.index()];
-            if *u {
-                *u = false;
-                self.unused_live -= 1;
-            }
+            self.set_unused(sector.raw(), false);
         }
 
         // Every request pays the on-chip XTA lookup (§3.2).
@@ -640,11 +654,7 @@ impl MemoryScheme for Dcmc {
         let first = addr.raw().div_ceil(sector_bytes);
         let last = (addr.raw() + bytes) / sector_bytes;
         for sec in first..last.min(self.layout.flat_sectors) {
-            let u = &mut self.unused[sec as usize];
-            if !*u {
-                *u = true;
-                self.unused_live += 1;
-            }
+            self.set_unused(sec, true);
         }
     }
 
@@ -653,11 +663,7 @@ impl MemoryScheme for Dcmc {
         let first = addr.raw() / sector_bytes;
         let last = (addr.raw() + bytes).div_ceil(sector_bytes);
         for sec in first..last.min(self.layout.flat_sectors) {
-            let u = &mut self.unused[sec as usize];
-            if *u {
-                *u = false;
-                self.unused_live -= 1;
-            }
+            self.set_unused(sec, false);
         }
     }
 
@@ -975,6 +981,25 @@ mod tests {
         // Revive half of it: the whole sector becomes live again.
         d.os_hint_used(PAddr::new(sector), 64);
         assert_eq!(d.unused_sector_count(), 0);
+    }
+
+    #[test]
+    fn os_hints_cross_bitmap_words() {
+        let (mut d, _) = small_dcmc(Variant::Full);
+        let sector = d.layout().geometry.sector_size();
+        assert_eq!(
+            d.unused.len() as u64,
+            d.layout().flat_sectors.div_ceil(64),
+            "one bit per flat sector"
+        );
+        d.os_hint_unused(PAddr::new(60 * sector), 10 * sector);
+        assert_eq!(d.unused_sector_count(), 10);
+        assert!(!d.is_unused(59) && d.is_unused(60) && d.is_unused(69) && !d.is_unused(70));
+        d.os_hint_unused(PAddr::new(62 * sector), 2 * sector); // already dead
+        d.os_hint_used(PAddr::new(64 * sector), 2 * sector);
+        assert_eq!(d.unused_sector_count(), 8);
+        assert_eq!(d.unused_live, 8, "live count tracks the bitmap");
+        assert!(d.is_unused(63) && !d.is_unused(64) && !d.is_unused(65) && d.is_unused(66));
     }
 
     #[test]

@@ -38,10 +38,13 @@ fn hash(key: u64) -> u64 {
 /// Keys are packed as `space << 56 | vpage`; capacity is a power of two
 /// grown at ~70% load. Deletion is never needed (pages are not freed), so
 /// probing needs no tombstones.
+///
+/// Frames are stored as `u32`: [`PageAllocator::new`] bounds the frame
+/// count by `u32::MAX`.
 #[derive(Clone, Debug)]
 struct FrameTable {
     keys: Vec<u64>,
-    frames: Vec<u64>,
+    frames: Vec<u32>,
     len: usize,
     mask: u64,
 }
@@ -70,7 +73,7 @@ impl FrameTable {
         loop {
             let k = self.keys[i as usize];
             if k == key {
-                return Ok(self.frames[i as usize]);
+                return Ok(u64::from(self.frames[i as usize]));
             }
             if k == EMPTY {
                 return Err(i as usize);
@@ -80,7 +83,7 @@ impl FrameTable {
     }
 
     /// Inserts a key known to be absent, at the slot `probe` reported.
-    fn insert_at(&mut self, slot: usize, key: u64, frame: u64) {
+    fn insert_at(&mut self, slot: usize, key: u64, frame: u32) {
         self.keys[slot] = key;
         self.frames[slot] = frame;
         self.len += 1;
@@ -114,7 +117,7 @@ impl FrameTable {
             .iter()
             .zip(&self.frames)
             .filter(|(&k, _)| k != EMPTY)
-            .map(|(_, &f)| f)
+            .map(|(_, &f)| u64::from(f))
     }
 }
 
@@ -122,7 +125,8 @@ impl FrameTable {
 #[derive(Clone, Debug)]
 pub struct PageAllocator {
     map: FrameTable,
-    free: Vec<u64>,
+    /// Frames not yet handed out.
+    free: Vec<u32>,
     rng: SplitMix64,
     capacity_pages: u64,
 }
@@ -132,13 +136,17 @@ impl PageAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds no full page.
+    /// Panics if the capacity holds no full page, or more than `u32::MAX`
+    /// pages (16 TB).
     pub fn new(capacity_bytes: u64, seed: u64) -> Self {
         let capacity_pages = capacity_bytes / PAGE;
         assert!(capacity_pages > 0, "capacity below one page");
+        let Ok(frames) = u32::try_from(capacity_pages) else {
+            panic!("capacity of {capacity_pages} pages exceeds the u32 frame range");
+        };
         PageAllocator {
             map: FrameTable::new(),
-            free: (0..capacity_pages).collect(),
+            free: (0..frames).collect(),
             rng: SplitMix64::new(seed),
             capacity_pages,
         }
@@ -177,7 +185,7 @@ impl PageAllocator {
                 let idx = self.rng.gen_range(self.free.len() as u64) as usize;
                 let p = self.free.swap_remove(idx);
                 self.map.insert_at(slot, key, p);
-                (p, true)
+                (u64::from(p), true)
             }
         };
         (PAddr::new(ppage * PAGE + offset), fresh)
@@ -212,7 +220,7 @@ impl PageAllocator {
             .iter()
             .zip(&self.map.frames)
             .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &f)| (k, f))
+            .map(|(&k, &f)| (k, u64::from(f)))
             .collect();
         entries.sort_unstable();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -378,6 +386,20 @@ mod tests {
         for v in 0..9u64 {
             a.translate(0, VAddr::new(v * PAGE));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 frame range")]
+    fn rejects_capacity_beyond_u32_frames() {
+        PageAllocator::new((u64::from(u32::MAX) + 1) * PAGE, 1);
+    }
+
+    #[test]
+    fn frame_entries_are_four_bytes() {
+        let mut a = PageAllocator::new(1 << 20, 1);
+        a.translate(0, VAddr::new(0));
+        assert_eq!(std::mem::size_of_val(&a.free[0]), 4);
+        assert_eq!(std::mem::size_of_val(&a.map.frames[0]), 4);
     }
 
     #[test]
