@@ -3,8 +3,8 @@
 //! Every bench target in `benches/` regenerates one table or figure of the
 //! paper at a reduced scale — it *prints* the paper-style series once, then
 //! times a representative kernel so `cargo bench` also tracks simulator
-//! performance regressions. `EXPERIMENTS.md` records the paper-vs-measured
-//! comparison produced at the default evaluation scale.
+//! performance regressions. The paper's own numbers are in `PAPER.md`; no
+//! measured-vs-paper ledger exists yet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

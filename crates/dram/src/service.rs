@@ -67,8 +67,7 @@ impl ServiceModel {
     }
 
     /// The canonical token form (`unbounded` / `queued:<depth>`), used in
-    /// run logs, shard headers, cluster leases and config digests. Inverse
-    /// of [`ServiceModel::parse`].
+    /// run records and config digests. Inverse of [`ServiceModel::parse`].
     pub fn token(&self) -> String {
         match self {
             ServiceModel::Unbounded => "unbounded".to_string(),

@@ -5,8 +5,6 @@
 //! cargo run -p sim --release --bin reproduce -- scenario <name|all> [options]
 //! cargo run -p sim --release --bin reproduce -- merge <file>... [--out FILE]
 //! cargo run -p sim --release --bin reproduce -- query <dir|file>... [filters]
-//! cargo run -p sim --release --bin reproduce -- serve <grid> [options]
-//! cargo run -p sim --release --bin reproduce -- worker <host:port> [options]
 //!
 //! options:
 //!   --exp <id>        experiment id (fig01..fig18, table2, abl-budget,
@@ -28,7 +26,7 @@
 //!                     queued latencies grow under contention
 //!                                                  [default: unbounded]
 //!   --shard <K/N>     run only slice K of an N-way split of the grid and
-//!                     emit the machine-readable shard cells instead of the
+//!                     emit the slice as a run-record file instead of the
 //!                     rendered reports (evalsuite / scenario grids only)
 //!   --runlog <dir>    append one structured run record per simulated grid
 //!                     cell to <dir> (evalsuite / scenario grids only);
@@ -51,12 +49,13 @@
 //!   --runlog/--out apply as above)
 //!
 //! merge subcommand (reassemble a sharded run):
-//!   merge <file>...   merge shard files back into the full grid and print
+//!   merge <file>...   merge shard slices back into the full grid and print
 //!                     the reports a monolithic run would print — byte-
 //!                     identical output, enforced in CI with `cmp`
 //!
 //! query subcommand (aggregate accumulated run records):
-//!   query <dir|file>...   read run-record files (or whole run directories)
+//!   query <dir|file>...   read run-record files, shard slices included (or
+//!                         whole run directories)
 //!   --scheme <tok>        keep one scheme (baseline, hybrid2, mempod, …)
 //!   --workload <name>     keep one workload/scenario by name
 //!   --ratio <1gb|2gb|4gb> keep one NM:FM ratio
@@ -65,36 +64,16 @@
 //!                         exact match, depth included
 //!   (--out applies as above)
 //!
-//! serve subcommand (fault-tolerant cluster dispatcher, see `sim::cluster`):
-//!   serve <grid>          dispatch a grid (scenario:<name|all>, eval:smoke,
-//!                         eval:full, generated:<count>:<seed>:<name|all>
-//!                         or specfile:<path>:<name|all>) as leased shard
-//!                         slices to workers
-//!   --shards <n>          how many slices to deal              [default: 4]
-//!   --workers-expected <k> informational worker count for logs [default: 1]
-//!   --deadline-secs <s>   per-lease deadline; also the no-progress
-//!                         threshold for in-process takeover   [default: 60]
-//!   --listen <addr>       listen address              [default: 127.0.0.1:0]
-//!   --addr-file <file>    write the bound address here (ephemeral ports)
-//!   (--ratio/--scale/--instrs/--seed/--threads/--batch/--service/
-//!   --runlog/--out apply as above; output is byte-identical to the
-//!   monolithic run)
-//!
-//! worker subcommand (one cluster worker process):
-//!   worker <host:port>    lease slices from a dispatcher until `done`
-//!   --threads <n>         this worker's simulation threads  [default: #cpus]
-//!   --fault-stall-secs <s> fault injection: stall before the first slice
-//!   --fault-duplicate     fault injection: deliver every result twice
 //! ```
 //!
 //! Exit status: 0 on success, 1 on runtime failure (I/O, inconsistent
-//! shard files, corrupt run records), 2 on a usage error (unknown
+//! shard slices, corrupt run records), 2 on a usage error (unknown
 //! flag/subcommand/id, malformed filter value, a `--scale` outside the
 //! powers of two in [1, 2048]). Argument handling never panics.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
 use sim::shard::{self, ShardSpec};
-use sim::{cluster, runlog, scenario, EvalConfig, GridId, NmRatio, ScaledSystem, ServiceModel};
+use sim::{runlog, scenario, EvalConfig, GridId, NmRatio, ScaledSystem, ServiceModel};
 
 /// One-screen usage summary printed alongside every usage error.
 const USAGE: &str = "\
@@ -110,15 +89,6 @@ usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
        reproduce query <dir|file>... [--scheme TOK] [--workload NAME]
                  [--ratio 1gb|2gb|4gb] [--service MODEL] [--since-record N]
                  [--out FILE]
-       reproduce serve <scenario:<name|all>|eval:smoke|eval:full
-                 |generated:<count>:<seed>:<name|all>
-                 |specfile:<path>:<name|all>>
-                 [--shards N] [--workers-expected K] [--deadline-secs S]
-                 [--listen ADDR] [--addr-file FILE] [--ratio 1gb|2gb|4gb]
-                 [--scale N] [--instrs N] [--seed N] [--threads N]
-                 [--batch N] [--service MODEL] [--runlog DIR] [--out FILE]
-       reproduce worker <host:port> [--threads N] [--fault-stall-secs S]
-                 [--fault-duplicate]
 
 run `reproduce --list` for experiment ids, `reproduce scenario --list`
 for the scenario catalog; see the module docs for flag semantics.
@@ -164,13 +134,6 @@ enum Command {
         query: runlog::Query,
         out: Option<String>,
     },
-    /// `serve <grid> …` — the cluster dispatcher.
-    Serve {
-        sc: cluster::ServeConfig,
-        out: Option<String>,
-    },
-    /// `worker <host:port> …` — one cluster worker.
-    Worker { wc: cluster::WorkerConfig },
 }
 
 /// The value of flag `args[i]`, parsed, or a usage error naming the flag.
@@ -346,164 +309,6 @@ fn load_catalog(
     }
 }
 
-/// The value of flag `args[i]` as a positive, finite duration in seconds
-/// (fractions allowed), or a usage error naming the flag.
-fn flag_secs(args: &[String], i: usize, name: &str) -> Result<std::time::Duration, String> {
-    let v = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{name} needs a value in seconds"))?;
-    let secs: f64 = v
-        .parse()
-        .map_err(|_| format!("{name} needs a number of seconds, got {v:?}"))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("{name} must be a positive number of seconds"));
-    }
-    Ok(std::time::Duration::from_secs_f64(secs))
-}
-
-/// Parses `reproduce serve …`; `args` excludes the leading token.
-fn parse_serve(args: &[String]) -> Result<Command, String> {
-    let mut cfg = EvalConfig::default_eval();
-    let mut ratio = NmRatio::OneGb;
-    let mut grid: Option<GridId> = None;
-    let mut shards = 4usize;
-    let mut workers_expected = 1usize;
-    let mut deadline = std::time::Duration::from_secs(60);
-    let mut listen = "127.0.0.1:0".to_owned();
-    let mut addr_file = None;
-    let mut rl = None;
-    let mut out = None;
-    let mut unused_shard = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(next) = parse_sizing_flag(&mut cfg, args, i)? {
-            i = next;
-            continue;
-        }
-        match args[i].as_str() {
-            "--shards" => {
-                shards = flag_value(args, i, "--shards")?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-                i += 2;
-            }
-            "--workers-expected" => {
-                workers_expected = flag_value(args, i, "--workers-expected")?;
-                i += 2;
-            }
-            "--deadline-secs" => {
-                deadline = flag_secs(args, i, "--deadline-secs")?;
-                i += 2;
-            }
-            "--listen" => {
-                listen = args
-                    .get(i + 1)
-                    .ok_or("--listen needs an address (host:port)")?
-                    .clone();
-                i += 2;
-            }
-            "--addr-file" => {
-                addr_file = Some(
-                    args.get(i + 1)
-                        .ok_or("--addr-file needs a file path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--ratio" => {
-                let v = args.get(i + 1).ok_or("--ratio needs a value")?;
-                ratio = shard::parse_ratio_token(v)?;
-                i += 2;
-            }
-            _ => {
-                if let Some(next) =
-                    parse_output_flag(&mut unused_shard, &mut rl, &mut out, args, i)?
-                {
-                    if unused_shard.is_some() {
-                        return Err("--shard does not apply to serve (use --shards N)".to_owned());
-                    }
-                    i = next;
-                    continue;
-                }
-                match args[i].as_str() {
-                    tok if !tok.starts_with('-') && grid.is_none() => {
-                        grid = Some(cluster::parse_grid_token(tok)?);
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown serve argument {other:?}")),
-                }
-            }
-        }
-    }
-    let grid = grid.ok_or(
-        "serve needs a grid (scenario:<name|all>, eval:smoke, eval:full, \
-         generated:<count>:<seed>:<name|all> or specfile:<path>:<name|all>)",
-    )?;
-    // Bad grids — unknown scenario names, unreadable or malformed spec
-    // files — are usage errors (exit 2), same as the scenario
-    // subcommand's own selector validation.
-    shard::validate_grid(&grid)?;
-    Ok(Command::Serve {
-        sc: cluster::ServeConfig {
-            grid,
-            ratio,
-            cfg,
-            shards,
-            workers_expected,
-            deadline,
-            listen,
-            addr_file,
-            runlog: rl,
-        },
-        out,
-    })
-}
-
-/// Parses `reproduce worker …`; `args` excludes the leading token.
-fn parse_worker(args: &[String]) -> Result<Command, String> {
-    let mut addr: Option<String> = None;
-    let mut threads = EvalConfig::default_eval().threads;
-    let mut fault_stall = None;
-    let mut fault_duplicate = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                threads = flag_value(args, i, "--threads")?;
-                i += 2;
-            }
-            "--fault-stall-secs" => {
-                fault_stall = Some(flag_secs(args, i, "--fault-stall-secs")?);
-                i += 2;
-            }
-            "--fault-duplicate" => {
-                fault_duplicate = true;
-                i += 1;
-            }
-            tok if !tok.starts_with('-') && addr.is_none() => {
-                addr = Some(tok.to_owned());
-                i += 1;
-            }
-            other => return Err(format!("unknown worker argument {other:?}")),
-        }
-    }
-    let addr = addr.ok_or("worker needs a dispatcher address (host:port)")?;
-    if !addr.contains(':') {
-        return Err(format!("worker address {addr:?} is not host:port"));
-    }
-    Ok(Command::Worker {
-        wc: cluster::WorkerConfig {
-            addr,
-            threads,
-            fault_stall,
-            fault_duplicate,
-        },
-    })
-}
-
 /// Parses `reproduce query …`; `args` excludes the leading token.
 fn parse_query(args: &[String]) -> Result<Command, String> {
     let mut inputs = Vec::new();
@@ -620,7 +425,7 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown argument {other:?} (subcommands: scenario, merge)"
+                    "unknown argument {other:?} (subcommands: scenario, merge, query)"
                 ))
             }
         }
@@ -657,8 +462,6 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
         Some("scenario") => parse_scenario(&args[1..]),
         Some("merge") => parse_merge(&args[1..]),
         Some("query") => parse_query(&args[1..]),
-        Some("serve") => parse_serve(&args[1..]),
-        Some("worker") => parse_worker(&args[1..]),
         _ => parse_eval(args),
     }
 }
@@ -704,38 +507,22 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-/// The run-record `source` tag of a grid.
-fn grid_source(grid: &GridId) -> String {
-    match grid {
-        GridId::Scenario { selector } => format!("scenario:{selector}"),
-        GridId::Eval { smoke } => {
-            format!("evalsuite:{}", if *smoke { "smoke" } else { "full" })
-        }
-        GridId::SpecFile { path, selector } => format!("specfile:{path}:{selector}"),
-        GridId::Generated {
-            count,
-            seed,
-            selector,
-        } => format!("generated:{count}:{seed}:{selector}"),
-    }
-}
-
-/// Appends one run record per cell to `--runlog DIR`, if requested.
-fn record_cells_to(
+/// Appends `records` to a fresh file in `--runlog DIR`, if requested.
+fn record_to(
     runlog_dir: &Option<String>,
     source: &str,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    cells: &[(shard::CellKey, sim::RunResult, f64)],
+    records: &[runlog::RunRecord],
 ) -> Result<(), String> {
     let Some(dir) = runlog_dir else {
         return Ok(());
     };
     let mut log = runlog::RunLog::create(std::path::Path::new(dir), source)?;
-    runlog::record_cells(&mut log, source, ratio, cfg, cells)?;
+    for rec in records {
+        log.append(rec)?;
+    }
     eprintln!(
         "recorded {} run record(s) to {}",
-        cells.len(),
+        records.len(),
         log.path().display()
     );
     Ok(())
@@ -762,7 +549,7 @@ fn record_matrix_to(
     Ok(())
 }
 
-/// Runs one shard of `grid` and emits the interchange file.
+/// Runs one shard of `grid` and emits the slice file.
 fn run_shard_cmd(
     grid: &GridId,
     ratio: NmRatio,
@@ -779,9 +566,9 @@ fn run_shard_cmd(
         cfg.threads
     );
     let started = std::time::Instant::now();
-    let run = shard::run_shard(grid, ratio, cfg, sh)?;
-    emit(out, &run.encoded)?;
-    record_cells_to(runlog_dir, &grid_source(grid), ratio, cfg, &run.cells)?;
+    let records = shard::run_shard(grid, ratio, cfg, sh)?;
+    emit(out, &runlog::encode_slice(grid, sh, &records))?;
+    record_to(runlog_dir, &shard::grid_token(grid), &records)?;
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     Ok(())
 }
@@ -823,9 +610,9 @@ fn run_merge(files: &[String], out: &Option<String>) -> Result<(), String> {
     }
     let merged = shard::merge(&inputs)?;
     eprintln!(
-        "merged {} shard file(s): {:?} at 1/{} scale, {} instrs/core, NM {}",
+        "merged {} shard file(s): {} at 1/{} scale, {} instrs/core, NM {}",
         inputs.len(),
-        merged.grid,
+        shard::grid_token(&merged.grid),
         merged.scale_den,
         merged.instrs_per_core,
         shard::ratio_token(merged.ratio)
@@ -893,7 +680,7 @@ fn run_scenario(
         text.push('\n');
     }
     emit(out, &text)?;
-    record_matrix_to(runlog_dir, &grid_source(&grid), &m, &secs, cfg)?;
+    record_matrix_to(runlog_dir, &shard::grid_token(&grid), &m, &secs, cfg)?;
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     Ok(())
 }
@@ -939,7 +726,7 @@ fn run_eval(
             text.push('\n');
         }
         emit(out, &text)?;
-        record_matrix_to(runlog_dir, &grid_source(&grid), &m, &secs, cfg)?;
+        record_matrix_to(runlog_dir, &shard::grid_token(&grid), &m, &secs, cfg)?;
     } else {
         for report in run_by_id(exp, cfg, smoke) {
             text.push_str(&report.render());
@@ -986,8 +773,6 @@ fn main() {
         ),
         Command::Merge { files, out } => run_merge(files, out),
         Command::Query { inputs, query, out } => run_query_cmd(inputs, query, out),
-        Command::Serve { sc, out } => cluster::serve(sc).and_then(|text| emit(out, &text)),
-        Command::Worker { wc } => cluster::worker(wc),
     };
     if let Err(e) = outcome {
         eprintln!("error: {e}");
@@ -1268,110 +1053,6 @@ mod tests {
         assert!(parse(&["scenario", "all", "--service", "queued:"])
             .unwrap_err()
             .contains("--service"));
-    }
-
-    #[test]
-    fn serve_flags_parse_and_validate() {
-        match parse(&[
-            "serve",
-            "scenario:stream-chase",
-            "--shards",
-            "4",
-            "--workers-expected",
-            "3",
-            "--deadline-secs",
-            "0.5",
-            "--listen",
-            "127.0.0.1:0",
-            "--addr-file",
-            "addr.txt",
-            "--ratio",
-            "2gb",
-            "--scale",
-            "1024",
-            "--runlog",
-            "rundir",
-            "--out",
-            "cluster.txt",
-        ])
-        .unwrap()
-        {
-            Command::Serve { sc, out } => {
-                assert_eq!(
-                    sc.grid,
-                    GridId::Scenario {
-                        selector: "stream-chase".to_owned()
-                    }
-                );
-                assert_eq!(sc.shards, 4);
-                assert_eq!(sc.workers_expected, 3);
-                assert_eq!(sc.deadline, std::time::Duration::from_millis(500));
-                assert_eq!(sc.listen, "127.0.0.1:0");
-                assert_eq!(sc.addr_file.as_deref(), Some("addr.txt"));
-                assert_eq!(sc.ratio, NmRatio::TwoGb);
-                assert_eq!(sc.cfg.scale_den, 1024);
-                assert_eq!(sc.runlog.as_deref(), Some("rundir"));
-                assert_eq!(out.as_deref(), Some("cluster.txt"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Usage errors (exit 2), never panics.
-        assert!(parse(&["serve"]).unwrap_err().contains("grid"));
-        let e = parse(&["serve", "grid:x"]).unwrap_err();
-        assert!(e.contains("grid:x"), "{e}");
-        let e = parse(&["serve", "scenario:not-a-scenario"]).unwrap_err();
-        assert!(e.contains("unknown scenario"), "{e}");
-        let e = parse(&["serve", "eval:smoke", "--shards", "0"]).unwrap_err();
-        assert!(e.contains("--shards"), "{e}");
-        let e = parse(&["serve", "eval:smoke", "--deadline-secs", "-1"]).unwrap_err();
-        assert!(e.contains("--deadline-secs"), "{e}");
-        let e = parse(&["serve", "eval:smoke", "--deadline-secs", "soon"]).unwrap_err();
-        assert!(e.contains("soon"), "{e}");
-        let e = parse(&["serve", "eval:smoke", "--shard", "1/2"]).unwrap_err();
-        assert!(e.contains("--shards N"), "{e}");
-        assert!(parse(&["serve", "eval:smoke", "--bogus"])
-            .unwrap_err()
-            .contains("unknown serve argument"));
-    }
-
-    #[test]
-    fn worker_flags_parse_and_validate() {
-        match parse(&[
-            "worker",
-            "127.0.0.1:9999",
-            "--threads",
-            "2",
-            "--fault-stall-secs",
-            "1.5",
-            "--fault-duplicate",
-        ])
-        .unwrap()
-        {
-            Command::Worker { wc } => {
-                assert_eq!(wc.addr, "127.0.0.1:9999");
-                assert_eq!(wc.threads, 2);
-                assert_eq!(wc.fault_stall, Some(std::time::Duration::from_millis(1500)));
-                assert!(wc.fault_duplicate);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&["worker", "localhost:7"]).unwrap() {
-            Command::Worker { wc } => {
-                assert!(wc.fault_stall.is_none());
-                assert!(!wc.fault_duplicate);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Usage errors (exit 2), never panics.
-        assert!(parse(&["worker"]).unwrap_err().contains("address"));
-        let e = parse(&["worker", "no-port"]).unwrap_err();
-        assert!(e.contains("host:port"), "{e}");
-        assert!(parse(&["worker", "h:1", "--bogus"])
-            .unwrap_err()
-            .contains("unknown worker argument"));
-        assert!(parse(&["worker", "h:1", "--fault-stall-secs"])
-            .unwrap_err()
-            .contains("--fault-stall-secs"));
     }
 
     #[test]

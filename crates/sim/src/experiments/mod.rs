@@ -3,8 +3,8 @@
 //!
 //! Every experiment is a pure function of an [`EvalConfig`] and a workload
 //! set, returning printable [`Report`]s; the `reproduce` binary and the
-//! criterion benches are thin wrappers. `EXPERIMENTS.md` records paper-vs-
-//! measured values for each.
+//! criterion benches are thin wrappers. The paper's own numbers are in
+//! `PAPER.md`; no measured-vs-paper ledger exists yet.
 
 mod ablations;
 mod fig01;

@@ -20,13 +20,9 @@
 //!   `reproduce scenario` subcommand.
 //! * [`shard`] — process-level `--shard K/N` slicing of the grids and the
 //!   `reproduce merge` reassembly, byte-identical to a monolithic run.
-//! * [`cluster`] — the fault-tolerant dispatcher/worker pair behind
-//!   `reproduce serve` and `reproduce worker`: leased shard slices over
-//!   TCP with deadlines, heartbeats, straggler re-deal and in-process
-//!   degradation, merge-gated to the same byte-identity contract.
-//! * [`runlog`] — append-only, versioned run records (one per simulated
-//!   grid cell, float-bit exact) and the query store behind
-//!   `reproduce query`.
+//! * [`runlog`] — the one versioned run-record format (one record per
+//!   simulated grid cell, float-bit exact): run directories, shard slices
+//!   and the query store behind `reproduce query`.
 //!
 //! # Example
 //!
@@ -45,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod any_scheme;
-pub mod cluster;
 pub mod experiments;
 mod machine;
 mod matrix;

@@ -283,10 +283,10 @@ impl Matrix {
     /// Runs only the grid cells of shard `index0` (0-based) of a
     /// `count`-way split (see [`shard_jobs`]) on the same work-stealing
     /// scheduler, returning `(job, result, wall-clock secs)` triples in
-    /// slot order. The `sim::shard` module encodes these to the shard
-    /// interchange format (dropping the timing — byte-identity); merging
-    /// every shard of a split reassembles the exact [`Matrix`] that
-    /// [`Matrix::run`] computes monolithically.
+    /// slot order. The `sim::shard` module turns these into the run
+    /// records of a slice file; merging every slice of a split
+    /// reassembles the exact [`Matrix`] that [`Matrix::run`] computes
+    /// monolithically.
     pub(crate) fn run_shard(
         kinds: &[SchemeKind],
         specs: &[WorkloadSpec],

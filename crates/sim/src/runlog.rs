@@ -1,5 +1,6 @@
-//! Structured per-run telemetry: append-only run records and the
-//! queryable result store behind `reproduce query`.
+//! Structured per-run telemetry: the one run-record format, written by
+//! run directories and `--shard` slices alike, and the queryable result
+//! store behind `reproduce query`.
 //!
 //! Every execution path — [`crate::run_one`] (via the timed grid runner),
 //! [`Matrix::run`]/`run_shard`, [`crate::scenario::run_grid`] and the
@@ -11,24 +12,27 @@
 //! [`RunResult`] including the scheme's [`SchemeStats`] window counters,
 //! plus wall-clock seconds and mem-ops/sec simulator throughput).
 //!
-//! The on-disk format follows the shard-interchange discipline of
-//! [`crate::shard`]: versioned (`hybrid2-runlog-v1`), line-oriented,
-//! tab-separated, floats as IEEE-754 bit patterns so records round-trip
-//! float-bit exactly, and encode/decode destructure [`RunRecord`],
-//! [`RunResult`] and [`SchemeStats`] exhaustively so format drift fails
-//! to compile instead of silently dropping columns. Each process appends
-//! to its own `run-NNNNN.runlog.tsv` file inside the run directory
-//! (claimed atomically with `create_new`), so concurrent shard processes
-//! never interleave writes; a run directory accumulates files over time —
-//! the append-only history `reproduce query` aggregates.
+//! The on-disk format is versioned (`hybrid2-runlog-v4`), line-oriented
+//! and tab-separated: a version line, a `writer` header, then `record`
+//! rows numbered contiguously from zero. A `--shard K/N` slice is the same
+//! file with a `grid` and a `shard` header after the writer, and
+//! [`crate::shard::merge`] reads it through this module's decoder. Floats
+//! travel as IEEE-754 bit patterns, so records round-trip float-bit
+//! exactly, and encode/decode destructure [`RunRecord`], [`RunResult`] and
+//! [`SchemeStats`] exhaustively so format drift fails to compile instead
+//! of silently dropping columns. Each process appends to its own
+//! `run-NNNNN.runlog.tsv` file inside the run directory (claimed
+//! atomically with `create_new`), so concurrent shard processes never
+//! interleave writes; a run directory accumulates files over time — the
+//! append-only history `reproduce query` aggregates.
 //!
-//! Reading is strict, mirroring `reproduce merge`: version and writer
-//! headers are mandatory, per-file record sequence numbers must be
-//! contiguous from zero, rows must hold exactly [`REC_COLS`] columns, a
-//! file whose last line lost its newline is rejected as truncated, and
-//! the same writer appearing twice (the same file supplied twice, under
-//! any name) is an error naming both files. All failures are `Err`s
-//! naming the offending file — never a panic.
+//! Reading is strict: version and writer headers are mandatory, a `grid`
+//! header must be followed by a `shard` header, per-file record sequence
+//! numbers must be contiguous from zero, rows must hold exactly
+//! [`REC_COLS`] columns, a file whose last line lost its newline is
+//! rejected as truncated, and the same writer appearing twice (the same
+//! file supplied twice, under any name) is an error naming both files.
+//! All failures are `Err`s naming the offending file — never a panic.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,19 +49,17 @@ use crate::report::{f3, Report};
 use crate::runner::{EvalConfig, SchemeKind};
 use crate::scale::NmRatio;
 use crate::shard::{
-    f64_bits, kind_token, parse_f64_bits, parse_kind_token, parse_ratio_token, parse_u64,
-    ratio_token, CellKey,
+    grid_token, kind_token, parse_grid_token, parse_kind_token, parse_ratio_token, parse_u64,
+    ratio_token, GridId, ShardSpec,
 };
 
 /// First line of every run-record file; bumped on any format change.
-/// v2 appended the cluster-dispatcher lease telemetry columns
-/// (`lease_wall_secs`, `redeals`); v3 appended the memory-service
-/// columns (`service_model`, `queue_depth`, per-side mean/max
-/// queue-occupancy).
-pub const VERSION: &str = "hybrid2-runlog-v3";
+/// v4 made a `--shard` slice a record file (optional `grid`/`shard`
+/// headers) and dropped the two lease-telemetry columns.
+pub const VERSION: &str = "hybrid2-runlog-v4";
 
 /// Number of tab-separated columns in a `record` row.
-pub const REC_COLS: usize = 45;
+pub const REC_COLS: usize = 43;
 
 /// File-name suffix of every record file inside a run directory.
 pub const FILE_SUFFIX: &str = ".runlog.tsv";
@@ -146,14 +148,6 @@ pub struct RunRecord {
     /// Simulator throughput in mem-ops/sec ([`ops_per_sec`]; always
     /// finite, 0.0 when no ops ran).
     pub mem_ops_per_sec: f64,
-    /// Wall-clock seconds of the cluster *lease* that produced this cell
-    /// (deal → accepted result, as observed by the dispatcher). 0.0 for
-    /// records from non-cluster sources, where no lease exists.
-    pub lease_wall_secs: f64,
-    /// How many times the cluster dispatcher re-dealt this cell's shard
-    /// slice before a result was accepted (dead/stalled workers). 0 for
-    /// non-cluster sources and for slices completed on the first deal.
-    pub redeals: u64,
     /// The memory-service model the run simulated under (a
     /// result-affecting knob, unlike batch/threads).
     pub service_model: ServiceModel,
@@ -225,8 +219,6 @@ impl RunRecord {
             stats: stats.clone(),
             wall_secs,
             mem_ops_per_sec: ops_per_sec(mem_ops, wall_secs),
-            lease_wall_secs: 0.0,
-            redeals: 0,
             service_model: cfg.service,
             queue_depth: u64::from(cfg.service.queue_depth()),
             nm_queue_mean,
@@ -234,15 +226,6 @@ impl RunRecord {
             fm_queue_mean,
             fm_queue_max,
         }
-    }
-
-    /// Attaches cluster lease telemetry: `lease_wall_secs` is the deal →
-    /// accepted-result wall clock of the slice that carried this cell,
-    /// `redeals` how often the dispatcher had to re-deal that slice.
-    pub fn with_lease(mut self, lease_wall_secs: f64, redeals: u64) -> RunRecord {
-        self.lease_wall_secs = lease_wall_secs;
-        self.redeals = redeals;
-        self
     }
 }
 
@@ -296,6 +279,37 @@ fn sanitize(s: &str) -> String {
     s.replace(['\t', '\n', '\r'], "-")
 }
 
+/// IEEE-754 bit pattern of `v` as fixed-width hex — the exact-round-trip
+/// float encoding of record rows.
+fn f64_bits(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+fn parse_f64_bits(s: &str, what: &str) -> Result<f64, String> {
+    if s.len() != 16 {
+        return Err(format!("{what} {s:?} is not a 16-digit hex bit pattern"));
+    }
+    u64::from_str_radix(s, 16)
+        .map(f64::from_bits)
+        .map_err(|_| format!("{what} {s:?} is not a 16-digit hex bit pattern"))
+}
+
+/// A writer identity no other invocation shares: `context`, the process
+/// id and a nanosecond timestamp. The reader uses it to reject the same
+/// *file* supplied twice while still accepting two identical *runs*.
+fn writer_id(context: &str) -> String {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos())
+        .unwrap_or(0);
+    sanitize(&format!("{context}.{}.{nanos}", std::process::id()))
+}
+
+/// The version line and `writer` header every record file opens with.
+fn file_header(writer: &str) -> String {
+    format!("{VERSION}\nwriter\t{writer}\n")
+}
+
 /// Encodes one record row. `seq` is the record's 0-based position within
 /// its file.
 fn encode_record(rec: &RunRecord, seq: u64) -> String {
@@ -324,8 +338,6 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
         ref stats,
         wall_secs,
         mem_ops_per_sec,
-        lease_wall_secs,
-        redeals,
         service_model,
         queue_depth,
         nm_queue_mean,
@@ -357,8 +369,8 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
          {footprint}\t{requests}\t{reads}\t{writes}\t{served_from_nm}\t{lookup_hits}\t\
          {lookup_misses}\t{moved_into_nm}\t{moved_out_of_nm}\t{dirty_writebacks}\t\
          {metadata_reads}\t{metadata_writes}\t{fetched_bytes}\t{used_bytes}\t{wall_secs}\t\
-         {mem_ops_per_sec}\t{lease_wall_secs}\t{redeals}\t{service}\t{queue_depth}\t\
-         {nm_queue_mean}\t{nm_queue_max}\t{fm_queue_mean}\t{fm_queue_max}",
+         {mem_ops_per_sec}\t{service}\t{queue_depth}\t{nm_queue_mean}\t{nm_queue_max}\t\
+         {fm_queue_mean}\t{fm_queue_max}",
         source = sanitize(source),
         workload = sanitize(workload),
         kind = kind_token(kind),
@@ -369,7 +381,6 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
         energy = f64_bits(energy_mj),
         wall_secs = f64_bits(wall_secs),
         mem_ops_per_sec = f64_bits(mem_ops_per_sec),
-        lease_wall_secs = f64_bits(lease_wall_secs),
         service = service_model.token(),
         nm_queue_mean = f64_bits(nm_queue_mean),
         fm_queue_mean = f64_bits(fm_queue_mean),
@@ -422,15 +433,13 @@ fn decode_record(cols: &[&str]) -> Result<(u64, RunRecord), String> {
         },
         wall_secs: fb(35, "wall_secs")?,
         mem_ops_per_sec: fb(36, "mem_ops_per_sec")?,
-        lease_wall_secs: fb(37, "lease_wall_secs")?,
-        redeals: u(38, "redeals")?,
-        service_model: ServiceModel::parse(cols[39])
-            .ok_or_else(|| format!("unknown service model {:?}", cols[39]))?,
-        queue_depth: u(40, "queue_depth")?,
-        nm_queue_mean: fb(41, "nm_queue_mean")?,
-        nm_queue_max: u(42, "nm_queue_max")?,
-        fm_queue_mean: fb(43, "fm_queue_mean")?,
-        fm_queue_max: u(44, "fm_queue_max")?,
+        service_model: ServiceModel::parse(cols[37])
+            .ok_or_else(|| format!("unknown service model {:?}", cols[37]))?,
+        queue_depth: u(38, "queue_depth")?,
+        nm_queue_mean: fb(39, "nm_queue_mean")?,
+        nm_queue_max: u(40, "nm_queue_max")?,
+        fm_queue_mean: fb(41, "fm_queue_mean")?,
+        fm_queue_max: u(42, "fm_queue_max")?,
     };
     Ok((seq, rec))
 }
@@ -451,19 +460,12 @@ pub struct RunLog {
 
 impl RunLog {
     /// Creates the run directory (if needed) and claims the next free
-    /// record file in it, stamping the version and writer headers. The
-    /// writer identity embeds the process id and a nanosecond timestamp,
-    /// so two invocations never collide — the reader uses it to reject
-    /// the same *file* supplied twice while still accepting two
-    /// identical *runs*.
+    /// record file in it, stamping the version and a writer header unique
+    /// to this invocation (`context`, process id, nanosecond timestamp).
     pub fn create(dir: &Path, context: &str) -> Result<RunLog, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create run directory {}: {e}", dir.display()))?;
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        let writer = sanitize(&format!("{context}.{}.{nanos}", std::process::id()));
+        let header = file_header(&writer_id(context));
         // Scan for the highest claimed number first, so a dense run
         // directory costs one readdir, not one failed create_new per
         // existing file. The claim loop after the scan only has to absorb
@@ -478,10 +480,9 @@ impl RunLog {
             let path = dir.join(format!("run-{next:05}{FILE_SUFFIX}"));
             match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut file) => {
-                    file.write_all(format!("{VERSION}\nwriter\t{writer}\n").as_bytes())
-                        .map_err(|e| {
-                            format!("cannot write run-record header to {}: {e}", path.display())
-                        })?;
+                    file.write_all(header.as_bytes()).map_err(|e| {
+                        format!("cannot write run-record header to {}: {e}", path.display())
+                    })?;
                     return Ok(RunLog { path, file, seq: 0 });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => next += 1,
@@ -558,36 +559,45 @@ pub fn record_matrix(
     Ok(())
 }
 
-/// Appends one record per sharded grid cell (the timed `(cell, result,
-/// wall-secs)` triples of a `--shard` run), in slot order.
-pub fn record_cells(
-    log: &mut RunLog,
-    source: &str,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    cells: &[(CellKey, RunResult, f64)],
-) -> Result<(), String> {
-    for (key, r, secs) in cells {
-        log.append(&RunRecord::new(source, key.kind, ratio, cfg, r, *secs))?;
+/// Encodes one `--shard` slice as a run-record file: the version line, a
+/// fresh writer, the `grid` and `shard` headers [`crate::shard::merge`]
+/// re-enumerates the partition from, then one row per record in order.
+pub fn encode_slice(grid: &GridId, shard: ShardSpec, records: &[RunRecord]) -> String {
+    let mut out = file_header(&writer_id(&format!(
+        "shard-{}-of-{}",
+        shard.index, shard.count
+    )));
+    let _ = writeln!(out, "grid\t{}\nshard\t{shard}", sanitize(&grid_token(grid)));
+    for (seq, rec) in records.iter().enumerate() {
+        out.push_str(&encode_record(rec, seq as u64));
     }
-    Ok(())
+    out
 }
 
 /// One parsed record file.
-struct DecodedFile {
+pub(crate) struct RecordFile {
+    /// The writer identity of the file.
     writer: String,
-    records: Vec<RunRecord>,
+    /// The `grid` and `shard` headers of a `--shard` slice; `None` for a
+    /// run-directory file.
+    pub(crate) slice: Option<(GridId, ShardSpec)>,
+    /// The record rows, in sequence order.
+    pub(crate) records: Vec<RunRecord>,
 }
 
 /// Parses one record file, strictly (see the module docs).
-fn decode_file(contents: &str) -> Result<DecodedFile, String> {
+fn decode_file(contents: &str) -> Result<RecordFile, String> {
     if contents.is_empty() {
         return Err("empty run-record file".to_owned());
     }
+    // A mid-value cut of the final row can survive every other check (the
+    // truncated number still parses, the column count is intact), so the
+    // trailing newline every encoder writes is the one reliable
+    // truncation tell.
     if !contents.ends_with('\n') {
         return Err("file is truncated (last line has no newline)".to_owned());
     }
-    let mut lines = contents.lines();
+    let mut lines = contents.lines().peekable();
     match lines.next() {
         Some(v) if v == VERSION => {}
         Some(v) => {
@@ -600,6 +610,18 @@ fn decode_file(contents: &str) -> Result<DecodedFile, String> {
     let writer = match lines.next().map(|l| l.split('\t').collect::<Vec<_>>()) {
         Some(cols) if cols.len() == 2 && cols[0] == "writer" => cols[1].to_owned(),
         other => return Err(format!("missing writer header, got {other:?}")),
+    };
+    let slice = match lines.peek().copied().and_then(|l| l.strip_prefix("grid\t")) {
+        None => None,
+        Some(token) => {
+            let grid = parse_grid_token(token)?;
+            lines.next();
+            let shard = lines
+                .next()
+                .and_then(|l| l.strip_prefix("shard\t"))
+                .ok_or("a grid header must be followed by a shard header")?;
+            Some((grid, ShardSpec::parse(shard)?))
+        }
     };
     let mut records = Vec::new();
     for line in lines {
@@ -625,7 +647,33 @@ fn decode_file(contents: &str) -> Result<DecodedFile, String> {
         }
         records.push(rec);
     }
-    Ok(DecodedFile { writer, records })
+    Ok(RecordFile {
+        writer,
+        slice,
+        records,
+    })
+}
+
+/// Decodes `(name, contents)` inputs in the given order, naming the file
+/// in every error, and rejects the same writer appearing twice — the same
+/// file supplied twice under any name — naming both files.
+pub(crate) fn decode_files<'a>(
+    inputs: impl IntoIterator<Item = &'a (String, String)>,
+) -> Result<Vec<(&'a str, RecordFile)>, String> {
+    let mut writers: BTreeMap<String, &str> = BTreeMap::new();
+    let mut files = Vec::new();
+    for (name, contents) in inputs {
+        let f = decode_file(contents).map_err(|e| format!("{name}: {e}"))?;
+        if let Some(prev) = writers.insert(f.writer.clone(), name) {
+            return Err(format!(
+                "writer {:?} appears twice ({prev} and {name}): the same record file supplied \
+                 twice?",
+                f.writer
+            ));
+        }
+        files.push((name.as_str(), f));
+    }
+    Ok(files)
 }
 
 /// An assembled result store: every record of every supplied file, in a
@@ -648,18 +696,10 @@ pub struct Store {
 pub fn read_store(inputs: &[(String, String)]) -> Result<Store, String> {
     let mut sorted: Vec<&(String, String)> = inputs.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut writers: BTreeMap<String, String> = BTreeMap::new();
-    let mut records = Vec::new();
-    for (name, contents) in sorted {
-        let f = decode_file(contents).map_err(|e| format!("{name}: {e}"))?;
-        if let Some(prev) = writers.insert(f.writer.clone(), name.clone()) {
-            return Err(format!(
-                "writer {:?} appears in both {prev} and {name} (same record file supplied twice?)",
-                f.writer
-            ));
-        }
-        records.extend(f.records);
-    }
+    let records = decode_files(sorted)?
+        .into_iter()
+        .flat_map(|(_, f)| f.records)
+        .collect();
     Ok(Store {
         files: inputs.len(),
         records,
@@ -734,9 +774,9 @@ fn fops(v: f64) -> String {
 /// Aggregate of one scheme's matched values: total count, the count of
 /// finite positive samples actually aggregated, then geomean/min/max over
 /// those samples. The two counts render side by side so a store whose
-/// records carry no throughput reading (for example zero-rate rows from an
-/// old cluster dispatcher) shows "counted 10, aggregated 3" instead of
-/// passing a geomean of 3 values off as a geomean of 10.
+/// records carry no throughput reading (zero-rate rows) shows "counted
+/// 10, aggregated 3" instead of passing a geomean of 3 values off as a
+/// geomean of 10.
 fn summarize(vals: &[f64]) -> [String; 5] {
     let clean: Vec<f64> = vals
         .iter()
@@ -914,8 +954,6 @@ mod tests {
             },
             wall_secs: 1e-9 * (slot + 1) as f64,
             mem_ops_per_sec: ops_per_sec(13 * slot + 3, 1e-9 * (slot + 1) as f64),
-            lease_wall_secs: 0.25 * slot as f64 + f64::MIN_POSITIVE,
-            redeals: slot % 4,
             service_model: if slot.is_multiple_of(2) {
                 ServiceModel::Unbounded
             } else {
@@ -954,8 +992,6 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.wall_secs.to_bits(), b.wall_secs.to_bits());
         assert_eq!(a.mem_ops_per_sec.to_bits(), b.mem_ops_per_sec.to_bits());
-        assert_eq!(a.lease_wall_secs.to_bits(), b.lease_wall_secs.to_bits());
-        assert_eq!(a.redeals, b.redeals);
         assert_eq!(a.service_model, b.service_model);
         assert_eq!(a.queue_depth, b.queue_depth);
         assert_eq!(a.nm_queue_mean.to_bits(), b.nm_queue_mean.to_bits());
@@ -1026,6 +1062,22 @@ mod tests {
         for (got, want) in store.records.iter().zip(&want) {
             bits_equal(got, want);
         }
+
+        // A shard slice is the same file plus grid/shard headers: the
+        // store reads it, and the decoder hands merge the headers.
+        let grid = GridId::SpecFile {
+            path: "C:/specs/a:b.scn".to_owned(),
+            selector: "all".to_owned(),
+        };
+        let shard = ShardSpec { index: 2, count: 3 };
+        let slice = encode_slice(&grid, shard, &want);
+        let f = decode_file(&slice).unwrap();
+        assert_eq!(f.slice, Some((grid, shard)));
+        let store = read_store(&[("s.tsv".to_owned(), slice)]).unwrap();
+        assert_eq!(store.records.len(), want.len());
+        for (got, want) in store.records.iter().zip(&want) {
+            bits_equal(got, want);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1089,6 +1141,15 @@ mod tests {
         assert!(e.contains("unsupported"), "{e}");
         let e = read_store(&[("w.runlog.tsv".to_owned(), format!("{VERSION}\n"))]).unwrap_err();
         assert!(e.contains("writer"), "{e}");
+        let e = read_store(&[(
+            "g.runlog.tsv".to_owned(),
+            format!("{VERSION}\nwriter\tw\ngrid\teval:smoke\nrecord\t0\n"),
+        )])
+        .unwrap_err();
+        assert!(
+            e.contains("shard header") && e.contains("g.runlog.tsv"),
+            "{e}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1181,44 +1242,6 @@ mod tests {
         assert!(text.contains("2.000"), "{text}");
         assert!(!text.to_lowercase().contains("nan"), "{text}");
         assert!(!text.contains("inf"), "{text}");
-    }
-
-    #[test]
-    fn with_lease_attaches_telemetry() {
-        let rec = nasty_record(0);
-        // RunRecord::new zeroes the lease columns; nasty_record fills
-        // them in by hand — rebuild via new() to check the default.
-        let cfg = EvalConfig::smoke();
-        let fresh = RunRecord::new(
-            "test:unit",
-            SchemeKind::Baseline,
-            NmRatio::OneGb,
-            &cfg,
-            &RunResult {
-                scheme: "BASELINE",
-                workload: "lbm".into(),
-                cycles: rec.cycles,
-                instructions: rec.instructions,
-                mem_ops: rec.mem_ops,
-                mpki: rec.mpki,
-                nm_served: rec.nm_served,
-                fm_traffic: rec.fm_traffic,
-                nm_traffic: rec.nm_traffic,
-                energy_mj: rec.energy_mj,
-                footprint: rec.footprint,
-                nm_queue_mean: 0.0,
-                nm_queue_max: 0,
-                fm_queue_mean: 0.0,
-                fm_queue_max: 0,
-                stats: rec.stats.clone(),
-            },
-            0.5,
-        );
-        assert_eq!(fresh.lease_wall_secs, 0.0);
-        assert_eq!(fresh.redeals, 0);
-        let leased = fresh.with_lease(3.25, 2);
-        assert_eq!(leased.lease_wall_secs, 3.25);
-        assert_eq!(leased.redeals, 2);
     }
 
     #[test]

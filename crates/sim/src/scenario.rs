@@ -9,11 +9,9 @@
 
 use workloads::{Catalog, Scenario, WorkloadSpec};
 
-use crate::machine::RunResult;
 use crate::report::{f3, pct, Report};
 use crate::runner::{EvalConfig, SchemeKind};
 use crate::scale::NmRatio;
-use crate::shard::{CellKey, ShardSpec};
 use crate::Matrix;
 
 /// Resolves a CLI selector against a catalog: `"all"` for every scenario,
@@ -41,19 +39,6 @@ pub fn run_grid(scens: &[&Scenario], ratio: NmRatio, cfg: &EvalConfig) -> Matrix
 /// [`run_grid`]'s; only the timings vary run to run.
 pub fn run_grid_timed(scens: &[&Scenario], ratio: NmRatio, cfg: &EvalConfig) -> (Matrix, Vec<f64>) {
     Matrix::run_timed(&SchemeKind::MAIN, &workloads_of(scens), ratio, cfg)
-}
-
-/// Runs one `--shard K/N` slice of the same scenario grid [`run_grid`]
-/// covers, returning `(cell, result, wall-clock secs)` triples in slot
-/// order for the [`crate::shard`] interchange format. Merging every slice
-/// of a split reproduces [`run_grid`]'s matrix exactly.
-pub fn run_grid_shard(
-    scens: &[&Scenario],
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-) -> Vec<(CellKey, RunResult, f64)> {
-    crate::shard::run_matrix_shard(&SchemeKind::MAIN, &workloads_of(scens), ratio, cfg, shard)
 }
 
 /// One scenario × scheme table: a row per workload, a column per scheme,
@@ -162,22 +147,6 @@ mod tests {
         for rep in grid_reports(&m) {
             let text = rep.render();
             assert!(text.contains("stream-chase"), "{text}");
-        }
-    }
-
-    #[test]
-    fn grid_shard_runs_exactly_its_partition_slice() {
-        let scens = select(scenarios::builtin(), "stream-chase").unwrap();
-        let shard = ShardSpec { index: 1, count: 3 };
-        let cells = run_grid_shard(&scens, NmRatio::OneGb, &tiny_cfg(), shard);
-        let keys = crate::shard::shard_cell_keys(&SchemeKind::MAIN, &workloads_of(&scens), shard);
-        assert!(!cells.is_empty());
-        assert_eq!(cells.len(), keys.len());
-        for ((cell, r, secs), key) in cells.iter().zip(&keys) {
-            assert_eq!(cell, key);
-            assert_eq!(r.workload, key.workload);
-            assert!(r.cycles > 0);
-            assert!(secs.is_finite() && *secs >= 0.0);
         }
     }
 

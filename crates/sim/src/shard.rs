@@ -1,16 +1,15 @@
 //! Process-level sharding of the evaluation grids.
 //!
-//! PR 3 made the in-process matrix scheduler work-stealing; this module is
-//! the distribution layer above it. A grid — the scenario grid or the
-//! `evalsuite` scheme × workload matrix — is partitioned deterministically
-//! into `--shard K/N` slices ([`matrix::shard_jobs`] deals the LPT-sorted
-//! job list round-robin, so every slice gets its share of heavy and light
-//! cells). Each slice runs through the existing work-stealing scheduler in
-//! its own process (a CI job today, another machine tomorrow) and emits its
-//! per-cell results in a stable, hand-rolled TSV interchange format.
-//! [`merge`] reassembles the slices into the exact [`Matrix`] a monolithic
-//! run computes, so the rendered reports are **byte-identical** — floats
-//! are carried as IEEE-754 bit patterns, never re-parsed decimal text.
+//! A grid — the scenario grid or the `evalsuite` scheme × workload
+//! matrix — is partitioned deterministically into `--shard K/N` slices
+//! ([`matrix::shard_jobs`] deals the LPT-sorted job list round-robin, so
+//! every slice gets its share of heavy and light cells). Each slice runs
+//! through the work-stealing scheduler in its own process and is written
+//! as a run-record file ([`crate::runlog`]) with `grid` and `shard`
+//! headers. [`merge`] reads the slices back through the same decoder and
+//! reassembles the exact [`Matrix`] a monolithic run computes, so the
+//! rendered reports are **byte-identical** — floats are carried as
+//! IEEE-754 bit patterns, never re-parsed decimal text.
 //!
 //! The byte-identity contract, concretely:
 //!
@@ -23,34 +22,22 @@
 //! ```
 //!
 //! CI enforces exactly this with a sharded job matrix feeding a blocking
-//! `merge-verify` job (see `.github/workflows/ci.yml`).
-//!
-//! The interchange format is versioned (`hybrid2-shard-v1`), line-oriented
-//! and tab-separated: a header block naming the grid, NM:FM ratio, sizing
-//! knobs and shard position, then one `cell` row per grid cell with every
-//! [`RunResult`] field. Worker thread count is deliberately *not* part of
-//! the header — the scheduler's determinism contract makes it irrelevant
-//! to the output.
+//! `merge-verify` job (see `.github/workflows/ci.yml`). Worker thread
+//! count never has to agree across slices — the scheduler's determinism
+//! contract makes it irrelevant to the output.
 
 use std::fmt;
 
-use dram::{SchemeStats, ServiceModel};
+use dram::ServiceModel;
 use workloads::{Catalog, Scenario, WorkloadSpec};
 
 use crate::machine::RunResult;
 use crate::matrix::{self, Job};
 use crate::report::Report;
+use crate::runlog::{self, RunRecord};
 use crate::runner::{build_scheme, EvalConfig, SchemeKind};
 use crate::scale::{NmRatio, ScaledSystem};
 use crate::{experiments, scenario, Matrix};
-
-/// First line of every shard file; bumped on any format change.
-/// v2 added the `service` header line and the four queue-occupancy
-/// cell columns of the queued memory-service model.
-const VERSION: &str = "hybrid2-shard-v2";
-
-/// Number of tab-separated columns in a `cell` row.
-const CELL_COLS: usize = 31;
 
 /// One slice of an `N`-way grid split, as written on the CLI: `K/N` with
 /// `K` in `1..=N`.
@@ -98,7 +85,7 @@ impl fmt::Display for ShardSpec {
 }
 
 /// Which evaluation grid a shard file slices. The grid id plus the sizing
-/// knobs in the header fully determine the job space, so [`merge`] can
+/// knobs its records carry fully determine the job space, so [`merge`] can
 /// re-enumerate it and verify each slice claims exactly its cells.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GridId {
@@ -117,10 +104,10 @@ pub enum GridId {
         smoke: bool,
     },
     /// A scenario grid over a `.scn` spec file (`reproduce scenario --spec
-    /// FILE`). Merge and cluster workers re-read the file, so the path
-    /// must resolve wherever the shard is decoded.
+    /// FILE`). Merge re-reads the file, so the path must resolve wherever
+    /// the shard is decoded.
     SpecFile {
-        /// Path of the `.scn` file (no tabs or newlines).
+        /// Path of the `.scn` file (no tabs or newlines; colons allowed).
         path: String,
         /// Scenario selector within the compiled catalog.
         selector: String,
@@ -136,6 +123,77 @@ pub enum GridId {
         /// Scenario selector within the generated catalog.
         selector: String,
     },
+}
+
+/// The one textual form of a grid id: the `grid` header of a shard slice
+/// and the `source` of every run record. `scenario:<sel>`, `eval:smoke`,
+/// `eval:full`, `specfile:<path>:<sel>` or
+/// `generated:<count>:<seed>:<sel>`.
+pub fn grid_token(grid: &GridId) -> String {
+    match grid {
+        GridId::Scenario { selector } => format!("scenario:{selector}"),
+        GridId::Eval { smoke: true } => "eval:smoke".to_owned(),
+        GridId::Eval { smoke: false } => "eval:full".to_owned(),
+        GridId::SpecFile { path, selector } => format!("specfile:{path}:{selector}"),
+        GridId::Generated {
+            count,
+            seed,
+            selector,
+        } => format!("generated:{count}:{seed}:{selector}"),
+    }
+}
+
+/// True for a selector safe to embed in a grid token (non-empty, no
+/// whitespace or separators).
+fn clean_selector(sel: &str) -> bool {
+    !sel.is_empty() && !sel.contains(['\t', '\n', '\r', ' '])
+}
+
+/// Parses a [`grid_token`] back to the grid id. (Whether a scenario
+/// selector actually exists is checked when the grid is resolved.)
+pub fn parse_grid_token(s: &str) -> Result<GridId, String> {
+    let err = || {
+        format!(
+            "unknown grid {s:?}; use scenario:<name|all>, eval:smoke, eval:full, \
+             generated:<count>:<seed>:<name|all> or specfile:<path>:<name|all>"
+        )
+    };
+    match s.split_once(':') {
+        Some(("scenario", sel)) if clean_selector(sel) => Ok(GridId::Scenario {
+            selector: sel.to_owned(),
+        }),
+        Some(("eval", "smoke")) => Ok(GridId::Eval { smoke: true }),
+        Some(("eval", "full")) => Ok(GridId::Eval { smoke: false }),
+        Some(("generated", rest)) => {
+            let mut it = rest.split(':');
+            let (Some(count), Some(seed), Some(sel), None) =
+                (it.next(), it.next(), it.next(), it.next())
+            else {
+                return Err(err());
+            };
+            if !clean_selector(sel) {
+                return Err(err());
+            }
+            Ok(GridId::Generated {
+                count: count.parse().map_err(|_| err())?,
+                seed: seed.parse().map_err(|_| err())?,
+                selector: sel.to_owned(),
+            })
+        }
+        Some(("specfile", rest)) => {
+            // The selector follows the last colon; the path keeps any
+            // colons of its own.
+            let (path, sel) = rest.rsplit_once(':').ok_or_else(err)?;
+            if path.is_empty() || path.contains(['\t', '\n', '\r']) || !clean_selector(sel) {
+                return Err(err());
+            }
+            Ok(GridId::SpecFile {
+                path: path.to_owned(),
+                selector: sel.to_owned(),
+            })
+        }
+        _ => Err(err()),
+    }
 }
 
 /// Stable address of one grid cell: its slot in the [`Matrix`] result
@@ -162,7 +220,7 @@ impl CellKey {
 }
 
 /// The cell addresses of shard `shard` over a `kinds` × `specs` grid, in
-/// slot order — the pure enumeration behind [`run_matrix_shard`], exposed
+/// slot order — the pure enumeration behind [`run_shard`], exposed
 /// so tests can check the partition is disjoint, covering and
 /// order-stable without running any simulation.
 pub fn shard_cell_keys(
@@ -173,23 +231,6 @@ pub fn shard_cell_keys(
     matrix::shard_jobs(kinds, specs, shard.index0(), shard.count)
         .iter()
         .map(|j| CellKey::of(j, specs))
-        .collect()
-}
-
-/// Runs shard `shard` of a `kinds` × `specs` grid on the work-stealing
-/// scheduler, returning `(cell, result, wall-clock secs)` triples in slot
-/// order. The timing is run-record telemetry only — it never enters the
-/// interchange format, which stays byte-identical run to run.
-pub fn run_matrix_shard(
-    kinds: &[SchemeKind],
-    specs: &[WorkloadSpec],
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-) -> Vec<(CellKey, RunResult, f64)> {
-    Matrix::run_shard(kinds, specs, ratio, cfg, shard.index0(), shard.count)
-        .into_iter()
-        .map(|(job, r, secs)| (CellKey::of(&job, specs), r, secs))
         .collect()
 }
 
@@ -317,7 +358,7 @@ fn select_workloads(cat: &Catalog, selector: &str) -> Result<Vec<WorkloadSpec>, 
 /// [`GridId::Generated`] grids are re-derived (generation is a pure
 /// function of count and seed); [`GridId::SpecFile`] grids re-read the
 /// spec file, so the path must resolve wherever the shard is decoded.
-pub(crate) fn resolve(grid: &GridId) -> Result<(Vec<SchemeKind>, Vec<WorkloadSpec>), String> {
+fn resolve(grid: &GridId) -> Result<(Vec<SchemeKind>, Vec<WorkloadSpec>), String> {
     match grid {
         GridId::Scenario { selector } => Ok((
             grid_kinds(),
@@ -340,67 +381,30 @@ pub(crate) fn resolve(grid: &GridId) -> Result<(Vec<SchemeKind>, Vec<WorkloadSpe
     }
 }
 
-/// Checks that `grid` resolves — the spec file reads and compiles, the
-/// generated catalog derives, and the selector names a scenario — without
-/// running anything. The CLI calls this at parse time so a bad grid is a
-/// usage error (exit 2), not a mid-run failure.
-pub fn validate_grid(grid: &GridId) -> Result<(), String> {
-    resolve(grid).map(|_| ())
-}
-
-/// One executed shard: the encoded interchange file plus the timed cells,
-/// so the CLI can both emit the shard file and append run records without
-/// simulating twice.
-pub struct ShardRun {
-    /// The encoded shard file contents (what `--shard` writes to `--out`).
-    pub encoded: String,
-    /// `(cell, result, wall-clock secs)` triples in slot order.
-    pub cells: Vec<(CellKey, RunResult, f64)>,
-}
-
-/// Runs one shard of `grid` and returns the encoded shard file contents
-/// alongside the timed cells.
+/// Runs shard `shard` of `grid` on the work-stealing scheduler and
+/// returns one run record per cell, in slot order, with `source` set to
+/// the [`grid_token`]. [`runlog::encode_slice`] writes them as the slice
+/// file [`merge`] reads.
 pub fn run_shard(
     grid: &GridId,
     ratio: NmRatio,
     cfg: &EvalConfig,
     shard: ShardSpec,
-) -> Result<ShardRun, String> {
-    let (kinds, specs) = resolve(grid)?;
-    let cells = run_matrix_shard(&kinds, &specs, ratio, cfg, shard);
-    let encoded = encode(grid, ratio, cfg, shard, &cells);
-    Ok(ShardRun { encoded, cells })
-}
-
-/// Validates one result payload against the job a cluster lease dispatched:
-/// the payload must be a well-formed shard file whose header names exactly
-/// the dispatcher's grid, ratio, sizing knobs and slice. The dispatcher
-/// rejects (and re-deals) anything else *before* it can poison the final
-/// merge — [`merge`] remains the second, authoritative gate.
-pub(crate) fn check_slice(
-    contents: &str,
-    grid: &GridId,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-) -> Result<(), String> {
-    let f = decode(contents)?;
-    if f.grid != *grid
-        || f.ratio != ratio
-        || f.scale_den != cfg.scale_den
-        || f.instrs_per_core != cfg.instrs_per_core
-        || f.seed != cfg.seed
-        || f.service != cfg.service
-    {
-        return Err("payload header disagrees with the dispatched job".to_owned());
-    }
-    if f.shard != shard {
+) -> Result<Vec<RunRecord>, String> {
+    let source = grid_token(grid);
+    if parse_grid_token(&source).as_ref() != Ok(grid) {
         return Err(format!(
-            "payload claims slice {}, lease covers {shard}",
-            f.shard
+            "grid {source:?} cannot be named in a slice header (a selector may not contain \
+             ':' or whitespace)"
         ));
     }
-    Ok(())
+    let (kinds, specs) = resolve(grid)?;
+    Ok(
+        Matrix::run_shard(&kinds, &specs, ratio, cfg, shard.index0(), shard.count)
+            .into_iter()
+            .map(|(job, r, secs)| RunRecord::new(&source, job.kind, ratio, cfg, &r, secs))
+            .collect(),
+    )
 }
 
 /// Renders the reports a monolithic run of `grid` would print — the merge
@@ -415,303 +419,9 @@ pub fn reports(grid: &GridId, m: &Matrix) -> Vec<Report> {
     }
 }
 
-/// IEEE-754 bit pattern of `v` as fixed-width hex — the exact-round-trip
-/// float encoding used in cell rows.
-pub(crate) fn f64_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-pub(crate) fn parse_f64_bits(s: &str, what: &str) -> Result<f64, String> {
-    if s.len() != 16 {
-        return Err(format!("{what} {s:?} is not a 16-digit hex bit pattern"));
-    }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("{what} {s:?} is not a 16-digit hex bit pattern"))
-}
-
 pub(crate) fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse()
         .map_err(|_| format!("{what} {s:?} is not an unsigned integer"))
-}
-
-pub(crate) fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
-    s.parse()
-        .map_err(|_| format!("{what} {s:?} is not an unsigned integer"))
-}
-
-/// Encodes one shard's cells to the versioned TSV interchange format.
-/// Rows are written in slot order; floats as bit patterns; the header
-/// pins everything [`merge`] needs to re-enumerate the job space.
-fn encode(
-    grid: &GridId,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    shard: ShardSpec,
-    cells: &[(CellKey, RunResult, f64)],
-) -> String {
-    let mut out = String::new();
-    out.push_str(VERSION);
-    out.push('\n');
-    match grid {
-        GridId::Scenario { selector } => {
-            debug_assert!(!selector.contains(['\t', '\n']));
-            out.push_str(&format!("grid\tscenario\t{selector}\n"));
-        }
-        GridId::Eval { smoke } => {
-            out.push_str(&format!(
-                "grid\teval\t{}\n",
-                if *smoke { "smoke" } else { "full" }
-            ));
-        }
-        GridId::SpecFile { path, selector } => {
-            debug_assert!(!path.contains(['\t', '\n']) && !selector.contains(['\t', '\n']));
-            out.push_str(&format!("grid\tspecfile\t{path}\t{selector}\n"));
-        }
-        GridId::Generated {
-            count,
-            seed,
-            selector,
-        } => {
-            debug_assert!(!selector.contains(['\t', '\n']));
-            out.push_str(&format!("grid\tgenerated\t{count}\t{seed}\t{selector}\n"));
-        }
-    }
-    out.push_str(&format!("ratio\t{}\n", ratio_token(ratio)));
-    out.push_str(&format!("scale\t{}\n", cfg.scale_den));
-    out.push_str(&format!("instrs\t{}\n", cfg.instrs_per_core));
-    out.push_str(&format!("seed\t{}\n", cfg.seed));
-    out.push_str(&format!("service\t{}\n", cfg.service.token()));
-    out.push_str(&format!("shard\t{shard}\n"));
-    out.push_str(&format!("cells\t{}\n", cells.len()));
-    for (key, r, _secs) in cells {
-        // Destructure exhaustively: adding a RunResult or SchemeStats
-        // field without extending the format (and bumping VERSION) must
-        // not compile.
-        let RunResult {
-            scheme,
-            ref workload,
-            cycles,
-            instructions,
-            mem_ops,
-            mpki,
-            nm_served,
-            fm_traffic,
-            nm_traffic,
-            energy_mj,
-            footprint,
-            nm_queue_mean,
-            nm_queue_max,
-            fm_queue_mean,
-            fm_queue_max,
-            ref stats,
-        } = *r;
-        let SchemeStats {
-            requests,
-            reads,
-            writes,
-            served_from_nm,
-            lookup_hits,
-            lookup_misses,
-            moved_into_nm,
-            moved_out_of_nm,
-            dirty_writebacks,
-            metadata_reads,
-            metadata_writes,
-            fetched_bytes,
-            used_bytes,
-        } = *stats;
-        out.push_str(&format!(
-            "cell\t{slot}\t{kind}\t{workload}\t{scheme}\t{cycles}\t{instructions}\t{mem_ops}\t\
-             {mpki}\t{nm_served}\t{fm_traffic}\t{nm_traffic}\t{energy}\t{footprint}\t\
-             {requests}\t{reads}\t{writes}\t{served_from_nm}\t{lookup_hits}\t{lookup_misses}\t\
-             {moved_into_nm}\t{moved_out_of_nm}\t{dirty_writebacks}\t{metadata_reads}\t\
-             {metadata_writes}\t{fetched_bytes}\t{used_bytes}\t{nm_q_mean}\t{nm_queue_max}\t\
-             {fm_q_mean}\t{fm_queue_max}\n",
-            slot = key.slot,
-            kind = kind_token(key.kind),
-            mpki = f64_bits(mpki),
-            nm_served = f64_bits(nm_served),
-            energy = f64_bits(energy_mj),
-            nm_q_mean = f64_bits(nm_queue_mean),
-            fm_q_mean = f64_bits(fm_queue_mean),
-        ));
-    }
-    out
-}
-
-/// A decoded cell row: the address plus every measurement, with the
-/// `&'static str` scheme/workload names still as owned strings (merge
-/// substitutes the statics after verifying them against the grid).
-struct DecodedCell {
-    slot: usize,
-    kind: SchemeKind,
-    workload: String,
-    scheme_name: String,
-    cycles: u64,
-    instructions: u64,
-    mem_ops: u64,
-    mpki: f64,
-    nm_served: f64,
-    fm_traffic: u64,
-    nm_traffic: u64,
-    energy_mj: f64,
-    footprint: u64,
-    nm_queue_mean: f64,
-    nm_queue_max: u64,
-    fm_queue_mean: f64,
-    fm_queue_max: u64,
-    stats: SchemeStats,
-}
-
-/// A fully parsed shard file.
-struct ShardFile {
-    grid: GridId,
-    ratio: NmRatio,
-    scale_den: u64,
-    instrs_per_core: u64,
-    seed: u64,
-    service: ServiceModel,
-    shard: ShardSpec,
-    cells: Vec<DecodedCell>,
-}
-
-/// Parses one shard file.
-fn decode(contents: &str) -> Result<ShardFile, String> {
-    // A mid-value cut of the final row can survive every other check (the
-    // truncated number still parses, the column count is intact), so the
-    // trailing newline every encoder writes is load-bearing: its absence
-    // is the one reliable truncation tell.
-    if !contents.is_empty() && !contents.ends_with('\n') {
-        return Err("file is truncated (last line has no newline)".to_owned());
-    }
-    let mut lines = contents.lines();
-    match lines.next() {
-        Some(v) if v == VERSION => {}
-        Some(v) => {
-            return Err(format!(
-                "unsupported shard format {v:?} (expected {VERSION})"
-            ))
-        }
-        None => return Err("empty shard file".to_owned()),
-    }
-    let mut header = |key: &str| -> Result<Vec<String>, String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("missing {key:?} header"))?;
-        let mut cols = line.split('\t');
-        match cols.next() {
-            Some(k) if k == key => Ok(cols.map(str::to_owned).collect()),
-            _ => Err(format!("expected {key:?} header, got {line:?}")),
-        }
-    };
-    let grid_cols = header("grid")?;
-    let grid = match grid_cols.as_slice() {
-        [k, sel] if k == "scenario" => GridId::Scenario {
-            selector: sel.clone(),
-        },
-        [k, set] if k == "eval" && set == "smoke" => GridId::Eval { smoke: true },
-        [k, set] if k == "eval" && set == "full" => GridId::Eval { smoke: false },
-        [k, path, sel] if k == "specfile" => GridId::SpecFile {
-            path: path.clone(),
-            selector: sel.clone(),
-        },
-        [k, count, seed, sel] if k == "generated" => GridId::Generated {
-            count: parse_usize(count, "generated count")?,
-            seed: parse_u64(seed, "generated seed")?,
-            selector: sel.clone(),
-        },
-        _ => return Err(format!("unknown grid header {grid_cols:?}")),
-    };
-    let one = |cols: Vec<String>, key: &str| -> Result<String, String> {
-        match cols.as_slice() {
-            [v] => Ok(v.clone()),
-            _ => Err(format!("{key:?} header needs exactly one value")),
-        }
-    };
-    let ratio = parse_ratio_token(&one(header("ratio")?, "ratio")?)?;
-    let scale_den = parse_u64(&one(header("scale")?, "scale")?, "scale")?;
-    let instrs_per_core = parse_u64(&one(header("instrs")?, "instrs")?, "instrs")?;
-    let seed = parse_u64(&one(header("seed")?, "seed")?, "seed")?;
-    let service_tok = one(header("service")?, "service")?;
-    let service = ServiceModel::parse(&service_tok)
-        .ok_or_else(|| format!("unknown service model {service_tok:?}"))?;
-    let shard = ShardSpec::parse(&one(header("shard")?, "shard")?)?;
-    let cell_count = parse_usize(&one(header("cells")?, "cells")?, "cells")?;
-    if scale_den == 0 || scale_den > 1 << 30 {
-        return Err(format!("scale {scale_den} out of range"));
-    }
-
-    // Cap the pre-allocation: `cell_count` is untrusted file input, and a
-    // corrupt header must produce an Err (exit 1), never an allocation
-    // panic/abort. The count-vs-rows check below still catches any lie.
-    let mut cells = Vec::with_capacity(cell_count.min(4096));
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split('\t').collect();
-        if cols.first() != Some(&"cell") {
-            return Err(format!("expected cell row, got {line:?}"));
-        }
-        if cols.len() != CELL_COLS {
-            return Err(format!(
-                "cell row has {} columns, expected {CELL_COLS}: {line:?}",
-                cols.len()
-            ));
-        }
-        let u = |i: usize, what: &str| parse_u64(cols[i], what);
-        cells.push(DecodedCell {
-            slot: parse_usize(cols[1], "slot")?,
-            kind: parse_kind_token(cols[2])?,
-            workload: cols[3].to_owned(),
-            scheme_name: cols[4].to_owned(),
-            cycles: u(5, "cycles")?,
-            instructions: u(6, "instructions")?,
-            mem_ops: u(7, "mem_ops")?,
-            mpki: parse_f64_bits(cols[8], "mpki")?,
-            nm_served: parse_f64_bits(cols[9], "nm_served")?,
-            fm_traffic: u(10, "fm_traffic")?,
-            nm_traffic: u(11, "nm_traffic")?,
-            energy_mj: parse_f64_bits(cols[12], "energy_mj")?,
-            footprint: u(13, "footprint")?,
-            nm_queue_mean: parse_f64_bits(cols[27], "nm_queue_mean")?,
-            nm_queue_max: u(28, "nm_queue_max")?,
-            fm_queue_mean: parse_f64_bits(cols[29], "fm_queue_mean")?,
-            fm_queue_max: u(30, "fm_queue_max")?,
-            stats: SchemeStats {
-                requests: u(14, "requests")?,
-                reads: u(15, "reads")?,
-                writes: u(16, "writes")?,
-                served_from_nm: u(17, "served_from_nm")?,
-                lookup_hits: u(18, "lookup_hits")?,
-                lookup_misses: u(19, "lookup_misses")?,
-                moved_into_nm: u(20, "moved_into_nm")?,
-                moved_out_of_nm: u(21, "moved_out_of_nm")?,
-                dirty_writebacks: u(22, "dirty_writebacks")?,
-                metadata_reads: u(23, "metadata_reads")?,
-                metadata_writes: u(24, "metadata_writes")?,
-                fetched_bytes: u(25, "fetched_bytes")?,
-                used_bytes: u(26, "used_bytes")?,
-            },
-        });
-    }
-    if cells.len() != cell_count {
-        return Err(format!(
-            "header declares {cell_count} cells but file holds {}",
-            cells.len()
-        ));
-    }
-    Ok(ShardFile {
-        grid,
-        ratio,
-        scale_den,
-        instrs_per_core,
-        seed,
-        service,
-        shard,
-        cells,
-    })
 }
 
 /// The reassembled result of [`merge`].
@@ -721,7 +431,7 @@ pub struct Merged {
     pub grid: GridId,
     /// The NM:FM ratio of the run.
     pub ratio: NmRatio,
-    /// Sizing knobs recovered from the shard headers (threads is the
+    /// Sizing knobs recovered from the slice records (threads is the
     /// caller's business — it never affects results).
     pub scale_den: u64,
     /// Instructions per core per run.
@@ -769,128 +479,141 @@ fn missing_slices_message(have: &std::collections::BTreeMap<usize, &str>, count:
     )
 }
 
-/// Merges shard files (as `(name, contents)` pairs, names only for error
-/// messages) back into the full [`Matrix`].
+/// Merges shard slice files (as `(name, contents)` pairs, names only for
+/// error messages) back into the full [`Matrix`].
 ///
-/// Validation is strict: all headers must agree on grid, ratio, sizing and
-/// shard count; all `N` shard indices must be present exactly once; and
-/// every file must claim exactly the cells the deterministic partition
-/// assigns it, with scheme/workload names matching the grid's own. Any
-/// violation is an `Err` naming the offending file — never a panic.
+/// Validation is strict: every file must be a slice (`grid` and `shard`
+/// headers), all slices must name the same grid and shard count, all `N`
+/// slice indices must be present exactly once, and every file must hold
+/// exactly the cells the deterministic partition assigns it, in order,
+/// with scheme/workload names matching the grid's own. Every record's
+/// ratio, scale, instrs, seed and service must agree with the first
+/// file's. Any violation is an `Err` naming the offending file — never a
+/// panic.
 pub fn merge(inputs: &[(String, String)]) -> Result<Merged, String> {
-    let first_name = match inputs {
-        [] => return Err("merge needs at least one shard file".to_owned()),
-        [(name, _), ..] => name.clone(),
+    if inputs.is_empty() {
+        return Err("merge needs at least one shard file".to_owned());
+    }
+    let mut slices = Vec::with_capacity(inputs.len());
+    for (name, f) in runlog::decode_files(inputs)? {
+        let (grid, shard) = f
+            .slice
+            .ok_or_else(|| format!("{name}: not a shard slice (no grid/shard headers)"))?;
+        slices.push((name, grid, shard, f.records));
+    }
+    let (first_name, grid, count) = {
+        let (name, grid, shard, _) = &slices[0];
+        (*name, grid.clone(), shard.count)
     };
-    let mut files = Vec::with_capacity(inputs.len());
-    for (name, contents) in inputs {
-        files.push((
-            name.as_str(),
-            decode(contents).map_err(|e| format!("{name}: {e}"))?,
-        ));
-    }
-    let head = &files[0].1;
-    for (name, f) in &files[1..] {
-        if f.grid != head.grid
-            || f.ratio != head.ratio
-            || f.scale_den != head.scale_den
-            || f.instrs_per_core != head.instrs_per_core
-            || f.seed != head.seed
-            || f.service != head.service
-        {
+    for (name, g, shard, _) in &slices[1..] {
+        if *g != grid {
             return Err(format!(
-                "{name}: header disagrees with {first_name} (grid/ratio/scale/instrs/seed/service \
-                 must match across shards)"
+                "{name}: grid {:?} disagrees with {first_name}'s {:?}",
+                grid_token(g),
+                grid_token(&grid)
             ));
         }
-        if f.shard.count != head.shard.count {
+        if shard.count != count {
             return Err(format!(
-                "{name}: shard count {} disagrees with {first_name}'s {}",
-                f.shard.count, head.shard.count
+                "{name}: shard count {} disagrees with {first_name}'s {count}",
+                shard.count
             ));
         }
     }
-    let count = head.shard.count;
     // Presence is tracked by (1-based) slice index in a map, never in an
     // allocation sized by the untrusted header count — a corrupt
     // `K/<huge N>` header must produce an Err, not an OOM.
     let mut have: std::collections::BTreeMap<usize, &str> = std::collections::BTreeMap::new();
-    for (name, f) in &files {
-        if let Some(prev) = have.insert(f.shard.index, name) {
-            return Err(format!(
-                "shard {} appears twice ({prev} and {name})",
-                f.shard
-            ));
+    for (name, _, shard, _) in &slices {
+        if let Some(prev) = have.insert(shard.index, name) {
+            return Err(format!("shard {shard} appears twice ({prev} and {name})"));
         }
     }
     if have.len() < count {
         return Err(missing_slices_message(&have, count));
     }
 
-    let (kinds, specs) = resolve(&head.grid)?;
-    // Scheme names are scale-independent, so extract them at a known-good
-    // reference scale: the untrusted `scale` header (metadata from here
-    // on) must never reach `ScaledSystem::new`'s validity asserts.
-    let sys = ScaledSystem::new(head.ratio, 1024);
-    let row_kinds: Vec<SchemeKind> = std::iter::once(SchemeKind::Baseline)
-        .chain(kinds.iter().copied())
-        .collect();
-    let scheme_names: Vec<&'static str> = row_kinds
+    let (kinds, specs) = resolve(&grid).map_err(|e| format!("{first_name}: {e}"))?;
+    // The result-affecting knobs every record must share with the first.
+    let knobs = |r: &RunRecord| {
+        (
+            r.ratio,
+            r.scale_den,
+            r.instrs_per_core,
+            r.seed,
+            r.service_model,
+        )
+    };
+    let (ref_name, want) = slices
         .iter()
-        .map(|&k| build_scheme(k, &sys).name())
+        .find_map(|(name, _, _, records)| records.first().map(|r| (*name, knobs(r))))
+        .ok_or_else(|| format!("{first_name}: no slice holds a record"))?;
+    let (ratio, scale_den, instrs_per_core, seed, service) = want;
+    if scale_den == 0 || scale_den > 1 << 30 {
+        return Err(format!("{ref_name}: scale {scale_den} out of range"));
+    }
+    // Scheme names are scale-independent, so extract them at a known-good
+    // reference scale: the untrusted `scale` column (metadata from here
+    // on) must never reach `ScaledSystem::new`'s validity asserts.
+    let sys = ScaledSystem::new(ratio, 1024);
+    let scheme_names: Vec<&'static str> = std::iter::once(SchemeKind::Baseline)
+        .chain(kinds.iter().copied())
+        .map(|k| build_scheme(k, &sys).name())
         .collect();
 
     let total = (kinds.len() + 1) * specs.len();
     let mut flat: Vec<Option<RunResult>> = (0..total).map(|_| None).collect();
-    for (name, f) in &files {
-        let expected = shard_cell_keys(&kinds, &specs, f.shard);
-        if f.cells.len() != expected.len() {
+    for (name, _, shard, records) in slices {
+        let keys = shard_cell_keys(&kinds, &specs, shard);
+        if records.len() != keys.len() {
             return Err(format!(
-                "{name}: shard {} holds {} cells but the partition assigns it {}",
-                f.shard,
-                f.cells.len(),
-                expected.len()
+                "{name}: shard {shard} holds {} records but the partition assigns it {} cells",
+                records.len(),
+                keys.len()
             ));
         }
-        for (cell, key) in f.cells.iter().zip(&expected) {
-            if cell.slot != key.slot || cell.kind != key.kind || cell.workload != key.workload {
+        for (seq, (rec, key)) in records.into_iter().zip(keys).enumerate() {
+            if knobs(&rec) != want {
                 return Err(format!(
-                    "{name}: cell (slot {}, {}, {}) does not match the partition's (slot {}, {}, \
+                    "{name}: record {seq} disagrees with {ref_name} (ratio/scale/instrs/seed/\
+                     service must match across shards)"
+                ));
+            }
+            if rec.kind != key.kind || rec.workload != key.workload {
+                return Err(format!(
+                    "{name}: record {seq} ({}, {}) does not match the partition's (slot {}, {}, \
                      {})",
-                    cell.slot,
-                    kind_token(cell.kind),
-                    cell.workload,
+                    kind_token(rec.kind),
+                    rec.workload,
                     key.slot,
                     kind_token(key.kind),
                     key.workload
                 ));
             }
-            let row = key.slot / specs.len();
-            let expected_name = scheme_names[row];
-            if cell.scheme_name != expected_name {
+            let expected_name = scheme_names[key.slot / specs.len()];
+            if rec.scheme != expected_name {
                 return Err(format!(
                     "{name}: slot {} records scheme name {:?}, grid says {expected_name:?}",
-                    key.slot, cell.scheme_name
+                    key.slot, rec.scheme
                 ));
             }
-            let w = key.slot % specs.len();
             flat[key.slot] = Some(RunResult {
                 scheme: expected_name,
-                workload: specs[w].name.clone(),
-                cycles: cell.cycles,
-                instructions: cell.instructions,
-                mem_ops: cell.mem_ops,
-                mpki: cell.mpki,
-                nm_served: cell.nm_served,
-                fm_traffic: cell.fm_traffic,
-                nm_traffic: cell.nm_traffic,
-                energy_mj: cell.energy_mj,
-                footprint: cell.footprint,
-                nm_queue_mean: cell.nm_queue_mean,
-                nm_queue_max: cell.nm_queue_max,
-                fm_queue_mean: cell.fm_queue_mean,
-                fm_queue_max: cell.fm_queue_max,
-                stats: cell.stats.clone(),
+                workload: key.workload,
+                cycles: rec.cycles,
+                instructions: rec.instructions,
+                mem_ops: rec.mem_ops,
+                mpki: rec.mpki,
+                nm_served: rec.nm_served,
+                fm_traffic: rec.fm_traffic,
+                nm_traffic: rec.nm_traffic,
+                energy_mj: rec.energy_mj,
+                footprint: rec.footprint,
+                nm_queue_mean: rec.nm_queue_mean,
+                nm_queue_max: rec.nm_queue_max,
+                fm_queue_mean: rec.fm_queue_mean,
+                fm_queue_max: rec.fm_queue_max,
+                stats: rec.stats,
             });
         }
     }
@@ -900,19 +623,20 @@ pub fn merge(inputs: &[(String, String)]) -> Result<Merged, String> {
         .map(|(slot, cell)| cell.ok_or_else(|| format!("no shard supplied slot {slot}")))
         .collect::<Result<_, _>>()?;
     Ok(Merged {
-        grid: head.grid.clone(),
-        ratio: head.ratio,
-        scale_den: head.scale_den,
-        instrs_per_core: head.instrs_per_core,
-        seed: head.seed,
-        service: head.service,
-        matrix: Matrix::assemble(&kinds, &specs, head.ratio, flat),
+        grid,
+        ratio,
+        scale_den,
+        instrs_per_core,
+        seed,
+        service,
+        matrix: Matrix::assemble(&kinds, &specs, ratio, flat),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use workloads::catalog;
 
     #[test]
@@ -960,6 +684,50 @@ mod tests {
     }
 
     #[test]
+    fn grid_tokens_round_trip() {
+        for grid in [
+            GridId::Scenario {
+                selector: "all".to_owned(),
+            },
+            GridId::Scenario {
+                selector: "stream-chase".to_owned(),
+            },
+            GridId::Eval { smoke: true },
+            GridId::Eval { smoke: false },
+            GridId::Generated {
+                count: 3,
+                seed: 2020,
+                selector: "all".to_owned(),
+            },
+            GridId::SpecFile {
+                path: "scenarios/diurnal-tide.scn".to_owned(),
+                selector: "diurnal-tide".to_owned(),
+            },
+            // The path keeps its own colons; the selector follows the last.
+            GridId::SpecFile {
+                path: "C:\\specs\\a:b c.scn".to_owned(),
+                selector: "all".to_owned(),
+            },
+        ] {
+            assert_eq!(parse_grid_token(&grid_token(&grid)).unwrap(), grid);
+        }
+        for bad in [
+            "",
+            "eval",
+            "eval:tiny",
+            "scenario:",
+            "scenario:a b",
+            "grid:x",
+            "generated:3:x:all",
+            "generated:3:1",
+            "specfile::all",
+            "specfile:a.scn",
+        ] {
+            assert!(parse_grid_token(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn cell_keys_are_disjoint_covering_and_slot_ordered() {
         let specs: Vec<WorkloadSpec> = catalog::smoke_set().map(Clone::clone).to_vec();
         let kinds = grid_kinds();
@@ -978,18 +746,60 @@ mod tests {
         }
     }
 
-    /// A synthetic grid (no simulation): every cell gets distinctive
-    /// numbers, including float bit patterns that decimal formatting
-    /// would destroy.
-    fn synthetic_cells(
-        kinds: &[SchemeKind],
-        specs: &[WorkloadSpec],
-        ratio: NmRatio,
-        scale_den: u64,
-        shard: ShardSpec,
-    ) -> Vec<(CellKey, RunResult, f64)> {
-        let sys = ScaledSystem::new(ratio, scale_den);
-        shard_cell_keys(kinds, specs, shard)
+    #[test]
+    fn run_shard_runs_exactly_its_partition_slice() {
+        let grid = synthetic_grid();
+        let cfg = EvalConfig {
+            instrs_per_core: 10_000,
+            threads: 4,
+            ..synthetic_cfg()
+        };
+        let shard = ShardSpec { index: 1, count: 3 };
+        let records = run_shard(&grid, NmRatio::OneGb, &cfg, shard).unwrap();
+        let (kinds, specs) = resolve(&grid).unwrap();
+        let keys = shard_cell_keys(&kinds, &specs, shard);
+        assert!(!records.is_empty());
+        assert_eq!(records.len(), keys.len());
+        for (rec, key) in records.iter().zip(&keys) {
+            assert_eq!((rec.kind, &rec.workload), (key.kind, &key.workload));
+            assert_eq!(rec.source, "scenario:stream-chase");
+            assert!(rec.cycles > 0);
+            assert!(rec.wall_secs.is_finite() && rec.wall_secs >= 0.0);
+        }
+
+        // A grid whose token would not parse back to itself is refused
+        // before anything runs: its slices could never merge.
+        let unnamable = GridId::SpecFile {
+            path: "a.scn".to_owned(),
+            selector: "x:y".to_owned(),
+        };
+        let e = run_shard(&unnamable, NmRatio::OneGb, &cfg, shard).unwrap_err();
+        assert!(e.contains("slice header"), "{e}");
+    }
+
+    fn synthetic_grid() -> GridId {
+        GridId::Scenario {
+            selector: "stream-chase".to_owned(),
+        }
+    }
+
+    fn synthetic_cfg() -> EvalConfig {
+        EvalConfig {
+            scale_den: 1024,
+            instrs_per_core: 1,
+            seed: 11,
+            threads: 1,
+            ..EvalConfig::smoke()
+        }
+    }
+
+    /// Synthetic results for one slice of `grid` (no simulation): every
+    /// cell gets distinctive numbers, including float bit patterns that
+    /// decimal formatting would destroy.
+    fn synthetic_cells(grid: &GridId, shard: ShardSpec) -> Vec<(CellKey, RunResult)> {
+        let (kinds, specs) = resolve(grid).unwrap();
+        let sys = ScaledSystem::new(NmRatio::OneGb, synthetic_cfg().scale_den);
+        shard_cell_keys(&kinds, &specs, shard)
             .into_iter()
             .map(|key| {
                 let x = key.slot as u64;
@@ -1013,7 +823,7 @@ mod tests {
                     nm_queue_max: 2 * x,
                     fm_queue_mean: f64::MIN_POSITIVE * (x + 1) as f64,
                     fm_queue_max: x,
-                    stats: SchemeStats {
+                    stats: dram::SchemeStats {
                         requests: x,
                         reads: x / 2,
                         writes: x - x / 2,
@@ -1029,63 +839,81 @@ mod tests {
                         used_bytes: x << 9,
                     },
                 };
-                (key, r, 0.0)
+                (key, r)
             })
             .collect()
     }
 
-    fn synthetic_shards(count: usize) -> (GridId, EvalConfig, Vec<(String, String)>) {
-        let grid = GridId::Scenario {
-            selector: "stream-chase".to_owned(),
-        };
-        let cfg = EvalConfig {
-            scale_den: 1024,
-            instrs_per_core: 1,
-            seed: 11,
-            threads: 1,
-            ..EvalConfig::smoke()
-        };
-        let (kinds, specs) = resolve(&grid).unwrap();
-        let files = (1..=count)
+    /// The slice files `s1.tsv … sN.tsv` of a `count`-way split of
+    /// `grid`, with `tweak(file index, record)` applied to every record
+    /// before encoding.
+    fn slices_with(
+        grid: &GridId,
+        count: usize,
+        tweak: impl Fn(usize, &mut RunRecord),
+    ) -> Vec<(String, String)> {
+        let cfg = synthetic_cfg();
+        (1..=count)
             .map(|index| {
                 let shard = ShardSpec { index, count };
-                let cells = synthetic_cells(&kinds, &specs, NmRatio::OneGb, cfg.scale_den, shard);
+                let records: Vec<RunRecord> = synthetic_cells(grid, shard)
+                    .iter()
+                    .map(|(key, r)| {
+                        let secs = 1e-9 * (key.slot + 1) as f64;
+                        let mut rec = RunRecord::new(
+                            &grid_token(grid),
+                            key.kind,
+                            NmRatio::OneGb,
+                            &cfg,
+                            r,
+                            secs,
+                        );
+                        tweak(index - 1, &mut rec);
+                        rec
+                    })
+                    .collect();
                 (
                     format!("s{index}.tsv"),
-                    encode(&grid, NmRatio::OneGb, &cfg, shard, &cells),
+                    runlog::encode_slice(grid, shard, &records),
                 )
             })
-            .collect();
-        (grid, cfg, files)
+            .collect()
+    }
+
+    fn synthetic_shards(count: usize) -> Vec<(String, String)> {
+        slices_with(&synthetic_grid(), count, |_, _| {})
     }
 
     #[test]
     fn encode_merge_round_trips_every_field_bit_for_bit() {
-        let (grid, cfg, files) = synthetic_shards(3);
+        let files = synthetic_shards(3);
         let merged = merge(&files).unwrap();
-        assert_eq!(merged.grid, grid);
+        let cfg = synthetic_cfg();
+        assert_eq!(merged.grid, synthetic_grid());
         assert_eq!(merged.scale_den, cfg.scale_den);
+        assert_eq!(merged.instrs_per_core, cfg.instrs_per_core);
         assert_eq!(merged.seed, cfg.seed);
-        let (kinds, specs) = resolve(&grid).unwrap();
-        let all = synthetic_cells(
-            &kinds,
-            &specs,
-            NmRatio::OneGb,
-            cfg.scale_den,
-            ShardSpec { index: 1, count: 1 },
-        );
+        assert_eq!(merged.service, ServiceModel::Unbounded);
+        let n = merged.matrix.workloads.len();
         let m = &merged.matrix;
-        for (key, want, _) in &all {
-            let got = if key.slot < specs.len() {
+        for (key, want) in synthetic_cells(&synthetic_grid(), ShardSpec { index: 1, count: 1 }) {
+            let got = if key.slot < n {
                 &m.baseline[key.slot]
             } else {
-                &m.schemes[key.slot / specs.len() - 1].runs[key.slot % specs.len()]
+                &m.schemes[key.slot / n - 1].runs[key.slot % n]
             };
             assert_eq!(got.scheme, want.scheme);
             assert_eq!(got.workload, want.workload);
-            assert_eq!(got.cycles, want.cycles);
+            assert_eq!(
+                (got.cycles, got.instructions, got.mem_ops),
+                (want.cycles, want.instructions, want.mem_ops)
+            );
             assert_eq!(got.mpki.to_bits(), want.mpki.to_bits());
             assert_eq!(got.nm_served.to_bits(), want.nm_served.to_bits());
+            assert_eq!(
+                (got.fm_traffic, got.nm_traffic, got.footprint),
+                (want.fm_traffic, want.nm_traffic, want.footprint)
+            );
             assert_eq!(got.energy_mj.to_bits(), want.energy_mj.to_bits());
             assert_eq!(got.nm_queue_mean.to_bits(), want.nm_queue_mean.to_bits());
             assert_eq!(got.nm_queue_max, want.nm_queue_max);
@@ -1093,14 +921,13 @@ mod tests {
             assert_eq!(got.fm_queue_max, want.fm_queue_max);
             assert_eq!(got.stats, want.stats);
         }
-        assert_eq!(merged.service, dram::ServiceModel::Unbounded);
     }
 
     #[test]
     fn merge_handles_empty_shards_when_count_exceeds_cells() {
         // 7 cells (MAIN + baseline × 1 scenario), 9 shards: two are empty.
-        let (_, _, files) = synthetic_shards(9);
-        assert!(files.iter().any(|(_, c)| c.contains("\ncells\t0\n")));
+        let files = synthetic_shards(9);
+        assert!(files.iter().any(|(_, c)| !c.contains("\nrecord\t")));
         assert!(merge(&files).is_ok());
     }
 
@@ -1109,7 +936,7 @@ mod tests {
         // Slices 2 and 5 of a 5-way split withheld: the error must name
         // both absent indices (and only those) so the caller knows what
         // to re-run without diffing files by hand.
-        let (_, _, files) = synthetic_shards(5);
+        let files = synthetic_shards(5);
         let partial: Vec<(String, String)> = files
             .into_iter()
             .enumerate()
@@ -1128,10 +955,10 @@ mod tests {
 
     #[test]
     fn merge_survives_adversarial_slice_files() {
-        let (grid, _, files) = synthetic_shards(2);
+        let files = synthetic_shards(2);
 
         // The same slice under a different file name is still a duplicate
-        // — the shard index betrays it, and the error names both files.
+        // — its writer betrays it, and the error names both files.
         let copied = vec![
             files[0].clone(),
             ("sneaky-rename.tsv".to_owned(), files[0].1.clone()),
@@ -1141,11 +968,15 @@ mod tests {
         assert!(e.contains("appears twice"), "{e}");
         assert!(e.contains("sneaky-rename.tsv"), "{e}");
 
-        // Mid-value truncation of the final row: the cut `used_bytes`
+        // A re-run of the same slice (a different writer) is a duplicate
+        // slice, named by its shard index.
+        let rerun = vec![files[0].clone(), synthetic_shards(2).swap_remove(0)];
+        let e = merge(&rerun).unwrap_err();
+        assert!(e.contains("shard 1/2 appears twice"), "{e}");
+
+        // Mid-value truncation of the final row: the cut `fm_queue_max`
         // still parses as an integer and the column count is intact, so
-        // only the missing trailing newline betrays the damage. (Before
-        // the newline check this merged "successfully" with a silently
-        // corrupted value.)
+        // only the missing trailing newline betrays the damage.
         let mut cut = files.clone();
         assert!(cut[0].1.ends_with('\n'));
         let new_len = cut[0].1.len() - 2;
@@ -1164,7 +995,7 @@ mod tests {
             .collect();
         let got = merge(&crlf).unwrap();
         let render = |m: &Matrix| {
-            reports(&grid, m)
+            reports(&synthetic_grid(), m)
                 .iter()
                 .map(Report::render)
                 .collect::<String>()
@@ -1174,7 +1005,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_bad_inputs() {
-        let (_, _, files) = synthetic_shards(2);
+        let files = synthetic_shards(2);
 
         assert!(merge(&[]).unwrap_err().contains("at least one"));
 
@@ -1186,43 +1017,59 @@ mod tests {
         let dup = vec![files[0].clone(), files[0].clone()];
         assert!(merge(&dup).unwrap_err().contains("appears twice"));
 
-        let mut bad_seed = files.clone();
-        bad_seed[1].1 = bad_seed[1].1.replace("seed\t11", "seed\t12");
+        // A run-directory file is not a slice.
+        let plain = files[0]
+            .1
+            .replace("grid\tscenario:stream-chase\nshard\t1/2\n", "");
+        let e = merge(&[("plain.tsv".to_owned(), plain)]).unwrap_err();
+        assert!(
+            e.contains("plain.tsv") && e.contains("not a shard slice"),
+            "{e}"
+        );
+
+        let bad_seed = slices_with(&synthetic_grid(), 2, |file, rec| {
+            if file == 1 {
+                rec.seed = 12;
+            }
+        });
         assert!(merge(&bad_seed).unwrap_err().contains("disagrees"));
 
         // Shards simulated under different service models must never
         // merge: a queued slice is a different experiment.
-        let mut bad_service = files.clone();
-        bad_service[1].1 = bad_service[1]
-            .1
-            .replace("service\tunbounded", "service\tqueued:8");
+        let bad_service = slices_with(&synthetic_grid(), 2, |file, rec| {
+            if file == 1 {
+                rec.service_model = ServiceModel::Queued { depth: 8 };
+            }
+        });
         assert!(merge(&bad_service).unwrap_err().contains("disagrees"));
 
         // An unknown service token is a decode error naming the file.
         let mut bad_token = files.clone();
-        bad_token[0].1 = bad_token[0]
-            .1
-            .replace("service\tunbounded", "service\twarp-speed");
+        bad_token[0].1 = bad_token[0].1.replace("\tunbounded\t", "\twarp-speed\t");
         let e = merge(&bad_token).unwrap_err();
-        assert!(e.contains("service model"), "{e}");
+        assert!(e.contains("service model") && e.contains("s1.tsv"), "{e}");
 
         let mut bad_version = files.clone();
-        bad_version[0].1 = bad_version[0].1.replacen(VERSION, "hybrid2-shard-v0", 1);
+        bad_version[0].1 = bad_version[0]
+            .1
+            .replacen(runlog::VERSION, "hybrid2-runlog-v0", 1);
         assert!(merge(&bad_version).unwrap_err().contains("unsupported"));
 
+        // A whole final row lost: the partition count betrays it.
         let mut truncated = files.clone();
-        let cut = truncated[0].1.rfind("cell\t").unwrap();
+        let cut = truncated[0].1.rfind("record\t").unwrap();
         truncated[0].1.truncate(cut);
         assert!(merge(&truncated).unwrap_err().contains("cells"));
 
-        // A corrupt cell count must be an Err, never an allocation
+        // A corrupt sequence number must be an Err, never an allocation
         // panic/abort — the CI merge gate feeds merge untrusted artifacts.
-        let mut huge_count = files.clone();
-        huge_count[0].1 = huge_count[0]
-            .1
-            .replace("\ncells\t4\n", &format!("\ncells\t{}\n", u64::MAX));
-        let e = merge(&huge_count).unwrap_err();
-        assert!(e.contains("cells"), "{e}");
+        let mut huge_seq = files.clone();
+        huge_seq[0].1 =
+            huge_seq[0]
+                .1
+                .replacen("\nrecord\t0\t", &format!("\nrecord\t{}\t", u64::MAX), 1);
+        let e = merge(&huge_seq).unwrap_err();
+        assert!(e.contains("sequence"), "{e}");
 
         // Likewise a corrupt shard count: the missing-slice walk and its
         // listing are bounded by the input size, never by the header's
@@ -1239,13 +1086,12 @@ mod tests {
         assert!(e.contains("3/99999999999"), "{e}");
         assert!(e.contains("more"), "{e}");
 
-        // An extreme `scale` header is metadata at merge time — it must
-        // not reach ScaledSystem's validity asserts and panic.
-        let mut wild_scale = files.clone();
-        for f in &mut wild_scale {
-            f.1 = f.1.replace("scale\t1024", "scale\t1000000");
-        }
+        // An extreme `scale` is metadata at merge time — it must not
+        // reach ScaledSystem's validity asserts and panic.
+        let wild_scale = slices_with(&synthetic_grid(), 2, |_, rec| rec.scale_den = 1_000_000);
         assert!(merge(&wild_scale).is_ok());
+        let zero_scale = slices_with(&synthetic_grid(), 2, |_, rec| rec.scale_den = 0);
+        assert!(merge(&zero_scale).unwrap_err().contains("scale"));
 
         let mut bad_float = files.clone();
         // -0.0's bit pattern: nm_served of every even slot, of which a
@@ -1255,5 +1101,87 @@ mod tests {
             .replace("\t8000000000000000\t", "\tnot-a-float-xx\t");
         let e = merge(&bad_float).unwrap_err();
         assert!(e.contains("hex bit pattern"), "{e}");
+    }
+
+    /// Tokens a corrupted or hand-edited slice might carry in any field.
+    const NASTY: [&str; 16] = [
+        "",
+        "0",
+        "-1",
+        "18446744073709551616",
+        "ffffffffffffffff",
+        "7ff8000000000000",
+        "nan",
+        "queued:0",
+        "1/0",
+        "2/1",
+        "99999999999/99999999999",
+        "eval:full",
+        "scenario:no-such-scenario",
+        "specfile:/no/such/file.scn:all",
+        "hybrid2-config=0:0:0",
+        "record",
+    ];
+
+    /// Applies one edit to `text`: `op` picks the kind, `a` and `b` the
+    /// position and the replacement.
+    fn mutate(text: &str, op: u8, a: u64, b: u64) -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let line = (a as usize) % lines.len().max(1);
+        match op {
+            0 => text[..(a as usize) % (text.len() + 1)].to_owned(),
+            1 if !lines.is_empty() => {
+                lines.remove(line);
+                lines.join("\n") + "\n"
+            }
+            2 if !lines.is_empty() => {
+                lines.insert(line, lines[line].clone());
+                lines.join("\n") + "\n"
+            }
+            3 if !lines.is_empty() => {
+                let mut cols: Vec<&str> = lines[line].split('\t').collect();
+                let col = (b as usize >> 8) % cols.len();
+                cols[col] = NASTY[b as usize % NASTY.len()];
+                lines[line] = cols.join("\t");
+                lines.join("\n") + "\n"
+            }
+            4 if !lines.is_empty() => {
+                let other = (b as usize) % lines.len();
+                lines.swap(line, other);
+                lines.join("\n") + "\n"
+            }
+            _ => {
+                let mut bytes = text.as_bytes().to_vec();
+                if !bytes.is_empty() {
+                    let i = (a as usize) % bytes.len();
+                    let pool = b"\t\n\r:/0-9af x";
+                    bytes[i] = pool[b as usize % pool.len()];
+                }
+                String::from_utf8(bytes).expect("ASCII in, ASCII out")
+            }
+        }
+    }
+
+    proptest! {
+        /// Mutated slice files never panic `merge` or `read_store`: every
+        /// outcome is `Ok` or an `Err` naming the mutated file.
+        #[test]
+        fn mutated_files_never_panic_merge_or_read_store(
+            victim in 0usize..3,
+            edits in proptest::collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..4),
+        ) {
+            // The 21-cell smoke matrix: most lines of a slice are records.
+            let mut files = slices_with(&GridId::Eval { smoke: true }, 3, |_, _| {});
+            for (op, a, b) in edits {
+                files[victim].1 = mutate(&files[victim].1, op, a, b);
+            }
+            let name = files[victim].0.clone();
+            if let Err(e) = merge(&files) {
+                prop_assert!(e.contains(&name), "merge error must name {name}: {e}");
+            }
+            if let Err(e) = runlog::read_store(&files) {
+                prop_assert!(e.contains(&name), "read_store error must name {name}: {e}");
+            }
+        }
     }
 }

@@ -115,32 +115,6 @@ fn merge_into_closed_pipe_exits_zero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The dispatcher's report lands on stdout *after* the grid completes via
-/// in-process takeover (zero workers, sub-second deadline) — a closed
-/// pipe at that point must still be a clean exit, not a panic or a
-/// dispatcher hang.
-#[test]
-fn serve_into_closed_pipe_exits_zero() {
-    let (code, stderr) = run_with_closed_stdout(&[
-        "serve",
-        "scenario:stream-chase",
-        "--shards",
-        "2",
-        "--deadline-secs",
-        "0.3",
-        "--listen",
-        "127.0.0.1:0",
-        "--scale",
-        "1024",
-        "--instrs",
-        "2000",
-        "--threads",
-        "1",
-    ]);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
-}
-
 #[test]
 fn experiment_report_into_closed_pipe_exits_zero() {
     let mut args = vec!["--exp", "fig12"];

@@ -471,8 +471,8 @@ impl Scenario {
 /// built-ins ([`crate::scenarios::builtin`]), a `.scn` spec file
 /// ([`Catalog::from_scn_str`]), or a seeded generated catalog
 /// ([`Catalog::generate`]) all produce one, and `sim`'s grid / shard /
-/// cluster / runlog layers identify a scenario by its *name* within the
-/// catalog, never by address.
+/// runlog layers identify a scenario by its *name* within the catalog,
+/// never by address.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     scenarios: Vec<Scenario>,

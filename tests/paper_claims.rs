@@ -1,8 +1,9 @@
 //! Directional checks of the paper's headline claims at integration scale.
 //!
-//! These do not chase absolute numbers (EXPERIMENTS.md records those at the
-//! default evaluation scale); they pin the *orderings* the paper's
-//! conclusions rest on, so a regression that flips a conclusion fails CI.
+//! These do not chase absolute numbers (the paper's are in `PAPER.md`; no
+//! measured-vs-paper ledger exists yet); they pin the *orderings* the
+//! paper's conclusions rest on, so a regression that flips a conclusion
+//! fails CI.
 //!
 //! Cases that simulate several full runs are tier-2: marked `#[ignore]`
 //! and executed in release by the CI `full-sim` job

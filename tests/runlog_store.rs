@@ -163,10 +163,9 @@ fn query_reports_are_identical_for_any_file_order() {
 }
 
 /// Regression: a store mixing rate-carrying records with zero-rate rows
-/// (the shape an old cluster dispatcher wrote — `mem_ops_per_sec = 0.0`
-/// on every leased cell) must *count* the zero rows in `records` while
-/// *excluding* them from the geomean/min/max, and say so via the
-/// `samples` column. Before the column existed, a geomean over 3 samples
+/// (`mem_ops_per_sec = 0.0`, a cell with no usable wall reading) must
+/// *count* the zero rows in `records` while *excluding* them from the
+/// geomean/min/max, and say so via the `samples` column. Before the column existed, a geomean over 3 samples
 /// silently passed itself off as a geomean over 10 records.
 #[test]
 fn zero_rate_records_are_counted_but_not_aggregated() {
@@ -188,8 +187,7 @@ fn zero_rate_records_are_counted_but_not_aggregated() {
         .next()
         .expect("throughput report");
 
-    // Append a zero-rate twin of every record, as a cluster run with no
-    // usable wall reading would have.
+    // Append a zero-rate twin of every record.
     for rec in &clean.records {
         let mut zero = rec.clone();
         zero.wall_secs = 0.0;

@@ -1,6 +1,6 @@
 //! Differential check on the process-level shard runner: running a grid
-//! as `--shard K/N` slices, encoding each slice to the interchange format
-//! and merging the files back must reproduce the monolithic matrix
+//! as `--shard K/N` slices, encoding each slice as a run-record file and
+//! merging the files back must reproduce the monolithic matrix
 //! *exactly* — every field of every cell, float bits included — and the
 //! rendered reports must be byte-identical strings.
 //!
@@ -9,8 +9,8 @@
 //! boundary: the encode → decode → merge round trip may not perturb a
 //! single bit.
 
-use hybrid2::harness::scenario;
 use hybrid2::harness::shard::{self, GridId, ShardSpec};
+use hybrid2::harness::{runlog, scenario};
 use hybrid2::prelude::*;
 use hybrid2::RunResult;
 use workloads::scenarios;
@@ -83,8 +83,11 @@ fn merge_of_shards_equals_monolithic_run_bit_for_bit() {
     let files: Vec<(String, String)> = (1..=count)
         .map(|index| {
             let spec = ShardSpec { index, count };
-            let run = shard::run_shard(&grid, ratio, &cfg, spec).unwrap();
-            (format!("shard-{index}.tsv"), run.encoded)
+            let records = shard::run_shard(&grid, ratio, &cfg, spec).unwrap();
+            (
+                format!("shard-{index}.tsv"),
+                runlog::encode_slice(&grid, spec, &records),
+            )
         })
         .collect();
     let merged = shard::merge(&files).unwrap();
@@ -122,25 +125,16 @@ fn shard_files_cannot_mix_grids_or_sizing() {
         selector: "quad-mix".to_owned(),
     };
     assert!(scenarios::by_name("quad-mix").is_some());
-    let s1 = shard::run_shard(
-        &grid,
-        NmRatio::OneGb,
-        &cfg,
-        ShardSpec { index: 1, count: 2 },
-    )
-    .unwrap();
+    let slice = |ratio, index| {
+        let spec = ShardSpec { index, count: 2 };
+        let records = shard::run_shard(&grid, ratio, &cfg, spec).unwrap();
+        runlog::encode_slice(&grid, spec, &records)
+    };
     // Same shard position, different ratio: the merge must refuse rather
     // than silently combine runs of different systems.
-    let s2 = shard::run_shard(
-        &grid,
-        NmRatio::FourGb,
-        &cfg,
-        ShardSpec { index: 2, count: 2 },
-    )
-    .unwrap();
     let err = shard::merge(&[
-        ("a.tsv".to_owned(), s1.encoded),
-        ("b.tsv".to_owned(), s2.encoded),
+        ("a.tsv".to_owned(), slice(NmRatio::OneGb, 1)),
+        ("b.tsv".to_owned(), slice(NmRatio::FourGb, 2)),
     ])
     .unwrap_err();
     assert!(err.contains("disagrees"), "{err}");
