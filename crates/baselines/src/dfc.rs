@@ -41,22 +41,14 @@ impl DfcConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
-
 /// The fused-tag DRAM cache.
 #[derive(Clone, Debug)]
 pub struct Dfc {
     cfg: DfcConfig,
-    lines: Vec<Line>,
-    sets: u64,
-    assoc: usize,
-    clock: u64,
+    /// The DRAM cache's tags: `line_bytes` lines in `assoc` ways, LRU
+    /// with the first invalid way filled first. Way `w` of set `s` holds
+    /// NM line `s * assoc + w`.
+    dc: SetAssocCache,
     fused: SetAssocCache,
     /// DRAM tag probes that the fused information saved.
     pub fused_hits: u64,
@@ -73,19 +65,16 @@ impl Dfc {
     /// Panics on structurally invalid configurations.
     pub fn new(cfg: DfcConfig) -> Self {
         assert!(cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 64);
-        let total = cfg.nm_bytes / cfg.line_bytes;
-        assert!(total.is_multiple_of(u64::from(cfg.assoc)));
-        let sets = total / u64::from(cfg.assoc);
-        assert!(sets.is_power_of_two());
+        let dc = SetAssocCache::new(
+            CacheConfig::new(cfg.nm_bytes, cfg.assoc, cfg.line_bytes)
+                .expect("DRAM cache shape valid"),
+        );
         let fused_sets = (cfg.fused_bytes / (4 * 64)).next_power_of_two().max(1);
         let fused = SetAssocCache::new(
             CacheConfig::new(fused_sets * 4 * 64, 4, 64).expect("fused shape valid"),
         );
         Dfc {
-            lines: vec![Line::default(); total as usize],
-            sets,
-            assoc: cfg.assoc as usize,
-            clock: 0,
+            dc,
             fused,
             fused_hits: 0,
             tag_probes: 0,
@@ -94,16 +83,8 @@ impl Dfc {
         }
     }
 
-    fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / self.cfg.line_bytes) & (self.sets - 1)
-    }
-
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        (line_addr / self.cfg.line_bytes) >> self.sets.trailing_zeros()
-    }
-
-    fn nm_addr(&self, set: u64, way: usize, offset: u64) -> u64 {
-        (set * self.assoc as u64 + way as u64) * self.cfg.line_bytes + offset
+    fn nm_addr(&self, set: u64, way: u32, offset: u64) -> u64 {
+        (set * u64::from(self.cfg.assoc) + u64::from(way)) * self.cfg.line_bytes + offset
     }
 
     /// Device address of the in-DRAM tag block of `set` (tags are stored
@@ -119,7 +100,6 @@ impl MemoryScheme for Dfc {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.clock += 1;
         self.stats.requests += 1;
         let write = req.kind.is_write();
         if write {
@@ -129,8 +109,7 @@ impl MemoryScheme for Dfc {
         }
         let line_base = req.addr.raw() & !(self.cfg.line_bytes - 1);
         let in_line = req.addr.raw() - line_base;
-        let set = self.set_of(line_base);
-        let tag = self.tag_of(line_base);
+        let set = (line_base / self.cfg.line_bytes) & (self.dc.config().sets() - 1);
 
         // Fused-tag lookup: on-chip, free; miss pays a DRAM tag probe.
         let fused_key = line_base / self.cfg.line_bytes * 64;
@@ -154,35 +133,29 @@ impl MemoryScheme for Dfc {
             .ready
         };
 
-        let range = (set * self.assoc as u64) as usize..((set + 1) * self.assoc as u64) as usize;
-        for w in 0..self.assoc {
-            let idx = range.start + w;
-            let l = &mut self.lines[idx];
-            if l.valid && l.tag == tag {
-                l.stamp = self.clock;
-                l.dirty |= write;
-                self.stats.lookup_hits += 1;
-                self.stats.served_from_nm += 1;
-                let (kind, class) = if write {
-                    (AccessKind::Write, TrafficClass::Writeback)
-                } else {
-                    (AccessKind::Read, TrafficClass::Demand)
-                };
-                let done = dram
-                    .submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        Ticket::core(usize::from(req.core)),
-                        DramAccess {
-                            addr: self.nm_addr(set, w, in_line),
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: lookup_done,
-                        },
-                    ))
-                    .ready;
-                return Served::new(done, true);
-            }
+        let lookup = self.dc.access(line_base, write);
+        if lookup.hit {
+            self.stats.lookup_hits += 1;
+            self.stats.served_from_nm += 1;
+            let (kind, class) = if write {
+                (AccessKind::Write, TrafficClass::Writeback)
+            } else {
+                (AccessKind::Read, TrafficClass::Demand)
+            };
+            let done = dram
+                .submit(ServiceRequest::new(
+                    MemSide::Nm,
+                    Ticket::core(usize::from(req.core)),
+                    DramAccess {
+                        addr: self.nm_addr(set, lookup.way, in_line),
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: lookup_done,
+                    },
+                ))
+                .ready;
+            return Served::new(done, true);
         }
 
         // Miss: critical access from FM, then line fill + possible eviction.
@@ -206,32 +179,19 @@ impl MemoryScheme for Dfc {
             ))
             .ready;
 
-        let mut victim = range.start;
-        let mut lru = u64::MAX;
-        for idx in range.clone() {
-            if !self.lines[idx].valid {
-                victim = idx;
-                break;
-            }
-            if self.lines[idx].stamp < lru {
-                lru = self.lines[idx].stamp;
-                victim = idx;
-            }
-        }
-        let way = victim - range.start;
+        let nm_line = self.nm_addr(set, lookup.way, 0);
         let chunks = (self.cfg.line_bytes / 64) as u32;
-        let old = self.lines[victim];
-        if old.valid {
+        if let Some(old) = lookup.evicted {
             // Invalidate the old fused entry and write back if dirty.
-            let old_base = ((old.tag << self.sets.trailing_zeros()) | set) * self.cfg.line_bytes;
-            self.fused.invalidate(old_base / self.cfg.line_bytes * 64);
+            self.fused
+                .invalidate(old.line_addr / self.cfg.line_bytes * 64);
             if old.dirty {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Nm,
                         Ticket::CONTROLLER,
                         DramAccess {
-                            addr: self.nm_addr(set, way, 0),
+                            addr: nm_line,
                             bytes: 64,
                             kind: AccessKind::Read,
                             class: TrafficClass::Writeback,
@@ -245,7 +205,7 @@ impl MemoryScheme for Dfc {
                         MemSide::Fm,
                         Ticket::CONTROLLER,
                         DramAccess {
-                            addr: old_base % self.cfg.fm_bytes,
+                            addr: old.line_addr % self.cfg.fm_bytes,
                             bytes: 64,
                             kind: AccessKind::Write,
                             class: TrafficClass::Writeback,
@@ -277,7 +237,7 @@ impl MemoryScheme for Dfc {
                 MemSide::Nm,
                 Ticket::CONTROLLER,
                 DramAccess {
-                    addr: self.nm_addr(set, way, 0),
+                    addr: nm_line,
                     bytes: 64,
                     kind: AccessKind::Write,
                     class: TrafficClass::Fill,
@@ -300,12 +260,6 @@ impl MemoryScheme for Dfc {
             },
         ));
         self.stats.moved_into_nm += 1;
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            stamp: self.clock,
-        };
         Served::new(if write { req.at } else { critical }, false)
     }
 
@@ -411,5 +365,304 @@ mod tests {
         let (d, _) = dfc();
         assert_eq!(d.flat_capacity_bytes(), 1024 * 1024);
         assert_eq!(d.name(), "DFC");
+    }
+}
+
+/// The hand-rolled DRAM-cache array `Dfc` used before it moved onto
+/// `SetAssocCache`, kept as a reference model: one `Line` per way, the
+/// first invalid way filled first, else the least recent stamp.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use sim_types::{Cycle, PAddr};
+
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        stamp: u64,
+    }
+
+    struct ArrayDfc {
+        cfg: DfcConfig,
+        lines: Vec<Line>,
+        sets: u64,
+        assoc: usize,
+        clock: u64,
+        fused: SetAssocCache,
+        fused_hits: u64,
+        tag_probes: u64,
+        stats: SchemeStats,
+    }
+
+    impl ArrayDfc {
+        fn new(cfg: DfcConfig) -> Self {
+            assert!(cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 64);
+            let total = cfg.nm_bytes / cfg.line_bytes;
+            assert!(total.is_multiple_of(u64::from(cfg.assoc)));
+            let sets = total / u64::from(cfg.assoc);
+            assert!(sets.is_power_of_two());
+            let fused_sets = (cfg.fused_bytes / (4 * 64)).next_power_of_two().max(1);
+            let fused = SetAssocCache::new(
+                CacheConfig::new(fused_sets * 4 * 64, 4, 64).expect("fused shape valid"),
+            );
+            ArrayDfc {
+                lines: vec![Line::default(); total as usize],
+                sets,
+                assoc: cfg.assoc as usize,
+                clock: 0,
+                fused,
+                fused_hits: 0,
+                tag_probes: 0,
+                stats: SchemeStats::default(),
+                cfg,
+            }
+        }
+
+        fn set_of(&self, line_addr: u64) -> u64 {
+            (line_addr / self.cfg.line_bytes) & (self.sets - 1)
+        }
+
+        fn tag_of(&self, line_addr: u64) -> u64 {
+            (line_addr / self.cfg.line_bytes) >> self.sets.trailing_zeros()
+        }
+
+        fn nm_addr(&self, set: u64, way: usize, offset: u64) -> u64 {
+            (set * self.assoc as u64 + way as u64) * self.cfg.line_bytes + offset
+        }
+
+        fn tag_addr(&self, set: u64) -> u64 {
+            self.cfg.nm_bytes + set * 64
+        }
+
+        fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
+            self.clock += 1;
+            self.stats.requests += 1;
+            let write = req.kind.is_write();
+            if write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+            let line_base = req.addr.raw() & !(self.cfg.line_bytes - 1);
+            let in_line = req.addr.raw() - line_base;
+            let set = self.set_of(line_base);
+            let tag = self.tag_of(line_base);
+
+            // Fused-tag lookup: on-chip, free; miss pays a DRAM tag probe.
+            let fused_key = line_base / self.cfg.line_bytes * 64;
+            let lookup_done = if self.fused.access(fused_key, false).hit {
+                self.fused_hits += 1;
+                req.at
+            } else {
+                self.tag_probes += 1;
+                self.stats.metadata_reads += 1;
+                dram.submit(ServiceRequest::new(
+                    MemSide::Nm,
+                    Ticket::CONTROLLER,
+                    DramAccess {
+                        addr: self.tag_addr(set),
+                        bytes: 64,
+                        kind: AccessKind::Read,
+                        class: TrafficClass::Metadata,
+                        at: req.at,
+                    },
+                ))
+                .ready
+            };
+
+            let range =
+                (set * self.assoc as u64) as usize..((set + 1) * self.assoc as u64) as usize;
+            for w in 0..self.assoc {
+                let idx = range.start + w;
+                let l = &mut self.lines[idx];
+                if l.valid && l.tag == tag {
+                    l.stamp = self.clock;
+                    l.dirty |= write;
+                    self.stats.lookup_hits += 1;
+                    self.stats.served_from_nm += 1;
+                    let (kind, class) = if write {
+                        (AccessKind::Write, TrafficClass::Writeback)
+                    } else {
+                        (AccessKind::Read, TrafficClass::Demand)
+                    };
+                    let done = dram
+                        .submit(ServiceRequest::new(
+                            MemSide::Nm,
+                            Ticket::core(usize::from(req.core)),
+                            DramAccess {
+                                addr: self.nm_addr(set, w, in_line),
+                                bytes: req.bytes,
+                                kind,
+                                class,
+                                at: lookup_done,
+                            },
+                        ))
+                        .ready;
+                    return Served::new(done, true);
+                }
+            }
+
+            // Miss: critical access from FM, then line fill + possible eviction.
+            self.stats.lookup_misses += 1;
+            let class = if write {
+                TrafficClass::Fill
+            } else {
+                TrafficClass::Demand
+            };
+            let critical = dram
+                .submit(ServiceRequest::new(
+                    MemSide::Fm,
+                    Ticket::core(usize::from(req.core)),
+                    DramAccess {
+                        addr: req.addr.raw() % self.cfg.fm_bytes,
+                        bytes: req.bytes,
+                        kind: req.kind,
+                        class,
+                        at: lookup_done,
+                    },
+                ))
+                .ready;
+
+            let mut victim = range.start;
+            let mut lru = u64::MAX;
+            for idx in range.clone() {
+                if !self.lines[idx].valid {
+                    victim = idx;
+                    break;
+                }
+                if self.lines[idx].stamp < lru {
+                    lru = self.lines[idx].stamp;
+                    victim = idx;
+                }
+            }
+            let way = victim - range.start;
+            let chunks = (self.cfg.line_bytes / 64) as u32;
+            let old = self.lines[victim];
+            if old.valid {
+                // Invalidate the old fused entry and write back if dirty.
+                let old_base =
+                    ((old.tag << self.sets.trailing_zeros()) | set) * self.cfg.line_bytes;
+                self.fused.invalidate(old_base / self.cfg.line_bytes * 64);
+                if old.dirty {
+                    dram.submit(
+                        ServiceRequest::new(
+                            MemSide::Nm,
+                            Ticket::CONTROLLER,
+                            DramAccess {
+                                addr: self.nm_addr(set, way, 0),
+                                bytes: 64,
+                                kind: AccessKind::Read,
+                                class: TrafficClass::Writeback,
+                                at: req.at,
+                            },
+                        )
+                        .with_count(chunks),
+                    );
+                    dram.submit(
+                        ServiceRequest::new(
+                            MemSide::Fm,
+                            Ticket::CONTROLLER,
+                            DramAccess {
+                                addr: old_base % self.cfg.fm_bytes,
+                                bytes: 64,
+                                kind: AccessKind::Write,
+                                class: TrafficClass::Writeback,
+                                at: req.at,
+                            },
+                        )
+                        .with_count(chunks),
+                    );
+                    self.stats.dirty_writebacks += 1;
+                }
+            }
+
+            dram.submit(
+                ServiceRequest::new(
+                    MemSide::Fm,
+                    Ticket::CONTROLLER,
+                    DramAccess {
+                        addr: line_base % self.cfg.fm_bytes,
+                        bytes: 64,
+                        kind: AccessKind::Read,
+                        class: TrafficClass::Fill,
+                        at: critical,
+                    },
+                )
+                .with_count(chunks),
+            );
+            dram.submit(
+                ServiceRequest::new(
+                    MemSide::Nm,
+                    Ticket::CONTROLLER,
+                    DramAccess {
+                        addr: self.nm_addr(set, way, 0),
+                        bytes: 64,
+                        kind: AccessKind::Write,
+                        class: TrafficClass::Fill,
+                        at: critical,
+                    },
+                )
+                .with_count(chunks),
+            );
+            // The in-DRAM tag row is updated with the new mapping.
+            self.stats.metadata_writes += 1;
+            dram.submit(ServiceRequest::new(
+                MemSide::Nm,
+                Ticket::CONTROLLER,
+                DramAccess {
+                    addr: self.tag_addr(set),
+                    bytes: 64,
+                    kind: AccessKind::Write,
+                    class: TrafficClass::Metadata,
+                    at: req.at,
+                },
+            ));
+            self.stats.moved_into_nm += 1;
+            self.lines[victim] = Line {
+                tag,
+                valid: true,
+                dirty: write,
+                stamp: self.clock,
+            };
+            Served::new(if write { req.at } else { critical }, false)
+        }
+    }
+
+    proptest! {
+        /// Random reads and writes over twice the NM capacity, for both the
+        /// paper's 1 KB, 16-way shape and a small 4-way one: every op is
+        /// served alike, and the scheme statistics and both DRAM devices
+        /// agree after each op.
+        #[test]
+        fn dfc_matches_array_reference(
+            wide in any::<bool>(),
+            ops in proptest::collection::vec((0u64..1 << 17, any::<bool>(), 0u64..64), 1..300),
+        ) {
+            let cfg = DfcConfig {
+                nm_bytes: 64 * 1024,
+                fm_bytes: 1024 * 1024,
+                line_bytes: if wide { 1024 } else { 256 },
+                assoc: if wide { 16 } else { 4 },
+                fused_bytes: 1024,
+            };
+            let (mut dfc, mut reference) = (Dfc::new(cfg), ArrayDfc::new(cfg));
+            let (mut dram, mut ref_dram) = (DramSystem::paper_default(), DramSystem::paper_default());
+            let mut at = Cycle::ZERO;
+            for (addr, write, gap) in ops {
+                let req = if write {
+                    MemReq::write(PAddr::new(addr), 64, at)
+                } else {
+                    MemReq::read(PAddr::new(addr), 64, at)
+                };
+                prop_assert_eq!(dfc.access(&req, &mut dram), reference.access(&req, &mut ref_dram));
+                prop_assert_eq!(dfc.stats(), &reference.stats);
+                prop_assert_eq!((dfc.fused_hits, dfc.tag_probes), (reference.fused_hits, reference.tag_probes));
+                prop_assert_eq!(&dram, &ref_dram);
+                at += gap;
+            }
+        }
     }
 }

@@ -47,8 +47,11 @@ impl HierarchyConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the scaled configuration is structurally invalid (cannot
-    /// happen for power-of-two `den` up to 1024).
+    /// Panics if a scaled configuration is structurally invalid. That
+    /// cannot happen: every cache keeps at least one set and rounds its
+    /// set count down to a power of two, so any `num/den` whose scaled
+    /// capacities fit in a `u64` gives a valid shape, the CLI's whole
+    /// `--scale` range of 1 to 2048 included.
     pub fn scaled(cores: usize, num: u64, den: u64) -> Self {
         let scale = |cap: u64, assoc: u32, line: u64| {
             let scaled = (cap * num / den).max(u64::from(assoc) * line);
@@ -404,6 +407,10 @@ mod tests {
         assert_eq!(c.l1.line_size(), 64);
         assert!(c.llc.capacity() >= c.l2.capacity());
         assert!(c.llc.capacity() <= 8 * 1024 * 1024);
+        let _ = Hierarchy::new(c);
+        // The smallest CLI scale still keeps one whole set per cache.
+        let c = HierarchyConfig::scaled(4, 1, 2048);
+        assert_eq!(c.l1.sets(), 1);
         let _ = Hierarchy::new(c);
     }
 

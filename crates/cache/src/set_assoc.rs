@@ -161,6 +161,8 @@ pub struct Evicted {
 pub struct Access {
     /// Whether the line was already resident.
     pub hit: bool,
+    /// The way, within its set, that hit or was filled.
+    pub way: u32,
     /// A victim displaced by the allocation, if any.
     pub evicted: Option<Evicted>,
 }
@@ -205,6 +207,15 @@ impl CacheStats {
 /// invalid) and `meta` holds `stamp << 1 | dirty` (0 when invalid). The
 /// LRU stamp is a per-cache access counter starting at 1, so a valid way's
 /// meta word is at least 2.
+///
+/// A last-line memo remembers the line number (`addr >> line_shift`) and
+/// physical way of the most recent [`SetAssocCache::access`] (hit or fill)
+/// or successful [`SetAssocCache::access_if_hit`], so a lookup of that
+/// line again skips the set scan. Invariant: **the memoised line is
+/// resident at the memoised way.** Tags change in only two places: the
+/// fill of `access`, which overwrites the memo with the line it installs,
+/// and [`SetAssocCache::invalidate`], which clears the memo when it empties
+/// the memoised way.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -216,15 +227,22 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_shift: u32,
     clock: u64,
+    /// Line number of the memoised line, [`NO_TAG`] when there is none (a
+    /// line number has at most 63 significant bits).
+    memo_line: u64,
+    /// Index into `tags`/`meta` of the memoised line's way.
+    memo_way: usize,
 }
 
 /// Bit `w` is set iff way `w` of the set holds `tag`. Every way is
 /// compared, so the scan has no early exit to mispredict.
 #[inline]
 fn match_mask(tags: &[u64], tag: u64) -> u64 {
-    tags.iter()
-        .enumerate()
-        .fold(0, |mask, (w, &t)| mask | (u64::from(t == tag) << w))
+    by_width(tags, |tags| {
+        tags.iter()
+            .enumerate()
+            .fold(0, |mask, (w, &t)| mask | (u64::from(t == tag) << w))
+    })
 }
 
 /// The way to fill on a miss: the first way holding the minimum meta word.
@@ -236,20 +254,34 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
 /// minima, one per way index modulo 4, keep the dependent chain short.
 #[inline]
 fn victim_way(meta: &[u64]) -> usize {
-    let key = |w: usize, m: u64| (m << WAY_BITS) | w as u64;
-    let mut lanes = [u64::MAX; 4];
-    let chunks = meta.chunks_exact(4);
-    let base = meta.len() - chunks.remainder().len();
-    for (k, &m) in chunks.remainder().iter().enumerate() {
-        lanes[k] = key(base + k, m);
-    }
-    for (n, chunk) in chunks.enumerate() {
-        for (k, &m) in chunk.iter().enumerate() {
-            lanes[k] = lanes[k].min(key(4 * n + k, m));
+    let lanes = by_width(meta, |meta| {
+        let mut lanes = [u64::MAX; 4];
+        for (w, &m) in meta.iter().enumerate() {
+            lanes[w % 4] = lanes[w % 4].min((m << WAY_BITS) | w as u64);
         }
-    }
+        lanes
+    });
     let min = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
     (min & (u64::from(MAX_ASSOC) - 1)) as usize
+}
+
+/// Runs the set scan `scan` over `ways`. The widths the simulator builds
+/// (4, 8 and 16 ways) are handed over as fixed-size arrays, so each
+/// compiles to straight-line code; any other width runs the loop over a
+/// run-time length.
+#[inline(always)]
+fn by_width<T>(ways: &[u64], scan: impl Fn(&[u64]) -> T) -> T {
+    match ways.len() {
+        4 => scan(fixed::<4>(ways)),
+        8 => scan(fixed::<8>(ways)),
+        16 => scan(fixed::<16>(ways)),
+        _ => scan(ways),
+    }
+}
+
+#[inline(always)]
+fn fixed<const W: usize>(ways: &[u64]) -> &[u64; W] {
+    ways.try_into().expect("the caller matched the set's width")
 }
 
 impl SetAssocCache {
@@ -265,6 +297,8 @@ impl SetAssocCache {
             set_mask: cfg.sets - 1,
             set_shift: cfg.sets.trailing_zeros(),
             clock: 0,
+            memo_line: NO_TAG,
+            memo_way: 0,
             cfg,
         }
     }
@@ -291,12 +325,16 @@ impl SetAssocCache {
         start..start + self.assoc
     }
 
-    /// Index of `addr`'s way if its line is resident. Unlike
-    /// [`SetAssocCache::access`], this scan stops at the first match: its
-    /// main caller is the L1 fast path, which hits the same way op after
-    /// op, so the early exit predicts well.
+    /// Index of `addr`'s way if its line is resident. The memoised line
+    /// answers without a scan. Unlike [`SetAssocCache::access`], the scan
+    /// stops at the first match: its main caller is the L1 fast path,
+    /// which hits the same way op after op, so the early exit predicts
+    /// well.
     #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
+        if addr >> self.line_shift == self.memo_line {
+            return Some(self.memo_way);
+        }
         let (set, tag) = self.set_of(addr);
         let range = self.set_range(set);
         let start = range.start;
@@ -322,6 +360,8 @@ impl SetAssocCache {
         self.stats.accesses += 1;
         let (set, tag) = self.set_of(addr);
         let range = self.set_range(set);
+        self.memo_line = addr >> self.line_shift;
+        let start = range.start;
         let tags = &mut self.tags[range.clone()];
         let meta = &mut self.meta[range];
 
@@ -330,8 +370,10 @@ impl SetAssocCache {
             let w = mask.trailing_zeros() as usize;
             meta[w] = (self.clock << 1) | (meta[w] & 1) | u64::from(write);
             self.stats.hits += 1;
+            self.memo_way = start + w;
             return Access {
                 hit: true,
+                way: w as u32,
                 evicted: None,
             };
         }
@@ -350,15 +392,17 @@ impl SetAssocCache {
         };
         tags[w] = tag;
         meta[w] = (self.clock << 1) | u64::from(write);
+        self.memo_way = start + w;
         Access {
             hit: false,
+            way: w as u32,
             evicted,
         }
     }
 
     /// Performs the access only if `addr`'s line is resident, mutating
     /// exactly what the hit path of [`SetAssocCache::access`] would mutate
-    /// (clock advance, LRU stamp, dirty bit, hit/access counters) and
+    /// (clock advance, LRU stamp, dirty bit, hit/access counters, memo) and
     /// returning `true`. On a miss **nothing** changes — not even the LRU
     /// clock or the access counter — so replaying the same op through
     /// [`SetAssocCache::access`] later observes the state a plain call
@@ -376,6 +420,8 @@ impl SetAssocCache {
         self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
         self.stats.accesses += 1;
         self.stats.hits += 1;
+        self.memo_line = addr >> self.line_shift;
+        self.memo_way = w;
         true
     }
 
@@ -400,6 +446,9 @@ impl SetAssocCache {
         let dirty = self.meta[w] & 1 != 0;
         self.tags[w] = NO_TAG;
         self.meta[w] = 0;
+        if w == self.memo_way {
+            self.memo_line = NO_TAG;
+        }
         Some(dirty)
     }
 
@@ -726,6 +775,7 @@ mod proptests {
                         self.stats.hits += 1;
                         return Access {
                             hit: true,
+                            way: i as u32,
                             evicted: None,
                         };
                     }
@@ -737,7 +787,8 @@ mod proptests {
                     invalid = Some(i);
                 }
             }
-            let victim_idx = start + invalid.unwrap_or(lru);
+            let way = invalid.unwrap_or(lru);
+            let victim_idx = start + way;
             let evicted = if invalid.is_some() {
                 None
             } else {
@@ -756,6 +807,7 @@ mod proptests {
             };
             Access {
                 hit: false,
+                way: way as u32,
                 evicted,
             }
         }
@@ -807,18 +859,21 @@ mod proptests {
     }
 
     /// Drives the kernel and the reference model through the same op
-    /// sequence, asserting every return value, the statistics and the
-    /// physical way order after each op. `ops` are `(op, line, write)`
-    /// with lines drawn from three times the cache's capacity, so sets
-    /// see cold fills, hits, conflict evictions and refills of
-    /// invalidated ways.
-    fn check_against_model(sets: u64, assoc: u32, ops: &[(u8, u64, bool)]) {
-        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64).unwrap();
+    /// sequence, asserting every return value (the way of each access
+    /// included), the statistics and the physical way order after each
+    /// op. `ops` are `(op, line, write)` with lines drawn from three times
+    /// the cache's capacity, so sets see cold fills, hits, conflict
+    /// evictions and refills of invalidated ways. Op 6 invalidates the
+    /// line and then probes it, op 7 invalidates it and then accesses it:
+    /// the memo's only clearing path, on the line it most likely holds.
+    fn check_against_model(sets: u64, assoc: u32, line_bytes: u64, ops: &[(u8, u64, bool)]) {
+        let cfg =
+            CacheConfig::new(sets * u64::from(assoc) * line_bytes, assoc, line_bytes).unwrap();
         let mut fast = SetAssocCache::new(cfg);
         let mut model = AosCache::new(cfg);
         for &(op, line, write) in ops {
             // A byte offset inside the line exercises the line masking.
-            let addr = line * 64 + (line % 64);
+            let addr = line * line_bytes + (line % line_bytes);
             match op {
                 0 | 1 => assert_eq!(fast.access(addr, write), model.access(addr, write)),
                 2 => assert_eq!(
@@ -827,7 +882,15 @@ mod proptests {
                 ),
                 3 => assert_eq!(fast.probe(addr), model.probe(addr)),
                 4 => assert_eq!(fast.mark_dirty(addr), model.mark_dirty(addr)),
-                _ => assert_eq!(fast.invalidate(addr), model.invalidate(addr)),
+                5 => assert_eq!(fast.invalidate(addr), model.invalidate(addr)),
+                6 => {
+                    assert_eq!(fast.invalidate(addr), model.invalidate(addr));
+                    assert_eq!(fast.probe(addr), model.probe(addr));
+                }
+                _ => {
+                    assert_eq!(fast.invalidate(addr), model.invalidate(addr));
+                    assert_eq!(fast.access(addr, write), model.access(addr, write));
+                }
             }
             assert_eq!(*fast.stats(), model.stats);
             assert_eq!(
@@ -839,38 +902,73 @@ mod proptests {
     }
 
     fn ops(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
-        proptest::collection::vec((0u8..6, 0..lines, any::<bool>()), 1..400)
+        proptest::collection::vec((0u8..8, 0..lines, any::<bool>()), 1..400)
+    }
+
+    /// Ops that mostly touch a line and then invalidate it: an access or
+    /// fast hit followed by op 5, 6 or 7 on the same line.
+    fn touch_then_invalidate(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+        proptest::collection::vec((0u8..3, 5u8..8, 0..lines, any::<bool>()), 1..200).prop_map(
+            |pairs| {
+                pairs
+                    .into_iter()
+                    .flat_map(|(touch, inv, line, write)| {
+                        [(touch, line, write), (inv, line, write)]
+                    })
+                    .collect()
+            },
+        )
     }
 
     proptest! {
         /// One 4-way set: the scaled L1 of the 1/1024 runs.
         #[test]
         fn kernel_matches_model_1x4(ops in ops(12)) {
-            check_against_model(1, 4, &ops);
+            check_against_model(1, 4, 64, &ops);
         }
 
         /// One 8-way set: the scaled L2.
         #[test]
         fn kernel_matches_model_1x8(ops in ops(24)) {
-            check_against_model(1, 8, &ops);
+            check_against_model(1, 8, 64, &ops);
         }
 
         /// 8 sets of 16 ways: the scaled LLC.
         #[test]
         fn kernel_matches_model_8x16(ops in ops(384)) {
-            check_against_model(8, 16, &ops);
+            check_against_model(8, 16, 64, &ops);
+        }
+
+        /// 64 sets of 4 ways: the flat schemes' remap cache and Dfc's
+        /// fused store.
+        #[test]
+        fn kernel_matches_model_64x4(ops in ops(768)) {
+            check_against_model(64, 4, 64, &ops);
+        }
+
+        /// 4 sets of 16 ways with 1 KB lines: Dfc's DRAM cache.
+        #[test]
+        fn kernel_matches_model_4x16_1kb(ops in ops(192)) {
+            check_against_model(4, 16, 1024, &ops);
+        }
+
+        /// Touch a line, then invalidate it and probe, access or fast-hit
+        /// it: the memo must forget an invalidated line.
+        #[test]
+        fn kernel_matches_model_invalidate_touched(ops in touch_then_invalidate(16)) {
+            check_against_model(2, 4, 64, &ops);
         }
 
         /// 4 sets of 2 ways: frequent conflicts.
         #[test]
         fn kernel_matches_model_4x2(ops in ops(24)) {
-            check_against_model(4, 2, &ops);
+            check_against_model(4, 2, 64, &ops);
         }
 
         /// One set of the widest legal associativity.
         #[test]
         fn kernel_matches_model_1x64(ops in ops(192)) {
-            check_against_model(1, 64, &ops);
+            check_against_model(1, 64, 64, &ops);
         }
 
         /// The most recently touched line of a set is never the next victim.

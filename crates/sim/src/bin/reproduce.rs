@@ -41,9 +41,9 @@
 //!                         `.scn` spec file instead of the built-ins
 //!                         (see README "Declarative scenarios"); spec
 //!                         errors report file:line:col and exit 2
-//!   --generate <n>        use a generated catalog of <n> scenarios
-//!                         (pure function of <n> and --seed; the first
-//!                         100 outputs at seed 2020 are pinned in CI)
+//!   --generate <n>        use a generated catalog of <n> scenarios, 1 to
+//!                         1024 (pure function of <n> and --seed; the
+//!                         first 100 outputs at seed 2020 are pinned in CI)
 //!   --list                list the active scenario catalog and exit
 //!   (--scale/--instrs/--seed/--threads/--batch/--service/--shard/
 //!   --runlog/--out apply as above)
@@ -240,8 +240,11 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
             }
             "--generate" => {
                 let n: usize = flag_value(args, i, "--generate")?;
-                if n == 0 {
-                    return Err("--generate must be at least 1 scenario".to_owned());
+                if !(1..=shard::MAX_GENERATED_SCENARIOS).contains(&n) {
+                    return Err(format!(
+                        "--generate must be 1 to {} scenarios, got {n}",
+                        shard::MAX_GENERATED_SCENARIOS
+                    ));
                 }
                 generate = Some(n);
                 i += 2;
@@ -827,6 +830,10 @@ mod tests {
             .contains("8gb"));
         assert!(parse(&["--shard"]).unwrap_err().contains("--shard"));
         assert!(parse(&["--out"]).unwrap_err().contains("--out"));
+        for n in ["0", "1025"] {
+            let e = parse(&["scenario", "all", "--generate", n]).unwrap_err();
+            assert!(e.contains("--generate"), "{n} -> {e}");
+        }
     }
 
     #[test]

@@ -125,6 +125,11 @@ pub enum GridId {
     },
 }
 
+/// The most scenarios a generated catalog may hold, whether asked for by
+/// `reproduce scenario --generate N` or by the `grid` header of a slice
+/// file, which `merge` must not trust to size the work it does.
+pub const MAX_GENERATED_SCENARIOS: usize = 1024;
+
 /// The one textual form of a grid id: the `grid` header of a shard slice
 /// and the `source` of every run record. `scenario:<sel>`, `eval:smoke`,
 /// `eval:full`, `specfile:<path>:<sel>` or
@@ -174,8 +179,15 @@ pub fn parse_grid_token(s: &str) -> Result<GridId, String> {
             if !clean_selector(sel) {
                 return Err(err());
             }
+            let count: usize = count.parse().map_err(|_| err())?;
+            if count > MAX_GENERATED_SCENARIOS {
+                return Err(format!(
+                    "grid {s:?} generates {count} scenarios; at most \
+                     {MAX_GENERATED_SCENARIOS} are allowed"
+                ));
+            }
             Ok(GridId::Generated {
-                count: count.parse().map_err(|_| err())?,
+                count,
                 seed: seed.parse().map_err(|_| err())?,
                 selector: sel.to_owned(),
             })
@@ -720,6 +732,8 @@ mod tests {
             "grid:x",
             "generated:3:x:all",
             "generated:3:1",
+            "generated:1025:1:all",
+            "generated:18446744073709551615:1:all",
             "specfile::all",
             "specfile:a.scn",
         ] {
@@ -1027,6 +1041,17 @@ mod tests {
             "{e}"
         );
 
+        // A corrupt generated-grid header must not size the merge's work.
+        let mut huge_grid = files.clone();
+        for (_, text) in &mut huge_grid {
+            *text = text.replace(
+                "grid\tscenario:stream-chase\n",
+                "grid\tgenerated:18446744073709551615:7:all\n",
+            );
+        }
+        let e = merge(&huge_grid).unwrap_err();
+        assert!(e.contains("s1.tsv") && e.contains("at most"), "{e}");
+
         let bad_seed = slices_with(&synthetic_grid(), 2, |file, rec| {
             if file == 1 {
                 rec.seed = 12;
@@ -1104,7 +1129,7 @@ mod tests {
     }
 
     /// Tokens a corrupted or hand-edited slice might carry in any field.
-    const NASTY: [&str; 16] = [
+    const NASTY: [&str; 17] = [
         "",
         "0",
         "-1",
@@ -1119,6 +1144,7 @@ mod tests {
         "eval:full",
         "scenario:no-such-scenario",
         "specfile:/no/such/file.scn:all",
+        "generated:18446744073709551615:7:all",
         "hybrid2-config=0:0:0",
         "record",
     ];
