@@ -6,11 +6,11 @@
 //! controller. This crate provides:
 //!
 //! * [`SetAssocCache`] — a generic write-back, allocate-on-miss,
-//!   LRU-replacement cache used for all three levels *and* for the on-chip
-//!   metadata structures of the schemes (remap caches, DFC's fused tags).
+//!   LRU-replacement cache used for all three levels *and* for the tag
+//!   stores of the schemes (remap caches, DFC's fused tags and DRAM-cache
+//!   tags).
 //! * [`Hierarchy`] — the three-level filter; it turns per-core accesses into
-//!   an LLC-miss/writeback stream and exposes the LLC observation hooks that
-//!   the LGM and DFC schemes need (fill/evict events, residency probes).
+//!   an LLC-miss/writeback stream.
 //!
 //! # Example
 //!
