@@ -217,7 +217,7 @@ impl Dcmc {
             self.free_pool.push(victim.nm_slot);
             return;
         }
-        let peers = self.xta.competing_counters(victim.sector);
+        let strongest_peer = self.xta.strongest_peer(victim.sector);
         let cost = CostInputs {
             nall: lines,
             nvalid: victim.valid_count(),
@@ -225,7 +225,7 @@ impl Dcmc {
         };
         match decide(
             victim.counter,
-            &peers,
+            strongest_peer,
             cost,
             self.fm_budget,
             self.cfg.variant,

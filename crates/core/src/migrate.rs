@@ -65,16 +65,16 @@ pub enum Decision {
 /// Applies Figure 10 for one victim.
 ///
 /// * `victim_counter` — the victim's §3.7.1 access counter.
-/// * `peer_counters` — counters of the other FM-resident, non-saturated
-///   sectors of the set (from
-///   [`Xta::competing_counters`](crate::xta::Xta::competing_counters)).
+/// * `strongest_peer` — the largest counter among the other FM-resident,
+///   non-saturated sectors of the set, 0 when there is none (from
+///   [`Xta::strongest_peer`](crate::xta::Xta::strongest_peer)).
 /// * `cost` — the victim's valid/dirty population.
 /// * `budget` — the current FM-access counter (§3.7.3).
 /// * `variant` — ablations: `MigrateAll` skips the policy and always
 ///   migrates; `MigrateNone` and `CacheOnly` never migrate.
 pub fn decide(
     victim_counter: u16,
-    peer_counters: &[u16],
+    strongest_peer: u16,
     cost: CostInputs,
     budget: u64,
     variant: Variant,
@@ -89,7 +89,7 @@ pub fn decide(
         Variant::Full | Variant::NoRemap => {}
     }
     // §3.7.1: another sector with a strictly greater counter wins.
-    if peer_counters.iter().any(|&p| p > victim_counter) {
+    if strongest_peer > victim_counter {
         return Decision::Evict;
     }
     // §3.7.3: "if the migration cost (Netcost) is smaller than the counter
@@ -142,54 +142,48 @@ mod tests {
 
     #[test]
     fn peer_with_greater_counter_blocks_migration() {
-        let d = decide(5, &[6], cost(8, 8), 1_000, Variant::Full);
+        let d = decide(5, 6, cost(8, 8), 1_000, Variant::Full);
         assert_eq!(d, Decision::Evict);
     }
 
     #[test]
     fn equal_peer_counter_allows_migration() {
         // "greater or equal to all other sectors in the set".
-        let d = decide(5, &[5, 3], cost(8, 8), 1_000, Variant::Full);
+        let d = decide(5, 5, cost(8, 8), 1_000, Variant::Full);
         assert!(matches!(d, Decision::Migrate { net_cost: 1 }));
     }
 
     #[test]
     fn empty_set_allows_migration() {
-        let d = decide(0, &[], cost(8, 8), 1_000, Variant::Full);
+        let d = decide(0, 0, cost(8, 8), 1_000, Variant::Full);
         assert!(matches!(d, Decision::Migrate { .. }));
     }
 
     #[test]
     fn budget_gates_migration() {
         // net cost of cost(4,2) is 11.
-        assert_eq!(
-            decide(9, &[], cost(4, 2), 11, Variant::Full),
-            Decision::Evict
-        );
+        assert_eq!(decide(9, 0, cost(4, 2), 11, Variant::Full), Decision::Evict);
         assert!(matches!(
-            decide(9, &[], cost(4, 2), 12, Variant::Full),
+            decide(9, 0, cost(4, 2), 12, Variant::Full),
             Decision::Migrate { net_cost: 11 }
         ));
-        assert_eq!(
-            decide(9, &[], cost(4, 2), 0, Variant::Full),
-            Decision::Evict
-        );
+        assert_eq!(decide(9, 0, cost(4, 2), 0, Variant::Full), Decision::Evict);
     }
 
     #[test]
     fn ablation_variants_override_policy() {
         // MigrateAll ignores both the peers and the budget.
         assert!(matches!(
-            decide(0, &[100], cost(1, 0), 0, Variant::MigrateAll),
+            decide(0, 100, cost(1, 0), 0, Variant::MigrateAll),
             Decision::Migrate { .. }
         ));
         // MigrateNone / CacheOnly never migrate, even with a perfect case.
         assert_eq!(
-            decide(100, &[], cost(8, 8), 1_000_000, Variant::MigrateNone),
+            decide(100, 0, cost(8, 8), 1_000_000, Variant::MigrateNone),
             Decision::Evict
         );
         assert_eq!(
-            decide(100, &[], cost(8, 8), 1_000_000, Variant::CacheOnly),
+            decide(100, 0, cost(8, 8), 1_000_000, Variant::CacheOnly),
             Decision::Evict
         );
     }
@@ -197,11 +191,11 @@ mod tests {
     #[test]
     fn noremap_uses_the_full_policy() {
         assert_eq!(
-            decide(5, &[6], cost(8, 8), 1_000, Variant::NoRemap),
+            decide(5, 6, cost(8, 8), 1_000, Variant::NoRemap),
             Decision::Evict
         );
         assert!(matches!(
-            decide(6, &[6], cost(8, 8), 1_000, Variant::NoRemap),
+            decide(6, 6, cost(8, 8), 1_000, Variant::NoRemap),
             Decision::Migrate { .. }
         ));
     }
@@ -234,22 +228,22 @@ mod proptests {
 
         /// The decision never migrates with a zero budget (except MigrateAll).
         #[test]
-        fn zero_budget_never_migrates(victim in 0u16..512, peers in proptest::collection::vec(0u16..512, 0..16)) {
+        fn zero_budget_never_migrates(victim in 0u16..512, strongest_peer in 0u16..512) {
             let c = CostInputs { nall: 8, nvalid: 8, ndirty: 8 };
-            let d = decide(victim, &peers, c, 0, Variant::Full);
+            let d = decide(victim, strongest_peer, c, 0, Variant::Full);
             prop_assert_eq!(d, Decision::Evict);
         }
 
         /// Monotonicity: raising the budget never flips Migrate -> Evict.
         #[test]
         fn budget_monotonic(victim in 0u16..512,
-                            peers in proptest::collection::vec(0u16..512, 0..16),
+                            strongest_peer in 0u16..512,
                             nvalid in 1u32..=8, ndirty_raw in 0u32..=8,
                             b1 in 0u64..40, b2 in 0u64..40) {
             let (lo, hi) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
             let c = CostInputs { nall: 8, nvalid, ndirty: ndirty_raw.min(nvalid) };
-            let d_lo = decide(victim, &peers, c, lo, Variant::Full);
-            let d_hi = decide(victim, &peers, c, hi, Variant::Full);
+            let d_lo = decide(victim, strongest_peer, c, lo, Variant::Full);
+            let d_hi = decide(victim, strongest_peer, c, hi, Variant::Full);
             let lo_migrates = matches!(d_lo, Decision::Migrate { .. });
             let hi_migrates = matches!(d_hi, Decision::Migrate { .. });
             if lo_migrates {

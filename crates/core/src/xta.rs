@@ -191,18 +191,21 @@ impl Xta {
         panic!("XTA set full on insert; evict first");
     }
 
-    /// Access-counter values of the *other* FM-resident, non-saturated
-    /// sectors in `sector`'s set — the §3.7.1 comparison population
-    /// (NM-resident sectors never advance their counters, saturated ones
-    /// are ignored to prevent starvation).
-    pub fn competing_counters(&self, sector: SectorId) -> Vec<u16> {
+    /// The largest access counter among the *other* FM-resident,
+    /// non-saturated sectors in `sector`'s set — the §3.7.1 comparison
+    /// population (NM-resident sectors never advance their counters,
+    /// saturated ones are ignored to prevent starvation) — or 0 when the
+    /// population is empty. No counter is below 0, so an empty population
+    /// never beats a victim.
+    pub fn strongest_peer(&self, sector: SectorId) -> u16 {
         let range = self.range_of(sector);
         self.entries[range]
             .iter()
             .flatten()
             .filter(|e| e.sector != sector && !e.is_nm_resident() && e.counter < self.counter_max)
             .map(|e| e.counter)
-            .collect()
+            .max()
+            .unwrap_or(0)
     }
 
     /// Bumps an entry's counter with saturation; call only for FM-resident
@@ -340,8 +343,16 @@ mod tests {
         x.insert(b);
         let nm = x.entry_for_nm_sector(SectorId::new(4), NmLoc::new(2)); // set 0
         x.insert(nm);
-        let peers = x.competing_counters(SectorId::new(6)); // set 0, not present
-        assert_eq!(peers, vec![3], "only the unsaturated FM peer counts");
+        let mut c = fm_entry(8, 2); // set 0, a weaker FM peer
+        c.counter = 1;
+        x.insert(c);
+        assert_eq!(
+            x.strongest_peer(SectorId::new(6)), // set 0, not present
+            3,
+            "the strongest unsaturated FM peer counts"
+        );
+        assert_eq!(x.strongest_peer(SectorId::new(0)), 1, "self is excluded");
+        assert_eq!(x.strongest_peer(SectorId::new(1)), 0, "set 1 is empty");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! extra ablations (`ablations.rs`).
 //!
 //! Every experiment is a pure function of an [`EvalConfig`] and a workload
-//! set, returning printable [`Report`]s; the `reproduce` binary and the
-//! criterion benches are thin wrappers. The paper's own numbers are in
+//! set, returning printable [`Report`]s; the `reproduce` binary
+//! (`--exp <id>`) is a thin wrapper. The paper's own numbers are in
 //! `PAPER.md`; no measured-vs-paper ledger exists yet.
 
 mod ablations;

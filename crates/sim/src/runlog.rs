@@ -99,7 +99,7 @@ fn next_file_number_hint(dir: &Path) -> Result<u64, String> {
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Which execution path produced the record (`"scenario:all"`,
-    /// `"eval:smoke"`, `"bench:e2e"`, …). Free-form, no tabs/newlines.
+    /// `"eval:smoke"`, …). Free-form, no tabs/newlines.
     pub source: String,
     /// Workload name.
     pub workload: String,

@@ -104,8 +104,8 @@ impl EvalConfig {
         }
     }
 
-    /// A fast configuration for tests and benches: 1/1024 capacities with a
-    /// proportional ~1 M-instruction window.
+    /// A fast configuration for tests and the benchmark: 1/1024 capacities
+    /// with a proportional ~1 M-instruction window.
     pub fn smoke() -> Self {
         EvalConfig {
             scale_den: 1024,

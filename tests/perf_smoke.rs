@@ -1,14 +1,20 @@
 //! Order-of-magnitude performance floor (CI `perf-smoke` job).
 //!
-//! Runs one pinned tiny configuration and compares simulator throughput
-//! (mem-ops/sec) against the committed floor in `BENCH_floor.json`. The
-//! floor is deliberately set far below any healthy machine (about a fifth
-//! of the 1-vCPU dev box's rate) and the comparison adds a further 2×
-//! noise margin, so this gate only trips on *order-of-magnitude*
-//! regressions — an accidental debug-path, a quadratic structure on the
-//! per-op path — never on runner-to-runner hardware variance. Trend-level
-//! tracking stays in the non-blocking bench artifacts; byte-identity is
-//! the separate `batched-verify` gate.
+//! Runs one pinned tiny configuration (HYBRID2, `lbm`, scale 1/1024,
+//! 200 k instructions per core, seed 2020, 8 cores) and compares
+//! simulator throughput (mem-ops/sec, best of 3) against
+//! [`FLOOR_MEM_OPS_PER_SEC`]. The floor is deliberately set far below any
+//! healthy machine and the comparison adds a further [`NOISE_MARGIN`], so
+//! this gate only trips on *order-of-magnitude* regressions — an
+//! accidental debug-path, a quadratic structure on the per-op path —
+//! never on runner-to-runner hardware variance. Trend-level speed is
+//! measured by `benchmark/`; byte-identity is the separate
+//! `batched-verify` gate.
+//!
+//! Provenance: a 1-vCPU dev box with drifting load measured 14.4e6
+//! mem-ops/sec on the pinned configuration after epoch batching (best of
+//! 3); the floor is about a fifth of that, so slower CI runners clear it
+//! with headroom while a 10× regression cannot.
 //!
 //! Tier-2: `#[ignore]`d so the wall-clock-sensitive measurement never
 //! runs in the tier-1 suite. The floor only *gates* when `PERF_SMOKE=1`
@@ -16,6 +22,7 @@
 //! `--ignored` sweep (and local runs) measure and print without gating,
 //! so one controlled job owns the blocking wall-clock check. Debug
 //! builds never gate (debug throughput is not what the floor describes).
+//! The gate decision itself, [`below_floor`], is tier-1 tested.
 //!
 //! Set `PERF_SMOKE_JSON=<path>` to append the full capture as one JSON
 //! line (uploaded as a non-blocking CI artifact).
@@ -23,8 +30,16 @@
 use hybrid2::harness::runlog;
 use hybrid2::prelude::*;
 
-/// The pinned measurement configuration. Changing it requires recapturing
-/// `BENCH_floor.json` in the same PR.
+/// Committed throughput floor for the pinned configuration (mem-ops/sec).
+/// Changing the configuration or the floor requires remeasuring it and
+/// updating the provenance above in the same PR.
+const FLOOR_MEM_OPS_PER_SEC: f64 = 2_500_000.0;
+
+/// The measured best is multiplied by this before it is compared with
+/// the floor, so the gate trips only on order-of-magnitude regressions.
+const NOISE_MARGIN: f64 = 2.0;
+
+/// The pinned measurement configuration.
 fn pinned_cfg() -> EvalConfig {
     EvalConfig {
         scale_den: 1024,
@@ -35,32 +50,43 @@ fn pinned_cfg() -> EvalConfig {
     }
 }
 
-/// Extracts a numeric field from the (flat, hand-written) floor file
-/// without a JSON dependency.
-fn json_number(text: &str, key: &str) -> f64 {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{key} missing"));
-    let rest = &text[at + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':').expect("key colon");
-    let end = rest.find([',', '\n', '}']).expect("value terminator");
-    rest[..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("{key} not a number: {e}"))
+/// The gate decision: `true` iff `best * margin < floor`. Panics on a
+/// non-finite throughput — a `+inf` would sail over any floor and a
+/// `NaN` would compare false both ways, so neither may gate.
+fn below_floor(best_ops_per_sec: f64, floor: f64, margin: f64) -> bool {
+    assert!(
+        best_ops_per_sec.is_finite(),
+        "throughput must be a finite number before it can gate (got {best_ops_per_sec})"
+    );
+    best_ops_per_sec * margin < floor
+}
+
+#[test]
+fn gate_trips_only_below_the_floor() {
+    // Checked when the test compiles: the committed constants are sane.
+    const { assert!(FLOOR_MEM_OPS_PER_SEC > 0.0 && NOISE_MARGIN >= 1.0) };
+    let at_boundary = FLOOR_MEM_OPS_PER_SEC / NOISE_MARGIN;
+    assert!(!below_floor(
+        at_boundary,
+        FLOOR_MEM_OPS_PER_SEC,
+        NOISE_MARGIN
+    ));
+    assert!(below_floor(
+        at_boundary.next_down(),
+        FLOOR_MEM_OPS_PER_SEC,
+        NOISE_MARGIN
+    ));
+    for bad in [f64::NAN, f64::INFINITY] {
+        let rejected =
+            std::panic::catch_unwind(|| below_floor(bad, FLOOR_MEM_OPS_PER_SEC, NOISE_MARGIN));
+        assert!(rejected.is_err(), "{bad} must not reach the comparison");
+    }
 }
 
 #[test]
 #[ignore = "wall-clock perf floor; CI perf-smoke runs it in release"]
 fn mem_ops_per_sec_above_committed_floor() {
-    let floor_text =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_floor.json"))
-            .expect("BENCH_floor.json is committed at the repo root");
-    let floor = json_number(&floor_text, "floor_mem_ops_per_sec");
-    let margin = json_number(&floor_text, "noise_margin");
-    assert!(floor > 0.0 && margin >= 1.0, "floor file is sane");
-
+    let (floor, margin) = (FLOOR_MEM_OPS_PER_SEC, NOISE_MARGIN);
     let cfg = pinned_cfg();
     let spec = catalog::by_name("lbm").unwrap();
     // Best of three: robust to one scheduling hiccup, cheap enough that
@@ -75,10 +101,7 @@ fn mem_ops_per_sec_above_committed_floor() {
         // over any floor and turn this gate into a silent pass.
         best_ops_per_sec = best_ops_per_sec.max(runlog::ops_per_sec(r.mem_ops, secs));
     }
-    assert!(
-        best_ops_per_sec.is_finite(),
-        "throughput must be a finite number before it can gate (got {best_ops_per_sec})"
-    );
+    let below = below_floor(best_ops_per_sec, floor, margin);
     println!(
         "perf-smoke: {best_ops_per_sec:.0} mem-ops/sec over {mem_ops} ops \
          (floor {floor:.0}, margin {margin}x)"
@@ -107,10 +130,10 @@ fn mem_ops_per_sec_above_committed_floor() {
         return;
     }
     assert!(
-        best_ops_per_sec * margin >= floor,
+        !below,
         "order-of-magnitude throughput regression: {best_ops_per_sec:.0} \
          mem-ops/sec * margin {margin} is below the committed floor \
-         {floor:.0} (see BENCH_floor.json; if the slowdown is intentional, \
-         recapture the floor in this PR and justify it)"
+         {floor:.0} (see FLOOR_MEM_OPS_PER_SEC; if the slowdown is \
+         intentional, remeasure the floor in this PR and justify it)"
     );
 }
