@@ -217,3 +217,53 @@ fn back_to_back_runs_are_identical() {
     assert_eq!(a.nm_traffic, b.nm_traffic);
     assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
 }
+
+/// Pinned digest of the golden HYBRID2 run with §3.8 OS free-space hints
+/// (`Machine::with_os_hints`): `(instructions, cycles, nm_served ‱,
+/// fm_traffic, nm_traffic, energy_mj bits)`. No other golden enables the
+/// hints, so this is the one pin on the hinted first-touch path.
+const GOLDEN_OS_HINTED: (u64, u64, u64, u64, u64, u64) = (
+    1_600_012,
+    626_606,
+    8_817,
+    4_084_736,
+    8_530_752,
+    0x3ffc_89cf_22f2_b128,
+);
+
+#[test]
+fn os_hinted_hybrid2_digest_is_stable() {
+    use hybrid2::caches::Hierarchy;
+    use hybrid2::harness::build_scheme;
+    use hybrid2::ScaledSystem;
+
+    let cfg = golden_cfg();
+    let spec = catalog::by_name(GOLDEN_WORKLOAD).unwrap();
+    let sys = ScaledSystem::new(NmRatio::OneGb, cfg.scale_den);
+    let mut machine = Machine::new(
+        8,
+        Hierarchy::new(sys.hierarchy()),
+        build_scheme(SchemeKind::Hybrid2, &sys),
+        DramSystem::paper_default(),
+        Workload::build(spec, 8, cfg.scale_den, cfg.seed),
+        cfg.seed,
+    )
+    .with_os_hints();
+    let r = machine.run_batched(cfg.instrs_per_core, cfg.batch);
+    let got = (
+        r.instructions,
+        r.cycles,
+        (r.nm_served * 10_000.0).round() as u64,
+        r.fm_traffic,
+        r.nm_traffic,
+        r.energy_mj.to_bits(),
+    );
+    assert_eq!(
+        got, GOLDEN_OS_HINTED,
+        "OS-hinted golden digest moved: got {got:?} — if this change is \
+         intentional, update GOLDEN_OS_HINTED and explain the semantic change"
+    );
+    // The hints must steer the run: an unhinted HYBRID2 run of the same
+    // configuration is pinned in GOLDEN_MATRIX and must differ.
+    assert_ne!(r.cycles, GOLDEN_CYCLES, "OS hints changed nothing");
+}
