@@ -103,13 +103,94 @@ impl RunResult {
 /// memory scheme + DRAM devices + page allocator + workload.
 pub struct Machine {
     cores: Vec<Core>,
+    shared: Shared,
+    workload: Workload,
+}
+
+/// The parts every core shares, and the one place a memory op's semantics
+/// are written: both event loops call [`Shared::tick_to`] and
+/// [`Shared::step`] and differ only in which core they pick when.
+struct Shared {
     hierarchy: Hierarchy,
     scheme: AnyScheme,
     dram: DramSystem,
     pages: PageAllocator,
-    workload: Workload,
     next_tick: u64,
     os_hints: bool,
+}
+
+impl Shared {
+    /// Fires every interval tick (migration-scheme housekeeping) due at or
+    /// before `now`.
+    fn tick_to(&mut self, now: u64) {
+        while now >= self.next_tick {
+            self.scheme
+                .on_tick(Cycle::new(self.next_tick), &mut self.dram);
+            self.next_tick += self.scheme.tick_period().unwrap_or(u64::MAX);
+        }
+    }
+
+    /// Executes core `i`'s next memory op under full semantics: retire the
+    /// instructions before it, translate through the core's page memo
+    /// (hinting a first-touched page *used* under §3.8 OS hints), then
+    /// probe the private L1. Only an L1 miss walks the hierarchy and sends
+    /// the dirty LLC victim and the LLC miss to the scheme; an L1 hit has
+    /// neither, so it needs nothing below the private L1.
+    ///
+    /// The memo is exact because the page table is append-only and a
+    /// core's address space is fixed for the run.
+    #[inline]
+    fn step(&mut self, i: usize, core: &mut Core, memo: &mut PageMemo, space: u8, op: TraceOp) {
+        core.advance_instructions(op.instructions());
+        let (paddr, fresh_page) = memo.translate_tracking(&mut self.pages, space, op.addr);
+        if self.os_hints && fresh_page {
+            let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
+            self.scheme.os_hint_used(page_base, 4096);
+        }
+        if self.hierarchy.l1_access_fast(i, paddr, op.kind) {
+            return;
+        }
+        let out = self.hierarchy.access(i, paddr, op.kind);
+        if let Some(wb) = out.writeback {
+            // Dirty LLC victim: buffered write to memory.
+            let req = MemReq::write(wb, 64, core.now()).on_core(i as u8);
+            self.scheme.access(&req, &mut self.dram);
+        }
+        if let Some(miss) = out.llc_miss {
+            let req = MemReq {
+                addr: miss,
+                kind: op.kind,
+                bytes: 64,
+                at: core.now() + out.latency,
+                core: i as u8,
+            };
+            let served = self.scheme.access(&req, &mut self.dram);
+            if op.kind.is_write() {
+                core.note_store();
+            } else {
+                core.issue_llc_miss_load(served.done);
+            }
+        }
+    }
+}
+
+/// Core `i`'s next trace op.
+fn next_op(workload: &mut Workload, i: usize) -> TraceOp {
+    workload
+        .source_mut(i)
+        .next_op()
+        .expect("trace generators are unbounded")
+}
+
+/// A core's scheduler pick key: its packed clock while it has
+/// instructions left to retire, else the finished sentinel.
+#[inline]
+fn pick_key(core: &Core, i: usize, idx_bits: u32, instrs_per_core: u64) -> u64 {
+    if core.retired() < instrs_per_core {
+        scheduler_key(core.now().raw(), i, idx_bits)
+    } else {
+        u64::MAX
+    }
 }
 
 impl Machine {
@@ -126,18 +207,20 @@ impl Machine {
         seed: u64,
     ) -> Self {
         let pages = PageAllocator::new(scheme.flat_capacity_bytes(), seed ^ 0x9E37);
-        let tick = scheme.tick_period().unwrap_or(u64::MAX);
+        let next_tick = scheme.tick_period().unwrap_or(u64::MAX);
         Machine {
             cores: (0..cores)
                 .map(|i| Core::new(i as u8, CoreConfig::paper_default()))
                 .collect(),
-            hierarchy,
-            scheme,
-            dram,
-            pages,
+            shared: Shared {
+                hierarchy,
+                scheme,
+                dram,
+                pages,
+                next_tick,
+                os_hints: false,
+            },
             workload,
-            next_tick: tick,
-            os_hints: false,
         }
     }
 
@@ -147,9 +230,11 @@ impl Machine {
     /// carry in Chameleon's design).
     #[must_use]
     pub fn with_os_hints(mut self) -> Self {
-        self.os_hints = true;
-        let cap = self.scheme.flat_capacity_bytes();
-        self.scheme.os_hint_unused(sim_types::PAddr::new(0), cap);
+        self.shared.os_hints = true;
+        let cap = self.shared.scheme.flat_capacity_bytes();
+        self.shared
+            .scheme
+            .os_hint_unused(sim_types::PAddr::new(0), cap);
         self
     }
 
@@ -167,35 +252,33 @@ impl Machine {
     /// the globally earliest core (packed `now << bits | index` key,
     /// deterministic index tie-break) before *every* memory op. This loop
     /// picks once per *epoch*: the chosen core first executes ops under
-    /// full reference semantics while it remains globally earliest (its
-    /// packed key no larger than the frozen second-smallest key — other
-    /// cores' keys cannot change while it runs), then *runs ahead* through
-    /// ops that are provably core-local: an already-mapped page (reads of
-    /// the page table commute with other cores' first touches) whose line
-    /// hits the private L1 (no L2/LLC/scheme/DRAM interaction). The epoch
-    /// ends at the first op that would touch a shared structure — a
-    /// first-touch allocation, anything reaching L2 or beyond — which is
-    /// stashed and replayed once the core is globally earliest again, or
-    /// after `batch` ops.
+    /// full semantics while it remains globally earliest (its packed key
+    /// no larger than the frozen second-smallest key — other cores' keys
+    /// cannot change while it runs), then *runs ahead* through ops that
+    /// are provably core-local: an already-mapped page (reads of the page
+    /// table commute with other cores' first touches) whose line hits the
+    /// private L1 (no L2/LLC/scheme/DRAM interaction). The epoch ends at
+    /// the first op that would touch a shared structure — a first-touch
+    /// allocation, anything reaching L2 or beyond — which is stashed and
+    /// replayed once the core is globally earliest again, or after `batch`
+    /// ops.
     ///
     /// Shared interactions therefore execute in exactly the reference
     /// order: a core arrives at its next shared op with the same clock the
     /// reference would show (run-ahead ops advance nothing but its own
     /// state), and the pick compares the same packed keys. Interval ticks
     /// fire only while a core is globally earliest, plus a trailing
-    /// catch-up to the highest clock any executed op observed — the same
+    /// catch-up to the highest clock any run-ahead op observed — the same
     /// `on_tick` sequence, in the same position relative to every shared
     /// access, as the reference (L1 hits commute with ticks: neither reads
-    /// the other's state). All of this is pinned by the differential tests
-    /// in `tests/batched_differential.rs` at float-bit granularity.
+    /// the other's state).
     ///
-    /// Two shortcuts keep private hits cheap without changing a result.
-    /// Each core keeps a one-entry page memo (see `PageMemo`) in front of
-    /// the page table; it is exact because the table is append-only and a
-    /// core's address space is fixed for the run. And phase 1 probes the
-    /// private L1 with [`Hierarchy::l1_access_fast`] before walking
-    /// [`Hierarchy::access`]: an L1 hit has no writeback and no miss, so
-    /// it skips the scheme entirely.
+    /// Both loops execute a globally earliest op through the same
+    /// `Shared::step`, so `tests/batched_differential.rs`, which holds this
+    /// loop to the reference at float-bit granularity, pins the *schedule*:
+    /// the epoch pick, run-ahead and the trailing ticks. The op semantics
+    /// themselves are pinned by the golden digests
+    /// (`tests/determinism_golden.rs` and the `goldens/` scenario grids).
     ///
     /// # Panics
     ///
@@ -205,18 +288,12 @@ impl Machine {
         let shared_space = self.workload.shared_address_space();
         let ncores = self.cores.len();
         let idx_bits = ncores.next_power_of_two().trailing_zeros().max(1);
-        let pack = |now: u64, i: usize| scheduler_key(now, i, idx_bits);
+        let key = |c: &Core, i: usize| pick_key(c, i, idx_bits, instrs_per_core);
         let mut keys: Vec<u64> = self
             .cores
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                if c.retired() < instrs_per_core {
-                    pack(c.now().raw(), i)
-                } else {
-                    u64::MAX
-                }
-            })
+            .map(|(i, c)| key(c, i))
             .collect();
         // Per-core op decoded during run-ahead but found to need a shared
         // structure: it executes when the core is next globally earliest.
@@ -224,184 +301,97 @@ impl Machine {
         // Per-core last translation, consulted before the page table: a
         // streaming core touches one page for dozens of ops in a row.
         let mut memo = vec![PageMemo::EMPTY; ncores];
-        // Highest clock-before-op any executed op (or trace-exhaustion
-        // check) observed — the reference fires ticks up to exactly this
-        // horizon, so the trailing catch-up below uses it.
+        // Highest clock-before-op any run-ahead op observed — the
+        // reference fires ticks up to exactly this horizon, so the
+        // trailing catch-up below uses it. Phase 1 ticks to its own
+        // clocks as it goes.
         let mut tick_horizon: u64 = 0;
-        {
-            let Machine {
-                cores,
-                hierarchy,
-                scheme,
-                dram,
-                pages,
-                workload,
-                next_tick,
-                os_hints,
-            } = &mut *self;
-            let os_hints = *os_hints;
+        let Machine {
+            cores,
+            shared,
+            workload,
+        } = &mut *self;
 
-            'epoch: loop {
-                // One min-reduction per epoch: the earliest key wins the
-                // pick; the runner-up is the global-ordering horizon the
-                // winner must not cross with shared work. `other` stays
-                // valid for the whole epoch because only keys[i] can move.
-                let mut best = u64::MAX;
-                let mut other = u64::MAX;
-                for &k in &keys {
-                    if k < best {
-                        other = best;
-                        best = k;
-                    } else if k < other {
-                        other = k;
-                    }
+        'epoch: loop {
+            // One min-reduction per epoch: the earliest key wins the pick;
+            // the runner-up is the global-ordering horizon the winner must
+            // not cross with shared work. `other` stays valid for the
+            // whole epoch because only keys[i] can move.
+            let mut best = u64::MAX;
+            let mut other = u64::MAX;
+            for &k in &keys {
+                if k < best {
+                    other = best;
+                    best = k;
+                } else if k < other {
+                    other = k;
                 }
-                if best == u64::MAX {
-                    break;
-                }
-                let i = (best & ((1 << idx_bits) - 1)) as usize;
-                let mut left = batch;
+            }
+            if best == u64::MAX {
+                break;
+            }
+            let i = (best & ((1 << idx_bits) - 1)) as usize;
+            let space = if shared_space { 0 } else { i as u8 };
+            let mut left = batch;
 
-                // Phase 1 — globally earliest: full reference semantics
-                // (interval ticks, first touches, hierarchy, scheme, DRAM).
-                loop {
-                    let now = cores[i].now().raw();
-                    if pack(now, i) > other {
-                        break; // lost the lead: only local work may follow
-                    }
-                    tick_horizon = tick_horizon.max(now);
-                    while now >= *next_tick {
-                        let t = Cycle::new(*next_tick);
-                        scheme.on_tick(t, dram);
-                        *next_tick += scheme.tick_period().unwrap_or(u64::MAX);
-                    }
-
-                    let op = match pending[i].take() {
-                        Some(op) => op,
-                        None => match workload.source_mut(i).next_op() {
-                            Some(op) => op,
-                            None => {
-                                // Trace exhausted (generators are unbounded,
-                                // but a VecTrace in tests may end).
-                                let remaining = instrs_per_core - cores[i].retired();
-                                cores[i].advance_instructions(remaining);
-                                keys[i] = u64::MAX;
-                                continue 'epoch;
-                            }
-                        },
-                    };
-                    cores[i].advance_instructions(op.instructions());
-
-                    let space = if shared_space { 0 } else { i as u8 };
-                    let (paddr, fresh_page) = memo[i].translate_tracking(pages, space, op.addr);
-                    if os_hints && fresh_page {
-                        let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
-                        scheme.os_hint_used(page_base, 4096);
-                    }
-                    // An L1 hit has no writeback and no miss, so it needs
-                    // nothing below the private L1; only a miss walks the
-                    // full hierarchy.
-                    if !hierarchy.l1_access_fast(i, paddr, op.kind) {
-                        let out = hierarchy.access(i, paddr, op.kind);
-                        if let Some(wb) = out.writeback {
-                            // Dirty LLC victim: buffered write to memory.
-                            let req = MemReq::write(wb, 64, cores[i].now()).on_core(i as u8);
-                            scheme.access(&req, dram);
-                        }
-                        if let Some(miss) = out.llc_miss {
-                            let at = cores[i].now() + out.latency;
-                            let req = MemReq {
-                                addr: miss,
-                                kind: op.kind,
-                                bytes: 64,
-                                at,
-                                core: i as u8,
-                            };
-                            let served = scheme.access(&req, dram);
-                            if op.kind.is_write() {
-                                cores[i].note_store();
-                            } else {
-                                cores[i].issue_llc_miss_load(served.done);
-                            }
-                        }
-                    }
-
-                    if cores[i].retired() >= instrs_per_core {
-                        keys[i] = u64::MAX;
-                        continue 'epoch;
-                    }
-                    left -= 1;
-                    if left == 0 {
-                        keys[i] = pack(cores[i].now().raw(), i);
-                        continue 'epoch;
-                    }
-                }
-
-                // Phase 2 — run-ahead: past the horizon, so only provably
-                // core-local ops may execute (mapped page + private L1
-                // hit). No tick housekeeping here: a run-ahead core firing
-                // a tick would reorder it against other cores' pending
-                // shared ops; L1 hits commute with ticks, so deferring
-                // them to the next phase-1 pick is exact.
-                debug_assert!(pending[i].is_none(), "pending op survived phase 1");
-                loop {
-                    let now = cores[i].now().raw();
-                    let Some(op) = workload.source_mut(i).next_op() else {
-                        tick_horizon = tick_horizon.max(now);
-                        let remaining = instrs_per_core - cores[i].retired();
-                        cores[i].advance_instructions(remaining);
-                        keys[i] = u64::MAX;
-                        continue 'epoch;
-                    };
-                    let space = if shared_space { 0 } else { i as u8 };
-                    let local = memo[i]
-                        .lookup(pages, space, op.addr)
-                        .is_some_and(|paddr| hierarchy.l1_access_fast(i, paddr, op.kind));
-                    if !local {
-                        // Would touch a shared structure: stash it for the
-                        // next pick. The key stays the clock *before* the
-                        // op — its arrival key in the reference schedule.
-                        pending[i] = Some(op);
-                        keys[i] = pack(now, i);
-                        continue 'epoch;
-                    }
-                    tick_horizon = tick_horizon.max(now);
-                    cores[i].advance_instructions(op.instructions());
-                    if cores[i].retired() >= instrs_per_core {
-                        keys[i] = u64::MAX;
-                        continue 'epoch;
-                    }
-                    left -= 1;
-                    if left == 0 {
-                        keys[i] = pack(cores[i].now().raw(), i);
-                        continue 'epoch;
-                    }
+            // Phase 1 — globally earliest: full semantics (interval ticks,
+            // first touches, hierarchy, scheme, DRAM).
+            while key(&cores[i], i) <= other {
+                shared.tick_to(cores[i].now().raw());
+                let op = pending[i].take().unwrap_or_else(|| next_op(workload, i));
+                shared.step(i, &mut cores[i], &mut memo[i], space, op);
+                left -= 1;
+                if cores[i].retired() >= instrs_per_core || left == 0 {
+                    keys[i] = key(&cores[i], i);
+                    continue 'epoch;
                 }
             }
 
-            // Trailing tick catch-up: the reference runs tick housekeeping
-            // at every per-op pick, so it fires every tick up to the
-            // highest clock-before-op seen; run-ahead skipped some of
-            // those picks. All shared accesses are done, and every
-            // remaining tick is later than each of them was, so firing
-            // the stragglers here preserves the reference interleaving.
-            while tick_horizon >= *next_tick {
-                let t = Cycle::new(*next_tick);
-                scheme.on_tick(t, dram);
-                *next_tick += scheme.tick_period().unwrap_or(u64::MAX);
+            // Phase 2 — run-ahead: past the horizon, so only provably
+            // core-local ops may execute (mapped page + private L1 hit).
+            // No tick housekeeping here: a run-ahead core firing a tick
+            // would reorder it against other cores' pending shared ops;
+            // L1 hits commute with ticks, so deferring them to the next
+            // phase-1 pick is exact.
+            debug_assert!(pending[i].is_none(), "pending op survived phase 1");
+            loop {
+                let op = next_op(workload, i);
+                let local = memo[i]
+                    .lookup(&shared.pages, space, op.addr)
+                    .is_some_and(|paddr| shared.hierarchy.l1_access_fast(i, paddr, op.kind));
+                if !local {
+                    // Would touch a shared structure: stash it for the next
+                    // pick. The key stays the clock *before* the op — its
+                    // arrival key in the reference schedule.
+                    pending[i] = Some(op);
+                    keys[i] = key(&cores[i], i);
+                    continue 'epoch;
+                }
+                tick_horizon = tick_horizon.max(cores[i].now().raw());
+                cores[i].advance_instructions(op.instructions());
+                left -= 1;
+                if cores[i].retired() >= instrs_per_core || left == 0 {
+                    keys[i] = key(&cores[i], i);
+                    continue 'epoch;
+                }
             }
         }
-        for c in &mut self.cores {
-            c.drain();
-        }
-        self.scheme.on_finish();
-        self.result()
+
+        // Trailing tick catch-up: the reference runs tick housekeeping at
+        // every per-op pick, so it fires every tick up to the highest
+        // clock-before-op seen; run-ahead skipped some of those picks. All
+        // shared accesses are done, and every remaining tick is later than
+        // each of them was, so firing the stragglers here preserves the
+        // reference interleaving.
+        shared.tick_to(tick_horizon);
+        self.finish()
     }
 
-    /// The per-op reference event loop — PR 2's hot path, kept verbatim as
-    /// the semantic oracle for [`Machine::run_batched`]. Every op re-picks
-    /// the earliest unfinished core; `tests/batched_differential.rs` holds
-    /// the batched loop to this, field by field, at float-bit granularity.
+    /// The per-op reference event loop: the schedule oracle for
+    /// [`Machine::run_batched`]. Every op re-picks the earliest unfinished
+    /// core and executes through the same `Shared::step`;
+    /// `tests/batched_differential.rs` holds the batched loop to this,
+    /// field by field, at float-bit granularity.
     pub fn run_reference(&mut self, instrs_per_core: u64) -> RunResult {
         // Earliest unfinished core first (deterministic tie-break by
         // index). This orders *picks*, not DRAM arrivals: the key is the
@@ -421,109 +411,65 @@ impl Machine {
         // the whole scan). Min over these keys picks the lowest index
         // among time ties, exactly like the scan it replaces.
         let shared_space = self.workload.shared_address_space();
-        let idx_bits = self.cores.len().next_power_of_two().trailing_zeros().max(1);
-        let pack = |now: u64, i: usize| scheduler_key(now, i, idx_bits);
+        let ncores = self.cores.len();
+        let idx_bits = ncores.next_power_of_two().trailing_zeros().max(1);
+        let key = |c: &Core, i: usize| pick_key(c, i, idx_bits, instrs_per_core);
         let mut keys: Vec<u64> = self
             .cores
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                if c.retired() < instrs_per_core {
-                    pack(c.now().raw(), i)
-                } else {
-                    u64::MAX
-                }
-            })
+            .map(|(i, c)| key(c, i))
             .collect();
+        let mut memo = vec![PageMemo::EMPTY; ncores];
         loop {
             let best = keys.iter().copied().fold(u64::MAX, u64::min);
             if best == u64::MAX {
                 break;
             }
             let i = (best & ((1 << idx_bits) - 1)) as usize;
-
-            // Interval housekeeping (migration schemes).
-            let now = self.cores[i].now().raw();
-            while now >= self.next_tick {
-                let t = Cycle::new(self.next_tick);
-                self.scheme.on_tick(t, &mut self.dram);
-                self.next_tick += self.scheme.tick_period().unwrap_or(u64::MAX);
-            }
-
-            let Some(op) = self.workload.source_mut(i).next_op() else {
-                // Trace exhausted (generators are unbounded, but a VecTrace
-                // in tests may end): finish this core.
-                let remaining = instrs_per_core - self.cores[i].retired();
-                self.cores[i].advance_instructions(remaining);
-                keys[i] = u64::MAX;
-                continue;
-            };
-            self.cores[i].advance_instructions(op.instructions());
-
+            let core = &mut self.cores[i];
+            self.shared.tick_to(core.now().raw());
+            let op = next_op(&mut self.workload, i);
             let space = if shared_space { 0 } else { i as u8 };
-            let (paddr, fresh_page) = self.pages.translate_tracking(space, op.addr);
-            if self.os_hints && fresh_page {
-                let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
-                self.scheme.os_hint_used(page_base, 4096);
-            }
-            let out = self.hierarchy.access(i, paddr, op.kind);
-
-            if let Some(wb) = out.writeback {
-                // Dirty LLC victim: buffered write to memory.
-                let req = MemReq::write(wb, 64, self.cores[i].now()).on_core(i as u8);
-                self.scheme.access(&req, &mut self.dram);
-            }
-            if let Some(miss) = out.llc_miss {
-                let at = self.cores[i].now() + out.latency;
-                let req = MemReq {
-                    addr: miss,
-                    kind: op.kind,
-                    bytes: 64,
-                    at,
-                    core: i as u8,
-                };
-                let served = self.scheme.access(&req, &mut self.dram);
-                if op.kind.is_write() {
-                    self.cores[i].note_store();
-                } else {
-                    self.cores[i].issue_llc_miss_load(served.done);
-                }
-            }
-
-            keys[i] = if self.cores[i].retired() < instrs_per_core {
-                pack(self.cores[i].now().raw(), i)
-            } else {
-                u64::MAX
-            };
+            self.shared.step(i, core, &mut memo[i], space, op);
+            keys[i] = key(core, i);
         }
+        self.finish()
+    }
+
+    /// Drains outstanding misses, closes the scheme's books and reports.
+    fn finish(&mut self) -> RunResult {
         for c in &mut self.cores {
             c.drain();
         }
-        self.scheme.on_finish();
-        self.result()
-    }
-
-    fn result(&self) -> RunResult {
+        self.shared.scheme.on_finish();
+        let Shared {
+            hierarchy,
+            scheme,
+            dram,
+            pages,
+            ..
+        } = &self.shared;
         let cycles = self.cores.iter().map(|c| c.now().raw()).max().unwrap_or(0);
         let instructions: u64 = self.cores.iter().map(|c| c.retired()).sum();
-        let hstats = self.hierarchy.stats();
+        let hstats = hierarchy.stats();
         RunResult {
-            scheme: self.scheme.name(),
+            scheme: scheme.name(),
             workload: self.workload.spec().name.clone(),
             cycles,
             instructions,
             mem_ops: hstats.l1.accesses,
             mpki: hstats.mpki(instructions),
-            nm_served: self.scheme.stats().nm_served_fraction(),
-            fm_traffic: self.dram.traffic_bytes(MemSide::Fm),
-            nm_traffic: self.dram.traffic_bytes(MemSide::Nm),
-            energy_mj: self.dram.total_energy().total_mj(),
-            footprint: self.pages.footprint_bytes(),
-            nm_queue_mean: self.dram.device(MemSide::Nm).stats().mean_queue_occupancy(),
-            nm_queue_max: self.dram.device(MemSide::Nm).stats().queue_peak_occupancy,
-            fm_queue_mean: self.dram.device(MemSide::Fm).stats().mean_queue_occupancy(),
-            fm_queue_max: self.dram.device(MemSide::Fm).stats().queue_peak_occupancy,
-            stats: self.scheme.stats().clone(),
+            nm_served: scheme.stats().nm_served_fraction(),
+            fm_traffic: dram.traffic_bytes(MemSide::Fm),
+            nm_traffic: dram.traffic_bytes(MemSide::Nm),
+            energy_mj: dram.total_energy().total_mj(),
+            footprint: pages.footprint_bytes(),
+            nm_queue_mean: dram.device(MemSide::Nm).stats().mean_queue_occupancy(),
+            nm_queue_max: dram.device(MemSide::Nm).stats().queue_peak_occupancy,
+            fm_queue_mean: dram.device(MemSide::Fm).stats().mean_queue_occupancy(),
+            fm_queue_max: dram.device(MemSide::Fm).stats().queue_peak_occupancy,
+            stats: scheme.stats().clone(),
         }
     }
 
@@ -531,18 +477,18 @@ impl Machine {
     /// [`PageAllocator::table_digest`]): equal digests across batch sizes
     /// certify that epoch batching preserved allocation order exactly.
     pub fn page_table_digest(&self) -> u64 {
-        self.pages.table_digest()
+        self.shared.pages.table_digest()
     }
 
     /// NM traffic attributable to metadata, for the §5.2.1 claim (4.1% of
     /// NM traffic).
     pub fn nm_metadata_fraction(&self) -> f64 {
-        let total = self.dram.traffic_bytes(MemSide::Nm);
+        let dram = &self.shared.dram;
+        let total = dram.traffic_bytes(MemSide::Nm);
         if total == 0 {
             return 0.0;
         }
-        let meta = self
-            .dram
+        let meta = dram
             .device(MemSide::Nm)
             .stats()
             .bytes(TrafficClass::Metadata);
