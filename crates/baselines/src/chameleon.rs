@@ -18,7 +18,7 @@
 //! (reads install, writes go to the block's FM home and invalidate the
 //! cached copy), so conflict evictions never generate FM write bursts.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
 use crate::flat::FlatRemap;
@@ -163,19 +163,16 @@ impl MemoryScheme for Chameleon {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram
-                .submit(ServiceRequest::new(
-                    side,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind,
-                        class,
-                        at: ready,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                side,
+                DramAccess {
+                    addr,
+                    bytes: req.bytes,
+                    kind,
+                    class,
+                    at: ready,
+                },
+            ));
             return Served::new(done, true);
         }
 
@@ -199,36 +196,30 @@ impl MemoryScheme for Chameleon {
             self.cache_hits += 1;
             self.stats.served_from_nm += 1;
             let addr = self.cache_base + idx as u64 * self.cfg.block_bytes + offset;
-            let done = dram
-                .submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind: AccessKind::Read,
-                        class: TrafficClass::Demand,
-                        at: ready,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                MemSide::Nm,
+                DramAccess {
+                    addr,
+                    bytes: req.bytes,
+                    kind: AccessKind::Read,
+                    class: TrafficClass::Demand,
+                    at: ready,
+                },
+            ));
             Served::new(done, true)
         } else if write {
             // Write-through to the FM home; drop a stale cached line.
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram
-                .submit(ServiceRequest::new(
-                    side,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind: AccessKind::Write,
-                        class: TrafficClass::Writeback,
-                        at: ready,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                side,
+                DramAccess {
+                    addr,
+                    bytes: req.bytes,
+                    kind: AccessKind::Write,
+                    class: TrafficClass::Writeback,
+                    at: ready,
+                },
+            ));
             if entry.in_use && entry.block == block {
                 self.cache_entries[idx].valid_mask &= !(1 << line);
             }
@@ -236,19 +227,16 @@ impl MemoryScheme for Chameleon {
         } else {
             // Read miss: serve from FM and install the clean line.
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram
-                .submit(ServiceRequest::new(
-                    side,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind: AccessKind::Read,
-                        class: TrafficClass::Demand,
-                        at: ready,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                side,
+                DramAccess {
+                    addr,
+                    bytes: req.bytes,
+                    kind: AccessKind::Read,
+                    class: TrafficClass::Demand,
+                    at: ready,
+                },
+            ));
             if self.cache_entries[idx].in_use && self.cache_entries[idx].block != block {
                 self.cache_entries[idx] = CacheEntry::default();
             }
@@ -258,7 +246,6 @@ impl MemoryScheme for Chameleon {
             e.valid_mask |= 1 << line;
             dram.submit(ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: self.cache_base + idx as u64 * self.cfg.block_bytes + offset,
                     bytes: req.bytes,

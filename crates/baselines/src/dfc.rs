@@ -8,7 +8,7 @@
 //! installs the entry (the paper found DFC's best configuration at 1 KB
 //! cache lines, which is what [`DfcConfig::paper_best`] uses).
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
@@ -121,7 +121,6 @@ impl MemoryScheme for Dfc {
             self.stats.metadata_reads += 1;
             dram.submit(ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: self.tag_addr(set),
                     bytes: 64,
@@ -130,7 +129,6 @@ impl MemoryScheme for Dfc {
                     at: req.at,
                 },
             ))
-            .ready
         };
 
         let lookup = self.dc.access(line_base, write);
@@ -142,19 +140,16 @@ impl MemoryScheme for Dfc {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram
-                .submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr: self.nm_addr(set, lookup.way, in_line),
-                        bytes: req.bytes,
-                        kind,
-                        class,
-                        at: lookup_done,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                MemSide::Nm,
+                DramAccess {
+                    addr: self.nm_addr(set, lookup.way, in_line),
+                    bytes: req.bytes,
+                    kind,
+                    class,
+                    at: lookup_done,
+                },
+            ));
             return Served::new(done, true);
         }
 
@@ -165,19 +160,16 @@ impl MemoryScheme for Dfc {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram
-            .submit(ServiceRequest::new(
-                MemSide::Fm,
-                Ticket::core(usize::from(req.core)),
-                DramAccess {
-                    addr: req.addr.raw() % self.cfg.fm_bytes,
-                    bytes: req.bytes,
-                    kind: req.kind,
-                    class,
-                    at: lookup_done,
-                },
-            ))
-            .ready;
+        let critical = dram.submit(ServiceRequest::new(
+            MemSide::Fm,
+            DramAccess {
+                addr: req.addr.raw() % self.cfg.fm_bytes,
+                bytes: req.bytes,
+                kind: req.kind,
+                class,
+                at: lookup_done,
+            },
+        ));
 
         let nm_line = self.nm_addr(set, lookup.way, 0);
         let chunks = (self.cfg.line_bytes / 64) as u32;
@@ -189,7 +181,6 @@ impl MemoryScheme for Dfc {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Nm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: nm_line,
                             bytes: 64,
@@ -203,7 +194,6 @@ impl MemoryScheme for Dfc {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Fm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: old.line_addr % self.cfg.fm_bytes,
                             bytes: 64,
@@ -221,7 +211,6 @@ impl MemoryScheme for Dfc {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Fm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: line_base % self.cfg.fm_bytes,
                     bytes: 64,
@@ -235,7 +224,6 @@ impl MemoryScheme for Dfc {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: nm_line,
                     bytes: 64,
@@ -250,7 +238,6 @@ impl MemoryScheme for Dfc {
         self.stats.metadata_writes += 1;
         dram.submit(ServiceRequest::new(
             MemSide::Nm,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr: self.tag_addr(set),
                 bytes: 64,
@@ -461,7 +448,6 @@ mod proptests {
                 self.stats.metadata_reads += 1;
                 dram.submit(ServiceRequest::new(
                     MemSide::Nm,
-                    Ticket::CONTROLLER,
                     DramAccess {
                         addr: self.tag_addr(set),
                         bytes: 64,
@@ -470,7 +456,6 @@ mod proptests {
                         at: req.at,
                     },
                 ))
-                .ready
             };
 
             let range =
@@ -488,19 +473,16 @@ mod proptests {
                     } else {
                         (AccessKind::Read, TrafficClass::Demand)
                     };
-                    let done = dram
-                        .submit(ServiceRequest::new(
-                            MemSide::Nm,
-                            Ticket::core(usize::from(req.core)),
-                            DramAccess {
-                                addr: self.nm_addr(set, w, in_line),
-                                bytes: req.bytes,
-                                kind,
-                                class,
-                                at: lookup_done,
-                            },
-                        ))
-                        .ready;
+                    let done = dram.submit(ServiceRequest::new(
+                        MemSide::Nm,
+                        DramAccess {
+                            addr: self.nm_addr(set, w, in_line),
+                            bytes: req.bytes,
+                            kind,
+                            class,
+                            at: lookup_done,
+                        },
+                    ));
                     return Served::new(done, true);
                 }
             }
@@ -512,19 +494,16 @@ mod proptests {
             } else {
                 TrafficClass::Demand
             };
-            let critical = dram
-                .submit(ServiceRequest::new(
-                    MemSide::Fm,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr: req.addr.raw() % self.cfg.fm_bytes,
-                        bytes: req.bytes,
-                        kind: req.kind,
-                        class,
-                        at: lookup_done,
-                    },
-                ))
-                .ready;
+            let critical = dram.submit(ServiceRequest::new(
+                MemSide::Fm,
+                DramAccess {
+                    addr: req.addr.raw() % self.cfg.fm_bytes,
+                    bytes: req.bytes,
+                    kind: req.kind,
+                    class,
+                    at: lookup_done,
+                },
+            ));
 
             let mut victim = range.start;
             let mut lru = u64::MAX;
@@ -550,7 +529,6 @@ mod proptests {
                     dram.submit(
                         ServiceRequest::new(
                             MemSide::Nm,
-                            Ticket::CONTROLLER,
                             DramAccess {
                                 addr: self.nm_addr(set, way, 0),
                                 bytes: 64,
@@ -564,7 +542,6 @@ mod proptests {
                     dram.submit(
                         ServiceRequest::new(
                             MemSide::Fm,
-                            Ticket::CONTROLLER,
                             DramAccess {
                                 addr: old_base % self.cfg.fm_bytes,
                                 bytes: 64,
@@ -582,7 +559,6 @@ mod proptests {
             dram.submit(
                 ServiceRequest::new(
                     MemSide::Fm,
-                    Ticket::CONTROLLER,
                     DramAccess {
                         addr: line_base % self.cfg.fm_bytes,
                         bytes: 64,
@@ -596,7 +572,6 @@ mod proptests {
             dram.submit(
                 ServiceRequest::new(
                     MemSide::Nm,
-                    Ticket::CONTROLLER,
                     DramAccess {
                         addr: self.nm_addr(set, way, 0),
                         bytes: 64,
@@ -611,7 +586,6 @@ mod proptests {
             self.stats.metadata_writes += 1;
             dram.submit(ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: self.tag_addr(set),
                     bytes: 64,

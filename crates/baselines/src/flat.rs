@@ -12,7 +12,7 @@
 //! Hybrid2's own remapping is different enough (free-FM stack, cache pool)
 //! that it lives in `hybrid2-core`; this module serves only the baselines.
 
-use dram::{DramAccess, DramSystem, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, ServiceRequest};
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{AccessKind, Cycle, MemSide, PAddr, TrafficClass};
 
@@ -189,7 +189,6 @@ impl FlatRemap {
             self.table_reads += 1;
             dram.submit(ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: self.meta_base + (entry_addr & !63),
                     bytes: 64,
@@ -198,7 +197,6 @@ impl FlatRemap {
                     at: at + self.cache_latency,
                 },
             ))
-            .ready
         };
         (self.peek(block), ready)
     }
@@ -252,7 +250,6 @@ impl FlatRemap {
         // Remap-table updates for both blocks.
         dram.submit(ServiceRequest::new(
             MemSide::Nm,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr: self.meta_base + ((fm_block * 8) & !63),
                 bytes: 64,
@@ -263,7 +260,6 @@ impl FlatRemap {
         ));
         dram.submit(ServiceRequest::new(
             MemSide::Nm,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr: self.meta_base + ((victim_block * 8) & !63),
                 bytes: 64,
@@ -391,7 +387,7 @@ mod tests {
                 class: TrafficClass::Migration,
                 at,
             };
-            dram.submit(ServiceRequest::new(side, Ticket::CONTROLLER, access).with_count(count));
+            dram.submit(ServiceRequest::new(side, access).with_count(count));
         };
         for i in (0..32).filter(|i| skip & (1 << i) == 0) {
             copy(dram, MemSide::Fm, fm_base + i * 64, AccessKind::Read, 1);
@@ -402,7 +398,6 @@ mod tests {
         for block in [fm_block, victim_block] {
             dram.submit(ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: r.meta_base + ((block * 8) & !63),
                     bytes: 64,

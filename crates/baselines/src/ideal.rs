@@ -7,7 +7,7 @@
 //! touched, which is exactly the measurement behind Figure 1 ("percentage
 //! of data brought in DRAM cache, but remained unused").
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
 /// Configuration of the ideal cache.
@@ -167,19 +167,16 @@ impl MemoryScheme for IdealCache {
                 } else {
                     (AccessKind::Read, TrafficClass::Demand)
                 };
-                let done = dram
-                    .submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        Ticket::core(usize::from(req.core)),
-                        DramAccess {
-                            addr: self.nm_addr(set, w, in_line),
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: req.at,
-                        },
-                    ))
-                    .ready;
+                let done = dram.submit(ServiceRequest::new(
+                    MemSide::Nm,
+                    DramAccess {
+                        addr: self.nm_addr(set, w, in_line),
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: req.at,
+                    },
+                ));
                 return Served::new(done, true);
             }
         }
@@ -191,19 +188,16 @@ impl MemoryScheme for IdealCache {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram
-            .submit(ServiceRequest::new(
-                MemSide::Fm,
-                Ticket::core(usize::from(req.core)),
-                DramAccess {
-                    addr: req.addr.raw() % self.cfg.fm_bytes,
-                    bytes: req.bytes,
-                    kind: req.kind,
-                    class,
-                    at: req.at,
-                },
-            ))
-            .ready;
+        let critical = dram.submit(ServiceRequest::new(
+            MemSide::Fm,
+            DramAccess {
+                addr: req.addr.raw() % self.cfg.fm_bytes,
+                bytes: req.bytes,
+                kind: req.kind,
+                class,
+                at: req.at,
+            },
+        ));
 
         // Victim selection: invalid way first, else LRU.
         let mut victim = range.start;
@@ -231,7 +225,6 @@ impl MemoryScheme for IdealCache {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Nm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: self.nm_addr(set, way, 0),
                             bytes: 64,
@@ -245,7 +238,6 @@ impl MemoryScheme for IdealCache {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Fm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: old_base % self.cfg.fm_bytes,
                             bytes: 64,
@@ -264,7 +256,6 @@ impl MemoryScheme for IdealCache {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Fm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: line_base % self.cfg.fm_bytes,
                     bytes: 64,
@@ -278,7 +269,6 @@ impl MemoryScheme for IdealCache {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: self.nm_addr(set, way, 0),
                     bytes: 64,

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
 
 use crate::flat::FlatRemap;
@@ -123,19 +123,16 @@ impl MemoryScheme for Lgm {
         } else {
             (AccessKind::Read, TrafficClass::Demand)
         };
-        let done = dram
-            .submit(ServiceRequest::new(
-                side,
-                Ticket::core(usize::from(req.core)),
-                DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: ready,
-                },
-            ))
-            .ready;
+        let done = dram.submit(ServiceRequest::new(
+            side,
+            DramAccess {
+                addr,
+                bytes: req.bytes,
+                kind,
+                class,
+                at: ready,
+            },
+        ));
         Served::new(done, loc.is_nm())
     }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
 /// Configuration of the Tagless cache.
@@ -119,19 +119,16 @@ impl MemoryScheme for Tagless {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram
-                .submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    Ticket::core(usize::from(req.core)),
-                    DramAccess {
-                        addr: u64::from(frame) * self.cfg.page_bytes + in_page,
-                        bytes: req.bytes,
-                        kind,
-                        class,
-                        at: req.at,
-                    },
-                ))
-                .ready;
+            let done = dram.submit(ServiceRequest::new(
+                MemSide::Nm,
+                DramAccess {
+                    addr: u64::from(frame) * self.cfg.page_bytes + in_page,
+                    bytes: req.bytes,
+                    kind,
+                    class,
+                    at: req.at,
+                },
+            ));
             return Served::new(done, true);
         }
 
@@ -142,19 +139,16 @@ impl MemoryScheme for Tagless {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram
-            .submit(ServiceRequest::new(
-                MemSide::Fm,
-                Ticket::core(usize::from(req.core)),
-                DramAccess {
-                    addr: req.addr.raw() % self.cfg.fm_bytes,
-                    bytes: req.bytes,
-                    kind: req.kind,
-                    class,
-                    at: req.at,
-                },
-            ))
-            .ready;
+        let critical = dram.submit(ServiceRequest::new(
+            MemSide::Fm,
+            DramAccess {
+                addr: req.addr.raw() % self.cfg.fm_bytes,
+                bytes: req.bytes,
+                kind: req.kind,
+                class,
+                at: req.at,
+            },
+        ));
 
         let frame = self.pick_frame();
         let lines = (self.cfg.page_bytes / 64) as u32;
@@ -165,7 +159,6 @@ impl MemoryScheme for Tagless {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Nm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: frame as u64 * self.cfg.page_bytes,
                             bytes: 64,
@@ -179,7 +172,6 @@ impl MemoryScheme for Tagless {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Fm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: (old.page * self.cfg.page_bytes) % self.cfg.fm_bytes,
                             bytes: 64,
@@ -198,7 +190,6 @@ impl MemoryScheme for Tagless {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Fm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: (page * self.cfg.page_bytes) % self.cfg.fm_bytes,
                     bytes: 64,
@@ -212,7 +203,6 @@ impl MemoryScheme for Tagless {
         dram.submit(
             ServiceRequest::new(
                 MemSide::Nm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: frame as u64 * self.cfg.page_bytes,
                     bytes: 64,

@@ -1,6 +1,6 @@
 //! The DRAM Cache Migration Controller: §3.4–§3.7 wired together.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest, Ticket};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use sim_types::{AccessKind, Cycle, MemReq, MemSide, NmLoc, TrafficClass};
 
 use crate::config::{ConfigError, Hybrid2Config, Layout, Variant};
@@ -162,7 +162,6 @@ impl Dcmc {
         self.stats.metadata_reads += 1;
         dram.submit(ServiceRequest::new(
             MemSide::Nm,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr: addr & !63,
                 bytes: 64,
@@ -171,7 +170,6 @@ impl Dcmc {
                 at,
             },
         ))
-        .ready
     }
 
     fn meta_write(&mut self, addr: u64, at: Cycle, dram: &mut DramSystem) {
@@ -181,7 +179,6 @@ impl Dcmc {
         self.stats.metadata_writes += 1;
         dram.submit(ServiceRequest::new(
             MemSide::Nm,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr: addr & !63,
                 bytes: 64,
@@ -332,7 +329,6 @@ impl Dcmc {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Nm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: self.layout.nm_slot_addr(cand),
                             bytes: line_bytes,
@@ -346,7 +342,6 @@ impl Dcmc {
                 dram.submit(
                     ServiceRequest::new(
                         MemSide::Fm,
-                        Ticket::CONTROLLER,
                         DramAccess {
                             addr: self.layout.fm_loc_addr(f),
                             bytes: line_bytes,
@@ -445,7 +440,6 @@ impl MemoryScheme for Dcmc {
         let bit = 1u64 << line;
         let in_sector_off = req.addr.raw() & (g.sector_size() - 1);
         let write = req.kind.is_write();
-        let ticket = Ticket::core(usize::from(req.core));
 
         self.stats.requests += 1;
         if write {
@@ -479,19 +473,16 @@ impl MemoryScheme for Dcmc {
                 } else {
                     (AccessKind::Read, TrafficClass::Demand)
                 };
-                let done = dram
-                    .submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        ticket,
-                        DramAccess {
-                            addr,
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: t0,
-                        },
-                    ))
-                    .ready;
+                let done = dram.submit(ServiceRequest::new(
+                    MemSide::Nm,
+                    DramAccess {
+                        addr,
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: t0,
+                    },
+                ));
                 self.stats.served_from_nm += 1;
                 Served::new(done, true)
             } else {
@@ -512,22 +503,18 @@ impl MemoryScheme for Dcmc {
                 } else {
                     TrafficClass::Demand
                 };
-                let fetched = dram
-                    .submit(ServiceRequest::new(
-                        MemSide::Fm,
-                        ticket,
-                        DramAccess {
-                            addr: fm_addr,
-                            bytes: g.line_size() as u32,
-                            kind: AccessKind::Read,
-                            class,
-                            at: t0,
-                        },
-                    ))
-                    .ready;
+                let fetched = dram.submit(ServiceRequest::new(
+                    MemSide::Fm,
+                    DramAccess {
+                        addr: fm_addr,
+                        bytes: g.line_size() as u32,
+                        kind: AccessKind::Read,
+                        class,
+                        at: t0,
+                    },
+                ));
                 dram.submit(ServiceRequest::new(
                     MemSide::Nm,
-                    ticket,
                     DramAccess {
                         addr: nm_addr,
                         bytes: g.line_size() as u32,
@@ -566,19 +553,16 @@ impl MemoryScheme for Dcmc {
                     } else {
                         (AccessKind::Read, TrafficClass::Demand)
                     };
-                    let done = dram
-                        .submit(ServiceRequest::new(
-                            MemSide::Nm,
-                            ticket,
-                            DramAccess {
-                                addr,
-                                bytes: req.bytes,
-                                kind,
-                                class,
-                                at: t1,
-                            },
-                        ))
-                        .ready;
+                    let done = dram.submit(ServiceRequest::new(
+                        MemSide::Nm,
+                        DramAccess {
+                            addr,
+                            bytes: req.bytes,
+                            kind,
+                            class,
+                            at: t1,
+                        },
+                    ));
                     self.stats.served_from_nm += 1;
                     Served::new(done, true)
                 }
@@ -599,22 +583,18 @@ impl MemoryScheme for Dcmc {
                     } else {
                         TrafficClass::Demand
                     };
-                    let fetched = dram
-                        .submit(ServiceRequest::new(
-                            MemSide::Fm,
-                            ticket,
-                            DramAccess {
-                                addr: fm_addr,
-                                bytes: g.line_size() as u32,
-                                kind: AccessKind::Read,
-                                class,
-                                at: t1,
-                            },
-                        ))
-                        .ready;
+                    let fetched = dram.submit(ServiceRequest::new(
+                        MemSide::Fm,
+                        DramAccess {
+                            addr: fm_addr,
+                            bytes: g.line_size() as u32,
+                            kind: AccessKind::Read,
+                            class,
+                            at: t1,
+                        },
+                    ));
                     dram.submit(ServiceRequest::new(
                         MemSide::Nm,
-                        ticket,
                         DramAccess {
                             addr: nm_addr,
                             bytes: g.line_size() as u32,

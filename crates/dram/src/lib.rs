@@ -18,15 +18,13 @@
 //! they are presented to a device (FCFS with an open-page row policy),
 //! which is not always arrival order; see [`DramDevice`].
 //!
-//! All traffic flows through the ticketed service layer ([`service`]):
-//! schemes build a [`ServiceRequest`] (a [`DramAccess`] plus target side,
-//! issuing-node [`Ticket`] and burst count) and get back a
-//! [`ServiceResult`] with both completion and queue-admission cycles. The
-//! default [`ServiceModel::Unbounded`] is the closed-form reference —
-//! byte-identical to the pre-service-layer calculator — while
-//! [`ServiceModel::Queued`] bounds each channel behind a FIFO of
-//! configurable depth whose overflow charges explicit [`Backpressure`]
-//! delay on top of the CAS/RCD/RP timing.
+//! All traffic flows through the service layer ([`service`]): schemes
+//! build a [`ServiceRequest`] (a [`DramAccess`] plus target side and burst
+//! count) and get back its completion cycle. The default
+//! [`ServiceModel::Unbounded`] is the closed-form calculator that every
+//! golden and paper figure uses, while [`ServiceModel::Queued`] bounds each
+//! channel behind a FIFO of configurable depth whose overflow charges
+//! explicit [`Backpressure`] delay on top of the CAS/RCD/RP timing.
 //!
 //! The crate also defines the [`MemoryScheme`] trait implemented by Hybrid2
 //! and by every baseline scheme, so that all of them drive the same devices
@@ -39,7 +37,7 @@
 //! use sim_types::{AccessKind, Cycle, TrafficClass};
 //!
 //! let mut nm = DramDevice::new(DeviceConfig::hbm2_near_memory());
-//! let first = nm.access(DramAccess {
+//! let first = nm.serve(DramAccess {
 //!     addr: 0,
 //!     bytes: 64,
 //!     kind: AccessKind::Read,
@@ -47,7 +45,7 @@
 //!     at: Cycle::ZERO,
 //! });
 //! // A second access to the same row is a row-buffer hit: strictly faster.
-//! let second = nm.access(DramAccess {
+//! let second = nm.serve(DramAccess {
 //!     addr: 64,
 //!     bytes: 64,
 //!     kind: AccessKind::Read,
@@ -71,8 +69,5 @@ pub use config::{DeviceConfig, DeviceConfigError};
 pub use device::{DeviceStats, DramAccess, DramDevice};
 pub use energy::EnergyCounter;
 pub use scheme::{MemoryScheme, SchemeStats, Served};
-pub use service::{
-    Backpressure, BoundedQueue, ServiceModel, ServiceRequest, ServiceResult, Ticket,
-    DEFAULT_QUEUE_DEPTH,
-};
+pub use service::{Backpressure, BoundedQueue, ServiceModel, ServiceRequest, DEFAULT_QUEUE_DEPTH};
 pub use system::DramSystem;

@@ -1,25 +1,22 @@
-//! Ticketed memory-service layer: requests, results and bounded queues.
+//! The memory-service layer: requests and bounded queues.
 //!
 //! Every memory operation a scheme performs — demand line reads, metadata
 //! probes, migration bursts — is expressed as one [`ServiceRequest`]: the
-//! device-level [`DramAccess`] plus the side it targets, the [`Ticket`] of
-//! the issuing node, and an optional back-to-back repeat count (subsuming the
-//! old `burst` entry point). The system answers with a [`ServiceResult`]
-//! carrying both the completion cycle (`ready`) and the cycle the request
-//! cleared the service queues (`queued`), so callers can separate queueing
-//! delay from array/bus time.
+//! device-level [`DramAccess`] plus the side it targets and a back-to-back
+//! repeat count. The system answers with the cycle the (last) access
+//! completes.
 //!
 //! Two service models are offered (see [`ServiceModel`]):
 //!
 //! * **`Unbounded`** (the default) — infinite queue depth, zero arbitration:
 //!   requests flow straight into the closed-form bank/bus timing calculator.
-//!   This reduces *byte-identically* to the pre-redesign results and is what
-//!   all pinned goldens and paper figures use.
+//!   Every pinned golden and paper figure uses it.
 //! * **`Queued { depth }`** — each channel front-ends the calculator with a
 //!   bounded FIFO of in-flight requests. A request that finds its queue full
 //!   suffers explicit [`Backpressure`]: it is admitted only when the oldest
 //!   in-flight entry drains, and the stall is charged on top of the usual
-//!   CAS/RCD/RP timing.
+//!   CAS/RCD/RP timing and counted in the device's `queue_stalls` and
+//!   `queue_stall_cycles`.
 
 use std::collections::VecDeque;
 
@@ -90,44 +87,7 @@ impl core::fmt::Display for ServiceModel {
     }
 }
 
-/// Identity of the node issuing a [`ServiceRequest`].
-///
-/// Tickets attribute traffic to its origin — a core, or the memory
-/// controller itself (metadata walks, migrations, evictions). The bounded
-/// service model arbitrates FCFS regardless of ticket; the ticket exists so
-/// priority or per-source fairness policies can slot in without another API
-/// change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Ticket(u32);
-
-impl Ticket {
-    /// Traffic generated by the memory controller / scheme itself
-    /// (metadata, migration, eviction) rather than a core's demand stream.
-    pub const CONTROLLER: Ticket = Ticket(u32::MAX);
-
-    /// The ticket of core `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` does not fit the ticket space (reserved top value).
-    pub fn core(n: usize) -> Ticket {
-        let raw = u32::try_from(n).expect("core index exceeds ticket space");
-        assert!(raw != u32::MAX, "core index collides with CONTROLLER");
-        Ticket(raw)
-    }
-
-    /// The raw ticket number.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Whether this is controller-generated (non-demand) traffic.
-    pub fn is_controller(self) -> bool {
-        self.0 == u32::MAX
-    }
-}
-
-/// One ticketed request to the memory system.
+/// One request to the memory system.
 ///
 /// `count > 1` requests `count` back-to-back accesses of `access.bytes`
 /// starting at `access.addr`, all arriving at `access.at` (sector
@@ -137,8 +97,6 @@ impl Ticket {
 pub struct ServiceRequest {
     /// Which device serves the request.
     pub side: MemSide,
-    /// The issuing node.
-    pub ticket: Ticket,
     /// Number of back-to-back line accesses (1 for a single access).
     pub count: u32,
     /// The device-level access (address, bytes, kind, class, arrival).
@@ -147,10 +105,9 @@ pub struct ServiceRequest {
 
 impl ServiceRequest {
     /// A single-access request.
-    pub fn new(side: MemSide, ticket: Ticket, access: DramAccess) -> Self {
+    pub fn new(side: MemSide, access: DramAccess) -> Self {
         ServiceRequest {
             side,
-            ticket,
             count: 1,
             access,
         }
@@ -161,26 +118,6 @@ impl ServiceRequest {
     pub fn with_count(mut self, count: u32) -> Self {
         self.count = count;
         self
-    }
-}
-
-/// The service outcome of a [`ServiceRequest`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceResult {
-    /// Cycle the (last) access completes — what the old `access`/`burst`
-    /// API returned.
-    pub ready: Cycle,
-    /// Cycle the (first) access cleared the service queues and was admitted
-    /// to the timing calculator. Equal to the arrival cycle under
-    /// [`ServiceModel::Unbounded`]; later under backpressure.
-    pub queued: Cycle,
-}
-
-impl ServiceResult {
-    /// Queueing delay relative to the given arrival cycle (0 when admitted
-    /// immediately).
-    pub fn queue_delay(&self, at: Cycle) -> u64 {
-        self.queued.saturating_since(at)
     }
 }
 
@@ -303,22 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn tickets_distinguish_cores_from_controller() {
-        assert!(Ticket::CONTROLLER.is_controller());
-        assert!(!Ticket::core(0).is_controller());
-        assert_eq!(Ticket::core(3).raw(), 3);
-        assert_ne!(Ticket::core(0), Ticket::core(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "collides with CONTROLLER")]
-    fn controller_ticket_is_reserved() {
-        let _ = Ticket::core(u32::MAX as usize);
-    }
-
-    #[test]
     fn request_builder_defaults_to_single_access() {
-        let r = ServiceRequest::new(MemSide::Nm, Ticket::CONTROLLER, acc(0));
+        let r = ServiceRequest::new(MemSide::Nm, acc(0));
         assert_eq!(r.count, 1);
         assert_eq!(r.with_count(8).count, 8);
     }

@@ -5,7 +5,7 @@ use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
 use crate::config::DeviceConfig;
 use crate::device::{DramAccess, DramDevice};
 use crate::energy::EnergyCounter;
-use crate::service::{ServiceModel, ServiceRequest, ServiceResult, Ticket};
+use crate::service::{ServiceModel, ServiceRequest};
 
 /// Near memory and far memory bundled together, as handed to schemes.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,14 +46,13 @@ impl DramSystem {
         self.nm.service_model()
     }
 
-    /// Submits one ticketed request, returning its completion (`ready`) and
-    /// queue-admission (`queued`) cycles.
+    /// Submits one request and returns its completion cycle.
     ///
     /// A request with `count > 1` is served as `count` back-to-back accesses
     /// at stride `access.bytes`, all arriving at `access.at` (sector moves,
-    /// page fills); `ready` is the completion of the last access and
-    /// `queued` the admission of the first. See [`DramDevice::serve_burst`].
-    pub fn submit(&mut self, req: ServiceRequest) -> ServiceResult {
+    /// page fills), and completes when the last access does. See
+    /// [`DramDevice::serve_burst`].
+    pub fn submit(&mut self, req: ServiceRequest) -> Cycle {
         self.device_mut(req.side).serve_burst(req.access, req.count)
     }
 
@@ -86,7 +85,7 @@ impl DramSystem {
                     class,
                     at,
                 };
-                self.submit(ServiceRequest::new(side, Ticket::CONTROLLER, access).with_count(run));
+                self.submit(ServiceRequest::new(side, access).with_count(run));
             }
         }
     }
@@ -160,7 +159,6 @@ mod tests {
     fn req(side: MemSide, addr: u64, kind: AccessKind, class: TrafficClass) -> ServiceRequest {
         ServiceRequest::new(
             side,
-            Ticket::CONTROLLER,
             DramAccess {
                 addr,
                 bytes: 64,
@@ -192,7 +190,6 @@ mod tests {
         let r = sys.submit(
             ServiceRequest::new(
                 MemSide::Fm,
-                Ticket::CONTROLLER,
                 DramAccess {
                     addr: 0,
                     bytes: 256,
@@ -206,8 +203,8 @@ mod tests {
         assert_eq!(sys.traffic_bytes(MemSide::Fm), 2048);
         assert_eq!(sys.traffic_bytes(MemSide::Nm), 0);
         assert_eq!(sys.device(MemSide::Fm).stats().accesses, 8);
-        assert!(r.ready > Cycle::ZERO);
-        assert_eq!(r.queued, Cycle::ZERO);
+        assert!(r > Cycle::ZERO);
+        assert_eq!(sys.device(MemSide::Fm).stats().queue_stall_cycles, 0);
     }
 
     #[test]
@@ -251,7 +248,6 @@ mod tests {
                     {
                         reference.submit(ServiceRequest::new(
                             side,
-                            Ticket::CONTROLLER,
                             DramAccess {
                                 addr: base + i * line_bytes,
                                 bytes: line_bytes as u32,

@@ -3,7 +3,7 @@
 //! at stride `bytes` would — same result, same statistics and energy, and
 //! the same bank and bus state.
 
-use dram::{DeviceConfig, DramAccess, DramSystem, ServiceModel, ServiceRequest, Ticket};
+use dram::{DeviceConfig, DramAccess, DramSystem, ServiceModel, ServiceRequest};
 use proptest::prelude::*;
 use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
 
@@ -68,18 +68,14 @@ proptest! {
         let first = access(addr, bytes, write, at);
 
         let mut reference = sys.clone();
-        let mut want = dram::ServiceResult { ready: first.at, queued: first.at };
+        let mut want = first.at;
         for i in 0..count {
-            let r = reference.device_mut(MemSide::Nm).serve(DramAccess {
+            want = reference.device_mut(MemSide::Nm).serve(DramAccess {
                 addr: addr + u64::from(i) * u64::from(bytes),
                 ..first
             });
-            want.ready = r.ready;
-            if i == 0 {
-                want.queued = r.queued;
-            }
         }
-        let got = sys.submit(ServiceRequest::new(MemSide::Nm, Ticket::CONTROLLER, first).with_count(count));
+        let got = sys.submit(ServiceRequest::new(MemSide::Nm, first).with_count(count));
 
         prop_assert_eq!(got, want);
         let (dev, ref_dev) = (sys.device(MemSide::Nm), reference.device(MemSide::Nm));
@@ -102,16 +98,15 @@ fn long_bursts_cover_many_granules_and_rows() {
         let mut sys = DramSystem::new(cfg.clone(), cfg);
         let mut reference = sys.clone();
         let first = access(192, 64, false, 7);
-        let got =
-            sys.submit(ServiceRequest::new(MemSide::Fm, Ticket::CONTROLLER, first).with_count(300));
+        let got = sys.submit(ServiceRequest::new(MemSide::Fm, first).with_count(300));
         let mut ready = first.at;
         for i in 0..300 {
-            ready = reference.device_mut(MemSide::Fm).access(DramAccess {
+            ready = reference.device_mut(MemSide::Fm).serve(DramAccess {
                 addr: first.addr + i * 64,
                 ..first
             });
         }
-        assert_eq!(got.ready, ready);
+        assert_eq!(got, ready);
         assert_eq!(sys, reference);
         assert_eq!(sys.total_energy(), reference.total_energy());
     }

@@ -60,7 +60,7 @@ pub use workloads as traffic;
 
 pub use dram::{
     Backpressure, DramSystem, MemoryScheme, SchemeStats, Served, ServiceModel, ServiceRequest,
-    ServiceResult, Ticket, DEFAULT_QUEUE_DEPTH,
+    DEFAULT_QUEUE_DEPTH,
 };
 pub use hybrid2_core::{ConfigError, Dcmc, Hybrid2Config, Variant};
 pub use sim::{
@@ -70,7 +70,7 @@ pub use sim::{
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use dram::{DramSystem, MemoryScheme, Served, ServiceModel, ServiceRequest, Ticket};
+    pub use dram::{DramSystem, MemoryScheme, Served, ServiceModel, ServiceRequest};
     pub use hybrid2_core::{Dcmc, Hybrid2Config, Variant};
     pub use sim::{run_one, run_one_timed, EvalConfig, Machine, Matrix, NmRatio, SchemeKind};
     pub use sim_types::{AccessKind, Cycle, Geometry, MemReq, MemSide, PAddr, TrafficClass};

@@ -1,4 +1,4 @@
-//! Differential wall for the ticketed memory-service API.
+//! Differential wall for the memory-service API.
 //!
 //! Two contracts, two gates:
 //!
