@@ -69,7 +69,8 @@
 //! Exit status: 0 on success, 1 on runtime failure (I/O, inconsistent
 //! shard slices, corrupt run records), 2 on a usage error (unknown
 //! flag/subcommand/id, malformed filter value, a `--scale` outside the
-//! powers of two in [1, 2048]). Argument handling never panics.
+//! powers of two in [1, 2048], a zero `--instrs`, `--threads` or
+//! `--batch`). Argument handling never panics.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
 use sim::shard::{self, ShardSpec};
@@ -144,6 +145,18 @@ fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Re
         .map_err(|_| format!("{name} needs an integer value, got {:?}", args[i + 1]))
 }
 
+/// [`flag_value`] for a count that must be at least 1.
+fn count_value<T>(args: &[String], i: usize, name: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let v = flag_value(args, i, name)?;
+    if v == T::default() {
+        return Err(format!("{name} must be at least 1"));
+    }
+    Ok(v)
+}
+
 /// Consumes one of the sizing flags shared by every run subcommand
 /// (`--scale/--instrs/--seed/--threads/--batch/--service`) at `args[i]`,
 /// returning the next index, or `None` if `args[i]` is some other
@@ -158,15 +171,10 @@ fn parse_sizing_flag(
             cfg.scale_den = flag_value(args, i, "--scale")?;
             ScaledSystem::check_scale_den(cfg.scale_den).map_err(|e| format!("--scale: {e}"))?;
         }
-        "--instrs" => cfg.instrs_per_core = flag_value(args, i, "--instrs")?,
+        "--instrs" => cfg.instrs_per_core = count_value(args, i, "--instrs")?,
         "--seed" => cfg.seed = flag_value(args, i, "--seed")?,
-        "--threads" => cfg.threads = flag_value(args, i, "--threads")?,
-        "--batch" => {
-            cfg.batch = flag_value(args, i, "--batch")?;
-            if cfg.batch == 0 {
-                return Err("--batch must be at least 1 (1 = per-op reference scheduling)".into());
-            }
-        }
+        "--threads" => cfg.threads = count_value(args, i, "--threads")?,
+        "--batch" => cfg.batch = count_value(args, i, "--batch")?,
         "--service" => {
             let v = args.get(i + 1).ok_or("--service needs a value")?;
             cfg.service = ServiceModel::parse(v).ok_or_else(|| {
@@ -1000,6 +1008,23 @@ mod tests {
         assert!(parse(&["scenario", "all", "--batch", "0"])
             .unwrap_err()
             .contains("at least 1"));
+    }
+
+    #[test]
+    fn zero_threads_and_zero_instrs_are_usage_errors() {
+        for flag in ["--threads", "--instrs"] {
+            assert!(parse(&[flag, "0"]).unwrap_err().contains("at least 1"));
+            assert!(parse(&["scenario", "all", flag, "0"])
+                .unwrap_err()
+                .contains(&format!("{flag} must be at least 1")));
+        }
+        match parse(&["--threads", "3", "--instrs", "1"]).unwrap() {
+            Command::Eval { cfg, .. } => {
+                assert_eq!(cfg.threads, 3);
+                assert_eq!(cfg.instrs_per_core, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
