@@ -267,3 +267,89 @@ fn os_hinted_hybrid2_digest_is_stable() {
     // configuration is pinned in GOLDEN_MATRIX and must differ.
     assert_ne!(r.cycles, GOLDEN_CYCLES, "OS hints changed nothing");
 }
+
+/// Pinned digests of the golden (workload, seed) under the scheme shapes
+/// the MAIN matrix does not reach: the IDEAL cache at both ends of the
+/// Figure 1/2 line sweep, one Figure 11 design point whose sector and
+/// line both differ from the paper-best 2 KB / 256 B (a two-set XTA at
+/// this scale), and one Figure 14 variant. Same columns as
+/// [`GOLDEN_MATRIX`]. Captured before the XTA and the IDEAL cache moved
+/// onto the shared set-associative kernel.
+const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
+    (
+        SchemeKind::IdealLine(64),
+        1_600_012,
+        1_508_152,
+        7_271,
+        2_879_808,
+        5_044_224,
+        0x3ff7_a409_fb0c_986d,
+    ),
+    (
+        SchemeKind::IdealLine(4096),
+        1_600_012,
+        727_167,
+        9_956,
+        1_617_920,
+        6_276_608,
+        0x3ff1_1b0b_f794_7d79,
+    ),
+    (
+        SchemeKind::Hybrid2Config {
+            cache_bytes_paper: 128 << 20,
+            sector: 4096,
+            line: 512,
+        },
+        1_600_012,
+        794_392,
+        9_470,
+        3_949_568,
+        8_590_784,
+        0x3ffa_caa5_58a9_344d,
+    ),
+    (
+        SchemeKind::Hybrid2Variant(Variant::MigrateAll),
+        1_600_012,
+        448_228,
+        9_338,
+        2_535_424,
+        7_185_152,
+        0x3ff2_d308_6ff8_fcd0,
+    ),
+];
+
+#[test]
+fn scheme_shape_digests_are_stable() {
+    let spec = catalog::by_name(GOLDEN_WORKLOAD).unwrap();
+    assert!(
+        hybrid2::harness::experiments::fig11_design_points().contains(&(128 << 20, 4096, 512)),
+        "the pinned design point left the Figure 11 space"
+    );
+    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits) in
+        GOLDEN_SHAPES
+    {
+        let r = run_one(kind, spec, NmRatio::OneGb, &golden_cfg());
+        let got = (
+            r.instructions,
+            r.cycles,
+            (r.nm_served * 10_000.0).round() as u64,
+            r.fm_traffic,
+            r.nm_traffic,
+            r.energy_mj.to_bits(),
+        );
+        assert_eq!(
+            got,
+            (
+                instructions,
+                cycles,
+                nm_served_bp,
+                fm_traffic,
+                nm_traffic,
+                energy_bits
+            ),
+            "golden digest moved for {kind:?}: got {got:?} — if this change \
+             is intentional, update GOLDEN_SHAPES and explain the semantic \
+             change in the commit message"
+        );
+    }
+}
