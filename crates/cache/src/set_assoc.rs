@@ -197,9 +197,14 @@ impl CacheStats {
 /// A write-back, allocate-on-miss, true-LRU set-associative cache.
 ///
 /// Addresses are byte addresses; the cache works at [`CacheConfig::line_size`]
-/// granularity. This structure is used for the L1/L2/LLC SRAM levels and for
+/// granularity. This structure is used for the L1/L2/LLC SRAM levels, for
 /// scheme metadata caches (where "addresses" are table-entry indices scaled
-/// by an entry size).
+/// by an entry size), and for the tag arrays of the DFC and IDEAL DRAM
+/// caches and of Hybrid2's XTA. Those three keep their per-line state
+/// (touched chunks, XTA entries) in an array of their own, indexed by the
+/// line index `set * associativity + way`: [`SetAssocCache::access`]
+/// reports the way, [`SetAssocCache::hit_line`] and
+/// [`SetAssocCache::evict_lru_if_full`] the index itself.
 ///
 /// Ways live in two parallel arrays, so the scans of
 /// [`SetAssocCache::access`] are tight loops over plain words with no
@@ -210,12 +215,13 @@ impl CacheStats {
 ///
 /// A last-line memo remembers the line number (`addr >> line_shift`) and
 /// physical way of the most recent [`SetAssocCache::access`] (hit or fill)
-/// or successful [`SetAssocCache::access_if_hit`], so a lookup of that
-/// line again skips the set scan. Invariant: **the memoised line is
-/// resident at the memoised way.** Tags change in only two places: the
-/// fill of `access`, which overwrites the memo with the line it installs,
-/// and [`SetAssocCache::invalidate`], which clears the memo when it empties
-/// the memoised way.
+/// or successful [`SetAssocCache::hit_line`], so a lookup of that line
+/// again skips the set scan. Invariant: **the memoised line is resident at
+/// the memoised way.** Tags change in only two places: the fill of
+/// `access`, which overwrites the memo with the line it installs, and the
+/// emptying of a way by [`SetAssocCache::invalidate`] or
+/// [`SetAssocCache::evict_lru_if_full`], which clears the memo when it
+/// empties the memoised way.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -413,16 +419,37 @@ impl SetAssocCache {
     /// wait for global ordering and be replayed in full.
     #[inline]
     pub fn access_if_hit(&mut self, addr: u64, write: bool) -> bool {
-        let Some(w) = self.find(addr) else {
-            return false;
-        };
+        self.hit_line(addr, write).is_some()
+    }
+
+    /// [`SetAssocCache::access_if_hit`] that returns the hit line's index,
+    /// `set * associativity + way`, by which a caller keys its per-line
+    /// payload.
+    #[inline]
+    pub fn hit_line(&mut self, addr: u64, write: bool) -> Option<usize> {
+        let w = self.find(addr)?;
         self.clock += 1;
         self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
         self.stats.accesses += 1;
         self.stats.hits += 1;
         self.memo_line = addr >> self.line_shift;
         self.memo_way = w;
-        true
+        Some(w)
+    }
+
+    /// If every way of `addr`'s set is valid, invalidates the least
+    /// recently used one and returns its line index; otherwise changes
+    /// nothing. The next miss in the set then fills the emptied way, as
+    /// [`SetAssocCache::access`] fills the first invalid way.
+    pub fn evict_lru_if_full(&mut self, addr: u64) -> Option<usize> {
+        let range = self.set_range(self.set_of(addr).0);
+        let w = range.start + victim_way(&self.meta[range]);
+        if self.meta[w] == 0 {
+            return None;
+        }
+        let dirty = self.clear(w);
+        self.stats.dirty_evictions += u64::from(dirty);
+        Some(w)
     }
 
     /// Non-allocating residency probe.
@@ -443,13 +470,19 @@ impl SetAssocCache {
     /// Removes a line; returns `Some(dirty)` if it was resident.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let w = self.find(addr)?;
+        Some(self.clear(w))
+    }
+
+    /// Empties way index `w`, forgetting it in the memo; returns whether it
+    /// was dirty.
+    fn clear(&mut self, w: usize) -> bool {
         let dirty = self.meta[w] & 1 != 0;
         self.tags[w] = NO_TAG;
         self.meta[w] = 0;
         if w == self.memo_way {
             self.memo_line = NO_TAG;
         }
-        Some(dirty)
+        dirty
     }
 
     /// Number of currently valid lines.
@@ -832,6 +865,29 @@ mod proptests {
             true
         }
 
+        fn hit_line(&mut self, addr: u64, write: bool) -> Option<usize> {
+            let (set, tag) = self.set_of(addr);
+            let range = self.set_range(set);
+            let start = range.start;
+            let way = self.ways[range]
+                .iter()
+                .position(|w| w.valid() && w.tag == tag)?;
+            self.access_if_hit(addr, write);
+            Some(start + way)
+        }
+
+        fn evict_lru_if_full(&mut self, addr: u64) -> Option<usize> {
+            let range = self.set_range(self.set_of(addr).0);
+            if !self.ways[range.clone()].iter().all(|w| w.valid()) {
+                return None;
+            }
+            let i = range.min_by_key(|&i| self.ways[i].stamp())?;
+            let w = &mut self.ways[i];
+            self.stats.dirty_evictions += u64::from(w.dirty());
+            w.meta &= !(Way::VALID | Way::DIRTY);
+            Some(i)
+        }
+
         fn probe(&mut self, addr: u64) -> bool {
             self.find(addr).is_some()
         }
@@ -865,7 +921,10 @@ mod proptests {
     /// the cache's capacity, so sets see cold fills, hits, conflict
     /// evictions and refills of invalidated ways. Op 6 invalidates the
     /// line and then probes it, op 7 invalidates it and then accesses it:
-    /// the memo's only clearing path, on the line it most likely holds.
+    /// the memo's clearing path, on the line it most likely holds. Op 8 is
+    /// a hit that reports its line index, and op 9 evicts the line's set's
+    /// LRU way if the set is full (the memo's other clearing path), then
+    /// accesses the line, which refills the emptied way.
     fn check_against_model(sets: u64, assoc: u32, line_bytes: u64, ops: &[(u8, u64, bool)]) {
         let cfg =
             CacheConfig::new(sets * u64::from(assoc) * line_bytes, assoc, line_bytes).unwrap();
@@ -887,8 +946,13 @@ mod proptests {
                     assert_eq!(fast.invalidate(addr), model.invalidate(addr));
                     assert_eq!(fast.probe(addr), model.probe(addr));
                 }
-                _ => {
+                7 => {
                     assert_eq!(fast.invalidate(addr), model.invalidate(addr));
+                    assert_eq!(fast.access(addr, write), model.access(addr, write));
+                }
+                8 => assert_eq!(fast.hit_line(addr, write), model.hit_line(addr, write)),
+                _ => {
+                    assert_eq!(fast.evict_lru_if_full(addr), model.evict_lru_if_full(addr));
                     assert_eq!(fast.access(addr, write), model.access(addr, write));
                 }
             }
@@ -902,7 +966,7 @@ mod proptests {
     }
 
     fn ops(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
-        proptest::collection::vec((0u8..8, 0..lines, any::<bool>()), 1..400)
+        proptest::collection::vec((0u8..10, 0..lines, any::<bool>()), 1..400)
     }
 
     /// Ops that mostly touch a line and then invalidate it: an access or

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use mem_cache::MAX_ASSOC;
+
 use sim_types::{FmLoc, Geometry, GeometryError, NmLoc, PAddr, SectorId};
 
 /// Figure 14's ablation variants plus the full design.
@@ -64,8 +66,8 @@ pub enum ConfigError {
         /// Available NM bytes.
         nm: u64,
     },
-    /// Cache capacity in sectors must be a multiple of the associativity
-    /// with a power-of-two set count.
+    /// Cache capacity in sectors must be a multiple of the associativity,
+    /// at most [`MAX_ASSOC`] ways, with a power-of-two set count.
     BadCacheShape {
         /// Cache capacity in sectors.
         sectors: u64,
@@ -106,7 +108,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadCacheShape { sectors, assoc } => write!(
                 f,
-                "cache of {sectors} sectors cannot form power-of-two sets at associativity {assoc}"
+                "cache of {sectors} sectors cannot form power-of-two sets at associativity {assoc} (at most {MAX_ASSOC} ways)"
             ),
             ConfigError::FlatRegionTooSmall { flat, cache } => write!(
                 f,
@@ -220,7 +222,8 @@ impl Hybrid2Config {
         let cache_sectors = self.cache_bytes / sector;
 
         // XTA shape: one entry per cache sector, set-associative.
-        if !cache_sectors.is_multiple_of(u64::from(self.xta_assoc))
+        if self.xta_assoc > MAX_ASSOC
+            || !cache_sectors.is_multiple_of(u64::from(self.xta_assoc))
             || !(cache_sectors / u64::from(self.xta_assoc)).is_power_of_two()
         {
             return Err(ConfigError::BadCacheShape {
@@ -505,6 +508,17 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::BadCacheShape { .. })
         ));
+        // 128 ways form power-of-two sets but exceed the tag array's width.
+        cfg.xta_assoc = 2 * MAX_ASSOC;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadCacheShape {
+                sectors: 32 * 1024,
+                assoc: 2 * MAX_ASSOC
+            })
+        );
+        cfg.xta_assoc = MAX_ASSOC;
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -534,11 +534,7 @@ impl MemoryScheme for Dcmc {
             let loc = self.tables.location(sector);
 
             // Make room in the set (Figure 9).
-            if self.xta.set_is_full(sector) {
-                let victim = self
-                    .xta
-                    .evict_lru(sector)
-                    .expect("full set has an LRU victim");
+            if let Some(victim) = self.xta.evict_lru_if_full(sector) {
                 self.process_eviction(victim, t1, dram);
             }
 

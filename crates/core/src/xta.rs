@@ -12,6 +12,7 @@
 //!   sectors (skipping remap lookups on hits), and
 //! * a **9-bit access counter** driving the §3.7 migration decision.
 
+use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{FmLoc, NmLoc, SectorId};
 
 /// One XTA entry (Figure 4).
@@ -34,8 +35,6 @@ pub struct XtaEntry {
     /// Saturating access counter (§3.7.1); only advances for FM-resident
     /// sectors.
     pub counter: u16,
-    /// LRU timestamp (larger = more recent).
-    stamp: u64,
 }
 
 impl XtaEntry {
@@ -56,14 +55,25 @@ impl XtaEntry {
 }
 
 /// The set-associative eXtended Tag Array.
+///
+/// Tags and LRU order live in a [`SetAssocCache`] of 64 B lines, where
+/// sector `s` is the line `s << 6`, so its set is `s & (sets - 1)`. The
+/// entries live beside it in `entries`, at the line index `set * assoc +
+/// way` the cache reports, and an entry is `Some` exactly while its line
+/// is valid.
 #[derive(Clone, Debug)]
 pub struct Xta {
+    tags: SetAssocCache,
     entries: Vec<Option<XtaEntry>>,
-    sets: u64,
     assoc: usize,
-    clock: u64,
     counter_max: u16,
     all_lines_mask: u64,
+}
+
+/// The tag-array key of `sector`: one 64 B line per sector.
+#[inline]
+fn key(sector: SectorId) -> u64 {
+    sector.raw() << 6
 }
 
 impl Xta {
@@ -76,16 +86,15 @@ impl Xta {
     /// Panics if the shape is invalid (use
     /// [`Hybrid2Config::validate`](crate::Hybrid2Config::validate) first).
     pub fn new(sectors: u64, assoc: u32, lines_per_sector: u32, counter_bits: u32) -> Self {
-        assert!(assoc > 0 && sectors.is_multiple_of(u64::from(assoc)));
-        let sets = sectors / u64::from(assoc);
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!((1..=64).contains(&lines_per_sector));
         assert!((1..=16).contains(&counter_bits));
+        let tags = SetAssocCache::new(
+            CacheConfig::new(sectors << 6, assoc, 64).expect("XTA shape is valid"),
+        );
         Xta {
+            tags,
             entries: vec![None; sectors as usize],
-            sets,
             assoc: assoc as usize,
-            clock: 0,
             counter_max: ((1u32 << counter_bits) - 1) as u16,
             all_lines_mask: if lines_per_sector == 64 {
                 u64::MAX
@@ -107,16 +116,11 @@ impl Xta {
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    #[inline]
-    fn set_of(&self, sector: SectorId) -> usize {
-        (sector.raw() & (self.sets - 1)) as usize
+        self.tags.config().sets()
     }
 
     fn range_of(&self, sector: SectorId) -> core::ops::Range<usize> {
-        let start = self.set_of(sector) * self.assoc;
+        let start = (sector.raw() & (self.sets() - 1)) as usize * self.assoc;
         start..start + self.assoc
     }
 
@@ -124,71 +128,38 @@ impl Xta {
     /// applied by the caller via [`XtaEntry::counter`] (it depends on the
     /// access, not the lookup).
     pub fn lookup_mut(&mut self, sector: SectorId) -> Option<&mut XtaEntry> {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.range_of(sector);
-        let entry = self.entries[range]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.sector == sector)?;
-        entry.stamp = clock;
-        Some(entry)
+        let i = self.tags.hit_line(key(sector), false)?;
+        self.entries[i].as_mut()
     }
 
     /// Residency probe without LRU update (used by the §3.5 FIFO allocator).
     pub fn contains(&self, sector: SectorId) -> bool {
-        let range = self.range_of(sector);
-        self.entries[range]
-            .iter()
-            .flatten()
-            .any(|e| e.sector == sector)
+        self.tags.probe(key(sector))
     }
 
-    /// True if inserting `sector` requires evicting a victim first.
-    pub fn set_is_full(&self, sector: SectorId) -> bool {
-        let range = self.range_of(sector);
-        self.entries[range].iter().all(Option::is_some)
+    /// If `sector`'s set is full, removes and returns its LRU entry (§3.6:
+    /// "uses a standard LRU algorithm"), making room for an insert.
+    pub fn evict_lru_if_full(&mut self, sector: SectorId) -> Option<XtaEntry> {
+        let i = self.tags.evict_lru_if_full(key(sector))?;
+        self.entries[i].take()
     }
 
-    /// Removes and returns the LRU entry of `sector`'s set (§3.6: "uses a
-    /// standard LRU algorithm").
-    pub fn evict_lru(&mut self, sector: SectorId) -> Option<XtaEntry> {
-        let range = self.range_of(sector);
-        let mut lru_idx = None;
-        let mut lru_stamp = u64::MAX;
-        for i in range {
-            if let Some(e) = &self.entries[i] {
-                if e.stamp < lru_stamp {
-                    lru_stamp = e.stamp;
-                    lru_idx = Some(i);
-                }
-            }
-        }
-        lru_idx.and_then(|i| self.entries[i].take())
-    }
-
-    /// Inserts a new entry (MRU position).
+    /// Inserts a new entry (MRU position) into the first free way of its
+    /// set.
     ///
     /// # Panics
     ///
     /// Panics if the set is full or the sector is already present — callers
     /// must evict first; double insertion is a controller bug.
-    pub fn insert(&mut self, mut entry: XtaEntry) {
+    pub fn insert(&mut self, entry: XtaEntry) {
+        let fill = self.tags.access(key(entry.sector), false);
+        assert!(!fill.hit, "sector {:?} inserted twice", entry.sector);
         assert!(
-            !self.contains(entry.sector),
-            "sector {:?} inserted twice",
-            entry.sector
+            fill.evicted.is_none(),
+            "XTA set full on insert; evict first"
         );
-        self.clock += 1;
-        entry.stamp = self.clock;
-        let range = self.range_of(entry.sector);
-        for i in range {
-            if self.entries[i].is_none() {
-                self.entries[i] = Some(entry);
-                return;
-            }
-        }
-        panic!("XTA set full on insert; evict first");
+        let i = self.range_of(entry.sector).start + fill.way as usize;
+        self.entries[i] = Some(entry);
     }
 
     /// The largest access counter among the *other* FM-resident,
@@ -244,7 +215,6 @@ impl Xta {
             valid: bit,
             dirty: if write { bit } else { 0 },
             counter: 1,
-            stamp: 0,
         }
     }
 
@@ -259,7 +229,6 @@ impl Xta {
             valid: self.all_lines_mask,
             dirty: self.all_lines_mask,
             counter: 0,
-            stamp: 0,
         }
     }
 }
@@ -300,19 +269,33 @@ mod tests {
         x.insert(fm_entry(4, 1)); // set 0
                                   // Touch 0 -> 4 becomes LRU.
         x.lookup_mut(SectorId::new(0)).unwrap();
-        let victim = x.evict_lru(SectorId::new(8)).unwrap(); // set 0
+        let victim = x.evict_lru_if_full(SectorId::new(8)).unwrap(); // set 0
         assert_eq!(victim.sector, SectorId::new(4));
     }
 
     #[test]
     fn set_is_full_tracks_ways() {
         let mut x = xta();
-        assert!(!x.set_is_full(SectorId::new(0)));
+        assert_eq!(x.evict_lru_if_full(SectorId::new(0)), None);
         x.insert(fm_entry(0, 0));
-        assert!(!x.set_is_full(SectorId::new(0)));
+        assert_eq!(x.evict_lru_if_full(SectorId::new(0)), None);
+        assert_eq!(x.occupancy(), 1, "a set with room evicts nothing");
         x.insert(fm_entry(4, 1));
-        assert!(x.set_is_full(SectorId::new(0)));
-        assert!(!x.set_is_full(SectorId::new(1)), "other sets unaffected");
+        assert_eq!(
+            x.evict_lru_if_full(SectorId::new(1)),
+            None,
+            "other sets unaffected"
+        );
+        assert_eq!(
+            x.evict_lru_if_full(SectorId::new(0)).map(|e| e.sector),
+            Some(SectorId::new(0))
+        );
+        x.insert(fm_entry(8, 2));
+        assert_eq!(
+            x.iter().map(|e| e.sector.raw()).collect::<Vec<_>>(),
+            [8, 4],
+            "the insert fills the emptied way"
+        );
     }
 
     #[test]
@@ -399,13 +382,198 @@ mod tests {
         x.insert(fm_entry(1, 1));
         assert_eq!(x.occupancy(), 2);
         assert_eq!(x.iter().count(), 2);
-        x.evict_lru(SectorId::new(0));
-        assert_eq!(x.occupancy(), 1);
+        x.insert(fm_entry(4, 2));
+        x.evict_lru_if_full(SectorId::new(0));
+        assert_eq!(x.occupancy(), 2);
+        assert_eq!(x.iter().map(|e| e.sector.raw()).collect::<Vec<_>>(), [4, 1]);
     }
 
     #[test]
     fn evict_from_empty_set_is_none() {
         let mut x = xta();
-        assert!(x.evict_lru(SectorId::new(0)).is_none());
+        assert!(x.evict_lru_if_full(SectorId::new(0)).is_none());
+    }
+}
+
+/// The hand-rolled tag array `Xta` used before it moved onto
+/// `SetAssocCache`, kept as a reference model: one `Option` slot per way
+/// with a private LRU stamp, a scan per query, and inserts into the first
+/// empty slot.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    struct ArrayXta {
+        entries: Vec<Option<(XtaEntry, u64)>>,
+        sets: u64,
+        assoc: usize,
+        clock: u64,
+    }
+
+    impl ArrayXta {
+        fn new(sectors: u64, assoc: u32) -> Self {
+            ArrayXta {
+                entries: vec![None; sectors as usize],
+                sets: sectors / u64::from(assoc),
+                assoc: assoc as usize,
+                clock: 0,
+            }
+        }
+
+        fn range_of(&self, sector: SectorId) -> core::ops::Range<usize> {
+            let start = (sector.raw() & (self.sets - 1)) as usize * self.assoc;
+            start..start + self.assoc
+        }
+
+        fn lookup_mut(&mut self, sector: SectorId) -> Option<&mut XtaEntry> {
+            self.clock += 1;
+            let clock = self.clock;
+            let range = self.range_of(sector);
+            let (entry, stamp) = self.entries[range]
+                .iter_mut()
+                .flatten()
+                .find(|(e, _)| e.sector == sector)?;
+            *stamp = clock;
+            Some(entry)
+        }
+
+        fn contains(&self, sector: SectorId) -> bool {
+            let range = self.range_of(sector);
+            self.entries[range]
+                .iter()
+                .flatten()
+                .any(|(e, _)| e.sector == sector)
+        }
+
+        fn set_is_full(&self, sector: SectorId) -> bool {
+            let range = self.range_of(sector);
+            self.entries[range].iter().all(Option::is_some)
+        }
+
+        fn evict_lru(&mut self, sector: SectorId) -> Option<XtaEntry> {
+            let range = self.range_of(sector);
+            let mut lru_idx = None;
+            let mut lru_stamp = u64::MAX;
+            for i in range {
+                if let Some((_, stamp)) = self.entries[i] {
+                    if stamp < lru_stamp {
+                        lru_stamp = stamp;
+                        lru_idx = Some(i);
+                    }
+                }
+            }
+            lru_idx.and_then(|i| self.entries[i].take().map(|(e, _)| e))
+        }
+
+        fn insert(&mut self, entry: XtaEntry) {
+            assert!(!self.contains(entry.sector), "inserted twice");
+            self.clock += 1;
+            let range = self.range_of(entry.sector);
+            let slot = self.entries[range]
+                .iter_mut()
+                .find(|slot| slot.is_none())
+                .expect("evict first");
+            *slot = Some((entry, self.clock));
+        }
+
+        fn strongest_peer(&self, sector: SectorId, counter_max: u16) -> u16 {
+            let range = self.range_of(sector);
+            self.entries[range]
+                .iter()
+                .flatten()
+                .map(|(e, _)| e)
+                .filter(|e| e.sector != sector && !e.is_nm_resident() && e.counter < counter_max)
+                .map(|e| e.counter)
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
+    /// Drives the XTA and the reference array through the same op
+    /// sequence, the way `Dcmc` does: `(op, sector, bit)` with op 0 a
+    /// lookup that then bumps the counter and sets a valid bit, op 1 a
+    /// residency probe, op 2 the miss path (evict if full, then insert an
+    /// FM-fetched or NM-linked entry), op 3 the §3.7.1 peer query and op 4
+    /// an eviction alone. Sectors span three times the capacity. Every
+    /// return value and, after each op, every way's entry (so way placement
+    /// and `iter` order) must agree. The XTA issues no DRAM traffic; the
+    /// controller's DRAM stream is pinned by the golden digests.
+    fn check_against_array(sectors: u64, assoc: u32, ops: &[(u8, u64, u32)]) {
+        let mut xta = Xta::new(sectors, assoc, 8, 3);
+        let mut reference = ArrayXta::new(sectors, assoc);
+        for &(op, raw, bit) in ops {
+            let sector = SectorId::new(raw);
+            match op {
+                0 => {
+                    let max = xta.counter_max();
+                    let (a, b) = (xta.lookup_mut(sector), reference.lookup_mut(sector));
+                    assert_eq!(a.as_deref(), b.as_deref());
+                    for e in a.into_iter().chain(b) {
+                        Xta::bump_counter(e, max);
+                        e.valid |= 1 << bit;
+                    }
+                }
+                1 => assert_eq!(xta.contains(sector), reference.contains(sector)),
+                2 => {
+                    if xta.contains(sector) {
+                        continue;
+                    }
+                    let victim = reference
+                        .set_is_full(sector)
+                        .then(|| reference.evict_lru(sector).unwrap());
+                    assert_eq!(xta.evict_lru_if_full(sector), victim);
+                    let slot = NmLoc::new(raw % sectors);
+                    let entry = if bit % 2 == 0 {
+                        Xta::entry_for_fm_fetch(sector, slot, FmLoc::new(raw), bit, bit > 4)
+                    } else {
+                        xta.entry_for_nm_sector(sector, slot)
+                    };
+                    xta.insert(entry);
+                    reference.insert(entry);
+                }
+                3 => assert_eq!(
+                    xta.strongest_peer(sector),
+                    reference.strongest_peer(sector, xta.counter_max())
+                ),
+                _ => {
+                    let victim = reference
+                        .set_is_full(sector)
+                        .then(|| reference.evict_lru(sector).unwrap());
+                    assert_eq!(xta.evict_lru_if_full(sector), victim);
+                }
+            }
+            let ways: Vec<Option<XtaEntry>> = reference
+                .entries
+                .iter()
+                .map(|s| s.map(|(e, _)| e))
+                .collect();
+            assert_eq!(xta.entries, ways);
+            assert_eq!(xta.occupancy(), ways.iter().flatten().count() as u64);
+        }
+    }
+
+    fn ops(sectors: u64) -> impl Strategy<Value = Vec<(u8, u64, u32)>> {
+        proptest::collection::vec((0u8..5, 0..3 * sectors, 0u32..8), 1..400)
+    }
+
+    proptest! {
+        /// Four 2-way sets: frequent conflicts.
+        #[test]
+        fn xta_matches_array_reference(ops in ops(8)) {
+            check_against_array(8, 2, &ops);
+        }
+
+        /// Four sets of the paper's 16 ways.
+        #[test]
+        fn xta_matches_array_reference_16way(ops in ops(64)) {
+            check_against_array(64, 16, &ops);
+        }
+
+        /// One set of the widest associativity the tag array accepts.
+        #[test]
+        fn xta_matches_array_reference_64way(ops in ops(64)) {
+            check_against_array(64, 64, &ops);
+        }
     }
 }
