@@ -31,8 +31,10 @@
 //!   --runlog <dir>    append one structured run record per simulated grid
 //!                     cell to <dir> (evalsuite / scenario grids only);
 //!                     query the accumulated records with `reproduce query`
-//!   --out <file>      write output to <file> instead of stdout
+//!   --out <file>      write output to <file> instead of stdout; a run
+//!                     checks it can open <file> before it simulates
 //!   --list            list experiment ids and exit
+//!   -h, --help        print the usage summary on stdout and exit
 //!
 //! scenario subcommand (phased / multi-program workloads):
 //!   scenario <name|all>   run one named scenario or the whole catalog
@@ -66,7 +68,8 @@
 //!
 //! ```
 //!
-//! Exit status: 0 on success, 1 on runtime failure (I/O, inconsistent
+//! Exit status: 0 on success (`-h`/`--help` included), 1 on runtime
+//! failure (I/O, an unwritable `--out` before any simulation, inconsistent
 //! shard slices, corrupt run records), 2 on a usage error (unknown
 //! flag/subcommand/id, malformed filter value, a `--scale` outside the
 //! powers of two in [1, 2048], a zero `--instrs`, `--threads` or
@@ -90,6 +93,7 @@ usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
        reproduce query <dir|file>... [--scheme TOK] [--workload NAME]
                  [--ratio 1gb|2gb|4gb] [--service MODEL] [--since-record N]
                  [--out FILE]
+       reproduce -h | --help
 
 run `reproduce --list` for experiment ids, `reproduce scenario --list`
 for the scenario catalog; see the module docs for flag semantics.
@@ -100,6 +104,8 @@ N for --scale is a power of two in [1, 2048].";
 /// A fully parsed command line.
 #[derive(Debug, PartialEq)]
 enum Command {
+    /// `-h` or `--help` anywhere on the line: print [`USAGE`].
+    Help,
     /// The default experiment path (`--exp …`).
     Eval {
         exp: String,
@@ -469,6 +475,9 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
 
 /// Parses a complete command line (without the program name).
 fn parse_command(args: &[String]) -> Result<Command, String> {
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        return Ok(Command::Help);
+    }
     match args.first().map(String::as_str) {
         Some("scenario") => parse_scenario(&args[1..]),
         Some("merge") => parse_merge(&args[1..]),
@@ -516,6 +525,21 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
             }
         }
     }
+}
+
+/// Fails, as [`emit`] would, if `--out` names a file that cannot be opened
+/// for writing, so a run reports it before it simulates rather than after.
+/// It creates the file if absent and leaves an existing one as it is.
+fn check_out(out: &Option<String>) -> Result<(), String> {
+    let Some(path) = out else {
+        return Ok(());
+    };
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map(drop)
+        .map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
 /// Appends `records` to a fresh file in `--runlog DIR`, if requested.
@@ -656,6 +680,7 @@ fn run_scenario(
             &format!("{}\n", scenario::catalog_report(&cat).render()),
         );
     }
+    check_out(out)?;
     let selector = selector.as_deref().expect("parse guarantees a selector");
     let scens = scenario::select(&cat, selector).expect("parse validated the selector");
     let grid = match (spec, generate) {
@@ -714,6 +739,7 @@ fn run_eval(
         }
         return emit(out, &text);
     }
+    check_out(out)?;
     let grid = GridId::Eval { smoke };
     if let Some(sh) = sh {
         return run_shard_cmd(&grid, NmRatio::OneGb, cfg, sh, runlog_dir, out);
@@ -760,6 +786,7 @@ fn main() {
         }
     };
     let outcome = match &cmd {
+        Command::Help => emit(&None, &format!("{USAGE}\n")),
         Command::Eval {
             exp,
             cfg,
@@ -807,6 +834,20 @@ mod tests {
                 assert!(shard.is_none());
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn help_flags_ask_for_the_usage() {
+        for args in [
+            &["-h"][..],
+            &["--help"][..],
+            &["--exp", "fig12", "--help"][..],
+            &["scenario", "-h"][..],
+            &["merge", "--help"][..],
+            &["query", "rundir", "-h"][..],
+        ] {
+            assert_eq!(parse(args), Ok(Command::Help), "{args:?}");
         }
     }
 

@@ -178,3 +178,42 @@ fn non_pipe_io_errors_still_exit_one() {
     assert!(stderr.contains("error:"), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
 }
+
+/// An unwritable `--out` fails every simulating command up front: exit 1,
+/// the write error named, and no "running" banner, so no simulation time
+/// is spent (and no `--runlog` record goes unreported) before the error.
+#[test]
+fn unwritable_out_fails_before_simulating() {
+    let out = "/nonexistent-dir-for-sure/x.txt";
+    let runs: [&[&str]; 3] = [
+        &["scenario", "stream-chase"],
+        &["scenario", "all", "--shard", "1/2"],
+        &["--exp", "fig12"],
+    ];
+    for args in runs {
+        let run = reproduce()
+            .args(args)
+            .args(SIZING)
+            .args(["--out", out])
+            .output()
+            .expect("run reproduce");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?} stderr:\n{stderr}");
+        assert!(
+            stderr.contains("cannot write"),
+            "{args:?} stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("running"), "{args:?} stderr:\n{stderr}");
+    }
+}
+
+/// `-h`/`--help` prints the usage on stdout and exits 0.
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for flag in ["-h", "--help"] {
+        let run = reproduce().arg(flag).output().expect("run reproduce");
+        assert_eq!(run.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert!(stdout.starts_with("usage: reproduce"), "{flag}: {stdout}");
+    }
+}
