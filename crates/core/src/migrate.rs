@@ -67,7 +67,9 @@ pub enum Decision {
 /// * `victim_counter` — the victim's §3.7.1 access counter.
 /// * `strongest_peer` — the largest counter among the other FM-resident,
 ///   non-saturated sectors of the set, 0 when there is none (from
-///   [`Xta::strongest_peer`](crate::xta::Xta::strongest_peer)).
+///   [`Xta::strongest_peer`](crate::xta::Xta::strongest_peer), asked after
+///   [`Xta::evict_lru_if_full`](crate::xta::Xta::evict_lru_if_full) has
+///   removed the victim from the set).
 /// * `cost` — the victim's valid/dirty population.
 /// * `budget` — the current FM-access counter (§3.7.3).
 /// * `variant` — ablations: `MigrateAll` skips the policy and always

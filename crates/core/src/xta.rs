@@ -11,6 +11,11 @@
 //! * an **FM pointer** caching the remap-table entry for FM-resident
 //!   sectors (skipping remap lookups on hits), and
 //! * a **9-bit access counter** driving the §3.7 migration decision.
+//!
+//! The tags and their LRU order are the simulator's shared
+//! set-associative kernel, [`SetAssocCache`], with one 64 B line per
+//! sector; this module adds the entries beside it and the §3.7.1 query
+//! over a set's counters.
 
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{FmLoc, NmLoc, SectorId};
@@ -65,7 +70,6 @@ impl XtaEntry {
 pub struct Xta {
     tags: SetAssocCache,
     entries: Vec<Option<XtaEntry>>,
-    assoc: usize,
     counter_max: u16,
     all_lines_mask: u64,
 }
@@ -94,7 +98,6 @@ impl Xta {
         Xta {
             tags,
             entries: vec![None; sectors as usize],
-            assoc: assoc as usize,
             counter_max: ((1u32 << counter_bits) - 1) as u16,
             all_lines_mask: if lines_per_sector == 64 {
                 u64::MAX
@@ -120,8 +123,9 @@ impl Xta {
     }
 
     fn range_of(&self, sector: SectorId) -> core::ops::Range<usize> {
-        let start = (sector.raw() & (self.sets() - 1)) as usize * self.assoc;
-        start..start + self.assoc
+        let assoc = self.tags.config().associativity() as usize;
+        let start = (sector.raw() & (self.sets() - 1)) as usize * assoc;
+        start..start + assoc
     }
 
     /// Looks up `sector`, updating LRU on hit. The §3.7.1 counter rule is
