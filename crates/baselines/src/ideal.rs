@@ -7,9 +7,8 @@
 //! touched, which is exactly the measurement behind Figure 1 ("percentage
 //! of data brought in DRAM cache, but remained unused").
 //!
-//! The tags and their LRU order are the simulator's shared set-associative
-//! kernel, [`SetAssocCache`]; the touched-chunk masks sit beside it, one
-//! per NM line.
+//! Tags and LRU order are the shared [`SetAssocCache`] kernel; the
+//! touched-chunk masks sit beside it, one per NM line.
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
 use mem_cache::{CacheConfig, SetAssocCache, MAX_ASSOC};

@@ -199,12 +199,9 @@ impl CacheStats {
 /// Addresses are byte addresses; the cache works at [`CacheConfig::line_size`]
 /// granularity. This structure is used for the L1/L2/LLC SRAM levels, for
 /// scheme metadata caches (where "addresses" are table-entry indices scaled
-/// by an entry size), and for the tag arrays of the DFC and IDEAL DRAM
-/// caches and of Hybrid2's XTA. Those three keep their per-line state
-/// (touched chunks, XTA entries) in an array of their own, indexed by the
-/// line index `set * associativity + way`: [`SetAssocCache::access`]
-/// reports the way, [`SetAssocCache::hit_line`] and
-/// [`SetAssocCache::evict_lru_if_full`] the index itself.
+/// by an entry size), and as the tag array of the DFC and IDEAL DRAM caches
+/// and Hybrid2's XTA, which keep per-line state beside it at the line index
+/// `set * associativity + way`.
 ///
 /// Ways live in two parallel arrays, so the scans of
 /// [`SetAssocCache::access`] are tight loops over plain words with no
@@ -215,13 +212,11 @@ impl CacheStats {
 ///
 /// A last-line memo remembers the line number (`addr >> line_shift`) and
 /// physical way of the most recent [`SetAssocCache::access`] (hit or fill)
-/// or successful [`SetAssocCache::hit_line`], so a lookup of that line
-/// again skips the set scan. Invariant: **the memoised line is resident at
-/// the memoised way.** Tags change in only two places: the fill of
-/// `access`, which overwrites the memo with the line it installs, and the
-/// emptying of a way by [`SetAssocCache::invalidate`] or
-/// [`SetAssocCache::evict_lru_if_full`], which clears the memo when it
-/// empties the memoised way.
+/// or successful [`SetAssocCache::hit_line`], so a lookup of that
+/// line again skips the set scan. Invariant: **the memoised line is
+/// resident at the memoised way.** Tags change in only two places: the
+/// fill of `access`, which overwrites the memo with the line it installs,
+/// and `clear`, which clears the memo when it empties the memoised way.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,

@@ -12,10 +12,8 @@
 //!   sectors (skipping remap lookups on hits), and
 //! * a **9-bit access counter** driving the §3.7 migration decision.
 //!
-//! The tags and their LRU order are the simulator's shared
-//! set-associative kernel, [`SetAssocCache`], with one 64 B line per
-//! sector; this module adds the entries beside it and the §3.7.1 query
-//! over a set's counters.
+//! Tags and LRU order are the shared [`SetAssocCache`] kernel; this module
+//! keeps the entries beside it and answers the §3.7.1 peer query.
 
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{FmLoc, NmLoc, SectorId};
@@ -61,11 +59,9 @@ impl XtaEntry {
 
 /// The set-associative eXtended Tag Array.
 ///
-/// Tags and LRU order live in a [`SetAssocCache`] of 64 B lines, where
-/// sector `s` is the line `s << 6`, so its set is `s & (sets - 1)`. The
-/// entries live beside it in `entries`, at the line index `set * assoc +
-/// way` the cache reports, and an entry is `Some` exactly while its line
-/// is valid.
+/// Sector `s` is the 64 B line `s << 6` of `tags`, so its set is
+/// `s & (sets - 1)`. Its entry sits in `entries` at the tag's line index
+/// `set * assoc + way`, and is `Some` exactly while that line is valid.
 #[derive(Clone, Debug)]
 pub struct Xta {
     tags: SetAssocCache,

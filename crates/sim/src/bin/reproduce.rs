@@ -32,7 +32,7 @@
 //!                     cell to <dir> (evalsuite / scenario grids only);
 //!                     query the accumulated records with `reproduce query`
 //!   --out <file>      write output to <file> instead of stdout; a run
-//!                     checks it can open <file> before it simulates
+//!                     creates or empties <file> before it simulates
 //!   --list            list experiment ids and exit
 //!   -h, --help        print the usage summary on stdout and exit
 //!
@@ -527,21 +527,6 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-/// Fails, as [`emit`] would, if `--out` names a file that cannot be opened
-/// for writing, so a run reports it before it simulates rather than after.
-/// It creates the file if absent and leaves an existing one as it is.
-fn check_out(out: &Option<String>) -> Result<(), String> {
-    let Some(path) = out else {
-        return Ok(());
-    };
-    std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)
-        .map(drop)
-        .map_err(|e| format!("cannot write {path:?}: {e}"))
-}
-
 /// Appends `records` to a fresh file in `--runlog DIR`, if requested.
 fn record_to(
     runlog_dir: &Option<String>,
@@ -680,7 +665,8 @@ fn run_scenario(
             &format!("{}\n", scenario::catalog_report(&cat).render()),
         );
     }
-    check_out(out)?;
+    // An unwritable --out fails here, not after the run.
+    emit(out, "")?;
     let selector = selector.as_deref().expect("parse guarantees a selector");
     let scens = scenario::select(&cat, selector).expect("parse validated the selector");
     let grid = match (spec, generate) {
@@ -739,7 +725,8 @@ fn run_eval(
         }
         return emit(out, &text);
     }
-    check_out(out)?;
+    // An unwritable --out fails here, not after the run.
+    emit(out, "")?;
     let grid = GridId::Eval { smoke };
     if let Some(sh) = sh {
         return run_shard_cmd(&grid, NmRatio::OneGb, cfg, sh, runlog_dir, out);
