@@ -253,7 +253,9 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
 /// Each way becomes the key `meta << WAY_BITS | way`, so a plain integer
 /// minimum breaks ties toward the lower way. Four independent running
 /// minima, one per way index modulo 4, keep the dependent chain short.
-#[inline]
+/// Forced inline: with two callers the compiler would otherwise call it
+/// out of line from `access`, which slowed every cache access.
+#[inline(always)]
 fn victim_way(meta: &[u64]) -> usize {
     let lanes = by_width(meta, |meta| {
         let mut lanes = [u64::MAX; 4];

@@ -3,7 +3,6 @@
 use core::fmt;
 
 use mem_cache::MAX_ASSOC;
-
 use sim_types::{FmLoc, Geometry, GeometryError, NmLoc, PAddr, SectorId};
 
 /// Figure 14's ablation variants plus the full design.
