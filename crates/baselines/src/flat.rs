@@ -107,16 +107,11 @@ impl FlatRemap {
             total < MAX_BLOCKS,
             "flat space of {total} blocks exceeds the packed remap range (< 2^31)"
         );
-        let remap = (0..total)
-            .map(|b| {
-                if b < nm_blocks {
-                    BlockLoc::Nm(b)
-                } else {
-                    BlockLoc::Fm(b - nm_blocks)
-                }
-                .pack()
-            })
-            .collect();
+        // Identity boot map, filled by range: blocks `0..nm_blocks` in the
+        // NM slots of the same index, the rest in FM slots in order.
+        let mut remap = Vec::with_capacity(total as usize);
+        remap.extend(0..nm_blocks as u32);
+        remap.extend((0..fm_blocks as u32).map(|f| FM_BIT | f));
         let inverted = (0..nm_blocks as u32).collect();
         // Remap-cache entries are 8 B; model it as a 4-way cache of 64 B
         // lines over the table's address space (8 entries per line).
@@ -325,6 +320,66 @@ mod tests {
         assert_eq!(r.peek(8), BlockLoc::Fm(0));
         assert_eq!(r.flat_capacity_bytes(), (8 + 64) * 2048);
         r.check_invariants().unwrap();
+    }
+
+    /// Checks a freshly built `r` against the per-block construction the
+    /// range fill in `new` replaced: one `BlockLoc::pack` per block.
+    fn assert_boot_tables_exact(r: &FlatRemap) {
+        r.check_invariants().unwrap();
+        let (nm, fm) = (r.nm_blocks, r.fm_blocks);
+        let remap: Vec<u32> = (0..nm + fm)
+            .map(|b| {
+                if b < nm {
+                    BlockLoc::Nm(b)
+                } else {
+                    BlockLoc::Fm(b - nm)
+                }
+                .pack()
+            })
+            .collect();
+        assert_eq!(r.remap, remap, "remap of {nm} NM + {fm} FM blocks");
+        let inverted: Vec<u32> = (0..nm).map(|s| s as u32).collect();
+        assert_eq!(r.inverted, inverted, "inverted of {nm} NM blocks");
+    }
+
+    /// The harness's capacities (`ScaledSystem::new` in the `sim` crate)
+    /// for the 1, 2 and 4 GB NM ratios at 1/1024 and 1/2048 of paper scale:
+    /// (NM, FM, DRAM-cache, remap-cache) bytes.
+    fn harness_shapes() -> Vec<(u64, u64, u64, u64)> {
+        let mut shapes = Vec::new();
+        for den in [1024u64, 2048] {
+            for nm_gb in [1u64, 2, 4] {
+                let remap_cache = ((512u64 << 10) / den).max(4 * 64 * 4);
+                shapes.push((
+                    (nm_gb << 30) / den,
+                    (16 << 30) / den,
+                    (64 << 20) / den,
+                    remap_cache,
+                ));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn bulk_boot_matches_per_block_construction() {
+        use crate::{Chameleon, ChameleonConfig, Lgm, LgmConfig, MemPod, MemPodConfig};
+        for (nm, fm, cache, remap_cache) in harness_shapes() {
+            assert_boot_tables_exact(
+                MemPod::new(MemPodConfig::paper_default(nm, fm, remap_cache)).flat(),
+            );
+            assert_boot_tables_exact(
+                Chameleon::new(ChameleonConfig::paper_default(nm, fm, cache, remap_cache)).flat(),
+            );
+            assert_boot_tables_exact(
+                Lgm::new(LgmConfig::paper_default(nm, fm, remap_cache)).flat(),
+            );
+        }
+        // One NM and one FM block, at both ends of the block-size range.
+        for block in [64, 4096] {
+            assert_boot_tables_exact(&FlatRemap::new(block, 1, 1, 0));
+        }
+        assert_boot_tables_exact(&remap().0);
     }
 
     #[test]

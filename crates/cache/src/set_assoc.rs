@@ -3,7 +3,7 @@
 use core::fmt;
 
 /// The most ways a set may have: a set's tag matches form one 64-bit mask,
-/// and the victim scan packs the way index into [`WAY_BITS`] bits.
+/// and the victim scan packs the way index into `WAY_BITS` bits.
 pub const MAX_ASSOC: u32 = 64;
 
 /// Bits of a packed victim key holding the way index.
@@ -205,7 +205,7 @@ impl CacheStats {
 ///
 /// Ways live in two parallel arrays, so the scans of
 /// [`SetAssocCache::access`] are tight loops over plain words with no
-/// data-dependent branch: `tags` holds each way's tag ([`NO_TAG`] when
+/// data-dependent branch: `tags` holds each way's tag (`NO_TAG` when
 /// invalid) and `meta` holds `stamp << 1 | dirty` (0 when invalid). The
 /// LRU stamp is a per-cache access counter starting at 1, so a valid way's
 /// meta word is at least 2.

@@ -105,17 +105,19 @@ impl RemapTables {
             layout.flat_sectors,
             layout.slots
         );
+        // `Layout::initial_location`, filled by range: flat NM sectors in
+        // the slots after the cache pool, then the FM sectors in order.
+        let (pool, nm_flat) = (layout.cache_sectors as u32, layout.nm_flat_sectors as u32);
         let mut remap = Vec::with_capacity(layout.flat_sectors as usize);
+        remap.extend(pool..pool + nm_flat);
+        remap.extend((0..layout.fm_sectors as u32).map(|f| FM_BIT | f));
+        let flat_slots = pool as usize..(pool + nm_flat) as usize;
         let mut inverted = vec![EMPTY; layout.slots as usize];
-        let mut slot_state = vec![SlotState::CachePool; layout.slots as usize];
-        for s in 0..layout.flat_sectors {
-            let loc = layout.initial_location(SectorId::new(s));
-            if let Loc::Nm(slot) = loc {
-                inverted[slot.index()] = s as u32;
-                slot_state[slot.index()] = SlotState::Flat;
-            }
-            remap.push(loc.pack());
+        for (entry, s) in inverted[flat_slots.clone()].iter_mut().zip(0..) {
+            *entry = s;
         }
+        let mut slot_state = vec![SlotState::CachePool; layout.slots as usize];
+        slot_state[flat_slots].fill(SlotState::Flat);
         RemapTables {
             remap,
             inverted,
@@ -270,6 +272,58 @@ mod tests {
             Loc::Fm(_) => panic!("sector 0 should boot in NM"),
         }
         assert!(!t.location(SectorId::new(l.nm_flat_sectors)).is_nm());
+    }
+
+    /// Checks freshly built tables against the per-sector construction the
+    /// range fills in `new` replaced: one `Layout::initial_location` and
+    /// `Loc::pack` per flat sector.
+    fn assert_boot_tables_exact(t: &RemapTables) {
+        t.check_invariants().unwrap();
+        let layout = t.layout;
+        let mut remap = Vec::new();
+        let mut inverted = vec![EMPTY; layout.slots as usize];
+        let mut slot_state = vec![SlotState::CachePool; layout.slots as usize];
+        for s in 0..layout.flat_sectors {
+            let loc = layout.initial_location(SectorId::new(s));
+            if let Loc::Nm(slot) = loc {
+                inverted[slot.index()] = s as u32;
+                slot_state[slot.index()] = SlotState::Flat;
+            }
+            remap.push(loc.pack());
+        }
+        assert_eq!(t.remap, remap, "remap of {layout:?}");
+        assert_eq!(t.inverted, inverted, "inverted of {layout:?}");
+        assert_eq!(t.slot_state, slot_state, "slot state of {layout:?}");
+    }
+
+    #[test]
+    fn bulk_boot_matches_per_sector_construction() {
+        use crate::config::Variant;
+        use crate::Dcmc;
+        let scaled = Hybrid2Config::scaled_down(64).unwrap();
+        for variant in Variant::ALL {
+            let dcmc = Dcmc::new(scaled.with_variant(variant)).unwrap();
+            assert_boot_tables_exact(dcmc.tables());
+        }
+        // The harness's 1, 2 and 4 GB NM ratios at 1/1024 and 1/2048.
+        for den in [1024u64, 2048] {
+            for nm_gb in [1u64, 2, 4] {
+                let mut cfg = Hybrid2Config::scaled_down(den).unwrap();
+                cfg.nm_bytes = (nm_gb << 30) / den;
+                assert_boot_tables_exact(&RemapTables::new(cfg.validate().unwrap()));
+            }
+        }
+        // One flat NM sector and one FM sector, with and without a
+        // one-slot cache pool in front.
+        for pool in [0, 1] {
+            let mut layout = *tables().layout();
+            layout.cache_sectors = pool;
+            layout.slots = pool + 1;
+            layout.nm_flat_sectors = 1;
+            layout.fm_sectors = 1;
+            layout.flat_sectors = 2;
+            assert_boot_tables_exact(&RemapTables::new(layout));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A grid — the scenario grid or the `evalsuite` scheme × workload
 //! matrix — is partitioned deterministically into `--shard K/N` slices
-//! ([`matrix::shard_jobs`] deals the LPT-sorted job list round-robin, so
+//! (`matrix::shard_jobs` deals the LPT-sorted job list round-robin, so
 //! every slice gets its share of heavy and light cells). Each slice runs
 //! through the work-stealing scheduler in its own process and is written
 //! as a run-record file ([`crate::runlog`]) with `grid` and `shard`
