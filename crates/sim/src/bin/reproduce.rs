@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p sim --release --bin reproduce -- --exp fig12 [options]
 //! cargo run -p sim --release --bin reproduce -- scenario <name|all> [options]
-//! cargo run -p sim --release --bin reproduce -- merge <file>... [--out FILE]
 //! cargo run -p sim --release --bin reproduce -- query <dir|file>... [filters]
 //!
 //! options:
@@ -25,9 +24,6 @@
 //!                     to 8). Unlike --batch this knob CHANGES results —
 //!                     queued latencies grow under contention
 //!                                                  [default: unbounded]
-//!   --shard <K/N>     run only slice K of an N-way split of the grid and
-//!                     emit the slice as a run-record file instead of the
-//!                     rendered reports (evalsuite / scenario grids only)
 //!   --runlog <dir>    append one structured run record per simulated grid
 //!                     cell to <dir> (evalsuite / scenario grids only);
 //!                     query the accumulated records with `reproduce query`
@@ -39,25 +35,12 @@
 //! scenario subcommand (phased / multi-program workloads):
 //!   scenario <name|all>   run one named scenario or the whole catalog
 //!   --ratio <1gb|2gb|4gb> NM:FM ratio                     [default: 1gb]
-//!   --spec <file>         use the catalog compiled from a declarative
-//!                         `.scn` spec file instead of the built-ins
-//!                         (see README "Declarative scenarios"); spec
-//!                         errors report file:line:col and exit 2
-//!   --generate <n>        use a generated catalog of <n> scenarios, 1 to
-//!                         1024 (pure function of <n> and --seed; the
-//!                         first 100 outputs at seed 2020 are pinned in CI)
-//!   --list                list the active scenario catalog and exit
-//!   (--scale/--instrs/--seed/--threads/--batch/--service/--shard/
-//!   --runlog/--out apply as above)
-//!
-//! merge subcommand (reassemble a sharded run):
-//!   merge <file>...   merge shard slices back into the full grid and print
-//!                     the reports a monolithic run would print — byte-
-//!                     identical output, enforced in CI with `cmp`
+//!   --list                list the scenario catalog and exit
+//!   (--scale/--instrs/--seed/--threads/--batch/--service/--runlog/--out
+//!   apply as above)
 //!
 //! query subcommand (aggregate accumulated run records):
-//!   query <dir|file>...   read run-record files, shard slices included (or
-//!                         whole run directories)
+//!   query <dir|file>...   read run-record files (or whole run directories)
 //!   --scheme <tok>        keep one scheme (baseline, hybrid2, mempod, …)
 //!   --workload <name>     keep one workload/scenario by name
 //!   --ratio <1gb|2gb|4gb> keep one NM:FM ratio
@@ -69,27 +52,24 @@
 //! ```
 //!
 //! Exit status: 0 on success (`-h`/`--help` included), 1 on runtime
-//! failure (I/O, an unwritable `--out` before any simulation, inconsistent
-//! shard slices, corrupt run records), 2 on a usage error (unknown
-//! flag/subcommand/id, malformed filter value, a `--scale` outside the
-//! powers of two in [1, 2048], a zero `--instrs`, `--threads` or
-//! `--batch`). Argument handling never panics.
+//! failure (I/O, an unwritable `--out` before any simulation, corrupt run
+//! records), 2 on a usage error (unknown flag/subcommand/id, malformed
+//! filter value, a `--scale` outside the powers of two in [1, 2048], a
+//! zero `--instrs`, `--threads` or `--batch`). Argument handling never
+//! panics.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
-use sim::shard::{self, ShardSpec};
-use sim::{runlog, scenario, EvalConfig, GridId, NmRatio, ScaledSystem, ServiceModel};
+use sim::{runlog, scenario, EvalConfig, NmRatio, ScaledSystem, ServiceModel};
+use workloads::scenarios;
 
 /// One-screen usage summary printed alongside every usage error.
 const USAGE: &str = "\
 usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
                  [--batch N] [--service MODEL] [--smoke]
-                 [--shard K/N] [--runlog DIR] [--out FILE] [--list]
-       reproduce scenario <name|all> [--spec FILE | --generate N]
-                 [--ratio 1gb|2gb|4gb] [--scale N]
+                 [--runlog DIR] [--out FILE] [--list]
+       reproduce scenario <name|all> [--ratio 1gb|2gb|4gb] [--scale N]
                  [--instrs N] [--seed N] [--threads N] [--batch N]
-                 [--service MODEL] [--shard K/N] [--runlog DIR]
-                 [--out FILE] [--list]
-       reproduce merge <file>... [--out FILE]
+                 [--service MODEL] [--runlog DIR] [--out FILE] [--list]
        reproduce query <dir|file>... [--scheme TOK] [--workload NAME]
                  [--ratio 1gb|2gb|4gb] [--service MODEL] [--since-record N]
                  [--out FILE]
@@ -111,7 +91,6 @@ enum Command {
         exp: String,
         cfg: EvalConfig,
         smoke: bool,
-        shard: Option<ShardSpec>,
         runlog: Option<String>,
         out: Option<String>,
         list: bool,
@@ -119,21 +98,11 @@ enum Command {
     /// `scenario <name|all> …`.
     Scenario {
         selector: Option<String>,
-        /// `--spec FILE`: compile the catalog from a `.scn` file.
-        spec: Option<String>,
-        /// `--generate N`: generate the catalog from `(N, cfg.seed)`.
-        generate: Option<usize>,
         ratio: NmRatio,
         cfg: EvalConfig,
-        shard: Option<ShardSpec>,
         runlog: Option<String>,
         out: Option<String>,
         list: bool,
-    },
-    /// `merge <file>… [--out FILE]`.
-    Merge {
-        files: Vec<String>,
-        out: Option<String>,
     },
     /// `query <dir|file>… [filters] [--out FILE]`.
     Query {
@@ -192,20 +161,15 @@ fn parse_sizing_flag(
     Ok(Some(i + 2))
 }
 
-/// Consumes a `--shard K/N`, `--runlog DIR` or `--out FILE` flag at
-/// `args[i]`, shared by the two run subcommands.
+/// Consumes a `--runlog DIR` or `--out FILE` flag at `args[i]`, shared by
+/// the two run subcommands.
 fn parse_output_flag(
-    shard: &mut Option<ShardSpec>,
     runlog_dir: &mut Option<String>,
     out: &mut Option<String>,
     args: &[String],
     i: usize,
 ) -> Result<Option<usize>, String> {
     match args[i].as_str() {
-        "--shard" => {
-            let v = args.get(i + 1).ok_or("--shard needs a value (K/N)")?;
-            *shard = Some(ShardSpec::parse(v)?);
-        }
         "--runlog" => {
             let v = args.get(i + 1).ok_or("--runlog needs a directory path")?;
             *runlog_dir = Some(v.clone());
@@ -224,9 +188,6 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
     let mut cfg = EvalConfig::default_eval();
     let mut ratio = NmRatio::OneGb;
     let mut selector: Option<String> = None;
-    let mut spec: Option<String> = None;
-    let mut generate: Option<usize> = None;
-    let mut sh = None;
     let mut rl = None;
     let mut out = None;
     let mut list = false;
@@ -237,30 +198,14 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
             i = next;
             continue;
         }
-        if let Some(next) = parse_output_flag(&mut sh, &mut rl, &mut out, args, i)? {
+        if let Some(next) = parse_output_flag(&mut rl, &mut out, args, i)? {
             i = next;
             continue;
         }
         match args[i].as_str() {
             "--ratio" => {
                 let v = args.get(i + 1).ok_or("--ratio needs a value")?;
-                ratio = shard::parse_ratio_token(v)?;
-                i += 2;
-            }
-            "--spec" => {
-                let v = args.get(i + 1).ok_or("--spec needs a .scn file path")?;
-                spec = Some(v.clone());
-                i += 2;
-            }
-            "--generate" => {
-                let n: usize = flag_value(args, i, "--generate")?;
-                if !(1..=shard::MAX_GENERATED_SCENARIOS).contains(&n) {
-                    return Err(format!(
-                        "--generate must be 1 to {} scenarios, got {n}",
-                        shard::MAX_GENERATED_SCENARIOS
-                    ));
-                }
-                generate = Some(n);
+                ratio = runlog::parse_ratio_token(v)?;
                 i += 2;
             }
             "--list" => {
@@ -274,19 +219,14 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
             other => return Err(format!("unknown scenario argument {other:?}")),
         }
     }
-    if spec.is_some() && generate.is_some() {
-        return Err("--spec and --generate are mutually exclusive".to_owned());
-    }
     if selector.is_none() && !list {
         return Err("scenario needs a selector (<name|all>) or --list".to_owned());
     }
-    // Resolve the active catalog now so malformed `.scn` files and unknown
-    // names are usage errors (exit 2), same as unknown experiment ids —
-    // the run path never sees a bad selector. Spec-file errors carry
-    // file:line:col positions from the compiler.
-    let cat = load_catalog(&spec, generate, cfg.seed)?;
+    // Unknown names are usage errors (exit 2), same as unknown experiment
+    // ids — the run path never sees a bad selector.
+    let cat = scenarios::builtin();
     if let Some(sel) = &selector {
-        if scenario::select(&cat, sel).is_none() {
+        if scenario::select(cat, sel).is_none() {
             let hint = cat
                 .nearest(sel)
                 .map(|near| format!(" (did you mean {near:?}?)"))
@@ -298,32 +238,12 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
     }
     Ok(Command::Scenario {
         selector,
-        spec,
-        generate,
         ratio,
         cfg,
-        shard: sh,
         runlog: rl,
         out,
         list,
     })
-}
-
-/// The catalog a `scenario` invocation runs against: compiled from a
-/// `--spec` file, generated from `(--generate N, --seed)`, or a copy of
-/// the built-ins.
-fn load_catalog(
-    spec: &Option<String>,
-    generate: Option<usize>,
-    seed: u64,
-) -> Result<workloads::Catalog, String> {
-    match (spec, generate) {
-        (Some(path), _) => {
-            workloads::Catalog::from_scn_file(std::path::Path::new(path)).map_err(|e| e.to_string())
-        }
-        (None, Some(n)) => Ok(workloads::Catalog::generate(n, seed)),
-        (None, None) => Ok(workloads::scenarios::builtin().clone()),
-    }
 }
 
 /// Parses `reproduce query …`; `args` excludes the leading token.
@@ -336,7 +256,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
         match args[i].as_str() {
             "--scheme" => {
                 let v = args.get(i + 1).ok_or("--scheme needs a scheme token")?;
-                query.scheme = Some(shard::parse_kind_token(v)?);
+                query.scheme = Some(runlog::parse_kind_token(v)?);
                 i += 2;
             }
             "--workload" => {
@@ -346,7 +266,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
             }
             "--ratio" => {
                 let v = args.get(i + 1).ok_or("--ratio needs a value")?;
-                query.ratio = Some(shard::parse_ratio_token(v)?);
+                query.ratio = Some(runlog::parse_ratio_token(v)?);
                 i += 2;
             }
             "--since-record" => {
@@ -380,39 +300,11 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
     Ok(Command::Query { inputs, query, out })
 }
 
-/// Parses `reproduce merge …`; `args` excludes the leading token.
-fn parse_merge(args: &[String]) -> Result<Command, String> {
-    let mut files = Vec::new();
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                let v = args.get(i + 1).ok_or("--out needs a file path")?;
-                out = Some(v.clone());
-                i += 2;
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown merge argument {flag:?}"));
-            }
-            file => {
-                files.push(file.to_owned());
-                i += 1;
-            }
-        }
-    }
-    if files.is_empty() {
-        return Err("merge needs at least one shard file".to_owned());
-    }
-    Ok(Command::Merge { files, out })
-}
-
 /// Parses the default experiment path (no subcommand).
 fn parse_eval(args: &[String]) -> Result<Command, String> {
     let mut exp = "evalsuite".to_owned();
     let mut cfg = EvalConfig::default_eval();
     let mut smoke = false;
-    let mut sh = None;
     let mut rl = None;
     let mut out = None;
     let mut list = false;
@@ -423,7 +315,7 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
             i = next;
             continue;
         }
-        if let Some(next) = parse_output_flag(&mut sh, &mut rl, &mut out, args, i)? {
+        if let Some(next) = parse_output_flag(&mut rl, &mut out, args, i)? {
             i = next;
             continue;
         }
@@ -442,7 +334,7 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown argument {other:?} (subcommands: scenario, merge, query)"
+                    "unknown argument {other:?} (subcommands: scenario, query)"
                 ))
             }
         }
@@ -450,11 +342,6 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
     if !list && !ALL_EXPERIMENTS.contains(&exp.as_str()) {
         return Err(format!(
             "unknown experiment {exp:?}; run `reproduce --list` for ids"
-        ));
-    }
-    if sh.is_some() && exp != "evalsuite" {
-        return Err(format!(
-            "--shard only applies to the evalsuite matrix (or the scenario grid), not {exp:?}"
         ));
     }
     if rl.is_some() && exp != "evalsuite" {
@@ -466,7 +353,6 @@ fn parse_eval(args: &[String]) -> Result<Command, String> {
         exp,
         cfg,
         smoke,
-        shard: sh,
         runlog: rl,
         out,
         list,
@@ -480,7 +366,6 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
     }
     match args.first().map(String::as_str) {
         Some("scenario") => parse_scenario(&args[1..]),
-        Some("merge") => parse_merge(&args[1..]),
         Some("query") => parse_query(&args[1..]),
         _ => parse_eval(args),
     }
@@ -527,27 +412,6 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-/// Appends `records` to a fresh file in `--runlog DIR`, if requested.
-fn record_to(
-    runlog_dir: &Option<String>,
-    source: &str,
-    records: &[runlog::RunRecord],
-) -> Result<(), String> {
-    let Some(dir) = runlog_dir else {
-        return Ok(());
-    };
-    let mut log = runlog::RunLog::create(std::path::Path::new(dir), source)?;
-    for rec in records {
-        log.append(rec)?;
-    }
-    eprintln!(
-        "recorded {} run record(s) to {}",
-        records.len(),
-        log.path().display()
-    );
-    Ok(())
-}
-
 /// Appends one run record per matrix slot to `--runlog DIR`, if requested.
 fn record_matrix_to(
     runlog_dir: &Option<String>,
@@ -566,30 +430,6 @@ fn record_matrix_to(
         secs.len(),
         log.path().display()
     );
-    Ok(())
-}
-
-/// Runs one shard of `grid` and emits the slice file.
-fn run_shard_cmd(
-    grid: &GridId,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-    sh: ShardSpec,
-    runlog_dir: &Option<String>,
-    out: &Option<String>,
-) -> Result<(), String> {
-    eprintln!(
-        "running shard {sh} at 1/{} scale, {} instrs/core, NM {}, {} threads",
-        cfg.scale_den,
-        cfg.instrs_per_core,
-        shard::ratio_token(ratio),
-        cfg.threads
-    );
-    let started = std::time::Instant::now();
-    let records = shard::run_shard(grid, ratio, cfg, sh)?;
-    emit(out, &runlog::encode_slice(grid, sh, &records))?;
-    record_to(runlog_dir, &shard::grid_token(grid), &records)?;
-    eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     Ok(())
 }
 
@@ -620,72 +460,40 @@ fn run_query_cmd(
     emit(out, &text)
 }
 
-/// Runs `reproduce merge <files…>`.
-fn run_merge(files: &[String], out: &Option<String>) -> Result<(), String> {
-    let mut inputs = Vec::with_capacity(files.len());
-    for path in files {
-        let contents =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-        inputs.push((path.clone(), contents));
+/// The `source` of the run records a scenario grid writes.
+fn scenario_source(selector: &str) -> String {
+    format!("scenario:{selector}")
+}
+
+/// The `source` of the run records an evalsuite matrix writes.
+fn eval_source(smoke: bool) -> &'static str {
+    if smoke {
+        "eval:smoke"
+    } else {
+        "eval:full"
     }
-    let merged = shard::merge(&inputs)?;
-    eprintln!(
-        "merged {} shard file(s): {} at 1/{} scale, {} instrs/core, NM {}",
-        inputs.len(),
-        shard::grid_token(&merged.grid),
-        merged.scale_den,
-        merged.instrs_per_core,
-        shard::ratio_token(merged.ratio)
-    );
-    let mut text = String::new();
-    for report in shard::reports(&merged.grid, &merged.matrix) {
-        text.push_str(&report.render());
-        text.push('\n');
-    }
-    emit(out, &text)
 }
 
 /// Runs `reproduce scenario …` after parsing.
-#[allow(clippy::too_many_arguments)]
 fn run_scenario(
     selector: &Option<String>,
-    spec: &Option<String>,
-    generate: Option<usize>,
     ratio: NmRatio,
     cfg: &EvalConfig,
-    sh: Option<ShardSpec>,
     runlog_dir: &Option<String>,
     out: &Option<String>,
     list: bool,
 ) -> Result<(), String> {
-    let cat = load_catalog(spec, generate, cfg.seed)?;
+    let cat = scenarios::builtin();
     if list {
         return emit(
             out,
-            &format!("{}\n", scenario::catalog_report(&cat).render()),
+            &format!("{}\n", scenario::catalog_report(cat).render()),
         );
     }
     // An unwritable --out fails here, not after the run.
     emit(out, "")?;
     let selector = selector.as_deref().expect("parse guarantees a selector");
-    let scens = scenario::select(&cat, selector).expect("parse validated the selector");
-    let grid = match (spec, generate) {
-        (Some(path), _) => GridId::SpecFile {
-            path: path.clone(),
-            selector: selector.to_owned(),
-        },
-        (None, Some(count)) => GridId::Generated {
-            count,
-            seed: cfg.seed,
-            selector: selector.to_owned(),
-        },
-        (None, None) => GridId::Scenario {
-            selector: selector.to_owned(),
-        },
-    };
-    if let Some(sh) = sh {
-        return run_shard_cmd(&grid, ratio, cfg, sh, runlog_dir, out);
-    }
+    let scens = scenario::select(cat, selector).expect("parse validated the selector");
     eprintln!(
         "running {} scenario(s) at 1/{} scale, {} instrs/core, NM {}, {} threads",
         scens.len(),
@@ -702,7 +510,7 @@ fn run_scenario(
         text.push('\n');
     }
     emit(out, &text)?;
-    record_matrix_to(runlog_dir, &shard::grid_token(&grid), &m, &secs, cfg)?;
+    record_matrix_to(runlog_dir, &scenario_source(selector), &m, &secs, cfg)?;
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     Ok(())
 }
@@ -712,7 +520,6 @@ fn run_eval(
     exp: &str,
     cfg: &EvalConfig,
     smoke: bool,
-    sh: Option<ShardSpec>,
     runlog_dir: &Option<String>,
     out: &Option<String>,
     list: bool,
@@ -727,10 +534,6 @@ fn run_eval(
     }
     // An unwritable --out fails here, not after the run.
     emit(out, "")?;
-    let grid = GridId::Eval { smoke };
-    if let Some(sh) = sh {
-        return run_shard_cmd(&grid, NmRatio::OneGb, cfg, sh, runlog_dir, out);
-    }
     eprintln!(
         "running {exp} at 1/{} scale, {} instrs/core, {} workloads, {} threads",
         cfg.scale_den,
@@ -750,7 +553,7 @@ fn run_eval(
             text.push('\n');
         }
         emit(out, &text)?;
-        record_matrix_to(runlog_dir, &shard::grid_token(&grid), &m, &secs, cfg)?;
+        record_matrix_to(runlog_dir, eval_source(smoke), &m, &secs, cfg)?;
     } else {
         for report in run_by_id(exp, cfg, smoke) {
             text.push_str(&report.render());
@@ -778,25 +581,18 @@ fn main() {
             exp,
             cfg,
             smoke,
-            shard,
             runlog,
             out,
             list,
-        } => run_eval(exp, cfg, *smoke, *shard, runlog, out, *list),
+        } => run_eval(exp, cfg, *smoke, runlog, out, *list),
         Command::Scenario {
             selector,
-            spec,
-            generate,
             ratio,
             cfg,
-            shard,
             runlog,
             out,
             list,
-        } => run_scenario(
-            selector, spec, *generate, *ratio, cfg, *shard, runlog, out, *list,
-        ),
-        Command::Merge { files, out } => run_merge(files, out),
+        } => run_scenario(selector, *ratio, cfg, runlog, out, *list),
         Command::Query { inputs, query, out } => run_query_cmd(inputs, query, out),
     };
     if let Err(e) = outcome {
@@ -816,9 +612,9 @@ mod tests {
     #[test]
     fn default_is_evalsuite() {
         match parse(&[]).unwrap() {
-            Command::Eval { exp, shard, .. } => {
+            Command::Eval { exp, runlog, .. } => {
                 assert_eq!(exp, "evalsuite");
-                assert!(shard.is_none());
+                assert!(runlog.is_none());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -831,7 +627,6 @@ mod tests {
             &["--help"][..],
             &["--exp", "fig12", "--help"][..],
             &["scenario", "-h"][..],
-            &["merge", "--help"][..],
             &["query", "rundir", "-h"][..],
         ] {
             assert_eq!(parse(args), Ok(Command::Help), "{args:?}");
@@ -844,7 +639,6 @@ mod tests {
             &["--bogus"][..],
             &["--exp", "fig12", "--frobnicate"][..],
             &["scenario", "all", "--bogus"][..],
-            &["merge", "a.tsv", "--bogus"][..],
             &["query", "rundir", "--bogus"][..],
         ] {
             let e = parse(args).unwrap_err();
@@ -864,12 +658,7 @@ mod tests {
         assert!(parse(&["scenario", "all", "--ratio", "8gb"])
             .unwrap_err()
             .contains("8gb"));
-        assert!(parse(&["--shard"]).unwrap_err().contains("--shard"));
         assert!(parse(&["--out"]).unwrap_err().contains("--out"));
-        for n in ["0", "1025"] {
-            let e = parse(&["scenario", "all", "--generate", n]).unwrap_err();
-            assert!(e.contains("--generate"), "{n} -> {e}");
-        }
     }
 
     #[test]
@@ -878,35 +667,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_specs_validate() {
-        for bad in ["0/4", "5/4", "x/y", "3", "1/0"] {
-            assert!(parse(&["--shard", bad]).is_err(), "{bad:?}");
-        }
-        match parse(&["--exp", "evalsuite", "--shard", "2/4"]).unwrap() {
-            Command::Eval { shard, .. } => {
-                assert_eq!(shard, Some(ShardSpec { index: 2, count: 4 }));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shard_rejected_for_non_matrix_experiments() {
-        let e = parse(&["--exp", "fig12", "--shard", "1/2"]).unwrap_err();
-        assert!(e.contains("evalsuite"), "{e}");
-    }
-
-    #[test]
     fn runlog_parses_on_grid_paths_and_rejects_elsewhere() {
         match parse(&["--exp", "evalsuite", "--runlog", "rundir"]).unwrap() {
             Command::Eval { runlog, .. } => assert_eq!(runlog.as_deref(), Some("rundir")),
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&["scenario", "all", "--runlog", "rundir", "--shard", "1/2"]).unwrap() {
-            Command::Scenario { runlog, shard, .. } => {
-                assert_eq!(runlog.as_deref(), Some("rundir"));
-                assert!(shard.is_some());
-            }
+        match parse(&["scenario", "all", "--runlog", "rundir"]).unwrap() {
+            Command::Scenario { runlog, .. } => assert_eq!(runlog.as_deref(), Some("rundir")),
             other => panic!("unexpected {other:?}"),
         }
         // Usage errors (exit 2): non-grid experiment, missing value.
@@ -981,37 +748,47 @@ mod tests {
         // Unknown names are usage errors (exit 2), like unknown --exp ids.
         let e = parse(&["scenario", "not-a-scenario"]).unwrap_err();
         assert!(e.contains("unknown scenario"), "{e}");
-        match parse(&[
-            "scenario", "quad-mix", "--ratio", "4gb", "--shard", "1/2", "--out", "x.tsv",
-        ])
-        .unwrap()
-        {
+        match parse(&["scenario", "quad-mix", "--ratio", "4gb", "--out", "x.txt"]).unwrap() {
             Command::Scenario {
                 selector,
                 ratio,
-                shard,
                 out,
                 ..
             } => {
                 assert_eq!(selector.as_deref(), Some("quad-mix"));
                 assert_eq!(ratio, NmRatio::FourGb);
-                assert_eq!(shard, Some(ShardSpec { index: 1, count: 2 }));
-                assert_eq!(out.as_deref(), Some("x.tsv"));
+                assert_eq!(out.as_deref(), Some("x.txt"));
             }
             other => panic!("unexpected {other:?}"),
         }
     }
 
+    /// The flags of the retired text-spec compiler, scenario generator
+    /// and process shards, and the retired `merge` subcommand, are usage
+    /// errors (exit 2 with the usage text), never a run.
     #[test]
-    fn merge_needs_files() {
-        assert!(parse(&["merge"]).unwrap_err().contains("at least one"));
-        match parse(&["merge", "a.tsv", "b.tsv", "--out", "m.txt"]).unwrap() {
-            Command::Merge { files, out } => {
-                assert_eq!(files, vec!["a.tsv", "b.tsv"]);
-                assert_eq!(out.as_deref(), Some("m.txt"));
+    fn retired_harness_arguments_are_usage_errors() {
+        for (flag, value) in [("spec", "x"), ("generate", "3"), ("shard", "1/2")] {
+            let flag = format!("--{flag}");
+            for args in [
+                &["scenario", "all", &flag, value][..],
+                &["--exp", "evalsuite", &flag, value][..],
+            ] {
+                let e = parse(args).unwrap_err();
+                assert!(e.contains("unknown"), "{args:?} -> {e}");
             }
-            other => panic!("unexpected {other:?}"),
         }
+        let e = parse(&["merge", "a.tsv", "b.tsv"]).unwrap_err();
+        assert!(e.contains("unknown argument \"merge\""), "{e}");
+    }
+
+    /// The `source` column of every record the CLI writes. Run
+    /// directories already on disk hold these strings, so they stay put.
+    #[test]
+    fn record_sources_are_pinned() {
+        assert_eq!(scenario_source("all"), "scenario:all");
+        assert_eq!(eval_source(true), "eval:smoke");
+        assert_eq!(eval_source(false), "eval:full");
     }
 
     #[test]

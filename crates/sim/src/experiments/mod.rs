@@ -53,9 +53,8 @@ pub fn main_matrix_timed(ratio: NmRatio, cfg: &EvalConfig, smoke: bool) -> (Matr
 }
 
 /// The `evalsuite` report set (Figures 13 and 15–18) derived from one
-/// already-computed matrix. Shared by [`run_by_id`] and the shard-merge
-/// path, so a merged sharded run renders byte-identically to a monolithic
-/// `--exp evalsuite` run.
+/// already-computed matrix. Shared by [`run_by_id`] and the `--runlog`
+/// path of `reproduce`, so both render byte-identically.
 pub fn evalsuite_reports(m: &Matrix) -> Vec<Report> {
     vec![
         fig13_per_benchmark(m),

@@ -18,11 +18,9 @@
 //!   each returning a printable [`report::Report`].
 //! * [`scenario`] — the phased / multi-program scenario grid behind the
 //!   `reproduce scenario` subcommand.
-//! * [`shard`] — process-level `--shard K/N` slicing of the grids and the
-//!   `reproduce merge` reassembly, byte-identical to a monolithic run.
 //! * [`runlog`] — the one versioned run-record format (one record per
-//!   simulated grid cell, float-bit exact): run directories, shard slices
-//!   and the query store behind `reproduce query`.
+//!   simulated grid cell, float-bit exact): run directories and the query
+//!   store behind `reproduce query`.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@ pub mod runlog;
 mod runner;
 mod scale;
 pub mod scenario;
-pub mod shard;
 
 pub use any_scheme::AnyScheme;
 pub use dram::{ServiceModel, DEFAULT_QUEUE_DEPTH};
@@ -59,4 +56,3 @@ pub use matrix::{ClassSummary, Matrix};
 pub use page_alloc::PageAllocator;
 pub use runner::{build_scheme, run_one, run_one_timed, scheme_label, EvalConfig, SchemeKind};
 pub use scale::{NmRatio, ScaledSystem};
-pub use shard::{GridId, Merged, ShardSpec};

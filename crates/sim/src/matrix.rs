@@ -78,11 +78,11 @@ fn job_cost(kind: SchemeKind, spec: &WorkloadSpec) -> u64 {
 
 /// One grid cell: `slot` is its position in the result layout (baseline
 /// rows first, then each scheme in `kinds` order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Job {
-    pub(crate) slot: usize,
-    pub(crate) w: usize,
-    pub(crate) kind: SchemeKind,
+#[derive(Clone, Copy, Debug)]
+struct Job {
+    slot: usize,
+    w: usize,
+    kind: SchemeKind,
 }
 
 /// The grid's job list in slot order: baseline rows first, then each
@@ -108,59 +108,13 @@ fn slot_jobs(kinds: &[SchemeKind], specs: &[WorkloadSpec]) -> Vec<Job> {
     jobs
 }
 
-/// The job list in LPT (longest-processing-time-first) dispatch order,
-/// descending cost with slot order breaking ties, so scheduling stays
-/// deterministic.
-fn lpt_jobs(kinds: &[SchemeKind], specs: &[WorkloadSpec]) -> Vec<Job> {
-    let mut jobs = slot_jobs(kinds, specs);
-    sort_lpt(&mut jobs, specs);
-    jobs
-}
-
-/// The LPT dispatch ordering (descending cost, slot tiebreak) — the one
-/// comparator behind both the process-level shard deal ([`shard_jobs`])
-/// and the in-process dispatch ([`run_jobs`]), so the two can never
-/// drift apart.
+/// The LPT (longest-processing-time-first) dispatch ordering of
+/// [`run_jobs`]: descending cost, slot order breaking ties, so scheduling
+/// stays deterministic.
 fn lpt_order(a: &Job, b: &Job, specs: &[WorkloadSpec]) -> std::cmp::Ordering {
     job_cost(b.kind, &specs[b.w])
         .cmp(&job_cost(a.kind, &specs[a.w]))
         .then(a.slot.cmp(&b.slot))
-}
-
-/// Sorts `jobs` into LPT dispatch order.
-fn sort_lpt(jobs: &mut [Job], specs: &[WorkloadSpec]) {
-    jobs.sort_by(|a, b| lpt_order(a, b, specs));
-}
-
-/// The jobs of shard `index0` (0-based) of an `count`-way split of the
-/// grid, in slot order.
-///
-/// Assignment deals the LPT-sorted job list round-robin across the
-/// `count` shards, so every shard receives its share of heavy *and* light
-/// cells — the same balancing the in-process scheduler uses, applied at
-/// process granularity. The dealing depends only on `(kinds, specs,
-/// count)`, so the partition is deterministic: shards are pairwise
-/// disjoint, their union is the whole grid, and each shard lists its
-/// cells in ascending slot order.
-pub(crate) fn shard_jobs(
-    kinds: &[SchemeKind],
-    specs: &[WorkloadSpec],
-    index0: usize,
-    count: usize,
-) -> Vec<Job> {
-    assert!(
-        count > 0 && index0 < count,
-        "shard {index0}/{count} out of range"
-    );
-    let lpt = lpt_jobs(kinds, specs);
-    let mut mine: Vec<Job> = lpt
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % count == index0)
-        .map(|(_, j)| j)
-        .collect();
-    mine.sort_by_key(|j| j.slot);
-    mine
 }
 
 /// Per-worker deque of a work-stealing scheduler in the chase-lev shape:
@@ -280,29 +234,6 @@ impl Matrix {
         (Matrix::assemble(kinds, specs, ratio, flat), secs)
     }
 
-    /// Runs only the grid cells of shard `index0` (0-based) of a
-    /// `count`-way split (see [`shard_jobs`]) on the same work-stealing
-    /// scheduler, returning `(job, result, wall-clock secs)` triples in
-    /// slot order. The `sim::shard` module turns these into the run
-    /// records of a slice file; merging every slice of a split
-    /// reassembles the exact [`Matrix`] that [`Matrix::run`] computes
-    /// monolithically.
-    pub(crate) fn run_shard(
-        kinds: &[SchemeKind],
-        specs: &[WorkloadSpec],
-        ratio: NmRatio,
-        cfg: &EvalConfig,
-        index0: usize,
-        count: usize,
-    ) -> Vec<(Job, RunResult, f64)> {
-        let jobs = shard_jobs(kinds, specs, index0, count);
-        let results = run_jobs(&jobs, specs, ratio, cfg);
-        jobs.into_iter()
-            .zip(results)
-            .map(|(job, (r, secs))| (job, r, secs))
-            .collect()
-    }
-
     /// Single-threaded reference scheduler: runs the same job list in slot
     /// order on the calling thread. Exists so differential tests can pin
     /// the work-stealing scheduler's output against an implementation with
@@ -321,9 +252,8 @@ impl Matrix {
     }
 
     /// Splits the flat slot-ordered result vector into baseline + scheme
-    /// rows. `sim::shard`'s merge path feeds this the reassembled cells of
-    /// a sharded run, which is why it is crate-visible.
-    pub(crate) fn assemble(
+    /// rows.
+    fn assemble(
         kinds: &[SchemeKind],
         specs: &[WorkloadSpec],
         ratio: NmRatio,
@@ -449,30 +379,6 @@ mod tests {
         // Metrics are well-defined.
         assert!(m.nm_served(h2, 0) > 0.0);
         assert!(m.energy_norm(h2, 0) > 0.0);
-    }
-
-    #[test]
-    fn shard_jobs_partition_the_grid_exactly() {
-        let specs = [
-            catalog::by_name("lbm").unwrap().clone(),
-            catalog::by_name("mcf").unwrap().clone(),
-            catalog::by_name("xalanc").unwrap().clone(),
-        ];
-        let kinds = [SchemeKind::Hybrid2, SchemeKind::Tagless, SchemeKind::Lgm];
-        let total = (kinds.len() + 1) * specs.len();
-        for count in [1, 2, 3, 5, total, total + 3] {
-            let mut seen = vec![false; total];
-            for index0 in 0..count {
-                let shard = shard_jobs(&kinds, &specs, index0, count);
-                // Slot order within a shard, no duplicates across shards.
-                assert!(shard.windows(2).all(|p| p[0].slot < p[1].slot));
-                for j in shard {
-                    assert!(!seen[j.slot], "slot {} assigned twice", j.slot);
-                    seen[j.slot] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "not covering for count={count}");
-        }
     }
 
     #[test]

@@ -89,33 +89,6 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 const SIZING: [&str; 6] = ["--scale", "1024", "--instrs", "2000", "--threads", "1"];
 
 #[test]
-fn merge_into_closed_pipe_exits_zero() {
-    let dir = temp_dir("merge");
-    let mut shards = Vec::new();
-    for part in ["1/2", "2/2"] {
-        let path = dir.join(format!("shard-{}.tsv", part.replace('/', "of")));
-        let status = reproduce()
-            .args(["scenario", "stream-chase"])
-            .args(SIZING)
-            .args(["--shard", part])
-            .arg("--out")
-            .arg(&path)
-            .stderr(Stdio::null())
-            .status()
-            .expect("write shard file");
-        assert!(status.success(), "shard run failed: {status}");
-        shards.push(path.to_str().expect("utf-8 path").to_owned());
-    }
-    let args: Vec<&str> = std::iter::once("merge")
-        .chain(shards.iter().map(String::as_str))
-        .collect();
-    let (code, stderr) = run_with_closed_stdout(&args);
-    assert_eq!(code, Some(0), "stderr:\n{stderr}");
-    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn experiment_report_into_closed_pipe_exits_zero() {
     let mut args = vec!["--exp", "fig12"];
     args.extend_from_slice(&SIZING);
@@ -185,9 +158,12 @@ fn non_pipe_io_errors_still_exit_one() {
 #[test]
 fn unwritable_out_fails_before_simulating() {
     let out = "/nonexistent-dir-for-sure/x.txt";
+    let dir = temp_dir("unwritable-out");
+    let rundir = dir.join("runs");
+    let rundir = rundir.to_str().expect("utf-8 path");
     let runs: [&[&str]; 3] = [
         &["scenario", "stream-chase"],
-        &["scenario", "all", "--shard", "1/2"],
+        &["--exp", "evalsuite", "--smoke", "--runlog", rundir],
         &["--exp", "fig12"],
     ];
     for args in runs {
@@ -204,6 +180,36 @@ fn unwritable_out_fails_before_simulating() {
             "{args:?} stderr:\n{stderr}"
         );
         assert!(!stderr.contains("running"), "{args:?} stderr:\n{stderr}");
+    }
+    assert!(
+        !std::path::Path::new(rundir).exists(),
+        "no run record may be written before the --out check"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The flags of the retired text-spec compiler, scenario generator and
+/// process shards, and the retired `merge` subcommand, exit 2 with the
+/// usage text, like any unknown argument.
+#[test]
+fn retired_harness_arguments_exit_two_with_usage() {
+    let mut runs: Vec<Vec<String>> = [("spec", "x"), ("generate", "3"), ("shard", "1/2")]
+        .iter()
+        .map(|(flag, value)| {
+            ["scenario", "all", &format!("--{flag}"), value]
+                .map(str::to_owned)
+                .to_vec()
+        })
+        .collect();
+    runs.push(vec!["merge".to_owned(), "a.tsv".to_owned()]);
+    for args in runs {
+        let run = reproduce().args(&args).output().expect("run reproduce");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?} stderr:\n{stderr}");
+        assert!(
+            stderr.contains("usage: reproduce"),
+            "{args:?} stderr:\n{stderr}"
+        );
     }
 }
 

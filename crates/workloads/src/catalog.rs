@@ -467,12 +467,9 @@ impl Scenario {
 
 /// An owned, name-indexed collection of [`Scenario`] values.
 ///
-/// This is the unit the whole scenario machinery works over: the 8
-/// built-ins ([`crate::scenarios::builtin`]), a `.scn` spec file
-/// ([`Catalog::from_scn_str`]), or a seeded generated catalog
-/// ([`Catalog::generate`]) all produce one, and `sim`'s grid / shard /
-/// runlog layers identify a scenario by its *name* within the catalog,
-/// never by address.
+/// The 8 built-ins ([`crate::scenarios::builtin`]) form one, and `sim`'s
+/// grid and runlog layers identify a scenario by its *name* within the
+/// catalog, never by address.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     scenarios: Vec<Scenario>,

@@ -7,7 +7,7 @@
 //! per-benchmark address streams from composable access-pattern primitives
 //! (PAPER.md, "What the reproduction covers"):
 //!
-//! * streaming / strided walks — stencil and grid codes (lbm, sp.D, bt.D…),
+//! * streaming walks, plain and tiled — stencil and grid codes (lbm, sp.D, bt.D…),
 //! * uniform-random and pointer-chase jumps — mcf, omnetpp, deepsjeng,
 //! * hot-set (temporal-locality) references — the low-MPKI group,
 //! * phased working-set shifts — gcc, xz,
@@ -24,7 +24,9 @@
 //! [`PatternSpec::Phased`] (exact-budget phase changes) and
 //! [`PatternSpec::Mix`] (deterministic multi-program interleaves in
 //! disjoint footprint slices) — exercising the access-pattern *dynamics*
-//! the paper's eviction-time migration claims to adapt to.
+//! the paper's eviction-time migration claims to adapt to. The eight
+//! built-in scenarios ([`scenarios::builtin`]) are declared in code; a new
+//! scenario shape joins them as a built-in with its own golden rows.
 //!
 //! # Example
 //!
@@ -44,7 +46,6 @@
 pub mod catalog;
 mod patterns;
 pub mod scenarios;
-pub mod scn;
 mod spec;
 
 pub use catalog::{Catalog, Scenario};

@@ -12,8 +12,7 @@ use sim_types::{TraceOp, TraceSource, VAddr};
 /// in basis points (1 bp = 0.01%) so specs stay valid under scaling.
 ///
 /// Leaf variants carry only scalars; the composite variants own their
-/// phase/part lists, so pattern trees can be built at runtime (by the
-/// `.scn` scenario compiler and generator) as well as in code.
+/// phase/part lists.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PatternSpec {
     /// Dense sequential walk with a small element stride and **no reuse** —
@@ -34,12 +33,6 @@ pub enum PatternSpec {
         tile_bp: u32,
         /// Number of times each tile is walked (>= 1).
         repeats: u8,
-    },
-    /// Regular walk with a stride that skips lines — partial spatial
-    /// locality (ft.C transposes).
-    Strided {
-        /// Byte stride between consecutive references.
-        stride: u32,
     },
     /// Uniform random 8-byte references over the whole footprint — no
     /// spatial *or* temporal locality at all. Reserved for deepsjeng
@@ -123,11 +116,6 @@ pub struct Phase {
     /// boundary is exact: op `sum(budgets so far)` is the last op of the
     /// phase and the very next op comes from the following phase.
     pub ops: u64,
-    /// Per-phase intensity override: mean instructions per memory
-    /// reference while this phase runs. `None` inherits the workload's
-    /// `mem_every` (diurnal schedules alternate quiet/busy phases by
-    /// overriding it per phase).
-    pub mem_every: Option<u32>,
 }
 
 /// One co-running program of a [`PatternSpec::Mix`] stream.
@@ -157,15 +145,14 @@ impl PatternSpec {
     /// The largest `mem_every` any op of this pattern can be generated
     /// with: `default` for leaf patterns, the max over parts for a mix
     /// (each part has its own), and the recursive max over phases for a
-    /// phased pattern (each phase may override the default and may itself
-    /// be a mix). Bounds the per-op gap for instruction-accounting
-    /// invariants.
+    /// phased pattern (a phase may itself be a mix). Bounds the per-op gap
+    /// for instruction-accounting invariants.
     pub fn max_mem_every(&self, default: u32) -> u32 {
         match self {
             PatternSpec::Mix { parts } => parts.iter().map(|p| p.mem_every).fold(default, u32::max),
             PatternSpec::Phased { phases } => phases
                 .iter()
-                .map(|ph| ph.pattern.max_mem_every(ph.mem_every.unwrap_or(default)))
+                .map(|ph| ph.pattern.max_mem_every(default))
                 .fold(default, u32::max),
             _ => default,
         }
@@ -249,7 +236,7 @@ impl TraceGen {
     /// Panics if `size` is smaller than 4 KB (degenerate regions make the
     /// pattern arithmetic meaningless), or if a composite pattern is
     /// structurally invalid: empty/zero-budget phases, phases nesting
-    /// another `Phased`, a zero phase `mem_every` override, fewer than 2
+    /// another `Phased`, fewer than 2
     /// or more than 4 mix parts, mix parts that are not leaves, zero mix
     /// weights, or mix slices that do not fit the region.
     pub fn new(
@@ -276,14 +263,10 @@ impl TraceGen {
                             "phases must not nest phased patterns"
                         );
                         assert!(ph.ops > 0, "phase op budgets must be non-zero");
-                        assert!(
-                            ph.mem_every != Some(0),
-                            "phase mem_every overrides must be non-zero"
-                        );
                         let fork = rng.fork();
                         TraceGen::new(
                             ph.pattern.clone(),
-                            ph.mem_every.unwrap_or(mem_every),
+                            mem_every,
                             write_pct,
                             base,
                             size,
@@ -447,7 +430,7 @@ impl TraceGen {
     fn own_addr(&mut self) -> u64 {
         let size = self.size;
         match self.pattern {
-            PatternSpec::Stream { stride } | PatternSpec::Strided { stride } => {
+            PatternSpec::Stream { stride } => {
                 self.cursor = Self::wrap(self.cursor + u64::from(stride), size);
                 self.cursor
             }
@@ -591,7 +574,6 @@ mod tests {
                 tile_bp: 500,
                 repeats: 2,
             },
-            PatternSpec::Strided { stride: 320 },
             PatternSpec::Random,
             PatternSpec::PointerChase {
                 hot_bp: 2000,
@@ -840,12 +822,10 @@ mod tests {
             Phase {
                 pattern: PatternSpec::Stream { stride: 64 },
                 ops: 100,
-                mem_every: None,
             },
             Phase {
                 pattern: PatternSpec::Random,
                 ops: 40,
-                mem_every: None,
             },
         ];
         let mut g = gen(PatternSpec::Phased { phases }, 1 << 20);
@@ -868,12 +848,10 @@ mod tests {
             Phase {
                 pattern: PatternSpec::Stream { stride: 8 },
                 ops: 50,
-                mem_every: None,
             },
             Phase {
                 pattern: PatternSpec::Random,
                 ops: 50,
-                mem_every: None,
             },
         ];
         let mut g = gen(PatternSpec::Phased { phases }, 1 << 20);
@@ -978,12 +956,10 @@ mod tests {
         let inner = vec![Phase {
             pattern: PatternSpec::Random,
             ops: 10,
-            mem_every: None,
         }];
         let outer = vec![Phase {
             pattern: PatternSpec::Phased { phases: inner },
             ops: 10,
-            mem_every: None,
         }];
         let _ = gen(PatternSpec::Phased { phases: outer }, 1 << 20);
     }
@@ -1050,12 +1026,10 @@ mod tests {
             Phase {
                 pattern: PatternSpec::Stream { stride: 64 },
                 ops: 100,
-                mem_every: None,
             },
             Phase {
                 pattern: PatternSpec::Mix { parts: tenants },
                 ops: 200,
-                mem_every: None,
             },
         ];
         let size = 1u64 << 20;
@@ -1066,58 +1040,6 @@ mod tests {
             let a = g.next_op().unwrap().addr.raw();
             assert!(a < size, "churn op escaped: {a:#x}");
         }
-    }
-
-    /// Diurnal schedules: a phase-level `mem_every` override drives that
-    /// phase's gaps; `None` inherits the workload default.
-    #[test]
-    fn phase_mem_every_override_changes_gap_mean() {
-        let phases = vec![
-            Phase {
-                pattern: PatternSpec::Random,
-                ops: 5_000,
-                mem_every: Some(100),
-            },
-            Phase {
-                pattern: PatternSpec::Random,
-                ops: 5_000,
-                mem_every: None,
-            },
-        ];
-        let mut g = TraceGen::new(
-            PatternSpec::Phased { phases },
-            10,
-            0,
-            0,
-            1 << 20,
-            0,
-            SplitMix64::new(7),
-        );
-        let busy: Vec<TraceOp> = collect(&mut g, 5_000);
-        let quiet: Vec<TraceOp> = collect(&mut g, 5_000);
-        let mean =
-            |ops: &[TraceOp]| ops.iter().map(|o| f64::from(o.gap)).sum::<f64>() / ops.len() as f64;
-        assert!(
-            (mean(&busy) - 99.0).abs() < 5.0,
-            "override phase mean gap was {}",
-            mean(&busy)
-        );
-        assert!(
-            (mean(&quiet) - 9.0).abs() < 1.0,
-            "inherit phase mean gap was {}",
-            mean(&quiet)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "overrides must be non-zero")]
-    fn zero_phase_mem_every_override_rejected() {
-        let phases = vec![Phase {
-            pattern: PatternSpec::Random,
-            ops: 10,
-            mem_every: Some(0),
-        }];
-        let _ = gen(PatternSpec::Phased { phases }, 1 << 20);
     }
 
     #[test]
@@ -1149,21 +1071,18 @@ mod tests {
         let phases = vec![Phase {
             pattern: PatternSpec::Random,
             ops: 10,
-            mem_every: None,
         }];
         assert_eq!(PatternSpec::Phased { phases }.max_mem_every(7), 7);
-        // Recursive: a phase override above the default, and a mix phase
-        // whose parts run hotter still, both raise the bound.
+        // Recursive: a mix phase whose parts run hotter than the default
+        // raises the bound.
         let phases = vec![
             Phase {
                 pattern: PatternSpec::Random,
                 ops: 10,
-                mem_every: Some(90),
             },
             Phase {
                 pattern: PatternSpec::Mix { parts },
                 ops: 10,
-                mem_every: None,
             },
         ];
         assert_eq!(PatternSpec::Phased { phases }.max_mem_every(7), 500);
@@ -1239,7 +1158,6 @@ mod proptests {
                 .map(|(pattern, ops)| Phase {
                     pattern: pattern.clone(),
                     ops: *ops,
-                    mem_every: None,
                 })
                 .collect();
             let size = 1u64 << 20;
@@ -1316,7 +1234,6 @@ mod proptests {
                 .map(|(pattern, ops)| Phase {
                     pattern: pattern.clone(),
                     ops: *ops,
-                    mem_every: None,
                 })
                 .collect();
             let parts: Vec<MixPart> = spans

@@ -22,9 +22,8 @@
 //! machinery — `Workload::build`, `run_one`, `Matrix` — runs scenarios
 //! unchanged; `sim::scenario` wires them to the CLI and report tables.
 //!
-//! The 8 built-ins here are one [`Catalog`] among several: `.scn` spec
-//! files and the seeded generator ([`Catalog::generate`]) produce catalogs
-//! of the same type, and everything downstream is catalog-agnostic.
+//! The 8 built-ins form one [`Catalog`], the unit `sim::scenario`
+//! selects from by name.
 
 use std::sync::LazyLock;
 
@@ -45,11 +44,7 @@ const fn row(mpki: f64, footprint_gb: f64, traffic_gb: f64) -> PaperRow {
 }
 
 fn phase(pattern: PatternSpec, ops: u64) -> Phase {
-    Phase {
-        pattern,
-        ops,
-        mem_every: None,
-    }
+    Phase { pattern, ops }
 }
 
 // ---- Phase lists ---------------------------------------------------------

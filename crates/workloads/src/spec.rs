@@ -79,9 +79,8 @@ impl PaperRow {
 
 /// Everything needed to instantiate one benchmark's synthetic stand-in.
 ///
-/// Owns its name and pattern tree, so specs can be compiled from `.scn`
-/// text or generated at runtime as well as declared in code; a workload's
-/// identity is its `name`, not its address.
+/// Owns its name and pattern tree; a workload's identity is its `name`,
+/// not its address.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Benchmark name as printed in the paper's figures (e.g. `"cg.D"`).

@@ -64,8 +64,8 @@ pub use dram::{
 };
 pub use hybrid2_core::{ConfigError, Dcmc, Hybrid2Config, Variant};
 pub use sim::{
-    AnyScheme, EvalConfig, GridId, Machine, Matrix, Merged, NmRatio, RunResult, ScaledSystem,
-    SchemeKind, ShardSpec, DEFAULT_BATCH,
+    AnyScheme, EvalConfig, Machine, Matrix, NmRatio, RunResult, ScaledSystem, SchemeKind,
+    DEFAULT_BATCH,
 };
 
 /// The most common imports in one place.

@@ -133,7 +133,7 @@ fn query_reports_are_identical_for_any_file_order() {
     let scens = scenario::select(workloads::scenarios::builtin(), "quiet-burst").unwrap();
     let (m, secs) = scenario::run_grid_timed(&scens, ratio, &cfg);
 
-    // Two writers into one run directory — the sharded-CI shape.
+    // Two writers into one run directory, as two CLI runs leave it.
     let dir = run_dir("runlog-query-order");
     let mut a = RunLog::create(&dir, "writer-a").expect("log a opens");
     runlog::record_matrix(&mut a, "scenario:quiet-burst", &m, &secs, &cfg).expect("a appends");
