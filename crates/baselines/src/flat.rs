@@ -467,37 +467,31 @@ mod tests {
     #[test]
     fn coalesced_swap_matches_per_line_copy() {
         let mut rng = sim_types::rng::SplitMix64::new(11);
-        for model in [
-            dram::ServiceModel::Unbounded,
-            dram::ServiceModel::Queued { depth: 1 },
-            dram::ServiceModel::Queued { depth: 8 },
-        ] {
-            let mut r = FlatRemap::new(2048, 8, 64, 4096);
-            let mut dram = DramSystem::paper_default().with_service(model);
-            let mut reference = dram.clone();
-            let mut at = Cycle::ZERO;
-            for _ in 0..300 {
-                let block = loop {
-                    let b = rng.gen_range(72);
-                    if !r.peek(b).is_nm() {
-                        break b;
-                    }
-                };
-                let slot = rng.gen_range(8);
-                // Mix sparse, dense, empty and full skip masks.
-                let skip = match rng.gen_range(4) {
-                    0 => 0,
-                    1 => u64::MAX,
-                    2 => rng.next_u64() & rng.next_u64(),
-                    _ => rng.next_u64(),
-                };
-                at += rng.gen_range(2_000);
-                per_line_swap(&r, block, slot, skip, at, &mut reference);
-                r.swap_into_nm(block, slot, skip, at, &mut dram);
-                assert_eq!(dram, reference, "{model:?}: swap traffic diverged");
-            }
-            assert_eq!(dram.total_energy(), reference.total_energy());
+        let mut r = FlatRemap::new(2048, 8, 64, 4096);
+        let mut dram = DramSystem::paper_default();
+        let mut reference = dram.clone();
+        let mut at = Cycle::ZERO;
+        for _ in 0..300 {
+            let block = loop {
+                let b = rng.gen_range(72);
+                if !r.peek(b).is_nm() {
+                    break b;
+                }
+            };
+            let slot = rng.gen_range(8);
+            // Mix sparse, dense, empty and full skip masks.
+            let skip = match rng.gen_range(4) {
+                0 => 0,
+                1 => u64::MAX,
+                2 => rng.next_u64() & rng.next_u64(),
+                _ => rng.next_u64(),
+            };
+            at += rng.gen_range(2_000);
+            per_line_swap(&r, block, slot, skip, at, &mut reference);
+            r.swap_into_nm(block, slot, skip, at, &mut dram);
+            assert_eq!(dram, reference, "swap traffic diverged");
         }
+        assert_eq!(dram.total_energy(), reference.total_energy());
     }
 
     #[test]

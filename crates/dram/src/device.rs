@@ -4,7 +4,6 @@ use sim_types::{AccessKind, Cycle, TrafficClass};
 
 use crate::config::DeviceConfig;
 use crate::energy::EnergyCounter;
-use crate::service::{BoundedQueue, ServiceModel};
 
 /// One access presented to a [`DramDevice`].
 ///
@@ -48,15 +47,8 @@ pub struct DeviceStats {
     pub writes: u64,
     /// Bytes moved per traffic class, indexed by [`TrafficClass::index`].
     pub bytes_by_class: [u64; 5],
-    /// Admissions that found the channel's service queue full (bounded
-    /// model only).
-    pub queue_stalls: u64,
-    /// Total cycles requests spent waiting for queue admission.
-    pub queue_stall_cycles: u64,
-    /// Sum over accesses of the post-issue occupancy of the channel queue
-    /// the access flowed through (bounded model only).
-    pub queue_occupancy_sum: u64,
-    /// Largest channel-queue occupancy ever observed.
+    /// Always 0: there is no controller queue. Stays only until
+    /// `benchmark/` stops reading it.
     pub queue_peak_occupancy: u64,
 }
 
@@ -80,33 +72,10 @@ impl DeviceStats {
         }
     }
 
-    /// Mean channel-queue occupancy seen per access; 0 when idle, and
-    /// identically 0 under [`ServiceModel::Unbounded`].
+    /// Always 0.0: there is no controller queue. Stays only until
+    /// `benchmark/` stops calling it.
     pub fn mean_queue_occupancy(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.queue_occupancy_sum as f64 / self.accesses as f64
-        }
-    }
-
-    /// Fraction of accesses that suffered at least one queue-admission
-    /// stall, in [0, 1]; 0 when idle.
-    pub fn stall_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.queue_stalls as f64 / self.accesses as f64
-        }
-    }
-
-    /// Mean queue-admission delay in cycles per access; 0 when idle.
-    pub fn mean_stall_cycles(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.queue_stall_cycles as f64 / self.accesses as f64
-        }
+        0.0
     }
 
     /// Counts `n` accesses of `a`'s kind, class and size.
@@ -125,17 +94,15 @@ impl DeviceStats {
 ///
 /// The device is a timing *calculator*: [`DramDevice::serve`] returns the
 /// CPU cycle at which the burst completes, advancing bank and bus state.
-/// Under [`ServiceModel::Queued`] a bounded FIFO per channel front-ends
-/// the calculator and charges explicit backpressure delay. There is no
-/// per-bank queue: every entry one would hold completes by `bank.ready`,
-/// which the start time already waits for.
-/// Bank and bus state serialize accesses in *presentation* order, and the
-/// queues retire entries at each arrival's cycle; both are exact only when
-/// arrivals come in time order. The surrounding simulator does not
-/// guarantee that: it picks cores smallest-cycle-first, but an access can
-/// issue later than its pick clock, and schemes issue chained traffic at
-/// future cycles. An access stamped earlier than one already presented
-/// can thus wait behind it (the benchmark's
+/// There is no controller queue. Nor is there a per-bank queue: every
+/// entry one would hold completes by `bank.ready`, which the start time
+/// already waits for.
+/// Bank and bus state serialize accesses in *presentation* order, which
+/// is exact only when arrivals come in time order. The surrounding
+/// simulator does not guarantee that: it picks cores smallest-cycle-first,
+/// but an access can issue later than its pick clock, and schemes issue
+/// chained traffic at future cycles. An access stamped earlier than one
+/// already presented can thus wait behind it (the benchmark's
 /// `machine.req_out_of_order_frac` reads about 0.68 on `lbm-stream`). The
 /// ROADMAP item "Make DRAM arrival order causal" tracks the fix.
 ///
@@ -147,8 +114,6 @@ pub struct DramDevice {
     banks: Vec<Bank>,
     bus_free: Vec<Cycle>,
     stats: DeviceStats,
-    model: ServiceModel,
-    chan_queues: Vec<BoundedQueue>,
     chan_mask: u64,
     chan_shift: u32,
     /// Shift that drops the granule offset and the channel bits.
@@ -181,8 +146,6 @@ impl DramDevice {
             banks: vec![Bank::default(); n_banks],
             bus_free: vec![Cycle::ZERO; cfg.channels as usize],
             stats: DeviceStats::default(),
-            model: ServiceModel::Unbounded,
-            chan_queues: vec![BoundedQueue::new(); cfg.channels as usize],
             chan_mask: u64::from(cfg.channels) - 1,
             chan_shift,
             high_shift: chan_shift + cfg.channels.trailing_zeros(),
@@ -201,21 +164,6 @@ impl DramDevice {
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.cfg
-    }
-
-    /// The active service model.
-    pub fn service_model(&self) -> ServiceModel {
-        self.model
-    }
-
-    /// Selects the service model. Call before issuing traffic: switching
-    /// models mid-run would mix queued and unqueued admission state.
-    pub fn set_service_model(&mut self, model: ServiceModel) {
-        debug_assert_eq!(
-            self.stats.accesses, 0,
-            "service model must be chosen before traffic flows"
-        );
-        self.model = model;
     }
 
     /// Accumulated traffic statistics.
@@ -263,17 +211,10 @@ impl DramDevice {
 
     /// Serves one access and returns its completion cycle.
     ///
-    /// Under [`ServiceModel::Queued`] the access is first admitted through
-    /// the bounded channel queue; a full queue delays admission until its
-    /// oldest in-flight entry drains (backpressure), and the delay is
-    /// charged ahead of the array timing.
-    /// Under [`ServiceModel::Unbounded`] admission is immediate and the
-    /// path below is exactly the pre-service-layer closed form.
-    ///
-    /// Timing: the access starts when the bank is free and the request has
-    /// been admitted; a row hit pays tCAS, a row conflict pays tRP+tRCD+tCAS,
-    /// an empty bank pays tRCD+tCAS; data transfer then waits for the channel
-    /// data bus and occupies it for the burst duration.
+    /// Timing: the access starts at its arrival or when the bank is free,
+    /// whichever is later; a row hit pays tCAS, a row conflict pays
+    /// tRP+tRCD+tCAS, an empty bank pays tRCD+tCAS; data transfer then waits
+    /// for the channel data bus and occupies it for the burst duration.
     pub fn serve(&mut self, a: DramAccess) -> Cycle {
         self.serve_mapped(a).0
     }
@@ -283,13 +224,11 @@ impl DramDevice {
     /// `count` [`DramDevice::serve`] calls. Returns the completion of the
     /// last access (`a.at` when `count` is 0).
     ///
-    /// Under [`ServiceModel::Unbounded`] the accesses after the first one
-    /// in an aligned block that maps to a single bank and row (the smaller
-    /// of a row and an interleave granule) are charged in one step: each
-    /// finds its row open and its bank and bus released by its predecessor,
-    /// so it completes exactly tCAS plus one transfer later. Queued
-    /// admission is per access, so [`ServiceModel::Queued`] serves every
-    /// access individually.
+    /// The accesses after the first one in an aligned block that maps to a
+    /// single bank and row (the smaller of a row and an interleave granule)
+    /// are charged in one step: each finds its row open and its bank and
+    /// bus released by its predecessor, so it completes exactly tCAS plus
+    /// one transfer later.
     pub fn serve_burst(&mut self, a: DramAccess, count: u32) -> Cycle {
         let stride = u64::from(a.bytes);
         let count = u64::from(count);
@@ -300,7 +239,7 @@ impl DramDevice {
             let (done, channel, bank) = self.serve_mapped(DramAccess { addr, ..a });
             ready = done;
             i += 1;
-            if i == count || self.model != ServiceModel::Unbounded {
+            if i == count {
                 continue;
             }
             let hits = ((addr | self.run_mask) - addr)
@@ -321,22 +260,9 @@ impl DramDevice {
     fn serve_mapped(&mut self, a: DramAccess) -> (Cycle, usize, usize) {
         debug_assert!(a.bytes > 0, "zero-length DRAM access");
         let (channel, bank_idx, row) = self.map(a.addr);
-
-        let admitted = match self.model {
-            ServiceModel::Unbounded => a.at,
-            ServiceModel::Queued { depth } => match self.chan_queues[channel].admit(a.at, depth) {
-                Ok(admitted) => admitted,
-                Err(bp) => {
-                    self.stats.queue_stalls += 1;
-                    self.stats.queue_stall_cycles += bp.until - a.at;
-                    bp.until
-                }
-            },
-        };
-
         let transfer = self.transfer_cpu(a.bytes);
         let bank = &mut self.banks[bank_idx];
-        let start = admitted.max(bank.ready);
+        let start = a.at.max(bank.ready);
         let (array_latency, activated) = match bank.open_row {
             Some(open) if open == row => (self.t_cas_cpu, false),
             Some(_) => (self.t_rp_cpu + self.t_rcd_cpu + self.t_cas_cpu, true),
@@ -349,14 +275,6 @@ impl DramDevice {
         bank.open_row = Some(row);
         bank.ready = done;
         self.bus_free[channel] = done;
-
-        if let ServiceModel::Queued { .. } = self.model {
-            let queue = &mut self.chan_queues[channel];
-            queue.push(done);
-            let occ = queue.occupancy() as u64;
-            self.stats.queue_occupancy_sum += occ;
-            self.stats.queue_peak_occupancy = self.stats.queue_peak_occupancy.max(occ);
-        }
 
         if activated {
             self.stats.activations += 1;
@@ -502,60 +420,12 @@ mod tests {
     #[test]
     fn unbounded_serve_admits_at_arrival() {
         // On an idle device the latency does not depend on the arrival
-        // cycle, and no admission stall is charged.
+        // cycle.
         let cfg = DeviceConfig::hbm2_near_memory;
         let idle = read_at(&mut DramDevice::new(cfg()), 0, Cycle::ZERO);
         let mut dev = DramDevice::new(cfg());
         let r = read_at(&mut dev, 0, Cycle::new(42));
         assert_eq!(r - Cycle::new(42), idle - Cycle::ZERO);
-        assert_eq!(dev.stats().queue_stall_cycles, 0);
-    }
-
-    #[test]
-    fn queued_depth_one_backpressures_bank_conflicts() {
-        let mut dev = DramDevice::new(DeviceConfig::ddr4_far_memory());
-        dev.set_service_model(ServiceModel::Queued { depth: 1 });
-        let first = dev.serve(DramAccess {
-            addr: 0,
-            bytes: 64,
-            kind: AccessKind::Read,
-            class: TrafficClass::Demand,
-            at: Cycle::ZERO,
-        });
-        // Same channel, arrives while the first is still in flight: the
-        // depth-1 channel queue pushes back to the first one's drain.
-        let second = dev.serve(DramAccess {
-            addr: 64,
-            bytes: 64,
-            kind: AccessKind::Read,
-            class: TrafficClass::Demand,
-            at: Cycle::ZERO,
-        });
-        // Admitted at the first one's completion, the second finishes
-        // at least a row hit and a transfer later.
-        assert!(second - first >= dev.t_cas_cpu + dev.transfer_64_cpu);
-        assert_eq!(dev.stats().queue_stalls, 1);
-        assert_eq!(dev.stats().queue_stall_cycles, first - Cycle::ZERO);
-        assert!(dev.stats().stall_rate() > 0.0);
-    }
-
-    #[test]
-    fn queued_never_beats_unbounded() {
-        for depth in [1, 2, 8] {
-            let mut free = DramDevice::new(DeviceConfig::ddr4_far_memory());
-            let mut queued = DramDevice::new(DeviceConfig::ddr4_far_memory());
-            queued.set_service_model(ServiceModel::Queued { depth });
-            for i in 0..64u64 {
-                let a = DramAccess {
-                    addr: (i * 64) % 4096,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Demand,
-                    at: Cycle::new(i),
-                };
-                assert!(queued.serve(a) >= free.serve(a));
-            }
-        }
     }
 
     #[test]
@@ -564,24 +434,7 @@ mod tests {
         let s = dev.stats();
         assert_eq!(s.row_hit_rate(), 0.0);
         assert_eq!(s.mean_queue_occupancy(), 0.0);
-        assert_eq!(s.stall_rate(), 0.0);
-        assert_eq!(s.mean_stall_cycles(), 0.0);
         assert_eq!(s.queue_peak_occupancy, 0);
-    }
-
-    #[test]
-    fn unbounded_device_keeps_queue_telemetry_zero() {
-        let mut dev = DramDevice::new(DeviceConfig::hbm2_near_memory());
-        for i in 0..32u64 {
-            read_at(&mut dev, i * 64, Cycle::ZERO);
-        }
-        let s = dev.stats();
-        assert_eq!(s.queue_stalls, 0);
-        assert_eq!(s.queue_stall_cycles, 0);
-        assert_eq!(s.queue_occupancy_sum, 0);
-        assert_eq!(s.queue_peak_occupancy, 0);
-        assert_eq!(s.mean_queue_occupancy(), 0.0);
-        assert_eq!(s.stall_rate(), 0.0);
     }
 
     #[test]
@@ -660,10 +513,9 @@ mod proptests {
             prop_assert_eq!(dev.stats().row_hits + dev.stats().activations, ops.len() as u64);
         }
 
-        /// The service layer under `Unbounded` is a pure refactor: replaying
-        /// any access sequence through an independent closed-form oracle
-        /// (bank-ready / open-row / bus-free recurrence) matches `serve`
-        /// exactly, admission included.
+        /// Replaying any access sequence through an independent closed-form
+        /// oracle (bank-ready / open-row / bus-free recurrence) matches
+        /// `serve` exactly.
         #[test]
         fn unbounded_serve_matches_closed_form_oracle(
             ops in proptest::collection::vec((0u64..1u64<<22, 1u32..4096, any::<bool>(), 0u64..10_000), 1..200),
@@ -697,7 +549,7 @@ mod proptests {
                     at: t,
                 };
                 // Oracle: same decomposition and recurrence as the
-                // pre-service-layer calculator.
+                // calculator.
                 let channel = ((addr >> chan_shift) & chan_mask) as usize;
                 let high = addr >> (chan_shift + chan_mask.count_ones());
                 let low = addr & ((1 << chan_shift) - 1);
@@ -720,56 +572,6 @@ mod proptests {
 
                 let got = dev.serve(a);
                 prop_assert_eq!(got, expect);
-            }
-            prop_assert_eq!(dev.stats().queue_stalls, 0);
-            prop_assert_eq!(dev.stats().queue_occupancy_sum, 0);
-        }
-
-        /// Shrinking the service-queue depth never makes any access finish
-        /// earlier: for the same access sequence, every completion under
-        /// depth `d2 <= d1` is >= the completion under `d1` (and unbounded
-        /// lower-bounds both).
-        #[test]
-        fn smaller_depth_never_finishes_earlier(
-            ops in proptest::collection::vec((0u64..1u64<<20, 1u32..1024, any::<bool>(), 0u64..2_000), 1..150),
-            depths in (1u32..64, 1u32..64),
-            nm in any::<bool>(),
-        ) {
-            let cfg = if nm {
-                DeviceConfig::hbm2_near_memory()
-            } else {
-                DeviceConfig::ddr4_far_memory()
-            };
-            let (a, b) = depths;
-            let (small, large) = (a.min(b), a.max(b));
-            let mut dev_small = DramDevice::new(cfg.clone());
-            dev_small.set_service_model(ServiceModel::Queued { depth: small });
-            let mut dev_large = DramDevice::new(cfg.clone());
-            dev_large.set_service_model(ServiceModel::Queued { depth: large });
-            let mut dev_free = DramDevice::new(cfg);
-
-            let mut t = Cycle::ZERO;
-            for (addr, bytes, write, gap) in ops {
-                t += gap;
-                let acc = DramAccess {
-                    addr,
-                    bytes,
-                    kind: if write { AccessKind::Write } else { AccessKind::Read },
-                    class: TrafficClass::Demand,
-                    at: t,
-                };
-                let r_small = dev_small.serve(acc);
-                let r_large = dev_large.serve(acc);
-                let r_free = dev_free.serve(acc);
-                prop_assert!(
-                    r_small >= r_large,
-                    "depth {} finished {:?} before depth {} at {:?}",
-                    small, r_small, large, r_large
-                );
-                prop_assert!(r_large >= r_free);
-                prop_assert!(
-                    dev_small.stats().queue_stall_cycles >= dev_large.stats().queue_stall_cycles
-                );
             }
         }
 

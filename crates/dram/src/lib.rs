@@ -20,11 +20,8 @@
 //!
 //! All traffic flows through the service layer ([`service`]): schemes
 //! build a [`ServiceRequest`] (a [`DramAccess`] plus target side and burst
-//! count) and get back its completion cycle. The default
-//! [`ServiceModel::Unbounded`] is the closed-form calculator that every
-//! golden and paper figure uses, while [`ServiceModel::Queued`] bounds each
-//! channel behind a FIFO of configurable depth whose overflow charges
-//! explicit [`Backpressure`] delay on top of the CAS/RCD/RP timing.
+//! count) and get back its completion cycle from the closed-form
+//! calculator. There is no bounded controller queue.
 //!
 //! The crate also defines the [`MemoryScheme`] trait implemented by Hybrid2
 //! and by every baseline scheme, so that all of them drive the same devices
@@ -69,5 +66,5 @@ pub use config::{DeviceConfig, DeviceConfigError};
 pub use device::{DeviceStats, DramAccess, DramDevice};
 pub use energy::EnergyCounter;
 pub use scheme::{MemoryScheme, SchemeStats, Served};
-pub use service::{Backpressure, BoundedQueue, ServiceModel, ServiceRequest, DEFAULT_QUEUE_DEPTH};
+pub use service::{ServiceModel, ServiceRequest};
 pub use system::DramSystem;

@@ -23,8 +23,7 @@ impl DramSystem {
         }
     }
 
-    /// The paper's Table 1 system: HBM2 near memory, DDR4-3200 far memory,
-    /// [`ServiceModel::Unbounded`] service (the closed-form reference).
+    /// The paper's Table 1 system: HBM2 near memory, DDR4-3200 far memory.
     pub fn paper_default() -> Self {
         Self::new(
             DeviceConfig::hbm2_near_memory(),
@@ -32,18 +31,11 @@ impl DramSystem {
         )
     }
 
-    /// Selects the service model on both devices (builder form).
+    /// Returns `self`: [`ServiceModel`] has one value. Stays only until
+    /// `benchmark/` stops calling it.
     #[must_use]
-    pub fn with_service(mut self, model: ServiceModel) -> Self {
-        self.nm.set_service_model(model);
-        self.fm.set_service_model(model);
+    pub fn with_service(self, _model: ServiceModel) -> Self {
         self
-    }
-
-    /// The active service model (identical on both sides).
-    pub fn service_model(&self) -> ServiceModel {
-        debug_assert_eq!(self.nm.service_model(), self.fm.service_model());
-        self.nm.service_model()
     }
 
     /// Submits one request and returns its completion cycle.
@@ -204,7 +196,6 @@ mod tests {
         assert_eq!(sys.traffic_bytes(MemSide::Nm), 0);
         assert_eq!(sys.device(MemSide::Fm).stats().accesses, 8);
         assert!(r > Cycle::ZERO);
-        assert_eq!(sys.device(MemSide::Fm).stats().queue_stall_cycles, 0);
     }
 
     #[test]
@@ -220,67 +211,47 @@ mod tests {
     #[test]
     fn copy_lines_matches_an_alternating_line_by_line_copy() {
         let mut rng = sim_types::rng::SplitMix64::new(7);
-        for model in [
-            ServiceModel::Unbounded,
-            ServiceModel::Queued { depth: 1 },
-            ServiceModel::Queued { depth: 8 },
-        ] {
-            let mut sys = DramSystem::paper_default().with_service(model);
-            let mut reference = sys.clone();
-            for step in 0..200u64 {
-                let line_bytes = 64 << rng.gen_range(4);
-                let lines = 4096 / line_bytes;
-                let mask = rng.next_u64() & rng.next_u64() & (u64::MAX >> (64 - lines));
-                let (src, dst) = if step % 2 == 0 {
-                    (
-                        (MemSide::Fm, 4096 * rng.gen_range(64)),
-                        (MemSide::Nm, 4096 * rng.gen_range(64)),
-                    )
-                } else {
-                    (
-                        (MemSide::Nm, 4096 * rng.gen_range(64)),
-                        (MemSide::Fm, 4096 * rng.gen_range(64)),
-                    )
-                };
-                let at = Cycle::new(step * 500);
-                for i in (0..lines).filter(|i| mask & (1 << i) != 0) {
-                    for ((side, base), kind) in [(src, AccessKind::Read), (dst, AccessKind::Write)]
-                    {
-                        reference.submit(ServiceRequest::new(
-                            side,
-                            DramAccess {
-                                addr: base + i * line_bytes,
-                                bytes: line_bytes as u32,
-                                kind,
-                                class: TrafficClass::Migration,
-                                at,
-                            },
-                        ));
-                    }
+        let mut sys = DramSystem::paper_default();
+        let mut reference = sys.clone();
+        for step in 0..200u64 {
+            let line_bytes = 64 << rng.gen_range(4);
+            let lines = 4096 / line_bytes;
+            let mask = rng.next_u64() & rng.next_u64() & (u64::MAX >> (64 - lines));
+            let (src, dst) = if step % 2 == 0 {
+                (
+                    (MemSide::Fm, 4096 * rng.gen_range(64)),
+                    (MemSide::Nm, 4096 * rng.gen_range(64)),
+                )
+            } else {
+                (
+                    (MemSide::Nm, 4096 * rng.gen_range(64)),
+                    (MemSide::Fm, 4096 * rng.gen_range(64)),
+                )
+            };
+            let at = Cycle::new(step * 500);
+            for i in (0..lines).filter(|i| mask & (1 << i) != 0) {
+                for ((side, base), kind) in [(src, AccessKind::Read), (dst, AccessKind::Write)] {
+                    reference.submit(ServiceRequest::new(
+                        side,
+                        DramAccess {
+                            addr: base + i * line_bytes,
+                            bytes: line_bytes as u32,
+                            kind,
+                            class: TrafficClass::Migration,
+                            at,
+                        },
+                    ));
                 }
-                sys.copy_lines(
-                    mask,
-                    src,
-                    dst,
-                    line_bytes as u32,
-                    TrafficClass::Migration,
-                    at,
-                );
-                assert_eq!(sys, reference, "{model:?}, step {step}");
             }
+            sys.copy_lines(
+                mask,
+                src,
+                dst,
+                line_bytes as u32,
+                TrafficClass::Migration,
+                at,
+            );
+            assert_eq!(sys, reference, "step {step}");
         }
-    }
-
-    #[test]
-    fn with_service_applies_to_both_sides() {
-        let model = ServiceModel::Queued { depth: 4 };
-        let sys = DramSystem::paper_default().with_service(model);
-        assert_eq!(sys.service_model(), model);
-        assert_eq!(sys.device(MemSide::Nm).service_model(), model);
-        assert_eq!(sys.device(MemSide::Fm).service_model(), model);
-        assert_eq!(
-            DramSystem::paper_default().service_model(),
-            ServiceModel::Unbounded
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! at stride `bytes` would — same result, same statistics and energy, and
 //! the same bank and bus state.
 
-use dram::{DeviceConfig, DramAccess, DramSystem, ServiceModel, ServiceRequest};
+use dram::{DeviceConfig, DramAccess, DramSystem, ServiceRequest};
 use proptest::prelude::*;
 use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
 
@@ -18,14 +18,6 @@ fn shape(i: usize) -> DeviceConfig {
             interleave_bytes: 512,
             ..DeviceConfig::ddr4_far_memory()
         },
-    }
-}
-
-fn model(i: usize) -> ServiceModel {
-    match i {
-        0 => ServiceModel::Unbounded,
-        1 => ServiceModel::Queued { depth: 1 },
-        _ => ServiceModel::Queued { depth: 8 },
     }
 }
 
@@ -47,7 +39,6 @@ proptest! {
     #[test]
     fn counted_submit_matches_single_serves(
         shape_idx in 0usize..3,
-        model_idx in 0usize..3,
         warm in proptest::collection::vec((0u64..1 << 20, 1u32..1024, any::<bool>(), 0u64..4_000), 0..40),
         bytes in prop_oneof![Just(64u32), Just(128u32), Just(256u32), Just(512u32)],
         addr in 0u64..1 << 20,
@@ -58,7 +49,7 @@ proptest! {
         probe in (0u64..1 << 20, 0u64..80_000),
     ) {
         let cfg = shape(shape_idx);
-        let mut sys = DramSystem::new(cfg.clone(), cfg).with_service(model(model_idx));
+        let mut sys = DramSystem::new(cfg.clone(), cfg);
         let mut t = 0;
         for (a, b, w, gap) in warm {
             t += gap;
@@ -81,7 +72,7 @@ proptest! {
         let (dev, ref_dev) = (sys.device(MemSide::Nm), reference.device(MemSide::Nm));
         prop_assert_eq!(dev.stats(), ref_dev.stats());
         prop_assert_eq!(dev.energy(), ref_dev.energy());
-        prop_assert_eq!(dev, ref_dev, "bank, bus or queue state diverged");
+        prop_assert_eq!(dev, ref_dev, "bank or bus state diverged");
 
         let p = access(probe.0, 64, false, probe.1);
         prop_assert_eq!(

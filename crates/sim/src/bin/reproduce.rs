@@ -18,12 +18,6 @@
 //!                     1 = per-op reference scheduling. Results are
 //!                     byte-identical for every value (CI `cmp`s batched
 //!                     vs `--batch 1` output)          [default: 4096]
-//!   --service <model> memory-service model: unbounded (closed-form
-//!                     reference) or queued[:depth] (bounded per-channel
-//!                     service queues with backpressure; depth defaults
-//!                     to 8). Unlike --batch this knob CHANGES results —
-//!                     queued latencies grow under contention
-//!                                                  [default: unbounded]
 //!   --runlog <dir>    append one structured run record per simulated grid
 //!                     cell to <dir> (evalsuite / scenario grids only);
 //!                     query the accumulated records with `reproduce query`
@@ -36,7 +30,7 @@
 //!   scenario <name|all>   run one named scenario or the whole catalog
 //!   --ratio <1gb|2gb|4gb> NM:FM ratio                     [default: 1gb]
 //!   --list                list the scenario catalog and exit
-//!   (--scale/--instrs/--seed/--threads/--batch/--service/--runlog/--out
+//!   (--scale/--instrs/--seed/--threads/--batch/--runlog/--out
 //!   apply as above)
 //!
 //! query subcommand (aggregate accumulated run records):
@@ -45,8 +39,6 @@
 //!   --workload <name>     keep one workload/scenario by name
 //!   --ratio <1gb|2gb|4gb> keep one NM:FM ratio
 //!   --since-record <n>    keep records with global id >= n
-//!   --service <model>     keep one service model (unbounded, queued:8, …);
-//!                         exact match, depth included
 //!   (--out applies as above)
 //!
 //! ```
@@ -59,26 +51,22 @@
 //! panics.
 
 use sim::experiments::{evalsuite_reports, main_matrix_timed, run_by_id, ALL_EXPERIMENTS};
-use sim::{runlog, scenario, EvalConfig, NmRatio, ScaledSystem, ServiceModel};
+use sim::{runlog, scenario, EvalConfig, NmRatio, ScaledSystem};
 use workloads::scenarios;
 
 /// One-screen usage summary printed alongside every usage error.
 const USAGE: &str = "\
 usage: reproduce [--exp <id>] [--scale N] [--instrs N] [--seed N] [--threads N]
-                 [--batch N] [--service MODEL] [--smoke]
-                 [--runlog DIR] [--out FILE] [--list]
+                 [--batch N] [--smoke] [--runlog DIR] [--out FILE] [--list]
        reproduce scenario <name|all> [--ratio 1gb|2gb|4gb] [--scale N]
                  [--instrs N] [--seed N] [--threads N] [--batch N]
-                 [--service MODEL] [--runlog DIR] [--out FILE] [--list]
+                 [--runlog DIR] [--out FILE] [--list]
        reproduce query <dir|file>... [--scheme TOK] [--workload NAME]
-                 [--ratio 1gb|2gb|4gb] [--service MODEL] [--since-record N]
-                 [--out FILE]
+                 [--ratio 1gb|2gb|4gb] [--since-record N] [--out FILE]
        reproduce -h | --help
 
 run `reproduce --list` for experiment ids, `reproduce scenario --list`
 for the scenario catalog; see the module docs for flag semantics.
-MODEL is unbounded (the closed-form reference, default) or
-queued[:depth] (bounded per-channel service queues).
 N for --scale is a power of two in [1, 2048].";
 
 /// A fully parsed command line.
@@ -133,7 +121,7 @@ where
 }
 
 /// Consumes one of the sizing flags shared by every run subcommand
-/// (`--scale/--instrs/--seed/--threads/--batch/--service`) at `args[i]`,
+/// (`--scale/--instrs/--seed/--threads/--batch`) at `args[i]`,
 /// returning the next index, or `None` if `args[i]` is some other
 /// argument.
 fn parse_sizing_flag(
@@ -150,12 +138,6 @@ fn parse_sizing_flag(
         "--seed" => cfg.seed = flag_value(args, i, "--seed")?,
         "--threads" => cfg.threads = count_value(args, i, "--threads")?,
         "--batch" => cfg.batch = count_value(args, i, "--batch")?,
-        "--service" => {
-            let v = args.get(i + 1).ok_or("--service needs a value")?;
-            cfg.service = ServiceModel::parse(v).ok_or_else(|| {
-                format!("--service needs unbounded or queued[:depth] (depth >= 1), got {v:?}")
-            })?;
-        }
         _ => return Ok(None),
     }
     Ok(Some(i + 2))
@@ -271,13 +253,6 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
             }
             "--since-record" => {
                 query.since_record = Some(flag_value(args, i, "--since-record")?);
-                i += 2;
-            }
-            "--service" => {
-                let v = args.get(i + 1).ok_or("--service needs a value")?;
-                query.service = Some(ServiceModel::parse(v).ok_or_else(|| {
-                    format!("--service needs unbounded or queued[:depth], got {v:?}")
-                })?);
                 i += 2;
             }
             "--out" => {
@@ -696,8 +671,6 @@ mod tests {
             "2gb",
             "--since-record",
             "56",
-            "--service",
-            "queued:8",
             "--out",
             "q.txt",
         ])
@@ -709,22 +682,14 @@ mod tests {
                 assert_eq!(query.workload.as_deref(), Some("stream-chase"));
                 assert_eq!(query.ratio, Some(NmRatio::TwoGb));
                 assert_eq!(query.since_record, Some(56));
-                assert_eq!(query.service, Some(ServiceModel::Queued { depth: 8 }));
                 assert_eq!(out.as_deref(), Some("q.txt"));
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Absent service filter means "any model".
-        match parse(&["query", "rundir"]).unwrap() {
-            Command::Query { query, .. } => assert_eq!(query.service, None),
             other => panic!("unexpected {other:?}"),
         }
         // Bad values are usage errors (exit 2), never panics.
         assert!(parse(&["query"]).unwrap_err().contains("at least one"));
         let e = parse(&["query", "rundir", "--scheme", "quantum-cache"]).unwrap_err();
         assert!(e.contains("quantum-cache"), "{e}");
-        let e = parse(&["query", "rundir", "--service", "bogus"]).unwrap_err();
-        assert!(e.contains("--service"), "{e}");
         let e = parse(&["query", "rundir", "--ratio", "8gb"]).unwrap_err();
         assert!(e.contains("8gb"), "{e}");
         let e = parse(&["query", "rundir", "--since-record", "many"]).unwrap_err();
@@ -763,12 +728,18 @@ mod tests {
         }
     }
 
-    /// The flags of the retired text-spec compiler, scenario generator
-    /// and process shards, and the retired `merge` subcommand, are usage
-    /// errors (exit 2 with the usage text), never a run.
+    /// The flags of the retired text-spec compiler, scenario generator,
+    /// process shards and memory-service model, and the retired `merge`
+    /// subcommand, are usage errors (exit 2 with the usage text), never a
+    /// run.
     #[test]
     fn retired_harness_arguments_are_usage_errors() {
-        for (flag, value) in [("spec", "x"), ("generate", "3"), ("shard", "1/2")] {
+        for (flag, value) in [
+            ("spec", "x"),
+            ("generate", "3"),
+            ("shard", "1/2"),
+            ("service", "queued:8"),
+        ] {
             let flag = format!("--{flag}");
             for args in [
                 &["scenario", "all", &flag, value][..],
@@ -780,6 +751,8 @@ mod tests {
         }
         let e = parse(&["merge", "a.tsv", "b.tsv"]).unwrap_err();
         assert!(e.contains("unknown argument \"merge\""), "{e}");
+        let e = parse(&["query", "rundir", "--service", "unbounded"]).unwrap_err();
+        assert!(e.contains("unknown query argument \"--service\""), "{e}");
     }
 
     /// The `source` column of every record the CLI writes. Run
@@ -848,48 +821,6 @@ mod tests {
             let err = parse(&["scenario", "all", "--scale", den]).unwrap_err();
             assert!(err.contains("--scale"), "scenario --scale {den}: {err}");
         }
-    }
-
-    #[test]
-    fn service_flag_parses_and_validates() {
-        match parse(&["--service", "queued:4"]).unwrap() {
-            Command::Eval { cfg, .. } => {
-                assert_eq!(cfg.service, ServiceModel::Queued { depth: 4 })
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Bare `queued` takes the default depth.
-        match parse(&["scenario", "all", "--service", "queued"]).unwrap() {
-            Command::Scenario { cfg, .. } => {
-                assert_eq!(
-                    cfg.service,
-                    ServiceModel::Queued {
-                        depth: sim::DEFAULT_QUEUE_DEPTH
-                    }
-                )
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Default when the flag is absent: the closed-form reference.
-        match parse(&[]).unwrap() {
-            Command::Eval { cfg, .. } => assert_eq!(cfg.service, ServiceModel::Unbounded),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&["--service", "unbounded"]).unwrap() {
-            Command::Eval { cfg, .. } => assert_eq!(cfg.service, ServiceModel::Unbounded),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Bad values are usage errors (exit 2), never panics.
-        assert!(parse(&["--service"]).unwrap_err().contains("--service"));
-        assert!(parse(&["--service", "warp"])
-            .unwrap_err()
-            .contains("--service"));
-        assert!(parse(&["--service", "queued:0"])
-            .unwrap_err()
-            .contains("depth"));
-        assert!(parse(&["scenario", "all", "--service", "queued:"])
-            .unwrap_err()
-            .contains("--service"));
     }
 
     #[test]

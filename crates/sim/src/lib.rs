@@ -50,7 +50,6 @@ mod scale;
 pub mod scenario;
 
 pub use any_scheme::AnyScheme;
-pub use dram::{ServiceModel, DEFAULT_QUEUE_DEPTH};
 pub use machine::{Machine, RunResult, DEFAULT_BATCH};
 pub use matrix::{ClassSummary, Matrix};
 pub use page_alloc::PageAllocator;

@@ -75,14 +75,14 @@ pub struct RunResult {
     pub energy_mj: f64,
     /// Measured footprint in bytes (distinct pages touched).
     pub footprint: u64,
-    /// Mean NM service-queue occupancy observed at admission (0 under the
-    /// unbounded model, which never materialises queues).
+    /// Always 0.0: there is no controller queue. This and the next three
+    /// fields stay only until `benchmark/` stops using them.
     pub nm_queue_mean: f64,
-    /// Peak NM service-queue occupancy observed at admission.
+    /// Always 0.
     pub nm_queue_max: u64,
-    /// Mean FM service-queue occupancy observed at admission.
+    /// Always 0.0.
     pub fm_queue_mean: f64,
-    /// Peak FM service-queue occupancy observed at admission.
+    /// Always 0.
     pub fm_queue_max: u64,
     /// The scheme's own counters.
     pub stats: SchemeStats,

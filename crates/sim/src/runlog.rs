@@ -11,7 +11,7 @@
 //! [`RunResult`] including the scheme's [`SchemeStats`] window counters,
 //! plus wall-clock seconds and mem-ops/sec simulator throughput).
 //!
-//! The on-disk format is versioned (`hybrid2-runlog-v4`), line-oriented
+//! The on-disk format is versioned (`hybrid2-runlog-v5`), line-oriented
 //! and tab-separated: a version line, a `writer` header, then `record`
 //! rows numbered contiguously from zero. Floats travel as IEEE-754 bit
 //! patterns, so records round-trip float-bit exactly, and encode/decode
@@ -37,7 +37,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dram::{SchemeStats, ServiceModel};
+use dram::SchemeStats;
 use sim_types::stats::geomean;
 
 use crate::machine::RunResult;
@@ -47,11 +47,12 @@ use crate::runner::{EvalConfig, SchemeKind};
 use crate::scale::NmRatio;
 
 /// First line of every run-record file; bumped on any format change.
-/// v4 dropped the two lease-telemetry columns.
-pub const VERSION: &str = "hybrid2-runlog-v4";
+/// v5 dropped the six service-model and queue columns, and the service
+/// model from the [`config_digest`] canon, so every digest changed.
+pub const VERSION: &str = "hybrid2-runlog-v5";
 
 /// Number of tab-separated columns in a `record` row.
-pub const REC_COLS: usize = 43;
+pub const REC_COLS: usize = 37;
 
 /// File-name suffix of every record file inside a run directory.
 pub const FILE_SUFFIX: &str = ".runlog.tsv";
@@ -140,21 +141,6 @@ pub struct RunRecord {
     /// Simulator throughput in mem-ops/sec ([`ops_per_sec`]; always
     /// finite, 0.0 when no ops ran).
     pub mem_ops_per_sec: f64,
-    /// The memory-service model the run simulated under (a
-    /// result-affecting knob, unlike batch/threads).
-    pub service_model: ServiceModel,
-    /// The per-node queue depth of the service model (0 under the
-    /// unbounded model); redundant with `service_model` but kept as its
-    /// own column so queries can aggregate on depth directly.
-    pub queue_depth: u64,
-    /// Mean NM service-queue occupancy at admission (0 when unbounded).
-    pub nm_queue_mean: f64,
-    /// Peak NM service-queue occupancy at admission.
-    pub nm_queue_max: u64,
-    /// Mean FM service-queue occupancy at admission.
-    pub fm_queue_mean: f64,
-    /// Peak FM service-queue occupancy at admission.
-    pub fm_queue_max: u64,
 }
 
 impl RunRecord {
@@ -181,10 +167,10 @@ impl RunRecord {
             nm_traffic,
             energy_mj,
             footprint,
-            nm_queue_mean,
-            nm_queue_max,
-            fm_queue_mean,
-            fm_queue_max,
+            nm_queue_mean: _,
+            nm_queue_max: _,
+            fm_queue_mean: _,
+            fm_queue_max: _,
             ref stats,
         } = *r;
         RunRecord {
@@ -211,12 +197,6 @@ impl RunRecord {
             stats: stats.clone(),
             wall_secs,
             mem_ops_per_sec: ops_per_sec(mem_ops, wall_secs),
-            service_model: cfg.service,
-            queue_depth: u64::from(cfg.service.queue_depth()),
-            nm_queue_mean,
-            nm_queue_max,
-            fm_queue_mean,
-            fm_queue_max,
         }
     }
 }
@@ -236,12 +216,9 @@ pub fn ops_per_sec(mem_ops: u64, secs: f64) -> f64 {
 }
 
 /// FNV-1a digest over the *result-affecting* knobs (ratio, scale,
-/// instrs, seed, service model). Threads and batch are deliberately
-/// excluded — the scheduler's byte-identity contracts make them
-/// irrelevant to results, so records from a `--batch 1` reference run
-/// pair with batched runs. The service model is
-/// *included*: bounded queues change every latency, so a queued record
-/// must never pair with an unbounded baseline.
+/// instrs, seed). Threads and batch are deliberately excluded — the
+/// scheduler's byte-identity contracts make them irrelevant to results,
+/// so records from a `--batch 1` reference run pair with batched runs.
 pub fn config_digest(ratio: NmRatio, cfg: &EvalConfig) -> u64 {
     // Exhaustive destructure: adding an EvalConfig field forces a
     // decision on whether it affects results.
@@ -251,12 +228,11 @@ pub fn config_digest(ratio: NmRatio, cfg: &EvalConfig) -> u64 {
         seed,
         threads: _,
         batch: _,
-        service,
+        service: _,
     } = *cfg;
     let canon = format!(
-        "ratio={};scale={scale_den};instrs={instrs_per_core};seed={seed};service={}",
-        ratio_token(ratio),
-        service.token()
+        "ratio={};scale={scale_den};instrs={instrs_per_core};seed={seed}",
+        ratio_token(ratio)
     );
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canon.bytes() {
@@ -436,12 +412,6 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
         ref stats,
         wall_secs,
         mem_ops_per_sec,
-        service_model,
-        queue_depth,
-        nm_queue_mean,
-        nm_queue_max,
-        fm_queue_mean,
-        fm_queue_max,
     } = *rec;
     let SchemeStats {
         requests,
@@ -467,8 +437,7 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
          {footprint}\t{requests}\t{reads}\t{writes}\t{served_from_nm}\t{lookup_hits}\t\
          {lookup_misses}\t{moved_into_nm}\t{moved_out_of_nm}\t{dirty_writebacks}\t\
          {metadata_reads}\t{metadata_writes}\t{fetched_bytes}\t{used_bytes}\t{wall_secs}\t\
-         {mem_ops_per_sec}\t{service}\t{queue_depth}\t{nm_queue_mean}\t{nm_queue_max}\t\
-         {fm_queue_mean}\t{fm_queue_max}",
+         {mem_ops_per_sec}",
         source = sanitize(source),
         workload = sanitize(workload),
         kind = kind_token(kind),
@@ -479,9 +448,6 @@ fn encode_record(rec: &RunRecord, seq: u64) -> String {
         energy = f64_bits(energy_mj),
         wall_secs = f64_bits(wall_secs),
         mem_ops_per_sec = f64_bits(mem_ops_per_sec),
-        service = service_model.token(),
-        nm_queue_mean = f64_bits(nm_queue_mean),
-        fm_queue_mean = f64_bits(fm_queue_mean),
     );
     line
 }
@@ -531,13 +497,6 @@ fn decode_record(cols: &[&str]) -> Result<(u64, RunRecord), String> {
         },
         wall_secs: fb(35, "wall_secs")?,
         mem_ops_per_sec: fb(36, "mem_ops_per_sec")?,
-        service_model: ServiceModel::parse(cols[37])
-            .ok_or_else(|| format!("unknown service model {:?}", cols[37]))?,
-        queue_depth: u(38, "queue_depth")?,
-        nm_queue_mean: fb(39, "nm_queue_mean")?,
-        nm_queue_max: u(40, "nm_queue_max")?,
-        fm_queue_mean: fb(41, "fm_queue_mean")?,
-        fm_queue_max: u(42, "fm_queue_max")?,
     };
     Ok((seq, rec))
 }
@@ -800,9 +759,6 @@ pub struct Query {
     pub workload: Option<String>,
     /// Keep records of this NM:FM ratio only.
     pub ratio: Option<NmRatio>,
-    /// Keep records of this memory-service model only (exact match,
-    /// depth included: `queued:8` does not match `queued:4`).
-    pub service: Option<ServiceModel>,
     /// Keep records with a global record id ≥ this.
     pub since_record: Option<usize>,
 }
@@ -813,7 +769,6 @@ impl Query {
             && self.scheme.is_none_or(|k| r.kind == k)
             && self.workload.as_deref().is_none_or(|w| r.workload == w)
             && self.ratio.is_none_or(|rt| r.ratio == rt)
-            && self.service.is_none_or(|s| r.service_model == s)
     }
 }
 
@@ -1006,16 +961,6 @@ mod tests {
             },
             wall_secs: 1e-9 * (slot + 1) as f64,
             mem_ops_per_sec: ops_per_sec(13 * slot + 3, 1e-9 * (slot + 1) as f64),
-            service_model: if slot.is_multiple_of(2) {
-                ServiceModel::Unbounded
-            } else {
-                ServiceModel::Queued { depth: slot as u32 }
-            },
-            queue_depth: if slot.is_multiple_of(2) { 0 } else { slot },
-            nm_queue_mean: -0.0 + slot as f64 / 7.0,
-            nm_queue_max: slot * 2,
-            fm_queue_mean: f64::MIN_POSITIVE * (slot + 1) as f64,
-            fm_queue_max: slot,
         }
     }
 
@@ -1044,12 +989,6 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.wall_secs.to_bits(), b.wall_secs.to_bits());
         assert_eq!(a.mem_ops_per_sec.to_bits(), b.mem_ops_per_sec.to_bits());
-        assert_eq!(a.service_model, b.service_model);
-        assert_eq!(a.queue_depth, b.queue_depth);
-        assert_eq!(a.nm_queue_mean.to_bits(), b.nm_queue_mean.to_bits());
-        assert_eq!(a.nm_queue_max, b.nm_queue_max);
-        assert_eq!(a.fm_queue_mean.to_bits(), b.fm_queue_mean.to_bits());
-        assert_eq!(a.fm_queue_max, b.fm_queue_max);
     }
 
     #[test]
@@ -1110,7 +1049,7 @@ mod tests {
 
     /// Tokens a corrupted or hand-edited record file might carry in any
     /// field.
-    const NASTY: [&str; 14] = [
+    const NASTY: [&str; 13] = [
         "",
         "0",
         "-1",
@@ -1118,7 +1057,6 @@ mod tests {
         "ffffffffffffffff",
         "7ff8000000000000",
         "nan",
-        "queued:0",
         "eval:full",
         "hybrid2-config=0:0:0",
         "hybrid2-variant=bogus",
@@ -1222,21 +1160,6 @@ mod tests {
             config_digest(NmRatio::OneGb, &a),
             config_digest(NmRatio::TwoGb, &a)
         );
-        // The service model is a result-affecting knob: changing it (or
-        // just the depth) must change the digest, so queued records never
-        // pair with unbounded baselines.
-        let mut q = a;
-        q.service = ServiceModel::Queued { depth: 8 };
-        assert_ne!(
-            config_digest(NmRatio::OneGb, &a),
-            config_digest(NmRatio::OneGb, &q)
-        );
-        let mut q4 = a;
-        q4.service = ServiceModel::Queued { depth: 4 };
-        assert_ne!(
-            config_digest(NmRatio::OneGb, &q),
-            config_digest(NmRatio::OneGb, &q4)
-        );
     }
 
     #[test]
@@ -1317,6 +1240,24 @@ mod tests {
         assert!(e.contains("unsupported"), "{e}");
         let e = read_store(&[("w.runlog.tsv".to_owned(), format!("{VERSION}\n"))]).unwrap_err();
         assert!(e.contains("writer"), "{e}");
+
+        // A v4 file: its rows carry the six service and queue columns
+        // after the v5 ones. The version line rejects it before any row
+        // is parsed.
+        let row = encode_record(&nasty_record(1), 0);
+        let v4_row = format!(
+            "{}\tunbounded\t0\t{}\t0\t{}\t0\n",
+            row.trim_end(),
+            f64_bits(0.0),
+            f64_bits(0.0)
+        );
+        assert_eq!(v4_row.trim_end().split('\t').count(), 43);
+        let v4 = format!("hybrid2-runlog-v4\nwriter\tw\n{v4_row}");
+        let e = read_store(&[("v4.runlog.tsv".to_owned(), v4)]).unwrap_err();
+        assert!(
+            e.contains("v4.runlog.tsv") && e.contains("unsupported"),
+            "{e}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1359,22 +1300,6 @@ mod tests {
             },
         );
         assert!(filtered[0].render().contains("records: 4 of 6"));
-
-        // Service filter is exact: unbounded matches the 3 even slots,
-        // queued:3 matches exactly slot 3, queued:8 matches nothing.
-        let by_service = |s| {
-            run_query(
-                &store,
-                &Query {
-                    service: Some(s),
-                    ..Query::default()
-                },
-            )[0]
-            .render()
-        };
-        assert!(by_service(ServiceModel::Unbounded).contains("records: 3 of 6"));
-        assert!(by_service(ServiceModel::Queued { depth: 3 }).contains("records: 1 of 6"));
-        assert!(by_service(ServiceModel::Queued { depth: 8 }).contains("records: 0 of 6"));
 
         // Zero matches still renders (the zero-row tables plus counts).
         let none = run_query(

@@ -78,11 +78,8 @@ pub struct EvalConfig {
     /// — this is a scheduling knob, never a semantic one, so it is excluded
     /// from the run-record config digest. Default [`DEFAULT_BATCH`].
     pub batch: usize,
-    /// Memory-service model (`--service`): [`ServiceModel::Unbounded`] is
-    /// the closed-form reference path; `Queued { depth }` engages bounded
-    /// per-channel service queues with backpressure. Unlike `batch` this is
-    /// a *semantic* knob — it changes results and is part of the config
-    /// digest.
+    /// Always [`ServiceModel::Unbounded`], its one value; no run reads it.
+    /// Stays only until `benchmark/` stops using it.
     pub service: ServiceModel,
 }
 
@@ -262,7 +259,7 @@ pub fn run_one(
         8,
         hierarchy,
         scheme,
-        DramSystem::paper_default().with_service(cfg.service),
+        DramSystem::paper_default(),
         workload,
         cfg.seed,
     );

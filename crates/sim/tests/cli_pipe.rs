@@ -188,9 +188,9 @@ fn unwritable_out_fails_before_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The flags of the retired text-spec compiler, scenario generator and
-/// process shards, and the retired `merge` subcommand, exit 2 with the
-/// usage text, like any unknown argument.
+/// The flags of the retired text-spec compiler, scenario generator,
+/// process shards and memory-service model, and the retired `merge`
+/// subcommand, exit 2 with the usage text, like any unknown argument.
 #[test]
 fn retired_harness_arguments_exit_two_with_usage() {
     let mut runs: Vec<Vec<String>> = [("spec", "x"), ("generate", "3"), ("shard", "1/2")]
@@ -201,13 +201,20 @@ fn retired_harness_arguments_exit_two_with_usage() {
                 .to_vec()
         })
         .collect();
-    runs.push(vec!["merge".to_owned(), "a.tsv".to_owned()]);
+    for args in [
+        &["scenario", "all", "--service", "queued:8"][..],
+        &["--exp", "evalsuite", "--service", "queued:8"][..],
+        &["query", "rundir", "--service", "unbounded"][..],
+        &["merge", "a.tsv"][..],
+    ] {
+        runs.push(args.iter().map(|a| a.to_string()).collect());
+    }
     for args in runs {
         let run = reproduce().args(&args).output().expect("run reproduce");
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(2), "{args:?} stderr:\n{stderr}");
         assert!(
-            stderr.contains("usage: reproduce"),
+            stderr.contains("usage: reproduce") && !stderr.contains("panicked"),
             "{args:?} stderr:\n{stderr}"
         );
     }
