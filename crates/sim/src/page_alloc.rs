@@ -13,6 +13,11 @@
 //! open-addressing table with a multiply-xor hash rather than a SipHash
 //! `HashMap` — same mapping (frame choice comes from [`SplitMix64`], never
 //! from table order), a fraction of the lookup cost.
+//!
+//! The free list is the identity vector `0..frames` with `swap_remove`
+//! draws, but only materialised where a draw has moved a frame: an
+//! allocator costs the same to build at any capacity, and its state grows
+//! with the pages a run touches, never with the flat space.
 
 use sim_types::rng::SplitMix64;
 use sim_types::{PAddr, VAddr};
@@ -33,11 +38,14 @@ fn hash(key: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Open-addressed, linear-probing `(space, vpage) → frame` table.
+/// Open-addressed, linear-probing `u64 → u32` table: `(space, vpage) →
+/// frame` for the page map, free-list position → frame for the free-list
+/// overlay.
 ///
-/// Keys are packed as `space << 56 | vpage`; capacity is a power of two
-/// grown at ~70% load. Deletion is never needed (pages are not freed), so
-/// probing needs no tombstones.
+/// Page keys are packed as `space << 56 | vpage`; positions are below
+/// `u32::MAX`. Capacity is a power of two, starting at 64 slots and grown
+/// at ~70% load. Deletion is never needed (pages are not freed, and stale
+/// overlay positions are never read), so probing needs no tombstones.
 ///
 /// Frames are stored as `u32`: [`PageAllocator::new`] bounds the frame
 /// count by `u32::MAX`.
@@ -51,7 +59,7 @@ struct FrameTable {
 
 impl FrameTable {
     fn new() -> Self {
-        const INITIAL_SLOTS: usize = 1024;
+        const INITIAL_SLOTS: usize = 64;
         FrameTable {
             keys: vec![EMPTY; INITIAL_SLOTS],
             frames: vec![0; INITIAL_SLOTS],
@@ -66,19 +74,33 @@ impl FrameTable {
         (u64::from(space) << 56) | vpage
     }
 
-    /// Looks `key` up; on absence returns the slot index where it belongs.
+    /// Finds `key`'s slot: `Ok` where it is, `Err` where it belongs.
     #[inline]
-    fn probe(&self, key: u64) -> Result<u64, usize> {
+    fn find(&self, key: u64) -> Result<usize, usize> {
         let mut i = hash(key) & self.mask;
         loop {
             let k = self.keys[i as usize];
             if k == key {
-                return Ok(u64::from(self.frames[i as usize]));
+                return Ok(i as usize);
             }
             if k == EMPTY {
                 return Err(i as usize);
             }
             i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Looks `key` up; on absence returns the slot index where it belongs.
+    #[inline]
+    fn probe(&self, key: u64) -> Result<u64, usize> {
+        self.find(key).map(|slot| u64::from(self.frames[slot]))
+    }
+
+    /// Maps `key` to `frame`, overwriting any earlier frame.
+    fn set(&mut self, key: u64, frame: u32) {
+        match self.find(key) {
+            Ok(slot) => self.frames[slot] = frame,
+            Err(slot) => self.insert_at(slot, key, frame),
         }
     }
 
@@ -94,7 +116,7 @@ impl FrameTable {
     }
 
     fn grow(&mut self) {
-        let new_slots = (self.keys.len() * 2).max(1024);
+        let new_slots = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots]);
         let old_frames = std::mem::replace(&mut self.frames, vec![0; new_slots]);
         self.mask = new_slots as u64 - 1;
@@ -122,11 +144,20 @@ impl FrameTable {
 }
 
 /// Lazy random page table over a fixed physical capacity.
+///
+/// The free list is implicit: position `i < free_len` holds frame
+/// `moved[i]` if `moved` has `i`, and frame `i` otherwise. The frames at
+/// positions `0..free_len` are exactly the frames not yet handed out.
+/// A draw is `swap_remove` on that list, so `moved` gains at most one
+/// position per first touch; positions at or above `free_len` are never
+/// read again and are left in place.
 #[derive(Clone, Debug)]
 pub struct PageAllocator {
     map: FrameTable,
-    /// Frames not yet handed out.
-    free: Vec<u32>,
+    /// Free-list positions whose frame is not their own index.
+    moved: FrameTable,
+    /// Length of the free list: frames not yet handed out.
+    free_len: u32,
     rng: SplitMix64,
     capacity_pages: u64,
 }
@@ -141,12 +172,13 @@ impl PageAllocator {
     pub fn new(capacity_bytes: u64, seed: u64) -> Self {
         let capacity_pages = capacity_bytes / PAGE;
         assert!(capacity_pages > 0, "capacity below one page");
-        let Ok(frames) = u32::try_from(capacity_pages) else {
+        let Ok(free_len) = u32::try_from(capacity_pages) else {
             panic!("capacity of {capacity_pages} pages exceeds the u32 frame range");
         };
         PageAllocator {
             map: FrameTable::new(),
-            free: (0..frames).collect(),
+            moved: FrameTable::new(),
+            free_len,
             rng: SplitMix64::new(seed),
             capacity_pages,
         }
@@ -178,17 +210,35 @@ impl PageAllocator {
             Ok(p) => (p, false),
             Err(slot) => {
                 assert!(
-                    !self.free.is_empty(),
+                    self.free_len > 0,
                     "physical memory exhausted: footprint exceeds the flat space \
                      (the paper's workloads always fit; check scaling)"
                 );
-                let idx = self.rng.gen_range(self.free.len() as u64) as usize;
-                let p = self.free.swap_remove(idx);
+                let p = self.draw_free();
                 self.map.insert_at(slot, key, p);
                 (u64::from(p), true)
             }
         };
         (PAddr::new(ppage * PAGE + offset), fresh)
+    }
+
+    /// Frame at free-list position `pos`.
+    #[inline]
+    fn free_at(&self, pos: u32) -> u32 {
+        self.moved
+            .find(u64::from(pos))
+            .map_or(pos, |slot| self.moved.frames[slot])
+    }
+
+    /// Removes a uniformly random frame from a non-empty free list:
+    /// `swap_remove` at a drawn position, the last frame filling the hole.
+    fn draw_free(&mut self) -> u32 {
+        let idx = self.rng.gen_range(u64::from(self.free_len)) as u32;
+        let last = self.free_len - 1;
+        let frame = self.free_at(idx);
+        self.moved.set(u64::from(idx), self.free_at(last));
+        self.free_len = last;
+        frame
     }
 
     /// Read-only translation: `Some(paddr)` iff `(space, vaddr)`'s page is
@@ -398,8 +448,25 @@ mod tests {
     fn frame_entries_are_four_bytes() {
         let mut a = PageAllocator::new(1 << 20, 1);
         a.translate(0, VAddr::new(0));
-        assert_eq!(std::mem::size_of_val(&a.free[0]), 4);
         assert_eq!(std::mem::size_of_val(&a.map.frames[0]), 4);
+    }
+
+    /// The largest capacity `new` accepts, where an eager free list would
+    /// take 16 GB: the allocator builds and hands out distinct frames.
+    #[test]
+    fn builds_at_the_u32_frame_limit() {
+        let frames = u64::from(u32::MAX);
+        let mut a = PageAllocator::new(frames * PAGE, 11);
+        assert_eq!(a.capacity_pages(), frames);
+        let mut seen = std::collections::BTreeSet::new();
+        for space in 0..4u8 {
+            for v in 0..100u64 {
+                let p = a.translate(space, VAddr::new(v * PAGE)).raw() / PAGE;
+                assert!(p < frames, "frame {p} beyond capacity");
+                assert!(seen.insert(p), "frame {p} handed out twice");
+            }
+        }
+        assert_eq!(a.allocated_pages(), 400);
     }
 
     #[test]
@@ -427,7 +494,7 @@ mod tests {
     #[test]
     fn mappings_survive_table_growth() {
         let mut a = PageAllocator::new(1 << 28, 9);
-        let n = 5000u64; // crosses several grow() calls from 1024 slots
+        let n = 5000u64; // crosses several grow() calls from 64 slots
         let first: Vec<PAddr> = (0..n)
             .map(|v| a.translate(0, VAddr::new(v * PAGE)))
             .collect();
@@ -453,6 +520,82 @@ mod tests {
         for v in 0..64u64 {
             let expect = reference();
             assert_eq!(a.translate(2, VAddr::new(v * PAGE)).raw() / PAGE, expect);
+        }
+    }
+
+    /// The eager free list the allocator replaced: every frame
+    /// materialised up front, `swap_remove` at a drawn position.
+    struct EagerFrames {
+        free: Vec<u32>,
+        rng: SplitMix64,
+    }
+
+    impl EagerFrames {
+        fn new(frames: u32, seed: u64) -> Self {
+            EagerFrames {
+                free: (0..frames).collect(),
+                rng: SplitMix64::new(seed),
+            }
+        }
+
+        fn draw(&mut self) -> u32 {
+            assert!(!self.free.is_empty(), "physical memory exhausted");
+            let idx = self.rng.gen_range(self.free.len() as u64) as usize;
+            self.free.swap_remove(idx)
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("string panic payload")
+    }
+
+    proptest::proptest! {
+        /// The implicit free list hands out the eager list's frames, in
+        /// its order, at every capacity up to 600 pages (the frame table
+        /// and the overlay grow from 64 slots several times): random
+        /// touches with repeats across four spaces, then fresh pages to
+        /// exhaustion, and then both panic on the next first touch.
+        #[test]
+        fn lazy_free_list_matches_the_eager_list(
+            frames in 1u32..601,
+            seed in proptest::any::<u64>(),
+            touches in proptest::collection::vec((0u8..4, 0u64..400), 0..1500),
+        ) {
+            let mut lazy = PageAllocator::new(u64::from(frames) * PAGE, seed);
+            let mut eager = EagerFrames::new(frames, seed);
+            let mut mapped = std::collections::HashMap::new();
+            let fresh_pages = (0..).map(|v| (0u8, 400 + v));
+            for (space, vpage) in touches.into_iter().chain(fresh_pages) {
+                if mapped.len() == frames as usize {
+                    break;
+                }
+                let (paddr, fresh) = lazy.translate_tracking(space, VAddr::new(vpage * PAGE));
+                let expect = *mapped.entry((space, vpage)).or_insert_with(|| {
+                    proptest::prop_assert!(fresh, "repeat touch reported fresh");
+                    eager.draw()
+                });
+                proptest::prop_assert_eq!(paddr.raw() / PAGE, u64::from(expect));
+            }
+            proptest::prop_assert_eq!(lazy.allocated_pages(), u64::from(frames));
+            for (&(space, vpage), &frame) in &mapped {
+                let paddr = lazy.lookup(space, VAddr::new(vpage * PAGE));
+                proptest::prop_assert_eq!(paddr, Some(PAddr::new(u64::from(frame) * PAGE)));
+            }
+            let lazy_panic = panic_message(|| {
+                lazy.translate(3, VAddr::new(1 << 40));
+            });
+            proptest::prop_assert!(lazy_panic.contains("physical memory exhausted"), "{}", lazy_panic);
+            let eager_panic = panic_message(|| {
+                eager.draw();
+            });
+            proptest::prop_assert!(eager_panic.contains("physical memory exhausted"));
         }
     }
 

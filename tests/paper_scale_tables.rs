@@ -7,8 +7,8 @@
 //! first and the last byte of each flat space, so the top index of every
 //! table is used once.
 //!
-//! Tier-2: it allocates a few hundred MB one scheme at a time and runs in
-//! the CI `full-sim` job
+//! Tier-2: it builds one scheme at a time, peaking at about 75 MB
+//! resident, and runs in the CI `full-sim` job
 //! (`FULL_SIM_TESTS=1 cargo test --release -- --ignored`).
 
 use hybrid2::harness::{build_scheme, PageAllocator, ScaledSystem};
