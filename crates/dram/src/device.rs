@@ -215,6 +215,7 @@ impl DramDevice {
     /// whichever is later; a row hit pays tCAS, a row conflict pays
     /// tRP+tRCD+tCAS, an empty bank pays tRCD+tCAS; data transfer then waits
     /// for the channel data bus and occupies it for the burst duration.
+    #[inline]
     pub fn serve(&mut self, a: DramAccess) -> Cycle {
         self.serve_mapped(a).0
     }

@@ -43,9 +43,16 @@ impl DramSystem {
     /// A request with `count > 1` is served as `count` back-to-back accesses
     /// at stride `access.bytes`, all arriving at `access.at` (sector moves,
     /// page fills), and completes when the last access does. See
-    /// [`DramDevice::serve_burst`].
+    /// [`DramDevice::serve_burst`]. A single access, the common case, is
+    /// one [`DramDevice::serve`] and skips the burst loop.
+    #[inline]
     pub fn submit(&mut self, req: ServiceRequest) -> Cycle {
-        self.device_mut(req.side).serve_burst(req.access, req.count)
+        let device = self.device_mut(req.side);
+        if req.count == 1 {
+            device.serve(req.access)
+        } else {
+            device.serve_burst(req.access, req.count)
+        }
     }
 
     /// Copies the `line_bytes`-sized lines set in `mask` from the sector at

@@ -1,7 +1,8 @@
-//! Differential check of the counted-burst service path: a `submit` with
-//! `count > 1` must leave a device exactly as `count` single `serve` calls
-//! at stride `bytes` would — same result, same statistics and energy, and
-//! the same bank and bus state.
+//! Differential check of the service paths: a `submit` with `count > 1`
+//! must leave a device exactly as `count` single `serve` calls at stride
+//! `bytes` would, and a single-access `submit` exactly as one `serve` —
+//! same result, same statistics and energy, and the same bank and bus
+//! state.
 
 use dram::{DeviceConfig, DramAccess, DramSystem, ServiceRequest};
 use proptest::prelude::*;
@@ -79,6 +80,48 @@ proptest! {
             sys.device_mut(MemSide::Nm).serve(p),
             reference.device_mut(MemSide::Nm).serve(p)
         );
+    }
+}
+
+proptest! {
+    /// Single-access submits, the common case that skips the burst loop,
+    /// interleaved with bursts on both sides: every completion and the
+    /// whole two-device state match `serve` calls on a clone.
+    #[test]
+    fn single_submits_interleaved_with_bursts_match_serves(
+        shape_idx in 0usize..3,
+        reqs in proptest::collection::vec(
+            (
+                (any::<bool>(), 0u64..1 << 20, prop_oneof![Just(64u32), Just(128u32), 1u32..1024]),
+                (any::<bool>(), 0u64..3_000, prop_oneof![Just(1u32), Just(1u32), Just(1u32), 0u32..40]),
+            ),
+            1..120,
+        ),
+    ) {
+        let cfg = shape(shape_idx);
+        let mut sys = DramSystem::new(cfg.clone(), cfg);
+        let mut reference = sys.clone();
+        let mut t = 0;
+        for ((nm, addr, bytes), (write, gap, count)) in reqs {
+            t += gap;
+            let side = if nm { MemSide::Nm } else { MemSide::Fm };
+            let first = access(addr, bytes, write, t);
+            let mut want = first.at;
+            for i in 0..count {
+                want = reference.device_mut(side).serve(DramAccess {
+                    addr: addr + u64::from(i) * u64::from(bytes),
+                    ..first
+                });
+            }
+            let got = sys.submit(ServiceRequest::new(side, first).with_count(count));
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(sys.total_energy(), reference.total_energy());
+        for side in [MemSide::Nm, MemSide::Fm] {
+            prop_assert_eq!(sys.device(side).stats(), reference.device(side).stats());
+            prop_assert_eq!(sys.device(side).energy(), reference.device(side).energy());
+        }
+        prop_assert_eq!(sys, reference, "bank or bus state diverged");
     }
 }
 

@@ -3,8 +3,8 @@
 use cpu::{Core, CoreConfig};
 use dram::{DramSystem, SchemeStats};
 use mem_cache::Hierarchy;
-use sim_types::{Cycle, MemReq, MemSide, TraceOp, TraceSource, TrafficClass};
-use workloads::Workload;
+use sim_types::{Cycle, MemReq, MemSide, TraceOp, TrafficClass, VAddr};
+use workloads::{TraceGen, Workload};
 
 use crate::any_scheme::AnyScheme;
 use crate::page_alloc::{PageAllocator, PageMemo};
@@ -105,6 +105,42 @@ pub struct Machine {
     cores: Vec<Core>,
     shared: Shared,
     workload: Workload,
+    /// Per core, the ops generated but not yet executed. They survive
+    /// across runs, so each core's op stream continues where it stopped.
+    ops: Vec<OpBuffer>,
+}
+
+/// Ops a core's trace generator produces per refill of its [`OpBuffer`].
+const OP_BLOCK: usize = 64;
+
+/// One core's block of generated ops, consumed one at a time by both
+/// machine loops. The generator's stream depends only on its seed, so
+/// generating ahead of consumption changes no result.
+struct OpBuffer {
+    ops: [TraceOp; OP_BLOCK],
+    /// Index of the next op to hand out; `OP_BLOCK` when the block is spent.
+    next: usize,
+}
+
+impl OpBuffer {
+    fn new() -> Self {
+        OpBuffer {
+            ops: [TraceOp::load(0, VAddr::new(0)); OP_BLOCK],
+            next: OP_BLOCK,
+        }
+    }
+
+    /// The core's next op, refilling the block from `src` when it is spent.
+    #[inline]
+    fn pop(&mut self, src: &mut TraceGen) -> TraceOp {
+        if self.next >= OP_BLOCK {
+            src.fill(&mut self.ops);
+            self.next = 0;
+        }
+        let op = self.ops[self.next];
+        self.next += 1;
+        op
+    }
 }
 
 /// The parts every core shares, and the one place a memory op's semantics
@@ -174,14 +210,6 @@ impl Shared {
     }
 }
 
-/// Core `i`'s next trace op.
-fn next_op(workload: &mut Workload, i: usize) -> TraceOp {
-    workload
-        .source_mut(i)
-        .next_op()
-        .expect("trace generators are unbounded")
-}
-
 /// A core's scheduler pick key: its packed clock while it has
 /// instructions left to retire, else the finished sentinel.
 #[inline]
@@ -220,6 +248,7 @@ impl Machine {
                 next_tick,
                 os_hints: false,
             },
+            ops: (0..cores).map(|_| OpBuffer::new()).collect(),
             workload,
         }
     }
@@ -310,6 +339,7 @@ impl Machine {
             cores,
             shared,
             workload,
+            ops,
         } = &mut *self;
 
         'epoch: loop {
@@ -338,7 +368,9 @@ impl Machine {
             // first touches, hierarchy, scheme, DRAM).
             while key(&cores[i], i) <= other {
                 shared.tick_to(cores[i].now().raw());
-                let op = pending[i].take().unwrap_or_else(|| next_op(workload, i));
+                let op = pending[i]
+                    .take()
+                    .unwrap_or_else(|| ops[i].pop(workload.source_mut(i)));
                 shared.step(i, &mut cores[i], &mut memo[i], space, op);
                 left -= 1;
                 if cores[i].retired() >= instrs_per_core || left == 0 {
@@ -355,7 +387,7 @@ impl Machine {
             // phase-1 pick is exact.
             debug_assert!(pending[i].is_none(), "pending op survived phase 1");
             loop {
-                let op = next_op(workload, i);
+                let op = ops[i].pop(workload.source_mut(i));
                 let local = memo[i]
                     .lookup(&shared.pages, space, op.addr)
                     .is_some_and(|paddr| shared.hierarchy.l1_access_fast(i, paddr, op.kind));
@@ -429,7 +461,7 @@ impl Machine {
             let i = (best & ((1 << idx_bits) - 1)) as usize;
             let core = &mut self.cores[i];
             self.shared.tick_to(core.now().raw());
-            let op = next_op(&mut self.workload, i);
+            let op = self.ops[i].pop(self.workload.source_mut(i));
             let space = if shared_space { 0 } else { i as u8 };
             self.shared.step(i, core, &mut memo[i], space, op);
             keys[i] = key(core, i);

@@ -1,7 +1,7 @@
 //! Access-pattern primitives and the trace generator.
 
 use sim_types::rng::SplitMix64;
-use sim_types::{TraceOp, TraceSource, VAddr};
+use sim_types::{AccessKind, TraceOp, TraceSource, VAddr};
 
 /// The family of synthetic access patterns used to stand in for the paper's
 /// benchmarks (PAPER.md, "What the reproduction covers").
@@ -392,25 +392,16 @@ impl TraceGen {
         }
     }
 
-    fn gap(&mut self) -> u32 {
-        // Uniform around the mean: mean gap = mem_every - 1.
-        if self.mem_every <= 1 {
-            0
-        } else {
-            self.rng.gen_range(u64::from(2 * (self.mem_every - 1) + 1)) as u32
-        }
-    }
-
     fn region_of_bp(&self, bp: u32) -> u64 {
         (self.size * u64::from(bp) / 10_000).max(4096)
     }
 
-    /// A 64 B-granular reference biased to a hot region of `hot_bp` with
-    /// probability `hot_pct`, uniform over the footprint otherwise.
-    fn hot_jump(&mut self, hot_bp: u32, hot_pct: u8, hot_base: u64) -> u64 {
-        let hot = self.region_of_bp(hot_bp);
-        if self.rng.chance(u64::from(hot_pct), 100) {
-            Self::wrap(hot_base + self.rng.gen_range(hot / 64) * 64, self.size)
+    /// A 64 B-granular reference to the first `hot_lines` lines with
+    /// probability `hot_pct`%, uniform over the footprint otherwise.
+    #[inline(always)]
+    fn hot_jump(&mut self, hot_lines: u64, hot_pct: u64) -> u64 {
+        if self.rng.chance(hot_pct, 100) {
+            Self::wrap(self.rng.gen_range(hot_lines) * 64, self.size)
         } else {
             self.rng.gen_range(self.size / 64) * 64
         }
@@ -418,6 +409,7 @@ impl TraceGen {
 
     /// A cold reference with page-level locality: short sequential runs of
     /// 64 B lines with occasional random restarts (mean run ~8 lines).
+    #[inline(always)]
     fn cold_run(&mut self) -> u64 {
         if self.rng.chance(1, 8) {
             self.cold_cursor = self.rng.gen_range(self.size / 64) * 64;
@@ -427,12 +419,51 @@ impl TraceGen {
         self.cold_cursor
     }
 
-    fn own_addr(&mut self) -> u64 {
+    /// Fills `out` with the next `out.len()` ops of the stream: exactly
+    /// the ops as many [`TraceSource::next_op`] calls would return, which
+    /// is one `fill` of a single op each.
+    ///
+    /// A leaf pattern is matched once per call, and the op loop runs with
+    /// the pattern's parameters hoisted out of it. A phased pattern fills
+    /// whole runs from the current phase, up to its remaining budget. A
+    /// mix fills one op at a time from the part its interleave schedules.
+    /// Only the producing sub-generator's state advances, so phase and
+    /// part streams are independent of the interleave around them.
+    pub fn fill(&mut self, out: &mut [TraceOp]) {
+        match &mut self.sched {
+            Sched::Leaf => {}
+            Sched::Phased { idx, left, budgets } => {
+                let mut done = 0;
+                while done < out.len() {
+                    if *left == 0 {
+                        *idx = (*idx + 1) % budgets.len();
+                        *left = budgets[*idx];
+                    }
+                    let run = ((out.len() - done) as u64).min(*left);
+                    *left -= run;
+                    let end = done + run as usize;
+                    self.kids[*idx].fill(&mut out[done..end]);
+                    done = end;
+                }
+                return;
+            }
+            Sched::Mix { order, pos } => {
+                for slot in out {
+                    let k = order[*pos] as usize;
+                    *pos = (*pos + 1) % order.len();
+                    self.kids[k].fill(std::slice::from_mut(slot));
+                }
+                return;
+            }
+        }
         let size = self.size;
         match self.pattern {
             PatternSpec::Stream { stride } => {
-                self.cursor = Self::wrap(self.cursor + u64::from(stride), size);
-                self.cursor
+                let stride = u64::from(stride);
+                self.fill_leaf(out, |g| {
+                    g.cursor = Self::wrap(g.cursor + stride, size);
+                    g.cursor
+                });
             }
             PatternSpec::TiledStream {
                 stride,
@@ -440,26 +471,40 @@ impl TraceGen {
                 repeats,
             } => {
                 let tile = self.region_of_bp(tile_bp);
-                self.tile_walked += u64::from(stride);
-                if self.tile_walked >= tile {
-                    self.tile_walked = 0;
-                    self.tile_rep += 1;
-                    if self.tile_rep >= repeats.max(1) {
-                        self.tile_rep = 0;
-                        self.tile_start = (self.tile_start + tile) % size;
+                let stride = u64::from(stride);
+                let repeats = repeats.max(1);
+                self.fill_leaf(out, |g| {
+                    g.tile_walked += stride;
+                    if g.tile_walked >= tile {
+                        g.tile_walked = 0;
+                        g.tile_rep += 1;
+                        if g.tile_rep >= repeats {
+                            g.tile_rep = 0;
+                            g.tile_start = (g.tile_start + tile) % size;
+                        }
                     }
-                }
-                Self::wrap(self.tile_start + self.tile_walked, size)
+                    Self::wrap(g.tile_start + g.tile_walked, size)
+                });
             }
-            PatternSpec::Random => self.rng.gen_range(size / 8) * 8,
-            PatternSpec::PointerChase { hot_bp, hot_pct } => self.hot_jump(hot_bp, hot_pct, 0),
+            PatternSpec::Random => {
+                let words = size / 8;
+                self.fill_leaf(out, |g| g.rng.gen_range(words) * 8);
+            }
+            PatternSpec::PointerChase { hot_bp, hot_pct } => {
+                let hot_lines = self.region_of_bp(hot_bp) / 64;
+                let hot_pct = u64::from(hot_pct);
+                self.fill_leaf(out, |g| g.hot_jump(hot_lines, hot_pct));
+            }
             PatternSpec::Hotspot { hot_bp, hot_pct } => {
-                let hot = self.region_of_bp(hot_bp);
-                if self.rng.chance(u64::from(hot_pct), 100) {
-                    self.rng.gen_range(hot / 8) * 8
-                } else {
-                    self.cold_run()
-                }
+                let hot_words = self.region_of_bp(hot_bp) / 8;
+                let hot_pct = u64::from(hot_pct);
+                self.fill_leaf(out, |g| {
+                    if g.rng.chance(hot_pct, 100) {
+                        g.rng.gen_range(hot_words) * 8
+                    } else {
+                        g.cold_run()
+                    }
+                });
             }
             PatternSpec::PhasedHotspot {
                 period,
@@ -467,15 +512,18 @@ impl TraceGen {
                 hot_pct,
             } => {
                 let hot = self.region_of_bp(hot_bp);
-                if self.ops > 0 && self.ops.is_multiple_of(period) {
-                    // Relocate the hot region to fresh addresses.
-                    self.hot_base = (self.hot_base + hot) % size.saturating_sub(hot).max(1);
-                }
-                if self.rng.chance(u64::from(hot_pct), 100) {
-                    (self.hot_base + self.rng.gen_range(hot / 8) * 8) % size
-                } else {
-                    self.cold_run()
-                }
+                let hot_pct = u64::from(hot_pct);
+                self.fill_leaf(out, |g| {
+                    if g.ops > 0 && g.ops.is_multiple_of(period) {
+                        // Relocate the hot region to fresh addresses.
+                        g.hot_base = (g.hot_base + hot) % size.saturating_sub(hot).max(1);
+                    }
+                    if g.rng.chance(hot_pct, 100) {
+                        (g.hot_base + g.rng.gen_range(hot / 8) * 8) % size
+                    } else {
+                        g.cold_run()
+                    }
+                });
             }
             PatternSpec::StreamMix {
                 stream_pct,
@@ -483,59 +531,73 @@ impl TraceGen {
                 hot_bp,
                 hot_pct,
             } => {
-                if self.rng.chance(u64::from(stream_pct), 100) {
-                    self.cursor = Self::wrap(self.cursor + u64::from(stride), size);
-                    self.cursor
-                } else {
-                    self.hot_jump(hot_bp, hot_pct, 0)
-                }
+                let stream_pct = u64::from(stream_pct);
+                let stride = u64::from(stride);
+                let hot_lines = self.region_of_bp(hot_bp) / 64;
+                let hot_pct = u64::from(hot_pct);
+                self.fill_leaf(out, |g| {
+                    if g.rng.chance(stream_pct, 100) {
+                        g.cursor = Self::wrap(g.cursor + stride, size);
+                        g.cursor
+                    } else {
+                        g.hot_jump(hot_lines, hot_pct)
+                    }
+                });
             }
             PatternSpec::Phased { .. } | PatternSpec::Mix { .. } => {
                 unreachable!("composite patterns delegate to sub-generators")
             }
         }
     }
+
+    /// The op loop of a leaf pattern; `own_addr` yields the next offset in
+    /// the thread's own region. Per op the draws come in a fixed order:
+    /// the gap, the shared-region draw (MT workloads only), the address,
+    /// then the store draw.
+    #[inline(always)]
+    fn fill_leaf(&mut self, out: &mut [TraceOp], mut own_addr: impl FnMut(&mut Self) -> u64) {
+        // Uniform around the mean: mean gap = mem_every - 1.
+        let gap_span = u64::from(2 * (self.mem_every - 1) + 1);
+        let write_pct = u64::from(self.write_pct);
+        let shared = self.shared_bytes >= 4096;
+        let shared_lines = (self.shared_bytes / 8).max(4096) / 64;
+        for slot in out {
+            self.ops += 1;
+            let gap = if gap_span == 1 {
+                0
+            } else {
+                self.rng.gen_range(gap_span) as u32
+            };
+            // Shared-region reference (MT workloads only): 1 in 8. Shared
+            // OpenMP structures (reduction variables, lookup tables,
+            // boundary planes) are compact and hot, so shared traffic
+            // concentrates on a core an eighth the size of the shared
+            // region.
+            let addr = if shared && self.rng.chance(1, 8) {
+                self.rng.gen_range(shared_lines) * 64
+            } else {
+                self.base + own_addr(self)
+            };
+            let kind = if self.rng.chance(write_pct, 100) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            *slot = TraceOp {
+                gap,
+                addr: VAddr::new(addr),
+                kind,
+            };
+        }
+    }
 }
 
 impl TraceSource for TraceGen {
+    /// A [`TraceGen::fill`] of one op.
     fn next_op(&mut self) -> Option<TraceOp> {
-        // Composite patterns delegate the whole op (address, gap, r/w) to
-        // the scheduled sub-generator; only its state advances, so phase
-        // and part streams are independent of the interleave around them.
-        match &mut self.sched {
-            Sched::Leaf => {}
-            Sched::Phased { idx, left, budgets } => {
-                if *left == 0 {
-                    *idx = (*idx + 1) % budgets.len();
-                    *left = budgets[*idx];
-                }
-                *left -= 1;
-                let i = *idx;
-                return self.kids[i].next_op();
-            }
-            Sched::Mix { order, pos } => {
-                let k = order[*pos] as usize;
-                *pos = (*pos + 1) % order.len();
-                return self.kids[k].next_op();
-            }
-        }
-        self.ops += 1;
-        let gap = self.gap();
-        // Shared-region reference (MT workloads only): 1 in 8. Shared
-        // OpenMP structures (reduction variables, lookup tables, boundary
-        // planes) are compact and hot, so shared traffic concentrates on a
-        // core an eighth the size of the shared region.
-        let addr = if self.shared_bytes >= 4096 && self.rng.chance(1, 8) {
-            self.rng.gen_range((self.shared_bytes / 8).max(4096) / 64) * 64
-        } else {
-            self.base + self.own_addr()
-        };
-        let write = self.rng.chance(u64::from(self.write_pct), 100);
-        Some(if write {
-            TraceOp::store(gap, VAddr::new(addr))
-        } else {
-            TraceOp::load(gap, VAddr::new(addr))
-        })
+        let mut op = [TraceOp::load(0, VAddr::new(0))];
+        self.fill(&mut op);
+        Some(op[0])
     }
 }
 
@@ -1220,6 +1282,62 @@ mod proptests {
                 prop_assert!(slices[part].contains(&a),
                     "op {} from part {} escaped {:?}: {:#x}", n, part, slices[part], a);
             }
+        }
+
+        /// `fill` over any split of the stream into blocks yields exactly
+        /// the ops of one-op fills: block sizes around the machine's 64,
+        /// leaf, phased and mix patterns, blocks that straddle phase
+        /// budgets and mix rounds, private and shared address spaces.
+        #[test]
+        fn fill_over_any_split_equals_fill_of_one(
+            leaf in arb_pattern(),
+            raw in proptest::collection::vec((arb_pattern(), 1u64..130), 1..4),
+            spans in proptest::collection::vec((arb_pattern(), 1u32..100, 1u8..6), 2..5),
+            which in 0usize..3,
+            shared in any::<bool>(),
+            splits in proptest::collection::vec(
+                prop_oneof![Just(1usize), Just(63usize), Just(64usize), Just(65usize), 1usize..200],
+                1..12),
+            seed in any::<u64>(),
+        ) {
+            let spec = match which {
+                0 => leaf,
+                1 => PatternSpec::Phased {
+                    phases: raw
+                        .iter()
+                        .map(|(pattern, ops)| Phase { pattern: pattern.clone(), ops: *ops })
+                        .collect(),
+                },
+                _ => PatternSpec::Mix {
+                    parts: spans
+                        .iter()
+                        .map(|(pattern, mem_every, weight)| MixPart {
+                            pattern: pattern.clone(),
+                            mem_every: *mem_every,
+                            write_pct: 25,
+                            span_bp: 2000,
+                            weight: *weight,
+                        })
+                        .collect(),
+                },
+            };
+            // Mix parts are private programs, so only the others may share.
+            let shared_bytes = if shared && which != 2 { 1 << 18 } else { 0 };
+            let mk = || TraceGen::new(
+                spec.clone(), 7, 25, 1 << 20, 1 << 20, shared_bytes, SplitMix64::new(seed),
+            );
+            let total: usize = splits.iter().sum();
+            let mut one = mk();
+            let want: Vec<TraceOp> = (0..total).map(|_| one.next_op().unwrap()).collect();
+            let mut blocks = mk();
+            let mut got = vec![TraceOp::load(0, VAddr::new(0)); total];
+            let mut at = 0;
+            for n in &splits {
+                blocks.fill(&mut got[at..at + n]);
+                at += n;
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(blocks.phase_index(), one.phase_index());
         }
 
         /// Composite generators are deterministic functions of their seed.
