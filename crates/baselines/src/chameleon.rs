@@ -18,7 +18,7 @@
 //! (reads install, writes go to the block's FM home and invalidate the
 //! cached copy), so conflict evictions never generate FM write bursts.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
 use crate::flat::FlatRemap;
@@ -163,16 +163,13 @@ impl MemoryScheme for Chameleon {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram.submit(ServiceRequest::new(
-                side,
-                DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: ready,
-                },
-            ));
+            let done = dram.device_mut(side).serve(DramAccess {
+                addr,
+                bytes: req.bytes,
+                kind,
+                class,
+                at: ready,
+            });
             return Served::new(done, true);
         }
 
@@ -196,30 +193,24 @@ impl MemoryScheme for Chameleon {
             self.cache_hits += 1;
             self.stats.served_from_nm += 1;
             let addr = self.cache_base + idx as u64 * self.cfg.block_bytes + offset;
-            let done = dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Demand,
-                    at: ready,
-                },
-            ));
+            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr,
+                bytes: req.bytes,
+                kind: AccessKind::Read,
+                class: TrafficClass::Demand,
+                at: ready,
+            });
             Served::new(done, true)
         } else if write {
             // Write-through to the FM home; drop a stale cached line.
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram.submit(ServiceRequest::new(
-                side,
-                DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Writeback,
-                    at: ready,
-                },
-            ));
+            let done = dram.device_mut(side).serve(DramAccess {
+                addr,
+                bytes: req.bytes,
+                kind: AccessKind::Write,
+                class: TrafficClass::Writeback,
+                at: ready,
+            });
             if entry.in_use && entry.block == block {
                 self.cache_entries[idx].valid_mask &= !(1 << line);
             }
@@ -227,16 +218,13 @@ impl MemoryScheme for Chameleon {
         } else {
             // Read miss: serve from FM and install the clean line.
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram.submit(ServiceRequest::new(
-                side,
-                DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Demand,
-                    at: ready,
-                },
-            ));
+            let done = dram.device_mut(side).serve(DramAccess {
+                addr,
+                bytes: req.bytes,
+                kind: AccessKind::Read,
+                class: TrafficClass::Demand,
+                at: ready,
+            });
             if self.cache_entries[idx].in_use && self.cache_entries[idx].block != block {
                 self.cache_entries[idx] = CacheEntry::default();
             }
@@ -244,16 +232,13 @@ impl MemoryScheme for Chameleon {
             e.block = block;
             e.in_use = true;
             e.valid_mask |= 1 << line;
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.cache_base + idx as u64 * self.cfg.block_bytes + offset,
-                    bytes: req.bytes,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Fill,
-                    at: done,
-                },
-            ));
+            dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.cache_base + idx as u64 * self.cfg.block_bytes + offset,
+                bytes: req.bytes,
+                kind: AccessKind::Write,
+                class: TrafficClass::Fill,
+                at: done,
+            });
             Served::new(done, false)
         };
 

@@ -8,7 +8,7 @@
 //! installs the entry (the paper found DFC's best configuration at 1 KB
 //! cache lines, which is what [`DfcConfig::paper_best`] uses).
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
@@ -19,7 +19,8 @@ pub struct DfcConfig {
     pub nm_bytes: u64,
     /// FM capacity in bytes (main memory).
     pub fm_bytes: u64,
-    /// DRAM-cache line size in bytes (paper best: 1 KB).
+    /// DRAM-cache line size in bytes (paper best: 1 KB; at most 4 KB, so
+    /// a line's 64 B chunks fit one copy mask).
     pub line_bytes: u64,
     /// Associativity of the DRAM cache.
     pub assoc: u32,
@@ -62,9 +63,11 @@ impl Dfc {
     ///
     /// # Panics
     ///
-    /// Panics on structurally invalid configurations.
+    /// Panics on structurally invalid configurations, including lines
+    /// over 4 KB.
     pub fn new(cfg: DfcConfig) -> Self {
         assert!(cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 64);
+        assert!(cfg.line_bytes <= 4096, "at most 64 chunks of 64 B per line");
         let dc = SetAssocCache::new(
             CacheConfig::new(cfg.nm_bytes, cfg.assoc, cfg.line_bytes)
                 .expect("DRAM cache shape valid"),
@@ -119,16 +122,13 @@ impl MemoryScheme for Dfc {
         } else {
             self.tag_probes += 1;
             self.stats.metadata_reads += 1;
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.tag_addr(set),
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Metadata,
-                    at: req.at,
-                },
-            ))
+            dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.tag_addr(set),
+                bytes: 64,
+                kind: AccessKind::Read,
+                class: TrafficClass::Metadata,
+                at: req.at,
+            })
         };
 
         let lookup = self.dc.access(line_base, write);
@@ -140,16 +140,13 @@ impl MemoryScheme for Dfc {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.nm_addr(set, lookup.way, in_line),
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: lookup_done,
-                },
-            ));
+            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.nm_addr(set, lookup.way, in_line),
+                bytes: req.bytes,
+                kind,
+                class,
+                at: lookup_done,
+            });
             return Served::new(done, true);
         }
 
@@ -160,92 +157,50 @@ impl MemoryScheme for Dfc {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram.submit(ServiceRequest::new(
-            MemSide::Fm,
-            DramAccess {
-                addr: req.addr.raw() % self.cfg.fm_bytes,
-                bytes: req.bytes,
-                kind: req.kind,
-                class,
-                at: lookup_done,
-            },
-        ));
+        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
+            addr: req.addr.raw() % self.cfg.fm_bytes,
+            bytes: req.bytes,
+            kind: req.kind,
+            class,
+            at: lookup_done,
+        });
 
         let nm_line = self.nm_addr(set, lookup.way, 0);
-        let chunks = (self.cfg.line_bytes / 64) as u32;
+        let all_chunks = u64::MAX >> (64 - self.cfg.line_bytes / 64);
         if let Some(old) = lookup.evicted {
             // Invalidate the old fused entry and write back if dirty.
             self.fused
                 .invalidate(old.line_addr / self.cfg.line_bytes * 64);
             if old.dirty {
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: nm_line,
-                            bytes: 64,
-                            kind: AccessKind::Read,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(chunks),
-                );
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Fm,
-                        DramAccess {
-                            addr: old.line_addr % self.cfg.fm_bytes,
-                            bytes: 64,
-                            kind: AccessKind::Write,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(chunks),
+                dram.copy_lines(
+                    all_chunks,
+                    (MemSide::Nm, nm_line),
+                    (MemSide::Fm, old.line_addr % self.cfg.fm_bytes),
+                    64,
+                    TrafficClass::Writeback,
+                    req.at,
                 );
                 self.stats.dirty_writebacks += 1;
             }
         }
 
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: line_base % self.cfg.fm_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(chunks),
-        );
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: nm_line,
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(chunks),
+        dram.copy_lines(
+            all_chunks,
+            (MemSide::Fm, line_base % self.cfg.fm_bytes),
+            (MemSide::Nm, nm_line),
+            64,
+            TrafficClass::Fill,
+            critical,
         );
         // The in-DRAM tag row is updated with the new mapping.
         self.stats.metadata_writes += 1;
-        dram.submit(ServiceRequest::new(
-            MemSide::Nm,
-            DramAccess {
-                addr: self.tag_addr(set),
-                bytes: 64,
-                kind: AccessKind::Write,
-                class: TrafficClass::Metadata,
-                at: req.at,
-            },
-        ));
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: self.tag_addr(set),
+            bytes: 64,
+            kind: AccessKind::Write,
+            class: TrafficClass::Metadata,
+            at: req.at,
+        });
         self.stats.moved_into_nm += 1;
         Served::new(if write { req.at } else { critical }, false)
     }
@@ -275,6 +230,15 @@ mod tests {
             }),
             DramSystem::paper_default(),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 chunks")]
+    fn rejects_lines_over_4kb() {
+        let _ = Dfc::new(DfcConfig {
+            line_bytes: 8192,
+            ..DfcConfig::paper_best(1 << 20, 1 << 24, 1 << 16)
+        });
     }
 
     #[test]
@@ -446,16 +410,13 @@ mod proptests {
             } else {
                 self.tag_probes += 1;
                 self.stats.metadata_reads += 1;
-                dram.submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    DramAccess {
-                        addr: self.tag_addr(set),
-                        bytes: 64,
-                        kind: AccessKind::Read,
-                        class: TrafficClass::Metadata,
-                        at: req.at,
-                    },
-                ))
+                dram.device_mut(MemSide::Nm).serve(DramAccess {
+                    addr: self.tag_addr(set),
+                    bytes: 64,
+                    kind: AccessKind::Read,
+                    class: TrafficClass::Metadata,
+                    at: req.at,
+                })
             };
 
             let range =
@@ -473,16 +434,13 @@ mod proptests {
                     } else {
                         (AccessKind::Read, TrafficClass::Demand)
                     };
-                    let done = dram.submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: self.nm_addr(set, w, in_line),
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: lookup_done,
-                        },
-                    ));
+                    let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                        addr: self.nm_addr(set, w, in_line),
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: lookup_done,
+                    });
                     return Served::new(done, true);
                 }
             }
@@ -494,16 +452,13 @@ mod proptests {
             } else {
                 TrafficClass::Demand
             };
-            let critical = dram.submit(ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: req.addr.raw() % self.cfg.fm_bytes,
-                    bytes: req.bytes,
-                    kind: req.kind,
-                    class,
-                    at: lookup_done,
-                },
-            ));
+            let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
+                addr: req.addr.raw() % self.cfg.fm_bytes,
+                bytes: req.bytes,
+                kind: req.kind,
+                class,
+                at: lookup_done,
+            });
 
             let mut victim = range.start;
             let mut lru = u64::MAX;
@@ -518,7 +473,7 @@ mod proptests {
                 }
             }
             let way = victim - range.start;
-            let chunks = (self.cfg.line_bytes / 64) as u32;
+            let all_chunks = u64::MAX >> (64 - self.cfg.line_bytes / 64);
             let old = self.lines[victim];
             if old.valid {
                 // Invalidate the old fused entry and write back if dirty.
@@ -526,74 +481,35 @@ mod proptests {
                     ((old.tag << self.sets.trailing_zeros()) | set) * self.cfg.line_bytes;
                 self.fused.invalidate(old_base / self.cfg.line_bytes * 64);
                 if old.dirty {
-                    dram.submit(
-                        ServiceRequest::new(
-                            MemSide::Nm,
-                            DramAccess {
-                                addr: self.nm_addr(set, way, 0),
-                                bytes: 64,
-                                kind: AccessKind::Read,
-                                class: TrafficClass::Writeback,
-                                at: req.at,
-                            },
-                        )
-                        .with_count(chunks),
-                    );
-                    dram.submit(
-                        ServiceRequest::new(
-                            MemSide::Fm,
-                            DramAccess {
-                                addr: old_base % self.cfg.fm_bytes,
-                                bytes: 64,
-                                kind: AccessKind::Write,
-                                class: TrafficClass::Writeback,
-                                at: req.at,
-                            },
-                        )
-                        .with_count(chunks),
+                    dram.copy_lines(
+                        all_chunks,
+                        (MemSide::Nm, self.nm_addr(set, way, 0)),
+                        (MemSide::Fm, old_base % self.cfg.fm_bytes),
+                        64,
+                        TrafficClass::Writeback,
+                        req.at,
                     );
                     self.stats.dirty_writebacks += 1;
                 }
             }
 
-            dram.submit(
-                ServiceRequest::new(
-                    MemSide::Fm,
-                    DramAccess {
-                        addr: line_base % self.cfg.fm_bytes,
-                        bytes: 64,
-                        kind: AccessKind::Read,
-                        class: TrafficClass::Fill,
-                        at: critical,
-                    },
-                )
-                .with_count(chunks),
-            );
-            dram.submit(
-                ServiceRequest::new(
-                    MemSide::Nm,
-                    DramAccess {
-                        addr: self.nm_addr(set, way, 0),
-                        bytes: 64,
-                        kind: AccessKind::Write,
-                        class: TrafficClass::Fill,
-                        at: critical,
-                    },
-                )
-                .with_count(chunks),
+            dram.copy_lines(
+                all_chunks,
+                (MemSide::Fm, line_base % self.cfg.fm_bytes),
+                (MemSide::Nm, self.nm_addr(set, way, 0)),
+                64,
+                TrafficClass::Fill,
+                critical,
             );
             // The in-DRAM tag row is updated with the new mapping.
             self.stats.metadata_writes += 1;
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.tag_addr(set),
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Metadata,
-                    at: req.at,
-                },
-            ));
+            dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.tag_addr(set),
+                bytes: 64,
+                kind: AccessKind::Write,
+                class: TrafficClass::Metadata,
+                at: req.at,
+            });
             self.stats.moved_into_nm += 1;
             self.lines[victim] = Line {
                 tag,

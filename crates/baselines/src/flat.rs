@@ -12,7 +12,7 @@
 //! Hybrid2's own remapping is different enough (free-FM stack, cache pool)
 //! that it lives in `hybrid2-core`; this module serves only the baselines.
 
-use dram::{DramAccess, DramSystem, ServiceRequest};
+use dram::{DramAccess, DramSystem};
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{AccessKind, Cycle, MemSide, PAddr, TrafficClass};
 
@@ -182,16 +182,13 @@ impl FlatRemap {
             at + self.cache_latency
         } else {
             self.table_reads += 1;
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.meta_base + (entry_addr & !63),
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Metadata,
-                    at: at + self.cache_latency,
-                },
-            ))
+            dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.meta_base + (entry_addr & !63),
+                bytes: 64,
+                kind: AccessKind::Read,
+                class: TrafficClass::Metadata,
+                at: at + self.cache_latency,
+            })
         };
         (self.peek(block), ready)
     }
@@ -243,26 +240,20 @@ impl FlatRemap {
         self.swaps += 1;
 
         // Remap-table updates for both blocks.
-        dram.submit(ServiceRequest::new(
-            MemSide::Nm,
-            DramAccess {
-                addr: self.meta_base + ((fm_block * 8) & !63),
-                bytes: 64,
-                kind: AccessKind::Write,
-                class: TrafficClass::Metadata,
-                at,
-            },
-        ));
-        dram.submit(ServiceRequest::new(
-            MemSide::Nm,
-            DramAccess {
-                addr: self.meta_base + ((victim_block * 8) & !63),
-                bytes: 64,
-                kind: AccessKind::Write,
-                class: TrafficClass::Metadata,
-                at,
-            },
-        ));
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: self.meta_base + ((fm_block * 8) & !63),
+            bytes: 64,
+            kind: AccessKind::Write,
+            class: TrafficClass::Metadata,
+            at,
+        });
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: self.meta_base + ((victim_block * 8) & !63),
+            bytes: 64,
+            kind: AccessKind::Write,
+            class: TrafficClass::Metadata,
+            at,
+        });
     }
 
     /// Remap bijection check for tests.
@@ -442,7 +433,7 @@ mod tests {
                 class: TrafficClass::Migration,
                 at,
             };
-            dram.submit(ServiceRequest::new(side, access).with_count(count));
+            dram.device_mut(side).serve_burst(access, count);
         };
         for i in (0..32).filter(|i| skip & (1 << i) == 0) {
             copy(dram, MemSide::Fm, fm_base + i * 64, AccessKind::Read, 1);
@@ -451,16 +442,13 @@ mod tests {
         copy(dram, MemSide::Nm, nm_base, AccessKind::Read, 32);
         copy(dram, MemSide::Fm, fm_base, AccessKind::Write, 32);
         for block in [fm_block, victim_block] {
-            dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: r.meta_base + ((block * 8) & !63),
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Metadata,
-                    at,
-                },
-            ));
+            dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: r.meta_base + ((block * 8) & !63),
+                bytes: 64,
+                kind: AccessKind::Write,
+                class: TrafficClass::Metadata,
+                at,
+            });
         }
     }
 

@@ -4,7 +4,7 @@
 //! ("All our results are normalized to a Baseline system without 3D-stacked
 //! DRAM"). All requests go straight to the DDR4 far memory.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{MemReq, MemSide, TrafficClass};
 
 /// The no-NM baseline.
@@ -38,16 +38,13 @@ impl MemoryScheme for FmOnly {
             self.stats.reads += 1;
             TrafficClass::Demand
         };
-        let done = dram.submit(ServiceRequest::new(
-            MemSide::Fm,
-            DramAccess {
-                addr: req.addr.raw() % self.fm_bytes.max(1),
-                bytes: req.bytes,
-                kind: req.kind,
-                class,
-                at: req.at,
-            },
-        ));
+        let done = dram.device_mut(MemSide::Fm).serve(DramAccess {
+            addr: req.addr.raw() % self.fm_bytes.max(1),
+            bytes: req.bytes,
+            kind: req.kind,
+            class,
+            at: req.at,
+        });
         Served::new(done, false)
     }
 

@@ -10,7 +10,7 @@
 //! Tags and LRU order are the shared [`SetAssocCache`] kernel; the
 //! touched-chunk masks sit beside it, one per NM line.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use mem_cache::{CacheConfig, SetAssocCache, MAX_ASSOC};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
@@ -159,16 +159,13 @@ impl MemoryScheme for IdealCache {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.nm_addr(line, in_line),
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: req.at,
-                },
-            ));
+            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: self.nm_addr(line, in_line),
+                bytes: req.bytes,
+                kind,
+                class,
+                at: req.at,
+            });
             return Served::new(done, true);
         }
 
@@ -179,16 +176,13 @@ impl MemoryScheme for IdealCache {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram.submit(ServiceRequest::new(
-            MemSide::Fm,
-            DramAccess {
-                addr: req.addr.raw() % self.cfg.fm_bytes,
-                bytes: req.bytes,
-                kind: req.kind,
-                class,
-                at: req.at,
-            },
-        ));
+        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
+            addr: req.addr.raw() % self.cfg.fm_bytes,
+            bytes: req.bytes,
+            kind: req.kind,
+            class,
+            at: req.at,
+        });
 
         if let Some(old) = lookup.evicted {
             // Figure 1 bookkeeping: the old line's fetched bytes are final.
@@ -197,62 +191,26 @@ impl MemoryScheme for IdealCache {
             self.stats.used_bytes += used;
             if old.dirty {
                 // Write the whole line back to FM.
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: self.nm_addr(line, 0),
-                            bytes: 64,
-                            kind: AccessKind::Read,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(self.chunks_per_line),
-                );
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Fm,
-                        DramAccess {
-                            addr: old.line_addr % self.cfg.fm_bytes,
-                            bytes: 64,
-                            kind: AccessKind::Write,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(self.chunks_per_line),
+                dram.copy_lines(
+                    u64::MAX >> (64 - self.chunks_per_line),
+                    (MemSide::Nm, self.nm_addr(line, 0)),
+                    (MemSide::Fm, old.line_addr % self.cfg.fm_bytes),
+                    64,
+                    TrafficClass::Writeback,
+                    req.at,
                 );
                 self.stats.dirty_writebacks += 1;
             }
         }
 
         // Fetch the full new line FM -> NM (the line-size over-fetch).
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: line_base % self.cfg.fm_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(self.chunks_per_line),
-        );
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: self.nm_addr(line, 0),
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(self.chunks_per_line),
+        dram.copy_lines(
+            u64::MAX >> (64 - self.chunks_per_line),
+            (MemSide::Fm, line_base % self.cfg.fm_bytes),
+            (MemSide::Nm, self.nm_addr(line, 0)),
+            64,
+            TrafficClass::Fill,
+            critical,
         );
         self.waste.fetched_bytes += self.cfg.line_bytes;
         self.stats.fetched_bytes += self.cfg.line_bytes;
@@ -522,16 +480,13 @@ mod proptests {
                     } else {
                         (AccessKind::Read, TrafficClass::Demand)
                     };
-                    let done = dram.submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: self.nm_addr(set, w, in_line),
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: req.at,
-                        },
-                    ));
+                    let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                        addr: self.nm_addr(set, w, in_line),
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: req.at,
+                    });
                     return Served::new(done, true);
                 }
             }
@@ -543,16 +498,13 @@ mod proptests {
             } else {
                 TrafficClass::Demand
             };
-            let critical = dram.submit(ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: req.addr.raw() % self.cfg.fm_bytes,
-                    bytes: req.bytes,
-                    kind: req.kind,
-                    class,
-                    at: req.at,
-                },
-            ));
+            let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
+                addr: req.addr.raw() % self.cfg.fm_bytes,
+                bytes: req.bytes,
+                kind: req.kind,
+                class,
+                at: req.at,
+            });
 
             // Victim selection: invalid way first, else LRU.
             let mut victim = range.start;
@@ -577,62 +529,26 @@ mod proptests {
                     // Write the whole line back to FM.
                     let old_base =
                         ((old.tag << self.sets.trailing_zeros()) | set) * self.cfg.line_bytes;
-                    dram.submit(
-                        ServiceRequest::new(
-                            MemSide::Nm,
-                            DramAccess {
-                                addr: self.nm_addr(set, way, 0),
-                                bytes: 64,
-                                kind: AccessKind::Read,
-                                class: TrafficClass::Writeback,
-                                at: req.at,
-                            },
-                        )
-                        .with_count(self.chunks_per_line),
-                    );
-                    dram.submit(
-                        ServiceRequest::new(
-                            MemSide::Fm,
-                            DramAccess {
-                                addr: old_base % self.cfg.fm_bytes,
-                                bytes: 64,
-                                kind: AccessKind::Write,
-                                class: TrafficClass::Writeback,
-                                at: req.at,
-                            },
-                        )
-                        .with_count(self.chunks_per_line),
+                    dram.copy_lines(
+                        u64::MAX >> (64 - self.chunks_per_line),
+                        (MemSide::Nm, self.nm_addr(set, way, 0)),
+                        (MemSide::Fm, old_base % self.cfg.fm_bytes),
+                        64,
+                        TrafficClass::Writeback,
+                        req.at,
                     );
                     self.stats.dirty_writebacks += 1;
                 }
             }
 
             // Fetch the full new line FM -> NM (the line-size over-fetch).
-            dram.submit(
-                ServiceRequest::new(
-                    MemSide::Fm,
-                    DramAccess {
-                        addr: line_base % self.cfg.fm_bytes,
-                        bytes: 64,
-                        kind: AccessKind::Read,
-                        class: TrafficClass::Fill,
-                        at: critical,
-                    },
-                )
-                .with_count(self.chunks_per_line),
-            );
-            dram.submit(
-                ServiceRequest::new(
-                    MemSide::Nm,
-                    DramAccess {
-                        addr: self.nm_addr(set, way, 0),
-                        bytes: 64,
-                        kind: AccessKind::Write,
-                        class: TrafficClass::Fill,
-                        at: critical,
-                    },
-                )
-                .with_count(self.chunks_per_line),
+            dram.copy_lines(
+                u64::MAX >> (64 - self.chunks_per_line),
+                (MemSide::Fm, line_base % self.cfg.fm_bytes),
+                (MemSide::Nm, self.nm_addr(set, way, 0)),
+                64,
+                TrafficClass::Fill,
+                critical,
             );
             self.waste.fetched_bytes += self.cfg.line_bytes;
             self.stats.fetched_bytes += self.cfg.line_bytes;

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
 
 use crate::flat::FlatRemap;
@@ -123,16 +123,13 @@ impl MemoryScheme for Lgm {
         } else {
             (AccessKind::Read, TrafficClass::Demand)
         };
-        let done = dram.submit(ServiceRequest::new(
-            side,
-            DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind,
-                class,
-                at: ready,
-            },
-        ));
+        let done = dram.device_mut(side).serve(DramAccess {
+            addr,
+            bytes: req.bytes,
+            kind,
+            class,
+            at: ready,
+        });
         Served::new(done, loc.is_nm())
     }
 

@@ -6,7 +6,7 @@
 //! swapped into the pod's NM slice, with victims chosen round-robin (FIFO).
 //! The paper's design-space exploration settled on 64 MEA counters per pod.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
 
 use crate::flat::FlatRemap;
@@ -132,16 +132,13 @@ impl MemoryScheme for MemPod {
         } else {
             (AccessKind::Read, TrafficClass::Demand)
         };
-        let done = dram.submit(ServiceRequest::new(
-            side,
-            DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind,
-                class,
-                at: ready,
-            },
-        ));
+        let done = dram.device_mut(side).serve(DramAccess {
+            addr,
+            bytes: req.bytes,
+            kind,
+            class,
+            at: ready,
+        });
         Served::new(done, loc.is_nm())
     }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
 
 /// Configuration of the Tagless cache.
@@ -20,7 +20,8 @@ pub struct TaglessConfig {
     pub nm_bytes: u64,
     /// FM (main memory) capacity in bytes.
     pub fm_bytes: u64,
-    /// Page size in bytes (4 KB in the paper).
+    /// Page size in bytes (4 KB in the paper, and at most 4 KB, so a page's
+    /// 64 B lines fit one copy mask).
     pub page_bytes: u64,
 }
 
@@ -58,10 +59,11 @@ impl Tagless {
     ///
     /// # Panics
     ///
-    /// Panics if the page size is not a non-zero power of two or NM holds
-    /// no full page.
+    /// Panics if the page size is not a power of two from 64 B to 4 KB or
+    /// NM holds no full page.
     pub fn new(cfg: TaglessConfig) -> Self {
         assert!(cfg.page_bytes.is_power_of_two() && cfg.page_bytes >= 64);
+        assert!(cfg.page_bytes <= 4096, "at most 64 lines of 64 B per page");
         let frames = cfg.nm_bytes / cfg.page_bytes;
         assert!(frames > 0, "NM must hold at least one page");
         Tagless {
@@ -119,16 +121,13 @@ impl MemoryScheme for Tagless {
             } else {
                 (AccessKind::Read, TrafficClass::Demand)
             };
-            let done = dram.submit(ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: u64::from(frame) * self.cfg.page_bytes + in_page,
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: req.at,
-                },
-            ));
+            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                addr: u64::from(frame) * self.cfg.page_bytes + in_page,
+                bytes: req.bytes,
+                kind,
+                class,
+                at: req.at,
+            });
             return Served::new(done, true);
         }
 
@@ -139,79 +138,42 @@ impl MemoryScheme for Tagless {
         } else {
             TrafficClass::Demand
         };
-        let critical = dram.submit(ServiceRequest::new(
-            MemSide::Fm,
-            DramAccess {
-                addr: req.addr.raw() % self.cfg.fm_bytes,
-                bytes: req.bytes,
-                kind: req.kind,
-                class,
-                at: req.at,
-            },
-        ));
+        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
+            addr: req.addr.raw() % self.cfg.fm_bytes,
+            bytes: req.bytes,
+            kind: req.kind,
+            class,
+            at: req.at,
+        });
 
         let frame = self.pick_frame();
-        let lines = (self.cfg.page_bytes / 64) as u32;
+        let all_lines = u64::MAX >> (64 - self.cfg.page_bytes / 64);
+        let nm_frame = (MemSide::Nm, frame as u64 * self.cfg.page_bytes);
+        let fm_page = |page: u64| (MemSide::Fm, page * self.cfg.page_bytes % self.cfg.fm_bytes);
         let old = self.frames[frame];
         if old.valid {
             self.map.remove(&old.page);
             if old.dirty {
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: frame as u64 * self.cfg.page_bytes,
-                            bytes: 64,
-                            kind: AccessKind::Read,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(lines),
-                );
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Fm,
-                        DramAccess {
-                            addr: (old.page * self.cfg.page_bytes) % self.cfg.fm_bytes,
-                            bytes: 64,
-                            kind: AccessKind::Write,
-                            class: TrafficClass::Writeback,
-                            at: req.at,
-                        },
-                    )
-                    .with_count(lines),
+                dram.copy_lines(
+                    all_lines,
+                    nm_frame,
+                    fm_page(old.page),
+                    64,
+                    TrafficClass::Writeback,
+                    req.at,
                 );
                 self.stats.dirty_writebacks += 1;
             }
         }
 
         // Full-page fetch — the over-fetch that hurts sparse access patterns.
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: (page * self.cfg.page_bytes) % self.cfg.fm_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(lines),
-        );
-        dram.submit(
-            ServiceRequest::new(
-                MemSide::Nm,
-                DramAccess {
-                    addr: frame as u64 * self.cfg.page_bytes,
-                    bytes: 64,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Fill,
-                    at: critical,
-                },
-            )
-            .with_count(lines),
+        dram.copy_lines(
+            all_lines,
+            fm_page(page),
+            nm_frame,
+            64,
+            TrafficClass::Fill,
+            critical,
         );
         self.stats.moved_into_nm += 1;
         self.frames[frame] = Frame {
@@ -243,6 +205,15 @@ mod tests {
             Tagless::new(TaglessConfig::new(64 * 1024, 1024 * 1024)),
             DramSystem::paper_default(),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 lines")]
+    fn rejects_pages_over_4kb() {
+        let _ = Tagless::new(TaglessConfig {
+            page_bytes: 8192,
+            ..TaglessConfig::new(1 << 20, 1 << 24)
+        });
     }
 
     #[test]

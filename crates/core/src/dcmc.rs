@@ -1,6 +1,6 @@
 //! The DRAM Cache Migration Controller: §3.4–§3.7 wired together.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use sim_types::{AccessKind, Cycle, MemReq, MemSide, NmLoc, TrafficClass};
 
 use crate::config::{ConfigError, Hybrid2Config, Layout, Variant};
@@ -160,16 +160,13 @@ impl Dcmc {
             return at;
         }
         self.stats.metadata_reads += 1;
-        dram.submit(ServiceRequest::new(
-            MemSide::Nm,
-            DramAccess {
-                addr: addr & !63,
-                bytes: 64,
-                kind: AccessKind::Read,
-                class: TrafficClass::Metadata,
-                at,
-            },
-        ))
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: addr & !63,
+            bytes: 64,
+            kind: AccessKind::Read,
+            class: TrafficClass::Metadata,
+            at,
+        })
     }
 
     fn meta_write(&mut self, addr: u64, at: Cycle, dram: &mut DramSystem) {
@@ -177,16 +174,13 @@ impl Dcmc {
             return;
         }
         self.stats.metadata_writes += 1;
-        dram.submit(ServiceRequest::new(
-            MemSide::Nm,
-            DramAccess {
-                addr: addr & !63,
-                bytes: 64,
-                kind: AccessKind::Write,
-                class: TrafficClass::Metadata,
-                at,
-            },
-        ));
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: addr & !63,
+            bytes: 64,
+            kind: AccessKind::Write,
+            class: TrafficClass::Metadata,
+            at,
+        });
     }
 
     /// Figure 9 + Figure 10: dispose of an XTA victim. Must be called after
@@ -283,7 +277,7 @@ impl Dcmc {
             return slot;
         }
         let g = self.layout.geometry;
-        let lines = g.lines_per_sector();
+        let all_lines = u64::MAX >> (64 - g.lines_per_sector());
         let line_bytes = g.line_size() as u32;
         let mut probes = 0u64;
         loop {
@@ -326,31 +320,13 @@ impl Dcmc {
             if self.unused_live > 0 && self.is_unused(sec.raw()) {
                 self.swaps_avoided += 1;
             } else {
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: self.layout.nm_slot_addr(cand),
-                            bytes: line_bytes,
-                            kind: AccessKind::Read,
-                            class: TrafficClass::Migration,
-                            at,
-                        },
-                    )
-                    .with_count(lines),
-                );
-                dram.submit(
-                    ServiceRequest::new(
-                        MemSide::Fm,
-                        DramAccess {
-                            addr: self.layout.fm_loc_addr(f),
-                            bytes: line_bytes,
-                            kind: AccessKind::Write,
-                            class: TrafficClass::Migration,
-                            at,
-                        },
-                    )
-                    .with_count(lines),
+                dram.copy_lines(
+                    all_lines,
+                    (MemSide::Nm, self.layout.nm_slot_addr(cand)),
+                    (MemSide::Fm, self.layout.fm_loc_addr(f)),
+                    line_bytes,
+                    TrafficClass::Migration,
+                    at,
                 );
             }
             self.tables.set_location(sec, Loc::Fm(f));
@@ -473,16 +449,13 @@ impl MemoryScheme for Dcmc {
                 } else {
                     (AccessKind::Read, TrafficClass::Demand)
                 };
-                let done = dram.submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind,
-                        class,
-                        at: t0,
-                    },
-                ));
+                let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                    addr,
+                    bytes: req.bytes,
+                    kind,
+                    class,
+                    at: t0,
+                });
                 self.stats.served_from_nm += 1;
                 Served::new(done, true)
             } else {
@@ -503,26 +476,20 @@ impl MemoryScheme for Dcmc {
                 } else {
                     TrafficClass::Demand
                 };
-                let fetched = dram.submit(ServiceRequest::new(
-                    MemSide::Fm,
-                    DramAccess {
-                        addr: fm_addr,
-                        bytes: g.line_size() as u32,
-                        kind: AccessKind::Read,
-                        class,
-                        at: t0,
-                    },
-                ));
-                dram.submit(ServiceRequest::new(
-                    MemSide::Nm,
-                    DramAccess {
-                        addr: nm_addr,
-                        bytes: g.line_size() as u32,
-                        kind: AccessKind::Write,
-                        class: TrafficClass::Fill,
-                        at: fetched,
-                    },
-                ));
+                let fetched = dram.device_mut(MemSide::Fm).serve(DramAccess {
+                    addr: fm_addr,
+                    bytes: g.line_size() as u32,
+                    kind: AccessKind::Read,
+                    class,
+                    at: t0,
+                });
+                dram.device_mut(MemSide::Nm).serve(DramAccess {
+                    addr: nm_addr,
+                    bytes: g.line_size() as u32,
+                    kind: AccessKind::Write,
+                    class: TrafficClass::Fill,
+                    at: fetched,
+                });
                 self.fm_budget += 1;
                 Served::new(if write { t0 } else { fetched }, false)
             }
@@ -549,16 +516,13 @@ impl MemoryScheme for Dcmc {
                     } else {
                         (AccessKind::Read, TrafficClass::Demand)
                     };
-                    let done = dram.submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr,
-                            bytes: req.bytes,
-                            kind,
-                            class,
-                            at: t1,
-                        },
-                    ));
+                    let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
+                        addr,
+                        bytes: req.bytes,
+                        kind,
+                        class,
+                        at: t1,
+                    });
                     self.stats.served_from_nm += 1;
                     Served::new(done, true)
                 }
@@ -579,26 +543,20 @@ impl MemoryScheme for Dcmc {
                     } else {
                         TrafficClass::Demand
                     };
-                    let fetched = dram.submit(ServiceRequest::new(
-                        MemSide::Fm,
-                        DramAccess {
-                            addr: fm_addr,
-                            bytes: g.line_size() as u32,
-                            kind: AccessKind::Read,
-                            class,
-                            at: t1,
-                        },
-                    ));
-                    dram.submit(ServiceRequest::new(
-                        MemSide::Nm,
-                        DramAccess {
-                            addr: nm_addr,
-                            bytes: g.line_size() as u32,
-                            kind: AccessKind::Write,
-                            class: TrafficClass::Fill,
-                            at: fetched,
-                        },
-                    ));
+                    let fetched = dram.device_mut(MemSide::Fm).serve(DramAccess {
+                        addr: fm_addr,
+                        bytes: g.line_size() as u32,
+                        kind: AccessKind::Read,
+                        class,
+                        at: t1,
+                    });
+                    dram.device_mut(MemSide::Nm).serve(DramAccess {
+                        addr: nm_addr,
+                        bytes: g.line_size() as u32,
+                        kind: AccessKind::Write,
+                        class: TrafficClass::Fill,
+                        at: fetched,
+                    });
                     self.fm_budget += 1;
                     let entry = Xta::entry_for_fm_fetch(sector, slot, fm, line, write);
                     self.xta.insert(entry);

@@ -18,10 +18,11 @@
 //! they are presented to a device (FCFS with an open-page row policy),
 //! which is not always arrival order; see [`DramDevice`].
 //!
-//! All traffic flows through the service layer ([`service`]): schemes
-//! build a [`ServiceRequest`] (a [`DramAccess`] plus target side and burst
-//! count) and get back its completion cycle from the closed-form
-//! calculator. There is no bounded controller queue.
+//! Schemes reach the devices in exactly two ways: one [`DramAccess`] on
+//! one side is `DramSystem::device_mut(side).serve(access)`, and every
+//! multi-access request (a sector swap, a page or line fill, a writeback)
+//! is [`DramSystem::copy_lines`]. Both run the closed-form calculator:
+//! there is no bounded controller queue.
 //!
 //! The crate also defines the [`MemoryScheme`] trait implemented by Hybrid2
 //! and by every baseline scheme, so that all of them drive the same devices
@@ -59,12 +60,10 @@ mod config;
 mod device;
 mod energy;
 mod scheme;
-pub mod service;
 mod system;
 
 pub use config::{DeviceConfig, DeviceConfigError};
 pub use device::{DeviceStats, DramAccess, DramDevice};
 pub use energy::EnergyCounter;
 pub use scheme::{MemoryScheme, SchemeStats, Served};
-pub use service::{ServiceModel, ServiceRequest};
-pub use system::DramSystem;
+pub use system::{DramSystem, ServiceModel};

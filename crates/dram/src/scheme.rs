@@ -15,8 +15,8 @@ use crate::system::DramSystem;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Served {
     /// Cycle at which the critical data is available. For writes this is the
-    /// cycle the write is accepted (writes are buffered and do not stall the
-    /// core, but the value is still used for queue modelling).
+    /// cycle the write is accepted; writes are buffered, so the core never
+    /// waits on it and the machine ignores it for stores.
     pub done: Cycle,
     /// Whether the *demand* access was served from near memory.
     pub from_nm: bool,

@@ -5,7 +5,15 @@ use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
 use crate::config::DeviceConfig;
 use crate::device::{DramAccess, DramDevice};
 use crate::energy::EnergyCounter;
-use crate::service::{ServiceModel, ServiceRequest};
+
+/// The memory-service model. It has one value, [`ServiceModel::Unbounded`],
+/// and stays only until `benchmark/` stops using it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum ServiceModel {
+    /// Infinite queue depth: the closed-form timing calculator.
+    #[default]
+    Unbounded,
+}
 
 /// Near memory and far memory bundled together, as handed to schemes.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,32 +46,54 @@ impl DramSystem {
         self
     }
 
-    /// Submits one request and returns its completion cycle.
-    ///
-    /// A request with `count > 1` is served as `count` back-to-back accesses
-    /// at stride `access.bytes`, all arriving at `access.at` (sector moves,
-    /// page fills), and completes when the last access does. See
-    /// [`DramDevice::serve_burst`]. A single access, the common case, is
-    /// one [`DramDevice::serve`] and skips the burst loop.
-    #[inline]
-    pub fn submit(&mut self, req: ServiceRequest) -> Cycle {
-        let device = self.device_mut(req.side);
-        if req.count == 1 {
-            device.serve(req.access)
-        } else {
-            device.serve_burst(req.access, req.count)
-        }
-    }
-
     /// Copies the `line_bytes`-sized lines set in `mask` from the sector at
     /// device address `src` to the one at `dst`, as controller-issued
     /// `class` traffic arriving at `at`: per run of consecutive lines, one
     /// counted read on the source side, then one counted write on the
-    /// destination side.
+    /// destination side. A one-line run is a single [`DramDevice::serve`];
+    /// a longer one is a [`DramDevice::serve_burst`].
+    ///
+    /// This is the one multi-access request: sector swaps, page and line
+    /// fills and writebacks all pass the full mask
+    /// `u64::MAX >> (64 - lines)`, so a sector holds at most 64 lines. A
+    /// single access goes straight to the device through
+    /// [`DramSystem::device_mut`].
     ///
     /// The two sides must differ. Each device then sees the same accesses
     /// in the same order as a copy that alternates read and write line by
     /// line, and the devices share no state, so the timing is identical.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dram::{DramAccess, DramSystem};
+    /// use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
+    ///
+    /// let mut dram = DramSystem::paper_default();
+    /// let now = Cycle::new(100);
+    /// // One demand read: the device answers with the cycle the data is ready.
+    /// let ready = dram.device_mut(MemSide::Nm).serve(DramAccess {
+    ///     addr: 0x4000,
+    ///     bytes: 64,
+    ///     kind: AccessKind::Read,
+    ///     class: TrafficClass::Demand,
+    ///     at: now,
+    /// });
+    /// assert!(ready > now);
+    ///
+    /// // Fill a whole 2 KB sector (32 lines of 64 B) from FM into NM.
+    /// let lines = 32;
+    /// dram.copy_lines(
+    ///     u64::MAX >> (64 - lines),
+    ///     (MemSide::Fm, 0x8000),
+    ///     (MemSide::Nm, 0x10_0000),
+    ///     64,
+    ///     TrafficClass::Migration,
+    ///     ready,
+    /// );
+    /// assert_eq!(dram.traffic_bytes(MemSide::Fm), 2048);
+    /// assert_eq!(dram.traffic_bytes(MemSide::Nm), 64 + 2048);
+    /// ```
     pub fn copy_lines(
         &mut self,
         mask: u64,
@@ -84,7 +114,12 @@ impl DramSystem {
                     class,
                     at,
                 };
-                self.submit(ServiceRequest::new(side, access).with_count(run));
+                let device = self.device_mut(side);
+                if run == 1 {
+                    device.serve(access);
+                } else {
+                    device.serve_burst(access, run);
+                }
             }
         }
     }
@@ -97,7 +132,9 @@ impl DramSystem {
         }
     }
 
-    /// Mutable access to the device on `side`.
+    /// Mutable access to the device on `side`: [`DramDevice::serve`]
+    /// charges one access on it.
+    #[inline]
     pub fn device_mut(&mut self, side: MemSide) -> &mut DramDevice {
         match side {
             MemSide::Nm => &mut self.nm,
@@ -155,61 +192,35 @@ mod tests {
         }
     }
 
-    fn req(side: MemSide, addr: u64, kind: AccessKind, class: TrafficClass) -> ServiceRequest {
-        ServiceRequest::new(
-            side,
-            DramAccess {
-                addr,
-                bytes: 64,
-                kind,
-                class,
-                at: Cycle::ZERO,
-            },
-        )
+    fn acc(addr: u64, kind: AccessKind, class: TrafficClass) -> DramAccess {
+        DramAccess {
+            addr,
+            bytes: 64,
+            kind,
+            class,
+            at: Cycle::ZERO,
+        }
     }
 
     #[test]
     fn sides_route_to_distinct_devices() {
         let mut sys = DramSystem::paper_default();
-        sys.submit(req(MemSide::Nm, 0, AccessKind::Read, TrafficClass::Demand));
+        sys.device_mut(MemSide::Nm)
+            .serve(acc(0, AccessKind::Read, TrafficClass::Demand));
         assert_eq!(sys.device(MemSide::Nm).stats().accesses, 1);
         assert_eq!(sys.device(MemSide::Fm).stats().accesses, 0);
-        sys.submit(req(
-            MemSide::Fm,
-            0,
-            AccessKind::Write,
-            TrafficClass::Writeback,
-        ));
+        sys.device_mut(MemSide::Fm)
+            .serve(acc(0, AccessKind::Write, TrafficClass::Writeback));
         assert_eq!(sys.device(MemSide::Fm).stats().writes, 1);
-    }
-
-    #[test]
-    fn counted_submit_moves_all_lines() {
-        let mut sys = DramSystem::paper_default();
-        let r = sys.submit(
-            ServiceRequest::new(
-                MemSide::Fm,
-                DramAccess {
-                    addr: 0,
-                    bytes: 256,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Migration,
-                    at: Cycle::ZERO,
-                },
-            )
-            .with_count(8),
-        );
-        assert_eq!(sys.traffic_bytes(MemSide::Fm), 2048);
-        assert_eq!(sys.traffic_bytes(MemSide::Nm), 0);
-        assert_eq!(sys.device(MemSide::Fm).stats().accesses, 8);
-        assert!(r > Cycle::ZERO);
     }
 
     #[test]
     fn total_energy_merges_both_sides() {
         let mut sys = DramSystem::paper_default();
-        sys.submit(req(MemSide::Nm, 0, AccessKind::Read, TrafficClass::Demand));
-        sys.submit(req(MemSide::Fm, 0, AccessKind::Read, TrafficClass::Demand));
+        for side in [MemSide::Nm, MemSide::Fm] {
+            sys.device_mut(side)
+                .serve(acc(0, AccessKind::Read, TrafficClass::Demand));
+        }
         let total = sys.total_energy();
         assert!(total.total_mj() > sys.device(MemSide::Nm).energy().total_mj());
         assert_eq!(total.activations(), 2);
@@ -220,10 +231,20 @@ mod tests {
         let mut rng = sim_types::rng::SplitMix64::new(7);
         let mut sys = DramSystem::paper_default();
         let mut reference = sys.clone();
+        let full = |lines: u64| u64::MAX >> (64 - lines);
+        // Every 25 steps, the two longest whole-sector copies schemes issue
+        // (a 4 KB page of 64 B lines, a 2 KB sector of 256 B lines), which
+        // a random mask almost never sets; random shapes and masks between.
+        let whole = [(64, full(64)), (256, full(8))];
         for step in 0..200u64 {
-            let line_bytes = 64 << rng.gen_range(4);
-            let lines = 4096 / line_bytes;
-            let mask = rng.next_u64() & rng.next_u64() & (u64::MAX >> (64 - lines));
+            let (line_bytes, mask) = match whole.get(step as usize % 25) {
+                Some(&shape) => shape,
+                None => {
+                    let line_bytes = 64 << rng.gen_range(4);
+                    let mask = rng.next_u64() & rng.next_u64() & full(4096 / line_bytes);
+                    (line_bytes, mask)
+                }
+            };
             let (src, dst) = if step % 2 == 0 {
                 (
                     (MemSide::Fm, 4096 * rng.gen_range(64)),
@@ -236,18 +257,15 @@ mod tests {
                 )
             };
             let at = Cycle::new(step * 500);
-            for i in (0..lines).filter(|i| mask & (1 << i) != 0) {
+            for i in (0..64).filter(|i| mask & (1 << i) != 0) {
                 for ((side, base), kind) in [(src, AccessKind::Read), (dst, AccessKind::Write)] {
-                    reference.submit(ServiceRequest::new(
-                        side,
-                        DramAccess {
-                            addr: base + i * line_bytes,
-                            bytes: line_bytes as u32,
-                            kind,
-                            class: TrafficClass::Migration,
-                            at,
-                        },
-                    ));
+                    reference.device_mut(side).serve(DramAccess {
+                        addr: base + i * line_bytes,
+                        bytes: line_bytes as u32,
+                        kind,
+                        class: TrafficClass::Migration,
+                        at,
+                    });
                 }
             }
             sys.copy_lines(

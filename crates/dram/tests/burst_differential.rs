@@ -1,10 +1,12 @@
-//! Differential check of the service paths: a `submit` with `count > 1`
-//! must leave a device exactly as `count` single `serve` calls at stride
-//! `bytes` would, and a single-access `submit` exactly as one `serve` —
-//! same result, same statistics and energy, and the same bank and bus
-//! state.
+//! Differential check of the device's two entry points: a
+//! `DramDevice::serve_burst` of `count` accesses must leave a device
+//! exactly as `count` single `serve` calls at stride `bytes` would, for
+//! every count including 1 — same result, same statistics and energy, and
+//! the same bank and bus state. `DramSystem::copy_lines` relies on this
+//! when it sends a one-line run to `serve` and a longer one to
+//! `serve_burst`.
 
-use dram::{DeviceConfig, DramAccess, DramSystem, ServiceRequest};
+use dram::{DeviceConfig, DramAccess, DramSystem};
 use proptest::prelude::*;
 use sim_types::{AccessKind, Cycle, MemSide, TrafficClass};
 
@@ -38,7 +40,7 @@ fn access(addr: u64, bytes: u32, write: bool, at: u64) -> DramAccess {
 
 proptest! {
     #[test]
-    fn counted_submit_matches_single_serves(
+    fn serve_burst_matches_single_serves(
         shape_idx in 0usize..3,
         warm in proptest::collection::vec((0u64..1 << 20, 1u32..1024, any::<bool>(), 0u64..4_000), 0..40),
         bytes in prop_oneof![Just(64u32), Just(128u32), Just(256u32), Just(512u32)],
@@ -67,7 +69,7 @@ proptest! {
                 ..first
             });
         }
-        let got = sys.submit(ServiceRequest::new(MemSide::Nm, first).with_count(count));
+        let got = sys.device_mut(MemSide::Nm).serve_burst(first, count);
 
         prop_assert_eq!(got, want);
         let (dev, ref_dev) = (sys.device(MemSide::Nm), reference.device(MemSide::Nm));
@@ -84,11 +86,11 @@ proptest! {
 }
 
 proptest! {
-    /// Single-access submits, the common case that skips the burst loop,
-    /// interleaved with bursts on both sides: every completion and the
-    /// whole two-device state match `serve` calls on a clone.
+    /// Bursts of one access, the common case, interleaved with longer
+    /// bursts on both sides: every completion and the whole two-device
+    /// state match `serve` calls on a clone.
     #[test]
-    fn single_submits_interleaved_with_bursts_match_serves(
+    fn bursts_of_one_interleaved_with_longer_bursts_match_serves(
         shape_idx in 0usize..3,
         reqs in proptest::collection::vec(
             (
@@ -113,7 +115,7 @@ proptest! {
                     ..first
                 });
             }
-            let got = sys.submit(ServiceRequest::new(side, first).with_count(count));
+            let got = sys.device_mut(side).serve_burst(first, count);
             prop_assert_eq!(got, want);
         }
         prop_assert_eq!(sys.total_energy(), reference.total_energy());
@@ -132,7 +134,7 @@ fn long_bursts_cover_many_granules_and_rows() {
         let mut sys = DramSystem::new(cfg.clone(), cfg);
         let mut reference = sys.clone();
         let first = access(192, 64, false, 7);
-        let got = sys.submit(ServiceRequest::new(MemSide::Fm, first).with_count(300));
+        let got = sys.device_mut(MemSide::Fm).serve_burst(first, 300);
         let mut ready = first.at;
         for i in 0..300 {
             ready = reference.device_mut(MemSide::Fm).serve(DramAccess {

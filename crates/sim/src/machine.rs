@@ -3,7 +3,7 @@
 use cpu::{Core, CoreConfig};
 use dram::{DramSystem, SchemeStats};
 use mem_cache::Hierarchy;
-use sim_types::{Cycle, MemReq, MemSide, TraceOp, TrafficClass, VAddr};
+use sim_types::{Cycle, MemReq, MemSide, TraceOp, VAddr};
 use workloads::{TraceGen, Workload};
 
 use crate::any_scheme::AnyScheme;
@@ -510,21 +510,6 @@ impl Machine {
     /// certify that epoch batching preserved allocation order exactly.
     pub fn page_table_digest(&self) -> u64 {
         self.shared.pages.table_digest()
-    }
-
-    /// NM traffic attributable to metadata, for the §5.2.1 claim (4.1% of
-    /// NM traffic).
-    pub fn nm_metadata_fraction(&self) -> f64 {
-        let dram = &self.shared.dram;
-        let total = dram.traffic_bytes(MemSide::Nm);
-        if total == 0 {
-            return 0.0;
-        }
-        let meta = dram
-            .device(MemSide::Nm)
-            .stats()
-            .bytes(TrafficClass::Metadata);
-        meta as f64 / total as f64
     }
 }
 

@@ -58,7 +58,7 @@ pub use sim as harness;
 pub use sim_types as types;
 pub use workloads as traffic;
 
-pub use dram::{DramSystem, MemoryScheme, SchemeStats, Served, ServiceRequest};
+pub use dram::{DramSystem, MemoryScheme, SchemeStats, Served};
 pub use hybrid2_core::{ConfigError, Dcmc, Hybrid2Config, Variant};
 pub use sim::{
     AnyScheme, EvalConfig, Machine, Matrix, NmRatio, RunResult, ScaledSystem, SchemeKind,
@@ -67,7 +67,7 @@ pub use sim::{
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use dram::{DramSystem, MemoryScheme, Served, ServiceRequest};
+    pub use dram::{DramSystem, MemoryScheme, Served};
     pub use hybrid2_core::{Dcmc, Hybrid2Config, Variant};
     pub use sim::{run_one, run_one_timed, EvalConfig, Machine, Matrix, NmRatio, SchemeKind};
     pub use sim_types::{AccessKind, Cycle, Geometry, MemReq, MemSide, PAddr, TrafficClass};
