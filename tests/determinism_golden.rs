@@ -10,6 +10,7 @@
 //! silently altered simulation semantics.
 
 use hybrid2::prelude::*;
+use hybrid2::SchemeStats;
 
 const GOLDEN_WORKLOAD: &str = "lbm";
 const GOLDEN_SEED: u64 = 2020;
@@ -39,13 +40,45 @@ fn digest(r: &hybrid2::RunResult) -> (u64, u64, u64) {
     )
 }
 
+/// FNV-1a over the little-endian bytes of all 13 [`SchemeStats`] counters,
+/// in declaration order: one column that pins every scheme counter.
+fn stats_digest(s: &SchemeStats) -> u64 {
+    let counters = [
+        s.requests,
+        s.reads,
+        s.writes,
+        s.served_from_nm,
+        s.lookup_hits,
+        s.lookup_misses,
+        s.moved_into_nm,
+        s.moved_out_of_nm,
+        s.dirty_writebacks,
+        s.metadata_reads,
+        s.metadata_writes,
+        s.fetched_bytes,
+        s.used_bytes,
+    ];
+    counters
+        .iter()
+        .flat_map(|c| c.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One pinned run: `(kind, instructions, cycles, nm_served ‱, fm_traffic,
+/// nm_traffic, energy_mj bits, stats digest)`.
+type GoldenRow = (SchemeKind, u64, u64, u64, u64, u64, u64, u64);
+
 /// Pinned digests for every MAIN scheme on the golden (workload, seed):
 /// `(kind, instructions, cycles, nm_served ‱, fm_traffic, nm_traffic,
-/// energy_mj bits)`. Captured before the hot-path overhaul (PR 2) so every
-/// devirtualization or translation change is semantics-checked against the
-/// original code; the energy column (the IEEE-754 bits of `energy_mj`) was
-/// added before the DRAM service kernel was rewritten.
-const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
+/// energy_mj bits, stats digest)`. Captured before the hot-path overhaul
+/// (PR 2) so every devirtualization or translation change is
+/// semantics-checked against the original code; the energy column (the
+/// IEEE-754 bits of `energy_mj`) was added before the DRAM service kernel
+/// was rewritten, and the [`stats_digest`] column before the schemes'
+/// request charging moved into shared helpers.
+const GOLDEN_MATRIX: [GoldenRow; 6] = [
     (
         SchemeKind::MemPod,
         1_600_012,
@@ -54,6 +87,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         5_314_432,
         5_105_280,
         0x3fff_fbed_11cc_ed3f,
+        0xcf2b_24c4_7ffe_976a,
     ),
     (
         SchemeKind::Chameleon,
@@ -63,6 +97,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         3_592_576,
         8_076_800,
         0x3ffc_848e_405b_4b10,
+        0xf1b0_e249_1f2d_2559,
     ),
     (
         SchemeKind::Lgm,
@@ -72,6 +107,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         4_621_376,
         3_562_304,
         0x3ffa_7b43_0998_6ec7,
+        0x4f3c_0749_c22b_a053,
     ),
     (
         SchemeKind::Tagless,
@@ -81,6 +117,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         1_593_344,
         6_269_056,
         0x3fe8_a2d8_3367_9e65,
+        0xfe74_74b6_686b_4c4e,
     ),
     (
         SchemeKind::Dfc,
@@ -90,6 +127,7 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         1_664_512,
         8_786_496,
         0x3ff6_13d8_1a38_038a,
+        0x8ced_aae5_a38d_6463,
     ),
     (
         SchemeKind::Hybrid2,
@@ -99,13 +137,14 @@ const GOLDEN_MATRIX: [(SchemeKind, u64, u64, u64, u64, u64, u64); 6] = [
         4_495_872,
         8_946_240,
         0x3ffe_6f12_f717_67ea,
+        0x97f6_896f_c439_e8fa,
     ),
 ];
 
 #[test]
 fn per_scheme_digest_matrix_is_stable() {
     let spec = catalog::by_name(GOLDEN_WORKLOAD).unwrap();
-    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits) in
+    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits, stats) in
         GOLDEN_MATRIX
     {
         let r = run_one(kind, spec, NmRatio::OneGb, &golden_cfg());
@@ -116,6 +155,7 @@ fn per_scheme_digest_matrix_is_stable() {
             r.fm_traffic,
             r.nm_traffic,
             r.energy_mj.to_bits(),
+            stats_digest(&r.stats),
         );
         assert_eq!(
             got,
@@ -125,7 +165,8 @@ fn per_scheme_digest_matrix_is_stable() {
                 nm_served_bp,
                 fm_traffic,
                 nm_traffic,
-                energy_bits
+                energy_bits,
+                stats
             ),
             "golden digest moved for {kind:?}: got {got:?} — if this change \
              is intentional, update GOLDEN_MATRIX and explain the semantic \
@@ -272,10 +313,12 @@ fn os_hinted_hybrid2_digest_is_stable() {
 /// the MAIN matrix does not reach: the IDEAL cache at both ends of the
 /// Figure 1/2 line sweep, one Figure 11 design point whose sector and
 /// line both differ from the paper-best 2 KB / 256 B (a two-set XTA at
-/// this scale), and one Figure 14 variant. Same columns as
-/// [`GOLDEN_MATRIX`]. Captured before the XTA and the IDEAL cache moved
-/// onto the shared set-associative kernel.
-const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
+/// this scale), one Figure 14 variant, and DFC at both ends of Figure 2's
+/// line sweep. Same columns as [`GOLDEN_MATRIX`]. Captured before the XTA
+/// and the IDEAL cache moved onto the shared set-associative kernel; the
+/// DFC rows and the stats column before the schemes' request charging
+/// moved into shared helpers.
+const GOLDEN_SHAPES: [GoldenRow; 6] = [
     (
         SchemeKind::IdealLine(64),
         1_600_012,
@@ -284,6 +327,7 @@ const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
         2_879_808,
         5_044_224,
         0x3ff7_a409_fb0c_986d,
+        0x275a_c1ef_c982_c7d2,
     ),
     (
         SchemeKind::IdealLine(4096),
@@ -293,6 +337,7 @@ const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
         1_617_920,
         6_276_608,
         0x3ff1_1b0b_f794_7d79,
+        0x6779_30da_2326_5cb7,
     ),
     (
         SchemeKind::Hybrid2Config {
@@ -306,6 +351,7 @@ const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
         3_949_568,
         8_590_784,
         0x3ffa_caa5_58a9_344d,
+        0x0385_0385_dcb1_e829,
     ),
     (
         SchemeKind::Hybrid2Variant(Variant::MigrateAll),
@@ -315,6 +361,27 @@ const GOLDEN_SHAPES: [(SchemeKind, u64, u64, u64, u64, u64, u64); 4] = [
         2_535_424,
         7_185_152,
         0x3ff2_d308_6ff8_fcd0,
+        0x94bd_def8_a6c6_3b14,
+    ),
+    (
+        SchemeKind::DfcLine(128),
+        1_600_012,
+        1_568_482,
+        8_643,
+        2_228_480,
+        10_053_632,
+        0x3ff8_1f30_91ab_2932,
+        0x76d1_7938_1a09_9246,
+    ),
+    (
+        SchemeKind::DfcLine(4096),
+        1_600_012,
+        920_362,
+        9_957,
+        1_617_920,
+        7_987_648,
+        0x3ff3_96aa_4036_d016,
+        0x8212_4985_e246_0422,
     ),
 ];
 
@@ -325,7 +392,7 @@ fn scheme_shape_digests_are_stable() {
         hybrid2::harness::experiments::fig11_design_points().contains(&(128 << 20, 4096, 512)),
         "the pinned design point left the Figure 11 space"
     );
-    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits) in
+    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits, stats) in
         GOLDEN_SHAPES
     {
         let r = run_one(kind, spec, NmRatio::OneGb, &golden_cfg());
@@ -336,6 +403,7 @@ fn scheme_shape_digests_are_stable() {
             r.fm_traffic,
             r.nm_traffic,
             r.energy_mj.to_bits(),
+            stats_digest(&r.stats),
         );
         assert_eq!(
             got,
@@ -345,7 +413,8 @@ fn scheme_shape_digests_are_stable() {
                 nm_served_bp,
                 fm_traffic,
                 nm_traffic,
-                energy_bits
+                energy_bits,
+                stats
             ),
             "golden digest moved for {kind:?}: got {got:?} — if this change \
              is intentional, update GOLDEN_SHAPES and explain the semantic \
