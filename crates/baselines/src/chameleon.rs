@@ -142,13 +142,7 @@ impl MemoryScheme for Chameleon {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        let write = self.stats.count(req);
         let block = self.flat.block_of(req.addr);
         let offset = req.addr.raw() % self.cfg.block_bytes;
         let line = (offset / 64).min(63);
@@ -158,18 +152,9 @@ impl MemoryScheme for Chameleon {
             self.stats.lookup_hits += 1;
             self.stats.served_from_nm += 1;
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let (kind, class) = if write {
-                (AccessKind::Write, TrafficClass::Writeback)
-            } else {
-                (AccessKind::Read, TrafficClass::Demand)
-            };
-            let done = dram.device_mut(side).serve(DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind,
-                class,
-                at: ready,
-            });
+            let done = dram
+                .device_mut(side)
+                .serve(DramAccess::demand(req, addr, ready));
             return Served::new(done, true);
         }
 
@@ -189,56 +174,41 @@ impl MemoryScheme for Chameleon {
         let cache_hit =
             !write && entry.in_use && entry.block == block && entry.valid_mask & (1 << line) != 0;
 
+        let cache_addr = self.cache_base + idx as u64 * self.cfg.block_bytes + offset;
         let served = if cache_hit {
             self.cache_hits += 1;
             self.stats.served_from_nm += 1;
-            let addr = self.cache_base + idx as u64 * self.cfg.block_bytes + offset;
-            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind: AccessKind::Read,
-                class: TrafficClass::Demand,
-                at: ready,
-            });
+            let done = dram
+                .device_mut(MemSide::Nm)
+                .serve(DramAccess::demand(req, cache_addr, ready));
             Served::new(done, true)
-        } else if write {
-            // Write-through to the FM home; drop a stale cached line.
-            let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram.device_mut(side).serve(DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind: AccessKind::Write,
-                class: TrafficClass::Writeback,
-                at: ready,
-            });
-            if entry.in_use && entry.block == block {
-                self.cache_entries[idx].valid_mask &= !(1 << line);
-            }
-            Served::new(done, false)
         } else {
-            // Read miss: serve from FM and install the clean line.
+            // Serve from the FM home: a write goes through and drops a
+            // stale cached line, a read miss installs the clean line.
             let (side, addr) = self.flat.device_addr(loc, offset);
-            let done = dram.device_mut(side).serve(DramAccess {
-                addr,
-                bytes: req.bytes,
-                kind: AccessKind::Read,
-                class: TrafficClass::Demand,
-                at: ready,
-            });
-            if self.cache_entries[idx].in_use && self.cache_entries[idx].block != block {
-                self.cache_entries[idx] = CacheEntry::default();
-            }
+            let done = dram
+                .device_mut(side)
+                .serve(DramAccess::demand(req, addr, ready));
             let e = &mut self.cache_entries[idx];
-            e.block = block;
-            e.in_use = true;
-            e.valid_mask |= 1 << line;
-            dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: self.cache_base + idx as u64 * self.cfg.block_bytes + offset,
-                bytes: req.bytes,
-                kind: AccessKind::Write,
-                class: TrafficClass::Fill,
-                at: done,
-            });
+            if write {
+                if e.in_use && e.block == block {
+                    e.valid_mask &= !(1 << line);
+                }
+            } else {
+                if e.in_use && e.block != block {
+                    *e = CacheEntry::default();
+                }
+                e.block = block;
+                e.in_use = true;
+                e.valid_mask |= 1 << line;
+                dram.device_mut(MemSide::Nm).serve(DramAccess {
+                    addr: cache_addr,
+                    bytes: req.bytes,
+                    kind: AccessKind::Write,
+                    class: TrafficClass::Fill,
+                    at: done,
+                });
+            }
             Served::new(done, false)
         };
 

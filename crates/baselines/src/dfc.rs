@@ -10,7 +10,9 @@
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
 use mem_cache::{CacheConfig, SetAssocCache};
-use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
+use sim_types::{AccessKind, MemReq, MemSide};
+
+use crate::line_cache::{self, Fill};
 
 /// Configuration of the DFC model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,8 +88,9 @@ impl Dfc {
         }
     }
 
-    fn nm_addr(&self, set: u64, way: u32, offset: u64) -> u64 {
-        (set * u64::from(self.cfg.assoc) + u64::from(way)) * self.cfg.line_bytes + offset
+    /// NM device address of way `way` of set `set`.
+    fn nm_addr(&self, set: u64, way: u32) -> u64 {
+        (set * u64::from(self.cfg.assoc) + u64::from(way)) * self.cfg.line_bytes
     }
 
     /// Device address of the in-DRAM tag block of `set` (tags are stored
@@ -103,15 +106,8 @@ impl MemoryScheme for Dfc {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        let write = self.stats.count(req);
         let line_base = req.addr.raw() & !(self.cfg.line_bytes - 1);
-        let in_line = req.addr.raw() - line_base;
         let set = (line_base / self.cfg.line_bytes) & (self.dc.config().sets() - 1);
 
         // Fused-tag lookup: on-chip, free; miss pays a DRAM tag probe.
@@ -122,87 +118,50 @@ impl MemoryScheme for Dfc {
         } else {
             self.tag_probes += 1;
             self.stats.metadata_reads += 1;
-            dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: self.tag_addr(set),
-                bytes: 64,
-                kind: AccessKind::Read,
-                class: TrafficClass::Metadata,
-                at: req.at,
-            })
+            dram.device_mut(MemSide::Nm).serve(DramAccess::metadata(
+                AccessKind::Read,
+                self.tag_addr(set),
+                req.at,
+            ))
         };
 
         let lookup = self.dc.access(line_base, write);
+        let frame = self.nm_addr(set, lookup.way);
         if lookup.hit {
-            self.stats.lookup_hits += 1;
-            self.stats.served_from_nm += 1;
-            let (kind, class) = if write {
-                (AccessKind::Write, TrafficClass::Writeback)
-            } else {
-                (AccessKind::Read, TrafficClass::Demand)
-            };
-            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: self.nm_addr(set, lookup.way, in_line),
-                bytes: req.bytes,
-                kind,
-                class,
-                at: lookup_done,
-            });
-            return Served::new(done, true);
+            let addr = frame + (req.addr.raw() - line_base);
+            return line_cache::hit(req, addr, lookup_done, dram, &mut self.stats);
         }
 
-        // Miss: critical access from FM, then line fill + possible eviction.
-        self.stats.lookup_misses += 1;
-        let class = if write {
-            TrafficClass::Fill
-        } else {
-            TrafficClass::Demand
-        };
-        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
-            addr: req.addr.raw() % self.cfg.fm_bytes,
-            bytes: req.bytes,
-            kind: req.kind,
-            class,
-            at: lookup_done,
-        });
-
-        let nm_line = self.nm_addr(set, lookup.way, 0);
-        let all_chunks = u64::MAX >> (64 - self.cfg.line_bytes / 64);
+        // Miss: line fill, writing back a dirty victim, whose fused entry
+        // goes with it.
+        let mut dirty_victim = None;
         if let Some(old) = lookup.evicted {
-            // Invalidate the old fused entry and write back if dirty.
             self.fused
                 .invalidate(old.line_addr / self.cfg.line_bytes * 64);
-            if old.dirty {
-                dram.copy_lines(
-                    all_chunks,
-                    (MemSide::Nm, nm_line),
-                    (MemSide::Fm, old.line_addr % self.cfg.fm_bytes),
-                    64,
-                    TrafficClass::Writeback,
-                    req.at,
-                );
-                self.stats.dirty_writebacks += 1;
-            }
+            dirty_victim = old.dirty.then_some(old.line_addr);
         }
-
-        dram.copy_lines(
-            all_chunks,
-            (MemSide::Fm, line_base % self.cfg.fm_bytes),
-            (MemSide::Nm, nm_line),
-            64,
-            TrafficClass::Fill,
-            critical,
+        let fill = Fill {
+            line: line_base,
+            dirty_victim,
+            frame,
+            chunks: u64::MAX >> (64 - self.cfg.line_bytes / 64),
+        };
+        let served = line_cache::miss(
+            req,
+            lookup_done,
+            self.cfg.fm_bytes,
+            fill,
+            dram,
+            &mut self.stats,
         );
         // The in-DRAM tag row is updated with the new mapping.
         self.stats.metadata_writes += 1;
-        dram.device_mut(MemSide::Nm).serve(DramAccess {
-            addr: self.tag_addr(set),
-            bytes: 64,
-            kind: AccessKind::Write,
-            class: TrafficClass::Metadata,
-            at: req.at,
-        });
-        self.stats.moved_into_nm += 1;
-        Served::new(if write { req.at } else { critical }, false)
+        dram.device_mut(MemSide::Nm).serve(DramAccess::metadata(
+            AccessKind::Write,
+            self.tag_addr(set),
+            req.at,
+        ));
+        served
     }
 
     fn flat_capacity_bytes(&self) -> u64 {
@@ -217,7 +176,7 @@ impl MemoryScheme for Dfc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_types::{Cycle, PAddr};
+    use sim_types::{Cycle, PAddr, TrafficClass};
 
     fn dfc() -> (Dfc, DramSystem) {
         (
@@ -326,7 +285,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use sim_types::{Cycle, PAddr};
+    use sim_types::{Cycle, PAddr, TrafficClass};
 
     #[derive(Clone, Copy, Debug, Default)]
     struct Line {

@@ -80,7 +80,7 @@ pub struct FlatRemap {
     /// On-chip remap-cache hit latency in cycles.
     cache_latency: u64,
     /// Device byte address where the in-NM remap table begins (after the
-    /// data blocks).
+    /// data blocks, so block aligned).
     meta_base: u64,
     /// Swaps performed (each = one block in + one block out).
     pub swaps: u64,
@@ -182,13 +182,11 @@ impl FlatRemap {
             at + self.cache_latency
         } else {
             self.table_reads += 1;
-            dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: self.meta_base + (entry_addr & !63),
-                bytes: 64,
-                kind: AccessKind::Read,
-                class: TrafficClass::Metadata,
-                at: at + self.cache_latency,
-            })
+            dram.device_mut(MemSide::Nm).serve(DramAccess::metadata(
+                AccessKind::Read,
+                self.meta_base + entry_addr,
+                at + self.cache_latency,
+            ))
         };
         (self.peek(block), ready)
     }
@@ -240,20 +238,11 @@ impl FlatRemap {
         self.swaps += 1;
 
         // Remap-table updates for both blocks.
-        dram.device_mut(MemSide::Nm).serve(DramAccess {
-            addr: self.meta_base + ((fm_block * 8) & !63),
-            bytes: 64,
-            kind: AccessKind::Write,
-            class: TrafficClass::Metadata,
-            at,
-        });
-        dram.device_mut(MemSide::Nm).serve(DramAccess {
-            addr: self.meta_base + ((victim_block * 8) & !63),
-            bytes: 64,
-            kind: AccessKind::Write,
-            class: TrafficClass::Metadata,
-            at,
-        });
+        for block in [fm_block, victim_block] {
+            let entry = self.meta_base + block * 8;
+            dram.device_mut(MemSide::Nm)
+                .serve(DramAccess::metadata(AccessKind::Write, entry, at));
+        }
     }
 
     /// Remap bijection check for tests.

@@ -5,7 +5,7 @@
 //! DRAM"). All requests go straight to the DDR4 far memory.
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
-use sim_types::{MemReq, MemSide, TrafficClass};
+use sim_types::{MemReq, MemSide};
 
 /// The no-NM baseline.
 #[derive(Clone, Debug, Default)]
@@ -30,21 +30,11 @@ impl MemoryScheme for FmOnly {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let class = if req.kind.is_write() {
-            self.stats.writes += 1;
-            TrafficClass::Writeback
-        } else {
-            self.stats.reads += 1;
-            TrafficClass::Demand
-        };
-        let done = dram.device_mut(MemSide::Fm).serve(DramAccess {
-            addr: req.addr.raw() % self.fm_bytes.max(1),
-            bytes: req.bytes,
-            kind: req.kind,
-            class,
-            at: req.at,
-        });
+        self.stats.count(req);
+        let addr = req.addr.raw() % self.fm_bytes.max(1);
+        let done = dram
+            .device_mut(MemSide::Fm)
+            .serve(DramAccess::demand(req, addr, req.at));
         Served::new(done, false)
     }
 

@@ -10,9 +10,11 @@
 //! Tags and LRU order are the shared [`SetAssocCache`] kernel; the
 //! touched-chunk masks sit beside it, one per NM line.
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
+use dram::{DramSystem, MemoryScheme, SchemeStats, Served};
 use mem_cache::{CacheConfig, SetAssocCache, MAX_ASSOC};
-use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
+use sim_types::MemReq;
+
+use crate::line_cache::{self, Fill};
 
 /// Configuration of the ideal cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,26 +50,6 @@ impl IdealCacheConfig {
     }
 }
 
-/// Figure 1's measurement: bytes fetched vs bytes actually used.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WasteStats {
-    /// Bytes fetched into the cache from FM.
-    pub fetched_bytes: u64,
-    /// Of those, bytes touched by the processor before eviction.
-    pub used_bytes: u64,
-}
-
-impl WasteStats {
-    /// Percentage of fetched data never used (Figure 1's y-axis).
-    pub fn wasted_pct(&self) -> f64 {
-        if self.fetched_bytes == 0 {
-            0.0
-        } else {
-            100.0 * (self.fetched_bytes - self.used_bytes) as f64 / self.fetched_bytes as f64
-        }
-    }
-}
-
 /// The zero-overhead DRAM cache.
 #[derive(Clone, Debug)]
 pub struct IdealCache {
@@ -81,7 +63,6 @@ pub struct IdealCache {
     touched: Vec<u64>,
     chunks_per_line: u32,
     stats: SchemeStats,
-    waste: WasteStats,
 }
 
 impl IdealCache {
@@ -101,18 +82,8 @@ impl IdealCache {
             touched: vec![0; (cfg.nm_bytes / cfg.line_bytes) as usize],
             chunks_per_line: (cfg.line_bytes / 64) as u32,
             stats: SchemeStats::default(),
-            waste: WasteStats::default(),
             cfg,
         }
-    }
-
-    /// The Figure 1 measurement, *including* lines still resident (their
-    /// touched chunks count as used, their untouched ones as wasted).
-    pub fn waste_stats(&self) -> WasteStats {
-        let mut w = self.waste;
-        // fetched_bytes already accounted at fill time.
-        w.used_bytes += self.resident_used_bytes();
-        w
     }
 
     /// Bytes touched in the lines still resident.
@@ -135,13 +106,7 @@ impl MemoryScheme for IdealCache {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        let write = self.stats.count(req);
         let line_base = req.addr.raw() & !(self.cfg.line_bytes - 1);
         let in_line = req.addr.raw() - line_base;
         let chunk_bit = 1u64 << (in_line / 64).min(63);
@@ -152,76 +117,31 @@ impl MemoryScheme for IdealCache {
         // Hit path: zero tag cost, direct NM access.
         if lookup.hit {
             self.touched[line] |= chunk_bit;
-            self.stats.lookup_hits += 1;
-            self.stats.served_from_nm += 1;
-            let (kind, class) = if write {
-                (AccessKind::Write, TrafficClass::Writeback)
-            } else {
-                (AccessKind::Read, TrafficClass::Demand)
-            };
-            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: self.nm_addr(line, in_line),
-                bytes: req.bytes,
-                kind,
-                class,
-                at: req.at,
-            });
-            return Served::new(done, true);
+            let addr = self.nm_addr(line, in_line);
+            return line_cache::hit(req, addr, req.at, dram, &mut self.stats);
         }
 
-        // Miss: serve the critical 64 B from FM, fetch the full line, evict.
-        self.stats.lookup_misses += 1;
-        let class = if write {
-            TrafficClass::Fill
-        } else {
-            TrafficClass::Demand
-        };
-        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
-            addr: req.addr.raw() % self.cfg.fm_bytes,
-            bytes: req.bytes,
-            kind: req.kind,
-            class,
-            at: req.at,
-        });
-
+        // Miss: fetch the full line (the line-size over-fetch), evicting.
+        let mut dirty_victim = None;
         if let Some(old) = lookup.evicted {
             // Figure 1 bookkeeping: the old line's fetched bytes are final.
-            let used = u64::from(self.touched[line].count_ones()) * 64;
-            self.waste.used_bytes += used;
-            self.stats.used_bytes += used;
-            if old.dirty {
-                // Write the whole line back to FM.
-                dram.copy_lines(
-                    u64::MAX >> (64 - self.chunks_per_line),
-                    (MemSide::Nm, self.nm_addr(line, 0)),
-                    (MemSide::Fm, old.line_addr % self.cfg.fm_bytes),
-                    64,
-                    TrafficClass::Writeback,
-                    req.at,
-                );
-                self.stats.dirty_writebacks += 1;
-            }
+            self.stats.used_bytes += u64::from(self.touched[line].count_ones()) * 64;
+            dirty_victim = old.dirty.then_some(old.line_addr);
         }
-
-        // Fetch the full new line FM -> NM (the line-size over-fetch).
-        dram.copy_lines(
-            u64::MAX >> (64 - self.chunks_per_line),
-            (MemSide::Fm, line_base % self.cfg.fm_bytes),
-            (MemSide::Nm, self.nm_addr(line, 0)),
-            64,
-            TrafficClass::Fill,
-            critical,
-        );
-        self.waste.fetched_bytes += self.cfg.line_bytes;
         self.stats.fetched_bytes += self.cfg.line_bytes;
-        self.stats.moved_into_nm += 1;
         self.touched[line] = chunk_bit;
-        Served::new(if write { req.at } else { critical }, false)
+        let fill = Fill {
+            line: line_base,
+            dirty_victim,
+            frame: self.nm_addr(line, 0),
+            chunks: u64::MAX >> (64 - self.chunks_per_line),
+        };
+        line_cache::miss(req, req.at, self.cfg.fm_bytes, fill, dram, &mut self.stats)
     }
 
     fn on_finish(&mut self) {
-        // Fold lines still resident into the generic Figure-1 counters so
-        // RunResult sees the same numbers as waste_stats().
+        // Fold lines still resident into the Figure-1 counters: their
+        // touched chunks count as used, their untouched ones as wasted.
         self.stats.used_bytes += self.resident_used_bytes();
     }
 
@@ -238,7 +158,7 @@ impl MemoryScheme for IdealCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_types::{Cycle, PAddr};
+    use sim_types::{Cycle, MemSide, PAddr, TrafficClass};
 
     fn cache(line: u64) -> (IdealCache, DramSystem) {
         let cfg = IdealCacheConfig {
@@ -274,10 +194,8 @@ mod tests {
         let (mut c, mut dram) = cache(1024);
         // Touch one 64 B chunk of a 1 KB line: 15/16 wasted.
         c.access(&MemReq::read(PAddr::new(0), 64, Cycle::ZERO), &mut dram);
-        let w = c.waste_stats();
-        assert_eq!(w.fetched_bytes, 1024);
-        assert_eq!(w.used_bytes, 64);
-        assert!((w.wasted_pct() - 93.75).abs() < 1e-9);
+        c.on_finish();
+        assert_eq!((c.stats().fetched_bytes, c.stats().used_bytes), (1024, 64));
     }
 
     #[test]
@@ -289,10 +207,8 @@ mod tests {
                 &mut dram,
             );
         }
-        let w = c.waste_stats();
-        assert_eq!(w.fetched_bytes, 256);
-        assert_eq!(w.used_bytes, 256);
-        assert_eq!(w.wasted_pct(), 0.0);
+        c.on_finish();
+        assert_eq!((c.stats().fetched_bytes, c.stats().used_bytes), (256, 256));
     }
 
     #[test]
@@ -306,7 +222,9 @@ mod tests {
                 let a = PAddr::new(rng.gen_range(512 * 1024 / 64) * 64);
                 c.access(&MemReq::read(a, 64, Cycle::ZERO), &mut dram);
             }
-            results.push(c.waste_stats().wasted_pct());
+            c.on_finish();
+            let s = c.stats();
+            results.push(1.0 - s.used_bytes as f64 / s.fetched_bytes as f64);
         }
         assert!(
             results[0] < results[1] && results[1] < results[2],
@@ -384,8 +302,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use dram::DramAccess;
     use proptest::prelude::*;
-    use sim_types::{Cycle, PAddr};
+    use sim_types::{AccessKind, Cycle, MemSide, PAddr, TrafficClass};
 
     #[derive(Clone, Copy, Debug, Default)]
     struct Line {
@@ -404,7 +323,6 @@ mod proptests {
         clock: u64,
         chunks_per_line: u32,
         stats: SchemeStats,
-        waste: WasteStats,
     }
 
     impl ArrayIdeal {
@@ -420,20 +338,8 @@ mod proptests {
                 clock: 0,
                 chunks_per_line: (cfg.line_bytes / 64) as u32,
                 stats: SchemeStats::default(),
-                waste: WasteStats::default(),
                 cfg,
             }
-        }
-
-        fn waste_stats(&self) -> WasteStats {
-            let mut w = self.waste;
-            for l in &self.lines {
-                if l.valid {
-                    w.used_bytes += u64::from(l.touched.count_ones()) * 64;
-                    // fetched_bytes already accounted at fill time.
-                }
-            }
-            w
         }
 
         fn set_of(&self, line_addr: u64) -> u64 {
@@ -523,7 +429,6 @@ mod proptests {
             let old = self.lines[victim];
             if old.valid {
                 // Figure 1 bookkeeping: the old line's fetched bytes are final.
-                self.waste.used_bytes += u64::from(old.touched.count_ones()) * 64;
                 self.stats.used_bytes += u64::from(old.touched.count_ones()) * 64;
                 if old.dirty {
                     // Write the whole line back to FM.
@@ -550,7 +455,6 @@ mod proptests {
                 TrafficClass::Fill,
                 critical,
             );
-            self.waste.fetched_bytes += self.cfg.line_bytes;
             self.stats.fetched_bytes += self.cfg.line_bytes;
             self.stats.moved_into_nm += 1;
             self.lines[victim] = Line {
@@ -564,8 +468,7 @@ mod proptests {
         }
 
         fn on_finish(&mut self) {
-            // Fold lines still resident into the generic Figure-1 counters so
-            // RunResult sees the same numbers as waste_stats().
+            // Fold lines still resident into the Figure-1 counters.
             for l in &self.lines {
                 if l.valid {
                     self.stats.used_bytes += u64::from(l.touched.count_ones()) * 64;
@@ -578,8 +481,8 @@ mod proptests {
         /// Random reads and writes over twice the NM capacity, for the
         /// Figure 1/2 sweep's two ends (64 B and 4 KB lines, 16 ways) and a
         /// 256 B, 4-way shape: every op is served alike, and the scheme
-        /// statistics, the Figure 1 measurement, the resident lines in way
-        /// order and both DRAM devices agree after each op.
+        /// statistics, the resident lines in way order and both DRAM
+        /// devices agree after each op and the statistics at the end.
         #[test]
         fn ideal_matches_array_reference(
             shape in 0usize..3,
@@ -603,7 +506,6 @@ mod proptests {
                 };
                 prop_assert_eq!(ideal.access(&req, &mut dram), reference.access(&req, &mut ref_dram));
                 prop_assert_eq!(ideal.stats(), &reference.stats);
-                prop_assert_eq!(ideal.waste_stats(), reference.waste_stats());
                 let resident: Vec<u64> = reference
                     .lines
                     .iter()

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
-use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
+use sim_types::{Cycle, MemReq};
 
 use crate::flat::FlatRemap;
 use crate::INTERVAL_CYCLES;
@@ -95,13 +95,7 @@ impl MemoryScheme for Lgm {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        self.stats.count(req);
         let block = self.flat.block_of(req.addr);
         let offset = req.addr.raw() % self.cfg.block_bytes;
         let (loc, ready) = self.flat.locate(block, req.at, dram);
@@ -118,18 +112,9 @@ impl MemoryScheme for Lgm {
             e.1 |= 1u64 << line;
         }
         let (side, addr) = self.flat.device_addr(loc, offset);
-        let (kind, class) = if write {
-            (AccessKind::Write, TrafficClass::Writeback)
-        } else {
-            (AccessKind::Read, TrafficClass::Demand)
-        };
-        let done = dram.device_mut(side).serve(DramAccess {
-            addr,
-            bytes: req.bytes,
-            kind,
-            class,
-            at: ready,
-        });
+        let done = dram
+            .device_mut(side)
+            .serve(DramAccess::demand(req, addr, ready));
         Served::new(done, loc.is_nm())
     }
 

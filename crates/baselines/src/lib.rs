@@ -32,6 +32,7 @@ pub mod flat;
 mod fm_only;
 mod ideal;
 mod lgm;
+mod line_cache;
 mod mea;
 mod mempod;
 mod tagless;
@@ -39,7 +40,7 @@ mod tagless;
 pub use chameleon::{Chameleon, ChameleonConfig};
 pub use dfc::{Dfc, DfcConfig};
 pub use fm_only::FmOnly;
-pub use ideal::{IdealCache, IdealCacheConfig, WasteStats};
+pub use ideal::{IdealCache, IdealCacheConfig};
 pub use lgm::{Lgm, LgmConfig};
 pub use mea::MeaCounters;
 pub use mempod::{MemPod, MemPodConfig};

@@ -7,7 +7,7 @@
 //! The paper's design-space exploration settled on 64 MEA counters per pod.
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
-use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
+use sim_types::{Cycle, MemReq};
 
 use crate::flat::FlatRemap;
 use crate::mea::MeaCounters;
@@ -108,13 +108,7 @@ impl MemoryScheme for MemPod {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        self.stats.count(req);
         let block = self.flat.block_of(req.addr);
         let offset = req.addr.raw() % self.cfg.block_bytes;
         let (loc, ready) = self.flat.locate(block, req.at, dram);
@@ -127,18 +121,9 @@ impl MemoryScheme for MemPod {
             self.pods[pod].mea.observe(block);
         }
         let (side, addr) = self.flat.device_addr(loc, offset);
-        let (kind, class) = if write {
-            (AccessKind::Write, TrafficClass::Writeback)
-        } else {
-            (AccessKind::Read, TrafficClass::Demand)
-        };
-        let done = dram.device_mut(side).serve(DramAccess {
-            addr,
-            bytes: req.bytes,
-            kind,
-            class,
-            at: ready,
-        });
+        let done = dram
+            .device_mut(side)
+            .serve(DramAccess::demand(req, addr, ready));
         Served::new(done, loc.is_nm())
     }
 
@@ -199,7 +184,7 @@ impl MemoryScheme for MemPod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_types::PAddr;
+    use sim_types::{PAddr, TrafficClass};
 
     fn mempod() -> (MemPod, DramSystem) {
         let cfg = MemPodConfig {

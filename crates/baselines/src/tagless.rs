@@ -10,8 +10,10 @@
 
 use std::collections::HashMap;
 
-use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
-use sim_types::{AccessKind, MemReq, MemSide, TrafficClass};
+use dram::{DramSystem, MemoryScheme, SchemeStats, Served};
+use sim_types::MemReq;
+
+use crate::line_cache::{self, Fill};
 
 /// Configuration of the Tagless cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,83 +101,26 @@ impl MemoryScheme for Tagless {
     }
 
     fn access(&mut self, req: &MemReq, dram: &mut DramSystem) -> Served {
-        self.stats.requests += 1;
-        let write = req.kind.is_write();
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
-        let page = req.addr.raw() / self.cfg.page_bytes;
-        let in_page = req.addr.raw() % self.cfg.page_bytes;
+        let write = self.stats.count(req);
+        let page_bytes = self.cfg.page_bytes;
+        let page = req.addr.raw() / page_bytes;
 
         if let Some(&frame) = self.map.get(&page) {
             // Page-table hit: zero lookup cost, direct NM access.
             let f = &mut self.frames[frame as usize];
             f.referenced = true;
             f.dirty |= write;
-            self.stats.lookup_hits += 1;
-            self.stats.served_from_nm += 1;
-            let (kind, class) = if write {
-                (AccessKind::Write, TrafficClass::Writeback)
-            } else {
-                (AccessKind::Read, TrafficClass::Demand)
-            };
-            let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                addr: u64::from(frame) * self.cfg.page_bytes + in_page,
-                bytes: req.bytes,
-                kind,
-                class,
-                at: req.at,
-            });
-            return Served::new(done, true);
+            let addr = u64::from(frame) * page_bytes + req.addr.raw() % page_bytes;
+            return line_cache::hit(req, addr, req.at, dram, &mut self.stats);
         }
 
-        // Miss: serve the critical access from FM, then move a whole page.
-        self.stats.lookup_misses += 1;
-        let class = if write {
-            TrafficClass::Fill
-        } else {
-            TrafficClass::Demand
-        };
-        let critical = dram.device_mut(MemSide::Fm).serve(DramAccess {
-            addr: req.addr.raw() % self.cfg.fm_bytes,
-            bytes: req.bytes,
-            kind: req.kind,
-            class,
-            at: req.at,
-        });
-
+        // Miss: move a whole page — the over-fetch that hurts sparse
+        // access patterns.
         let frame = self.pick_frame();
-        let all_lines = u64::MAX >> (64 - self.cfg.page_bytes / 64);
-        let nm_frame = (MemSide::Nm, frame as u64 * self.cfg.page_bytes);
-        let fm_page = |page: u64| (MemSide::Fm, page * self.cfg.page_bytes % self.cfg.fm_bytes);
         let old = self.frames[frame];
         if old.valid {
             self.map.remove(&old.page);
-            if old.dirty {
-                dram.copy_lines(
-                    all_lines,
-                    nm_frame,
-                    fm_page(old.page),
-                    64,
-                    TrafficClass::Writeback,
-                    req.at,
-                );
-                self.stats.dirty_writebacks += 1;
-            }
         }
-
-        // Full-page fetch — the over-fetch that hurts sparse access patterns.
-        dram.copy_lines(
-            all_lines,
-            fm_page(page),
-            nm_frame,
-            64,
-            TrafficClass::Fill,
-            critical,
-        );
-        self.stats.moved_into_nm += 1;
         self.frames[frame] = Frame {
             page,
             valid: true,
@@ -183,7 +128,13 @@ impl MemoryScheme for Tagless {
             referenced: true,
         };
         self.map.insert(page, frame as u32);
-        Served::new(if write { req.at } else { critical }, false)
+        let fill = Fill {
+            line: page * page_bytes,
+            dirty_victim: (old.valid && old.dirty).then_some(old.page * page_bytes),
+            frame: frame as u64 * page_bytes,
+            chunks: u64::MAX >> (64 - page_bytes / 64),
+        };
+        line_cache::miss(req, req.at, self.cfg.fm_bytes, fill, dram, &mut self.stats)
     }
 
     fn flat_capacity_bytes(&self) -> u64 {
@@ -198,7 +149,7 @@ impl MemoryScheme for Tagless {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_types::{Cycle, PAddr};
+    use sim_types::{Cycle, MemSide, PAddr, TrafficClass};
 
     fn tagless() -> (Tagless, DramSystem) {
         (

@@ -1,7 +1,7 @@
 //! The DRAM Cache Migration Controller: §3.4–§3.7 wired together.
 
 use dram::{DramAccess, DramSystem, MemoryScheme, SchemeStats, Served};
-use sim_types::{AccessKind, Cycle, MemReq, MemSide, NmLoc, TrafficClass};
+use sim_types::{AccessKind, Cycle, FmLoc, MemReq, MemSide, NmLoc, TrafficClass};
 
 use crate::config::{ConfigError, Hybrid2Config, Layout, Variant};
 use crate::free_stack::FreeFmStack;
@@ -160,13 +160,8 @@ impl Dcmc {
             return at;
         }
         self.stats.metadata_reads += 1;
-        dram.device_mut(MemSide::Nm).serve(DramAccess {
-            addr: addr & !63,
-            bytes: 64,
-            kind: AccessKind::Read,
-            class: TrafficClass::Metadata,
-            at,
-        })
+        dram.device_mut(MemSide::Nm)
+            .serve(DramAccess::metadata(AccessKind::Read, addr, at))
     }
 
     fn meta_write(&mut self, addr: u64, at: Cycle, dram: &mut DramSystem) {
@@ -174,13 +169,45 @@ impl Dcmc {
             return;
         }
         self.stats.metadata_writes += 1;
-        dram.device_mut(MemSide::Nm).serve(DramAccess {
-            addr: addr & !63,
-            bytes: 64,
-            kind: AccessKind::Write,
-            class: TrafficClass::Metadata,
+        dram.device_mut(MemSide::Nm)
+            .serve(DramAccess::metadata(AccessKind::Write, addr, at));
+    }
+
+    /// Outcomes 1b and 2b: fetches DCMC line `line` of the sector from FM
+    /// location `fm` and fills it into NM slot `slot`, once the lookup is
+    /// known at `at`. A write completes when it is accepted, at `at`.
+    fn fetch_line(
+        &mut self,
+        req: &MemReq,
+        fm: FmLoc,
+        slot: NmLoc,
+        line: u32,
+        at: Cycle,
+        dram: &mut DramSystem,
+    ) -> Served {
+        let write = req.kind.is_write();
+        let line_size = self.layout.geometry.line_size();
+        let line_off = u64::from(line) * line_size;
+        let fetched = dram.device_mut(MemSide::Fm).serve(DramAccess {
+            addr: self.layout.fm_loc_addr(fm) + line_off,
+            bytes: line_size as u32,
+            kind: AccessKind::Read,
+            class: if write {
+                TrafficClass::Fill
+            } else {
+                TrafficClass::Demand
+            },
             at,
         });
+        dram.device_mut(MemSide::Nm).serve(DramAccess {
+            addr: self.layout.nm_slot_addr(slot) + line_off,
+            bytes: line_size as u32,
+            kind: AccessKind::Write,
+            class: TrafficClass::Fill,
+            at: fetched,
+        });
+        self.fm_budget += 1;
+        Served::new(if write { at } else { fetched }, false)
     }
 
     /// Figure 9 + Figure 10: dispose of an XTA victim. Must be called after
@@ -415,14 +442,7 @@ impl MemoryScheme for Dcmc {
         let line = g.line_within_sector(req.addr);
         let bit = 1u64 << line;
         let in_sector_off = req.addr.raw() & (g.sector_size() - 1);
-        let write = req.kind.is_write();
-
-        self.stats.requests += 1;
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        let write = self.stats.count(req);
         // §3.8: any touch revives a hinted-dead sector (implicit realloc).
         if self.unused_live > 0 {
             self.set_unused(sector.raw(), false);
@@ -444,18 +464,9 @@ impl MemoryScheme for Dcmc {
                     entry.dirty |= bit;
                 }
                 let addr = self.layout.nm_slot_addr(nm_slot) + in_sector_off;
-                let (kind, class) = if write {
-                    (AccessKind::Write, TrafficClass::Writeback)
-                } else {
-                    (AccessKind::Read, TrafficClass::Demand)
-                };
-                let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                    addr,
-                    bytes: req.bytes,
-                    kind,
-                    class,
-                    at: t0,
-                });
+                let done = dram
+                    .device_mut(MemSide::Nm)
+                    .serve(DramAccess::demand(req, addr, t0));
                 self.stats.served_from_nm += 1;
                 Served::new(done, true)
             } else {
@@ -468,30 +479,7 @@ impl MemoryScheme for Dcmc {
                 if write {
                     entry.dirty |= bit;
                 }
-                let line_off = u64::from(line) * g.line_size();
-                let fm_addr = self.layout.fm_loc_addr(fm) + line_off;
-                let nm_addr = self.layout.nm_slot_addr(nm_slot) + line_off;
-                let class = if write {
-                    TrafficClass::Fill
-                } else {
-                    TrafficClass::Demand
-                };
-                let fetched = dram.device_mut(MemSide::Fm).serve(DramAccess {
-                    addr: fm_addr,
-                    bytes: g.line_size() as u32,
-                    kind: AccessKind::Read,
-                    class,
-                    at: t0,
-                });
-                dram.device_mut(MemSide::Nm).serve(DramAccess {
-                    addr: nm_addr,
-                    bytes: g.line_size() as u32,
-                    kind: AccessKind::Write,
-                    class: TrafficClass::Fill,
-                    at: fetched,
-                });
-                self.fm_budget += 1;
-                Served::new(if write { t0 } else { fetched }, false)
+                self.fetch_line(req, fm, nm_slot, line, t0, dram)
             }
         } else {
             // 2: XTA miss — consult the remap table (in NM) and allocate.
@@ -511,18 +499,9 @@ impl MemoryScheme for Dcmc {
                     let entry = self.xta.entry_for_nm_sector(sector, slot);
                     self.xta.insert(entry);
                     let addr = self.layout.nm_slot_addr(slot) + in_sector_off;
-                    let (kind, class) = if write {
-                        (AccessKind::Write, TrafficClass::Writeback)
-                    } else {
-                        (AccessKind::Read, TrafficClass::Demand)
-                    };
-                    let done = dram.device_mut(MemSide::Nm).serve(DramAccess {
-                        addr,
-                        bytes: req.bytes,
-                        kind,
-                        class,
-                        at: t1,
-                    });
+                    let done = dram
+                        .device_mut(MemSide::Nm)
+                        .serve(DramAccess::demand(req, addr, t1));
                     self.stats.served_from_nm += 1;
                     Served::new(done, true)
                 }
@@ -534,33 +513,10 @@ impl MemoryScheme for Dcmc {
                     self.tables.set_sector_at(slot, Some(sector));
                     let inv_addr = self.layout.inverted_entry_addr(slot);
                     self.meta_write(inv_addr, t1, dram);
-
-                    let line_off = u64::from(line) * g.line_size();
-                    let fm_addr = self.layout.fm_loc_addr(fm) + line_off;
-                    let nm_addr = self.layout.nm_slot_addr(slot) + line_off;
-                    let class = if write {
-                        TrafficClass::Fill
-                    } else {
-                        TrafficClass::Demand
-                    };
-                    let fetched = dram.device_mut(MemSide::Fm).serve(DramAccess {
-                        addr: fm_addr,
-                        bytes: g.line_size() as u32,
-                        kind: AccessKind::Read,
-                        class,
-                        at: t1,
-                    });
-                    dram.device_mut(MemSide::Nm).serve(DramAccess {
-                        addr: nm_addr,
-                        bytes: g.line_size() as u32,
-                        kind: AccessKind::Write,
-                        class: TrafficClass::Fill,
-                        at: fetched,
-                    });
-                    self.fm_budget += 1;
+                    let served = self.fetch_line(req, fm, slot, line, t1, dram);
                     let entry = Xta::entry_for_fm_fetch(sector, slot, fm, line, write);
                     self.xta.insert(entry);
-                    Served::new(if write { t1 } else { fetched }, false)
+                    served
                 }
             }
         }

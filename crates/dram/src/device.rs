@@ -1,6 +1,6 @@
 //! One DRAM device: channels, banks, row buffers, data buses.
 
-use sim_types::{AccessKind, Cycle, TrafficClass};
+use sim_types::{AccessKind, Cycle, MemReq, TrafficClass};
 
 use crate::config::DeviceConfig;
 use crate::energy::EnergyCounter;
@@ -23,6 +23,40 @@ pub struct DramAccess {
     pub class: TrafficClass,
     /// Cycle the access arrives at the device controller.
     pub at: Cycle,
+}
+
+impl DramAccess {
+    /// `req` served at device address `addr`, where its data lives: size
+    /// and kind come from the request, and the class is
+    /// [`TrafficClass::Demand`] for a read and [`TrafficClass::Writeback`]
+    /// for a write (an LLC writeback).
+    #[inline]
+    pub fn demand(req: &MemReq, addr: u64, at: Cycle) -> Self {
+        DramAccess {
+            addr,
+            bytes: req.bytes,
+            kind: req.kind,
+            class: if req.kind.is_write() {
+                TrafficClass::Writeback
+            } else {
+                TrafficClass::Demand
+            },
+            at,
+        }
+    }
+
+    /// A [`TrafficClass::Metadata`] access to the 64 B line that holds
+    /// device address `addr` (a remap, inverted-remap or tag entry).
+    #[inline]
+    pub fn metadata(kind: AccessKind, addr: u64, at: Cycle) -> Self {
+        DramAccess {
+            addr: addr & !63,
+            bytes: 64,
+            kind,
+            class: TrafficClass::Metadata,
+            at,
+        }
+    }
 }
 
 /// Per-bank state: which row is open and when the bank is next available.
@@ -300,6 +334,53 @@ mod tests {
             class: TrafficClass::Demand,
             at,
         })
+    }
+
+    #[test]
+    fn demand_classes_reads_as_demand_and_writes_as_writeback() {
+        use sim_types::PAddr;
+        let at = Cycle::new(9);
+        let read = MemReq::read(PAddr::new(0x1040), 32, Cycle::ZERO);
+        assert_eq!(
+            DramAccess::demand(&read, 0x40, at),
+            DramAccess {
+                addr: 0x40,
+                bytes: 32,
+                kind: AccessKind::Read,
+                class: TrafficClass::Demand,
+                at,
+            }
+        );
+        let write = MemReq::write(PAddr::new(0x1040), 64, Cycle::ZERO);
+        assert_eq!(
+            DramAccess::demand(&write, 0x7f, at),
+            DramAccess {
+                addr: 0x7f,
+                bytes: 64,
+                kind: AccessKind::Write,
+                class: TrafficClass::Writeback,
+                at,
+            }
+        );
+    }
+
+    #[test]
+    fn metadata_is_the_aligned_64_byte_line() {
+        let at = Cycle::new(3);
+        for (addr, line) in [(0, 0), (63, 0), (64, 64), (0x1238, 0x1200)] {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                assert_eq!(
+                    DramAccess::metadata(kind, addr, at),
+                    DramAccess {
+                        addr: line,
+                        bytes: 64,
+                        kind,
+                        class: TrafficClass::Metadata,
+                        at,
+                    }
+                );
+            }
+        }
     }
 
     #[test]

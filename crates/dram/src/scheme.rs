@@ -66,6 +66,20 @@ pub struct SchemeStats {
 }
 
 impl SchemeStats {
+    /// Counts one processor request in `requests` and in `reads` or
+    /// `writes`; returns whether it is a write.
+    #[inline]
+    pub fn count(&mut self, req: &MemReq) -> bool {
+        self.requests += 1;
+        let write = req.kind.is_write();
+        if write {
+            self.writes += 1;
+        } else {
+            self.reads += 1;
+        }
+        write
+    }
+
     /// Fraction of demand requests served from NM, in [0, 1].
     pub fn nm_served_fraction(&self) -> f64 {
         if self.requests == 0 {
@@ -149,6 +163,24 @@ pub trait MemoryScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_tallies_reads_and_writes() {
+        use sim_types::PAddr;
+        let mut s = SchemeStats::default();
+        let read = MemReq::read(PAddr::new(0), 64, Cycle::ZERO);
+        let write = MemReq::write(PAddr::new(64), 64, Cycle::ZERO);
+        assert!(!s.count(&read));
+        assert!(s.count(&write));
+        assert!(s.count(&write));
+        let counted = SchemeStats {
+            requests: 3,
+            reads: 1,
+            writes: 2,
+            ..SchemeStats::default()
+        };
+        assert_eq!(s, counted);
+    }
 
     #[test]
     fn nm_served_fraction_handles_zero() {

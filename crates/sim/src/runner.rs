@@ -116,8 +116,7 @@ impl EvalConfig {
 }
 
 /// Builds a scheme instance for `kind` on a `sys`-sized machine. The
-/// returned [`AnyScheme`] dispatches statically on the per-op path (it
-/// still implements [`dram::MemoryScheme`] for trait-generic callers).
+/// returned [`AnyScheme`] dispatches statically on the per-op path.
 ///
 /// # Panics
 ///
