@@ -21,6 +21,14 @@
 //! respective remap cache to be equal to that of the XTA ... for a fair
 //! comparison").
 //!
+//! Every scheme counts a request with [`dram::SchemeStats::count`] and
+//! serves it where its data lives with [`dram::DramAccess::demand`]; remap
+//! and tag entries are [`dram::DramAccess::metadata`] lines. The three
+//! caches share their data side in a private `line_cache` module: a hit
+//! serves the resident copy, and a miss serves the critical access from
+//! FM, writes a dirty victim back whole and fills the whole line. Each
+//! cache keeps only its placement and lookup cost.
+//!
 //! Fidelity notes and deliberate simplifications are listed per module.
 
 #![forbid(unsafe_code)]

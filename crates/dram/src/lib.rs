@@ -26,7 +26,10 @@
 //!
 //! The crate also defines the [`MemoryScheme`] trait implemented by Hybrid2
 //! and by every baseline scheme, so that all of them drive the same devices
-//! and their traffic/energy is accounted identically.
+//! and their traffic/energy is accounted identically. Schemes count a
+//! request with [`SchemeStats::count`], serve it where its data lives with
+//! [`DramAccess::demand`] and charge remap or tag entries with
+//! [`DramAccess::metadata`].
 //!
 //! # Example
 //!
