@@ -226,7 +226,7 @@ impl MemoryScheme for Chameleon {
                 b += self.groups;
             }
         }
-        self.stats.metadata_reads = self.flat.table_reads;
+        self.flat.book_metadata(&mut self.stats);
         served
     }
 
@@ -276,6 +276,7 @@ mod tests {
         }
         assert!(c.flat().peek(block).is_nm(), "block must swap in after K");
         assert_eq!(c.stats().moved_into_nm, 1);
+        assert_eq!(c.stats().metadata_writes, 2, "one remap write per block");
         c.flat().check_invariants().unwrap();
         let s = c.access(&MemReq::read(fm, 64, t), &mut dram);
         assert!(s.from_nm);

@@ -12,7 +12,7 @@
 //! Hybrid2's own remapping is different enough (free-FM stack, cache pool)
 //! that it lives in `hybrid2-core`; this module serves only the baselines.
 
-use dram::{DramAccess, DramSystem};
+use dram::{DramAccess, DramSystem, SchemeStats};
 use mem_cache::{CacheConfig, SetAssocCache};
 use sim_types::{AccessKind, Cycle, MemSide, PAddr, TrafficClass};
 
@@ -86,6 +86,8 @@ pub struct FlatRemap {
     pub swaps: u64,
     /// Remap lookups that had to read the in-NM table.
     pub table_reads: u64,
+    /// 64 B remap-table entry writes (two per swap).
+    pub table_writes: u64,
 }
 
 impl FlatRemap {
@@ -130,6 +132,7 @@ impl FlatRemap {
             meta_base: nm_blocks * block_bytes,
             swaps: 0,
             table_reads: 0,
+            table_writes: 0,
         }
     }
 
@@ -242,7 +245,18 @@ impl FlatRemap {
             let entry = self.meta_base + block * 8;
             dram.device_mut(MemSide::Nm)
                 .serve(DramAccess::metadata(AccessKind::Write, entry, at));
+            self.table_writes += 1;
         }
+    }
+
+    /// Copies the remap-table reads and writes charged so far into a
+    /// scheme's `metadata_reads` and `metadata_writes`. A scheme calls it
+    /// after every step that can charge either (a lookup or a swap), so
+    /// its counters are exact at any point of a run.
+    #[inline]
+    pub fn book_metadata(&self, stats: &mut SchemeStats) {
+        stats.metadata_reads = self.table_reads;
+        stats.metadata_writes = self.table_writes;
     }
 
     /// Remap bijection check for tests.

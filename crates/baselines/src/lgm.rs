@@ -99,6 +99,7 @@ impl MemoryScheme for Lgm {
         let block = self.flat.block_of(req.addr);
         let offset = req.addr.raw() % self.cfg.block_bytes;
         let (loc, ready) = self.flat.locate(block, req.at, dram);
+        self.flat.book_metadata(&mut self.stats);
         if loc.is_nm() {
             self.stats.lookup_hits += 1;
             self.stats.served_from_nm += 1;
@@ -162,7 +163,7 @@ impl MemoryScheme for Lgm {
             self.stats.moved_out_of_nm += 1;
         }
         self.activity.clear();
-        self.stats.metadata_reads = self.flat.table_reads;
+        self.flat.book_metadata(&mut self.stats);
     }
 
     fn tick_period(&self) -> Option<u64> {
@@ -248,6 +249,8 @@ mod tests {
         l.on_tick(Cycle::new(1000), &mut dram);
         assert!(l.stats().moved_into_nm <= 4);
         assert!(l.stats().moved_into_nm >= 1);
+        // Each swap writes both blocks' remap-table entries.
+        assert_eq!(l.stats().metadata_writes, 2 * l.stats().moved_into_nm);
     }
 
     #[test]

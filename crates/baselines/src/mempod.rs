@@ -112,6 +112,7 @@ impl MemoryScheme for MemPod {
         let block = self.flat.block_of(req.addr);
         let offset = req.addr.raw() % self.cfg.block_bytes;
         let (loc, ready) = self.flat.locate(block, req.at, dram);
+        self.flat.book_metadata(&mut self.stats);
         if loc.is_nm() {
             self.stats.lookup_hits += 1;
             self.stats.served_from_nm += 1;
@@ -165,7 +166,7 @@ impl MemoryScheme for MemPod {
             }
             self.pods[p].mea.reset();
         }
-        self.stats.metadata_reads = self.flat.table_reads;
+        self.flat.book_metadata(&mut self.stats);
     }
 
     fn tick_period(&self) -> Option<u64> {
@@ -265,6 +266,34 @@ mod tests {
         let (m, _) = mempod();
         assert_eq!(m.flat_capacity_bytes(), 64 * 1024 + 1024 * 1024);
         assert_eq!(m.name(), "MPOD");
+    }
+
+    /// Remap-table reads after the last tick and the two table writes of
+    /// every swap reach `SchemeStats`: 20 000 reads, one tick every 2 500,
+    /// the last at read 17 500.
+    #[test]
+    fn metadata_counters_match_the_remap_table_traffic() {
+        let (mut m, mut dram) = mempod();
+        let mut rng = sim_types::rng::SplitMix64::new(11);
+        let cap = m.flat_capacity_bytes();
+        for op in 1..=20_000u64 {
+            let a = PAddr::new(rng.gen_range(cap / 64) * 64);
+            m.access(&MemReq::read(a, 64, Cycle::new(op * 5)), &mut dram);
+            if op % 2_500 == 0 && op <= 17_500 {
+                m.on_tick(Cycle::new(op * 5), &mut dram);
+            }
+        }
+        m.on_finish();
+        let s = m.stats();
+        assert!(m.flat().swaps > 0, "the probe must migrate");
+        assert_eq!(s.metadata_reads, m.flat().table_reads);
+        assert_eq!(s.metadata_writes, 2 * m.flat().swaps);
+        let nm_metadata_lines = dram
+            .device(sim_types::MemSide::Nm)
+            .stats()
+            .bytes(TrafficClass::Metadata)
+            / 64;
+        assert_eq!(s.metadata_reads + s.metadata_writes, nm_metadata_lines);
     }
 
     #[test]
