@@ -70,6 +70,11 @@ fn stats_digest(s: &SchemeStats) -> u64 {
 /// nm_traffic, energy_mj bits, stats digest)`.
 type GoldenRow = (SchemeKind, u64, u64, u64, u64, u64, u64, u64);
 
+/// A [`GoldenRow`] run at capacity divisor `scale_den`: `(scale_den, kind,
+/// instructions, cycles, nm_served ‱, fm_traffic, nm_traffic, energy_mj
+/// bits, stats digest)`.
+type ShapeRow = (u64, SchemeKind, u64, u64, u64, u64, u64, u64, u64);
+
 /// Pinned digests for every MAIN scheme on the golden (workload, seed):
 /// `(kind, instructions, cycles, nm_served ‱, fm_traffic, nm_traffic,
 /// energy_mj bits, stats digest)`. Captured before the hot-path overhaul
@@ -320,9 +325,13 @@ fn os_hinted_hybrid2_digest_is_stable() {
 /// line sweep. Same columns as [`GOLDEN_MATRIX`]. Captured before the XTA
 /// and the IDEAL cache moved onto the shared set-associative kernel; the
 /// DFC rows and the stats column before the schemes' request charging
-/// moved into shared helpers.
-const GOLDEN_SHAPES: [GoldenRow; 6] = [
+/// moved into shared helpers. Every row but the last runs at the golden
+/// scale (1/1024), where the private L1 and L2 have one set each; the last
+/// runs HYBRID2 at 1/64, where they have 4 and 8 sets, and was captured
+/// before the cache hierarchy began carrying line-slot hints.
+const GOLDEN_SHAPES: [ShapeRow; 7] = [
     (
+        1024,
         SchemeKind::IdealLine(64),
         1_600_012,
         1_508_152,
@@ -333,6 +342,7 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         0x275a_c1ef_c982_c7d2,
     ),
     (
+        1024,
         SchemeKind::IdealLine(4096),
         1_600_012,
         727_167,
@@ -343,6 +353,7 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         0x6779_30da_2326_5cb7,
     ),
     (
+        1024,
         SchemeKind::Hybrid2Config {
             cache_bytes_paper: 128 << 20,
             sector: 4096,
@@ -357,6 +368,7 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         0x0385_0385_dcb1_e829,
     ),
     (
+        1024,
         SchemeKind::Hybrid2Variant(Variant::MigrateAll),
         1_600_012,
         448_228,
@@ -367,6 +379,7 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         0x94bd_def8_a6c6_3b14,
     ),
     (
+        1024,
         SchemeKind::DfcLine(128),
         1_600_012,
         1_568_482,
@@ -377,6 +390,7 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         0x76d1_7938_1a09_9246,
     ),
     (
+        1024,
         SchemeKind::DfcLine(4096),
         1_600_012,
         920_362,
@@ -385,6 +399,17 @@ const GOLDEN_SHAPES: [GoldenRow; 6] = [
         7_987_648,
         0x3ff3_96aa_4036_d016,
         0x8212_4985_e246_0422,
+    ),
+    (
+        64,
+        SchemeKind::Hybrid2,
+        1_600_012,
+        612_175,
+        8_839,
+        3_553_536,
+        8_169_664,
+        0x3ffd_eb6b_3894_385f,
+        0x3548_dd29_5194_cf48,
     ),
 ];
 
@@ -395,10 +420,23 @@ fn scheme_shape_digests_are_stable() {
         hybrid2::harness::experiments::fig11_design_points().contains(&(128 << 20, 4096, 512)),
         "the pinned design point left the Figure 11 space"
     );
-    for (kind, instructions, cycles, nm_served_bp, fm_traffic, nm_traffic, energy_bits, stats) in
-        GOLDEN_SHAPES
+    for (
+        scale_den,
+        kind,
+        instructions,
+        cycles,
+        nm_served_bp,
+        fm_traffic,
+        nm_traffic,
+        energy_bits,
+        stats,
+    ) in GOLDEN_SHAPES
     {
-        let r = run_one(kind, spec, NmRatio::OneGb, &golden_cfg());
+        let cfg = EvalConfig {
+            scale_den,
+            ..golden_cfg()
+        };
+        let r = run_one(kind, spec, NmRatio::OneGb, &cfg);
         let got = (
             r.instructions,
             r.cycles,
