@@ -7,7 +7,7 @@
 
 use sim_types::{AccessKind, PAddr};
 
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+use crate::set_assoc::{CacheConfig, CacheStats, Evicted, SetAssocCache};
 
 /// Latency and shape configuration for the hierarchy.
 #[derive(Clone, Debug)]
@@ -129,7 +129,20 @@ impl HierarchyStats {
     }
 }
 
+/// A line index that names no slot: a line-slot hint with no guess.
+const NO_HINT: u32 = u32::MAX;
+
 /// The private-L1/L2 + shared-LLC filter.
+///
+/// The hierarchy remembers where it put each line one level down, so the
+/// two writes it makes of lines it placed itself do not scan a set: the
+/// dirty L1 victim's insert into L2 and the dirty L2 victims' spills into
+/// the LLC. `hints` holds, per core, the L2 line index of each L1 slot's
+/// line, then, per core, the LLC line index of each L2 slot's line, in one
+/// flat table. A hint is only ever a guess that
+/// [`SetAssocCache::access_hinted`] confirms with a tag compare: a line
+/// that has since left that slot is found by the plain set scan, so no
+/// result depends on a hint being current.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
@@ -137,6 +150,10 @@ pub struct Hierarchy {
     l2: Vec<SetAssocCache>,
     llc: SetAssocCache,
     stats: HierarchyStats,
+    hints: Vec<u32>,
+    /// Line slots of one L1 and of one L2.
+    l1_lines: usize,
+    l2_lines: usize,
 }
 
 impl Hierarchy {
@@ -147,11 +164,16 @@ impl Hierarchy {
     /// Panics if `cfg.cores` is zero.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores > 0, "hierarchy needs at least one core");
+        let lines = |c: &CacheConfig| (c.sets() * u64::from(c.associativity())) as usize;
+        let (l1_lines, l2_lines) = (lines(&cfg.l1), lines(&cfg.l2));
         Hierarchy {
             l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
             llc: SetAssocCache::new(cfg.llc),
             stats: HierarchyStats::default(),
+            hints: vec![NO_HINT; cfg.cores * (l1_lines + l2_lines)],
+            l1_lines,
+            l2_lines,
             cfg,
         }
     }
@@ -174,10 +196,11 @@ impl Hierarchy {
     /// The private-hit fast path of the epoch-batched machine loop: if
     /// `addr`'s line is resident in `core`'s L1, performs the access with
     /// mutations identical to [`Hierarchy::access`]'s L1-hit path (L1 LRU
-    /// stamp, dirty bit, per-cache and aggregate counters) and returns
+    /// order, dirty bit, per-cache and aggregate counters) and returns
     /// `true`. Otherwise mutates **nothing** and returns `false`; the
-    /// caller must replay the op through [`Hierarchy::access`] once it is
-    /// globally ordered, and that replay counts the access exactly once.
+    /// caller must replay the op through [`Hierarchy::access_l1_miss`]
+    /// (or [`Hierarchy::access`]) once it is globally ordered, and that
+    /// replay counts the access exactly once.
     ///
     /// Only L1 hits qualify as core-local: an L1 miss can displace a dirty
     /// L1 victim into L2 and from there spill into the shared LLC, so
@@ -198,12 +221,32 @@ impl Hierarchy {
         }
     }
 
-    /// Runs one access from `core` through the hierarchy.
+    /// Runs one access from `core` through the hierarchy: one set scan
+    /// per level, except where a line-slot hint lands (see [`Hierarchy`]).
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
+        self.walk(core, addr, kind, false)
+    }
+
+    /// [`Hierarchy::access`] for an access whose line is known to be
+    /// absent from `core`'s L1: [`Hierarchy::l1_access_fast`] returned
+    /// `false` for it and `core`'s L1 has not been touched since. The L1
+    /// fills without a tag scan; the outcome equals `access`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn access_l1_miss(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
+        self.walk(core, addr, kind, true)
+    }
+
+    /// The one walk body of [`Hierarchy::access`] and
+    /// [`Hierarchy::access_l1_miss`].
+    #[inline(always)]
+    fn walk(&mut self, core: usize, addr: PAddr, kind: AccessKind, l1_missed: bool) -> Outcome {
         assert!(core < self.cfg.cores, "core {core} out of range");
         let Hierarchy {
             cfg,
@@ -211,14 +254,24 @@ impl Hierarchy {
             l2,
             llc,
             stats,
+            hints,
+            l1_lines,
+            l2_lines,
         } = self;
         let (l1, l2) = (&mut l1[core], &mut l2[core]);
+        let (l2_of_l1, llc_of_l2) = hints.split_at_mut(cfg.cores * *l1_lines);
+        let l2_of_l1 = &mut l2_of_l1[core * *l1_lines..][..*l1_lines];
+        let llc_of_l2 = &mut llc_of_l2[core * *l2_lines..][..*l2_lines];
         let a = addr.raw();
         let write = kind.is_write();
 
         // L1.
         stats.l1.accesses += 1;
-        let l1_out = l1.access(a, write);
+        let l1_out = if l1_missed {
+            l1.fill(a, write)
+        } else {
+            l1.access(a, write)
+        };
         if l1_out.hit {
             stats.l1.hits += 1;
             return Outcome {
@@ -227,20 +280,28 @@ impl Hierarchy {
                 writeback: None,
             };
         }
-        // L1 victim writebacks are absorbed by L2 (allocate-on-write below).
+        // The filled slot's old line (the L1 victim) and where it sat in L2.
+        let l1_slot = l1.last_line();
         let l1_victim = l1_out.evicted;
+        let l1_victim_hint = l2_of_l1[l1_slot];
 
-        // L2. Inserting a dirty L1 victim may itself displace a dirty L2
-        // line, which must continue down to the LLC.
+        // L2. Inserting a dirty L1 victim (absorbed by L2, allocate on
+        // write) may itself displace a dirty L2 line, which must continue
+        // down to the LLC. Each L2 victim carries its LLC hint.
         stats.l2.accesses += 1;
         let mut spilled_by_l1_victim = None;
-        if let Some(v) = l1_victim {
-            if v.dirty {
-                spilled_by_l1_victim = l2.access(v.line_addr, true).evicted;
+        if let Some(v) = l1_victim.filter(|v| v.dirty) {
+            let out = l2.access_hinted(v.line_addr, true, l1_victim_hint);
+            if !out.hit {
+                let slot = l2.last_line();
+                spilled_by_l1_victim = out.evicted.map(|e| (e, llc_of_l2[slot]));
+                llc_of_l2[slot] = NO_HINT;
             }
         }
         let l2_out = l2.access(a, false);
-        let l2_victim = l2_out.evicted;
+        let l2_slot = l2.last_line();
+        l2_of_l1[l1_slot] = l2_slot as u32;
+        let l2_victim = l2_out.evicted.map(|e| (e, llc_of_l2[l2_slot]));
         if l2_out.hit {
             stats.l2.hits += 1;
             // Even on an L2 hit, displaced L2 victims may spill to the LLC.
@@ -264,6 +325,7 @@ impl Hierarchy {
         let spill = spill_to_llc(llc, stats, spilled_by_l1_victim)
             .or_else(|| spill_to_llc(llc, stats, l2_victim));
         let llc_out = llc.access(a, false);
+        llc_of_l2[l2_slot] = llc.last_line() as u32;
         let mut writeback = spill;
         if let Some(v) = llc_out.evicted {
             if v.dirty {
@@ -300,18 +362,18 @@ impl Hierarchy {
     }
 }
 
-/// Writes a dirty L2 victim into the LLC; returns a dirty LLC victim
-/// displaced by the spill, if any.
+/// Writes a dirty L2 victim into the LLC at its hinted line index if it is
+/// still there; returns a dirty LLC victim displaced by the spill, if any.
 fn spill_to_llc(
     llc: &mut SetAssocCache,
     stats: &mut HierarchyStats,
-    victim: Option<crate::set_assoc::Evicted>,
+    victim: Option<(Evicted, u32)>,
 ) -> Option<PAddr> {
-    let v = victim?;
+    let (v, hint) = victim?;
     if !v.dirty {
         return None;
     }
-    let out = llc.access(v.line_addr, true);
+    let out = llc.access_hinted(v.line_addr, true, hint);
     let ev = out.evicted?;
     if ev.dirty {
         stats.writebacks += 1;
@@ -480,5 +542,202 @@ mod tests {
             }
         }
         assert_eq!(misses, 100, "cold streaming never hits");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The hierarchy walk before line-slot hints and the known-miss L1
+    /// fill, kept as the reference: every level found by a plain set scan.
+    struct Reference {
+        cfg: HierarchyConfig,
+        l1: Vec<SetAssocCache>,
+        l2: Vec<SetAssocCache>,
+        llc: SetAssocCache,
+        stats: HierarchyStats,
+    }
+
+    impl Reference {
+        fn new(cfg: HierarchyConfig) -> Self {
+            Reference {
+                l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
+                l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
+                llc: SetAssocCache::new(cfg.llc),
+                stats: HierarchyStats::default(),
+                cfg,
+            }
+        }
+
+        fn spill(
+            llc: &mut SetAssocCache,
+            stats: &mut HierarchyStats,
+            victim: Option<Evicted>,
+        ) -> Option<PAddr> {
+            let v = victim?;
+            if !v.dirty {
+                return None;
+            }
+            let ev = llc.access(v.line_addr, true).evicted?;
+            if ev.dirty {
+                stats.writebacks += 1;
+                Some(PAddr::new(ev.line_addr))
+            } else {
+                None
+            }
+        }
+
+        fn access(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
+            let Reference {
+                cfg,
+                l1,
+                l2,
+                llc,
+                stats,
+            } = self;
+            let (l1, l2) = (&mut l1[core], &mut l2[core]);
+            let a = addr.raw();
+            stats.l1.accesses += 1;
+            let l1_out = l1.access(a, kind.is_write());
+            if l1_out.hit {
+                stats.l1.hits += 1;
+                return Outcome {
+                    latency: cfg.l1_latency,
+                    llc_miss: None,
+                    writeback: None,
+                };
+            }
+            stats.l2.accesses += 1;
+            let mut spilled_by_l1_victim = None;
+            if let Some(v) = l1_out.evicted {
+                if v.dirty {
+                    spilled_by_l1_victim = l2.access(v.line_addr, true).evicted;
+                }
+            }
+            let l2_out = l2.access(a, false);
+            if l2_out.hit {
+                stats.l2.hits += 1;
+                let wb = Self::spill(llc, stats, spilled_by_l1_victim)
+                    .or_else(|| Self::spill(llc, stats, l2_out.evicted));
+                return Outcome {
+                    latency: cfg.l2_latency,
+                    llc_miss: None,
+                    writeback: wb,
+                };
+            }
+            stats.llc.accesses += 1;
+            let spill = Self::spill(llc, stats, spilled_by_l1_victim)
+                .or_else(|| Self::spill(llc, stats, l2_out.evicted));
+            let llc_out = llc.access(a, false);
+            let mut writeback = spill;
+            if let Some(v) = llc_out.evicted {
+                if v.dirty {
+                    stats.writebacks += 1;
+                    writeback = Some(PAddr::new(v.line_addr));
+                }
+            }
+            stats.llc.hits += u64::from(llc_out.hit);
+            Outcome {
+                latency: cfg.llc_latency,
+                llc_miss: (!llc_out.hit).then(|| PAddr::new(llc.line_base(a))),
+                writeback,
+            }
+        }
+    }
+
+    fn resident(c: &SetAssocCache) -> Vec<u64> {
+        let mut lines: Vec<u64> = c.resident_lines().collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    /// Drives the hinted hierarchy and the reference through `ops`,
+    /// `(core, line, write, machine)`: a `machine` op takes the machine
+    /// loop's path (the L1 fast probe, then the known-miss walk on a
+    /// miss), any other op the plain `access`. Every outcome, every
+    /// counter and every cache's resident lines must agree.
+    fn check(cfg: HierarchyConfig, ops: &[(usize, u64, bool, bool)]) {
+        let line = cfg.llc.line_size();
+        let mut hinted = Hierarchy::new(cfg.clone());
+        let mut reference = Reference::new(cfg);
+        for &(core, l, write, machine) in ops {
+            let addr = PAddr::new(l * line + l % line);
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let want = reference.access(core, addr, kind);
+            let got = if !machine {
+                hinted.access(core, addr, kind)
+            } else if hinted.l1_access_fast(core, addr, kind) {
+                Outcome {
+                    latency: hinted.cfg.l1_latency,
+                    llc_miss: None,
+                    writeback: None,
+                }
+            } else {
+                hinted.access_l1_miss(core, addr, kind)
+            };
+            assert_eq!(got, want);
+        }
+        assert_eq!(hinted.stats, reference.stats);
+        for (a, b) in hinted.l1.iter().zip(&reference.l1) {
+            assert_eq!((a.stats(), resident(a)), (b.stats(), resident(b)));
+        }
+        for (a, b) in hinted.l2.iter().zip(&reference.l2) {
+            assert_eq!((a.stats(), resident(a)), (b.stats(), resident(b)));
+        }
+        assert_eq!(
+            (hinted.llc.stats(), resident(&hinted.llc)),
+            (reference.llc.stats(), resident(&reference.llc))
+        );
+    }
+
+    /// Up to 600 ops of `cores` cores over line numbers from `lines`.
+    fn stream(
+        cores: usize,
+        lines: impl Strategy<Value = u64>,
+    ) -> impl Strategy<Value = Vec<(usize, u64, bool, bool)>> {
+        proptest::collection::vec((0..cores, lines, any::<bool>(), any::<bool>()), 1..600)
+    }
+
+    proptest! {
+        /// The paper's Table 1 shape (256-set L1, 512-set L2, 8192-set
+        /// LLC), 4 cores. Lines fall in 4 of the L1's sets and 8 of the
+        /// L2's, so both keep evicting dirty lines; half of them are shared
+        /// between cores.
+        #[test]
+        fn hinted_walk_matches_reference_paper_shape(
+            ops in stream(4, (0u64..4, 0u64..48).prop_map(|(set, tag)| tag * 256 + set))
+        ) {
+            check(HierarchyConfig::paper_default(4), &ops);
+        }
+
+        /// The 1/64 shape (4-set L1, 8-set L2, 128-set LLC) over twice the
+        /// LLC's lines, so the LLC evicts too.
+        #[test]
+        fn hinted_walk_matches_reference_scale_64(ops in stream(3, 0u64..4096)) {
+            check(HierarchyConfig::scaled(3, 1, 64), &ops);
+        }
+
+        /// A toy shape: 2-set L1 and L2, a 4-set LLC.
+        #[test]
+        fn hinted_walk_matches_reference_two_sets(ops in stream(2, 0u64..64)) {
+            check(
+                HierarchyConfig {
+                    cores: 2,
+                    l1: CacheConfig::new(256, 2, 64).unwrap(),
+                    l2: CacheConfig::new(512, 4, 64).unwrap(),
+                    llc: CacheConfig::new(1024, 4, 64).unwrap(),
+                    l1_latency: 1,
+                    l2_latency: 9,
+                    llc_latency: 14,
+                },
+                &ops,
+            );
+        }
     }
 }

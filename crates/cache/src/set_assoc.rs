@@ -210,13 +210,19 @@ impl CacheStats {
 /// LRU stamp is a per-cache access counter starting at 1, so a valid way's
 /// meta word is at least 2.
 ///
+/// [`SetAssocCache::access`], [`SetAssocCache::access_hinted`] (a caller's
+/// guess at the line index, confirmed by one tag compare) and
+/// [`SetAssocCache::fill`] (a known miss, no tag scan) share one hit path
+/// and one fill path, so they differ only in how they find the way.
+///
 /// A last-line memo remembers the line number (`addr >> line_shift`) and
-/// physical way of the most recent [`SetAssocCache::access`] (hit or fill)
-/// or successful [`SetAssocCache::hit_line`], so a lookup of that
-/// line again skips the set scan. Invariant: **the memoised line is
-/// resident at the memoised way.** Tags change in only two places: the
-/// fill of `access`, which overwrites the memo with the line it installs,
-/// and `clear`, which clears the memo when it empties the memoised way.
+/// physical way of the most recent access (hit or fill) or successful
+/// [`SetAssocCache::hit_line`], so a lookup of that line again skips the
+/// set scan. Invariants: **the memoised line is resident at the memoised
+/// way, and carries the newest LRU stamp.** Tags change in only two
+/// places: the shared fill path, which overwrites the memo with the line
+/// it installs, and `clear`, which clears the memo when it empties the
+/// memoised way. Every stamp is taken by a memo update.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -329,15 +335,21 @@ impl SetAssocCache {
     }
 
     /// Index of `addr`'s way if its line is resident. The memoised line
-    /// answers without a scan. Unlike [`SetAssocCache::access`], the scan
-    /// stops at the first match: its main caller is the L1 fast path,
-    /// which hits the same way op after op, so the early exit predicts
-    /// well.
+    /// answers without a scan.
     #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
         if addr >> self.line_shift == self.memo_line {
             return Some(self.memo_way);
         }
+        self.scan(addr)
+    }
+
+    /// [`SetAssocCache::find`] without the memo. Unlike
+    /// [`SetAssocCache::access`], the scan stops at the first match: its
+    /// main caller is the L1 fast path, which hits the same way op after
+    /// op, so the early exit predicts well.
+    #[inline]
+    fn scan(&self, addr: u64) -> Option<usize> {
         let (set, tag) = self.set_of(addr);
         let range = self.set_range(set);
         let start = range.start;
@@ -355,32 +367,97 @@ impl SetAssocCache {
     /// Panics once the cache has served 2^57 accesses, where the LRU stamp
     /// would overflow the packed victim key.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
+        let (set, tag) = self.set_of(addr);
+        let range = self.set_range(set);
+        let start = range.start;
+        let mask = match_mask(&self.tags[range], tag);
+        if mask != 0 {
+            return self.hit_at(start, start + mask.trailing_zeros() as usize, addr, write);
+        }
+        self.fill_at(set, tag, addr, write)
+    }
+
+    /// [`SetAssocCache::access`] that first tries line index `hint`
+    /// (`set * associativity + way`): if that index lies in `addr`'s set
+    /// and holds its tag, the hit is taken there without a set scan.
+    /// Any other hint (another set, a line since evicted, an index out of
+    /// range, `u32::MAX`) falls back to the plain access, so the result
+    /// and every later behaviour equal [`SetAssocCache::access`]'s for
+    /// every hint: a hint is only ever a guess that the tag check confirms.
+    ///
+    /// # Panics
+    ///
+    /// As [`SetAssocCache::access`].
+    #[inline]
+    pub fn access_hinted(&mut self, addr: u64, write: bool, hint: u32) -> Access {
+        let (set, tag) = self.set_of(addr);
+        let start = self.set_range(set).start;
+        let h = hint as usize;
+        if h.wrapping_sub(start) < self.assoc && self.tags[h] == tag {
+            return self.hit_at(start, h, addr, write);
+        }
+        self.access(addr, write)
+    }
+
+    /// [`SetAssocCache::access`] for a line the caller knows is absent
+    /// (a probe just missed and nothing has touched the cache since): the
+    /// fill without the tag scan. The result equals `access`'s.
+    ///
+    /// # Panics
+    ///
+    /// As [`SetAssocCache::access`]. Debug builds also panic if the line
+    /// is resident.
+    #[inline]
+    pub fn fill(&mut self, addr: u64, write: bool) -> Access {
+        debug_assert!(self.scan(addr).is_none(), "fill of a resident line");
+        let (set, tag) = self.set_of(addr);
+        self.fill_at(set, tag, addr, write)
+    }
+
+    /// Line index (`set * associativity + way`) that the most recent
+    /// access, fill or hit hit or filled.
+    #[inline]
+    pub fn last_line(&self) -> usize {
+        self.memo_way
+    }
+
+    /// Advances the LRU clock and counts one access: the part every
+    /// access, hit or fill, shares.
+    #[inline(always)]
+    fn tick(&mut self) {
         self.clock += 1;
         assert!(
             self.clock >> (63 - WAY_BITS) == 0,
             "LRU clock overflows the packed victim key"
         );
         self.stats.accesses += 1;
-        let (set, tag) = self.set_of(addr);
-        let range = self.set_range(set);
+    }
+
+    /// The hit path of every access: line index `i`, in the set starting
+    /// at `start`, holds `addr`'s line.
+    #[inline(always)]
+    fn hit_at(&mut self, start: usize, i: usize, addr: u64, write: bool) -> Access {
+        self.tick();
+        self.meta[i] = (self.clock << 1) | (self.meta[i] & 1) | u64::from(write);
+        self.stats.hits += 1;
         self.memo_line = addr >> self.line_shift;
+        self.memo_way = i;
+        Access {
+            hit: true,
+            way: (i - start) as u32,
+            evicted: None,
+        }
+    }
+
+    /// The miss path of every access: installs `tag` in `set`'s first
+    /// invalid way, else its least recently used one.
+    #[inline(always)]
+    fn fill_at(&mut self, set: u64, tag: u64, addr: u64, write: bool) -> Access {
+        self.tick();
+        let range = self.set_range(set);
         let start = range.start;
         let tags = &mut self.tags[range.clone()];
         let meta = &mut self.meta[range];
-
-        let mask = match_mask(tags, tag);
-        if mask != 0 {
-            let w = mask.trailing_zeros() as usize;
-            meta[w] = (self.clock << 1) | (meta[w] & 1) | u64::from(write);
-            self.stats.hits += 1;
-            self.memo_way = start + w;
-            return Access {
-                hit: true,
-                way: w as u32,
-                evicted: None,
-            };
-        }
-
         let w = victim_way(meta);
         let old = meta[w];
         let evicted = if old == 0 {
@@ -395,6 +472,7 @@ impl SetAssocCache {
         };
         tags[w] = tag;
         meta[w] = (self.clock << 1) | u64::from(write);
+        self.memo_line = addr >> self.line_shift;
         self.memo_way = start + w;
         Access {
             hit: false,
@@ -404,12 +482,12 @@ impl SetAssocCache {
     }
 
     /// Performs the access only if `addr`'s line is resident, mutating
-    /// exactly what the hit path of [`SetAssocCache::access`] would mutate
-    /// (clock advance, LRU stamp, dirty bit, hit/access counters, memo) and
-    /// returning `true`. On a miss **nothing** changes — not even the LRU
-    /// clock or the access counter — so replaying the same op through
+    /// what the hit path of [`SetAssocCache::access`] would mutate (LRU
+    /// order, dirty bit, hit/access counters, memo) and returning `true`.
+    /// On a miss **nothing** changes — not even the LRU clock or the
+    /// access counter — so replaying the same op through
     /// [`SetAssocCache::access`] later observes the state a plain call
-    /// would have, with identical stamps and statistics.
+    /// would have, with the same LRU order and statistics.
     ///
     /// This is the private-cache fast path of the epoch-batched machine
     /// loop: a run-ahead core may consume L1 hits eagerly, but a miss must
@@ -422,15 +500,25 @@ impl SetAssocCache {
     /// [`SetAssocCache::access_if_hit`] that returns the hit line's index,
     /// `set * associativity + way`, by which a caller keys its per-line
     /// payload.
+    ///
+    /// A hit on the memoised line sets only its dirty bit and the
+    /// counters: that line already carries the newest stamp, so stamping
+    /// it again would leave the LRU order of every set unchanged.
     #[inline]
     pub fn hit_line(&mut self, addr: u64, write: bool) -> Option<usize> {
-        let w = self.find(addr)?;
-        self.clock += 1;
-        self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
+        let w = if addr >> self.line_shift == self.memo_line {
+            self.meta[self.memo_way] |= u64::from(write);
+            self.memo_way
+        } else {
+            let w = self.scan(addr)?;
+            self.clock += 1;
+            self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
+            self.memo_line = addr >> self.line_shift;
+            self.memo_way = w;
+            w
+        };
         self.stats.accesses += 1;
         self.stats.hits += 1;
-        self.memo_line = addr >> self.line_shift;
-        self.memo_way = w;
         Some(w)
     }
 
@@ -921,12 +1009,16 @@ mod proptests {
     /// the memo's clearing path, on the line it most likely holds. Op 8 is
     /// a hit that reports its line index, and op 9 evicts the line's set's
     /// LRU way if the set is full (the memo's other clearing path), then
-    /// accesses the line, which refills the emptied way.
+    /// accesses the line, which refills the emptied way. Op 10 is a hinted
+    /// access with the line's own index (or `u32::MAX` when absent), op 11
+    /// one with a scrambled hint, and op 12 the known-miss fill when the
+    /// line is absent (else a plain access).
     fn check_against_model(sets: u64, assoc: u32, line_bytes: u64, ops: &[(u8, u64, bool)]) {
         let cfg =
             CacheConfig::new(sets * u64::from(assoc) * line_bytes, assoc, line_bytes).unwrap();
         let mut fast = SetAssocCache::new(cfg);
         let mut model = AosCache::new(cfg);
+        let lines = sets * u64::from(assoc);
         for &(op, line, write) in ops {
             // A byte offset inside the line exercises the line masking.
             let addr = line * line_bytes + (line % line_bytes);
@@ -948,9 +1040,29 @@ mod proptests {
                     assert_eq!(fast.access(addr, write), model.access(addr, write));
                 }
                 8 => assert_eq!(fast.hit_line(addr, write), model.hit_line(addr, write)),
-                _ => {
+                9 => {
                     assert_eq!(fast.evict_lru_if_full(addr), model.evict_lru_if_full(addr));
                     assert_eq!(fast.access(addr, write), model.access(addr, write));
+                }
+                10 => {
+                    // The line's own index when resident, else no hint.
+                    let hint = fast.scan(addr).map_or(u32::MAX, |i| i as u32);
+                    let got = fast.access_hinted(addr, write, hint);
+                    assert_eq!(got, model.access(addr, write));
+                }
+                11 => {
+                    // A scrambled hint: mostly another set or out of range.
+                    let hint = (line.wrapping_mul(0x9E37_79B9) % (2 * lines)) as u32;
+                    let got = fast.access_hinted(addr, write, hint);
+                    assert_eq!(got, model.access(addr, write));
+                }
+                _ => {
+                    let got = if model.probe(addr) {
+                        fast.access(addr, write)
+                    } else {
+                        fast.fill(addr, write)
+                    };
+                    assert_eq!(got, model.access(addr, write));
                 }
             }
             assert_eq!(*fast.stats(), model.stats);
@@ -963,7 +1075,7 @@ mod proptests {
     }
 
     fn ops(lines: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
-        proptest::collection::vec((0u8..10, 0..lines, any::<bool>()), 1..400)
+        proptest::collection::vec((0u8..13, 0..lines, any::<bool>()), 1..400)
     }
 
     /// Ops that mostly touch a line and then invalidate it: an access or
@@ -1030,6 +1142,66 @@ mod proptests {
         #[test]
         fn kernel_matches_model_1x64(ops in ops(192)) {
             check_against_model(1, 64, 64, &ops);
+        }
+
+        /// A hinted access equals a plain one for any hint: the line's own
+        /// index, another set's, a stale or out-of-range index, or
+        /// `u32::MAX`. The two caches stay equal op by op, and
+        /// `last_line` names the way each access reports.
+        #[test]
+        fn access_hinted_matches_access(
+            ops in proptest::collection::vec(
+                (0u64..96, any::<bool>(), prop_oneof![
+                    Just(None),
+                    (0u32..40).prop_map(Some),
+                    Just(Some(u32::MAX)),
+                    any::<u32>().prop_map(Some),
+                ]),
+                1..300,
+            )
+        ) {
+            // 4 sets x 4 ways, lines drawn from six times the capacity.
+            let cfg = CacheConfig::new(1024, 4, 64).unwrap();
+            let mut hinted = SetAssocCache::new(cfg);
+            let mut plain = SetAssocCache::new(cfg);
+            for (line, write, hint) in ops {
+                let addr = line * 64 + line % 64;
+                // `None` hints the line's true index when it is resident.
+                let hint = hint
+                    .unwrap_or_else(|| hinted.scan(addr).map_or(u32::MAX, |i| i as u32));
+                let got = hinted.access_hinted(addr, write, hint);
+                let want = plain.access(addr, write);
+                prop_assert_eq!(got, want);
+                let set = (line % 4) as usize;
+                prop_assert_eq!(hinted.last_line(), set * 4 + got.way as usize);
+                prop_assert_eq!(*hinted.stats(), *plain.stats());
+            }
+            prop_assert_eq!(&hinted.tags, &plain.tags);
+            prop_assert_eq!(&hinted.meta, &plain.meta);
+        }
+
+        /// The known-miss fill equals a plain access on every absent line,
+        /// with resident lines going through `access`.
+        #[test]
+        fn fill_matches_access_on_absent_lines(
+            ops in proptest::collection::vec((0u64..64, any::<bool>()), 1..300)
+        ) {
+            // 2 sets x 8 ways.
+            let cfg = CacheConfig::new(1024, 8, 64).unwrap();
+            let mut filled = SetAssocCache::new(cfg);
+            let mut plain = SetAssocCache::new(cfg);
+            for (line, write) in ops {
+                let addr = line * 64;
+                let got = if filled.probe(addr) {
+                    filled.access(addr, write)
+                } else {
+                    filled.fill(addr, write)
+                };
+                prop_assert_eq!(got, plain.access(addr, write));
+                prop_assert_eq!(*filled.stats(), *plain.stats());
+            }
+            prop_assert_eq!(&filled.tags, &plain.tags);
+            prop_assert_eq!(&filled.meta, &plain.meta);
         }
 
         /// The most recently touched line of a set is never the next victim.
