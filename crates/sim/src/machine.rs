@@ -3,7 +3,7 @@
 use cpu::{Core, CoreConfig};
 use dram::{DramSystem, SchemeStats};
 use mem_cache::Hierarchy;
-use sim_types::{Cycle, MemReq, MemSide, TraceOp, VAddr};
+use sim_types::{AccessKind, Cycle, MemReq, MemSide, PAddr, TraceOp, VAddr};
 use workloads::{TraceGen, Workload};
 
 use crate::any_scheme::AnyScheme;
@@ -180,13 +180,30 @@ impl Shared {
         core.advance_instructions(op.instructions());
         let (paddr, fresh_page) = memo.translate_tracking(&mut self.pages, space, op.addr);
         if self.os_hints && fresh_page {
-            let page_base = sim_types::PAddr::new(paddr.raw() & !4095);
+            let page_base = PAddr::new(paddr.raw() & !4095);
             self.scheme.os_hint_used(page_base, 4096);
         }
-        if self.hierarchy.l1_access_fast(i, paddr, op.kind) {
-            return;
+        if !self.hierarchy.l1_access_fast(i, paddr, op.kind) {
+            self.below_l1(i, core, op.kind, paddr);
         }
-        let out = self.hierarchy.access(i, paddr, op.kind);
+    }
+
+    /// [`Shared::step`] for an op run-ahead stashed after translating it
+    /// to `paddr` and missing core `i`'s L1. Both answers still hold: the
+    /// page table is append-only, the page memo already holds `paddr`'s
+    /// page (so translating again would change nothing and report no first
+    /// touch), and only core `i` touches its private L1.
+    #[inline]
+    fn step_l1_miss(&mut self, i: usize, core: &mut Core, op: TraceOp, paddr: PAddr) {
+        core.advance_instructions(op.instructions());
+        self.below_l1(i, core, op.kind, paddr);
+    }
+
+    /// The rest of an op whose L1 probe missed: the walk below L1, then
+    /// the dirty LLC victim and the LLC miss to the scheme.
+    #[inline]
+    fn below_l1(&mut self, i: usize, core: &mut Core, kind: AccessKind, paddr: PAddr) {
+        let out = self.hierarchy.access_l1_miss(i, paddr, kind);
         if let Some(wb) = out.writeback {
             // Dirty LLC victim: buffered write to memory.
             let req = MemReq::write(wb, 64, core.now()).on_core(i as u8);
@@ -195,13 +212,13 @@ impl Shared {
         if let Some(miss) = out.llc_miss {
             let req = MemReq {
                 addr: miss,
-                kind: op.kind,
+                kind,
                 bytes: 64,
                 at: core.now() + out.latency,
                 core: i as u8,
             };
             let served = self.scheme.access(&req, &mut self.dram);
-            if op.kind.is_write() {
+            if kind.is_write() {
                 core.note_store();
             } else {
                 core.issue_llc_miss_load(served.done);
@@ -261,9 +278,7 @@ impl Machine {
     pub fn with_os_hints(mut self) -> Self {
         self.shared.os_hints = true;
         let cap = self.shared.scheme.flat_capacity_bytes();
-        self.shared
-            .scheme
-            .os_hint_unused(sim_types::PAddr::new(0), cap);
+        self.shared.scheme.os_hint_unused(PAddr::new(0), cap);
         self
     }
 
@@ -290,7 +305,12 @@ impl Machine {
     /// the first op that would touch a shared structure — a first-touch
     /// allocation, anything reaching L2 or beyond — which is stashed and
     /// replayed once the core is globally earliest again, or after `batch`
-    /// ops.
+    /// ops. A stash of a mapped op carries the op's physical address: its
+    /// L1 probe has missed, and both answers still hold at the replay (the
+    /// page table is append-only and only this core touches its L1), so
+    /// the replay neither translates nor probes again and fills the L1
+    /// without a tag scan ([`Hierarchy::access_l1_miss`]). A first touch is
+    /// stashed bare and replays through the full step.
     ///
     /// Shared interactions therefore execute in exactly the reference
     /// order: a core arrives at its next shared op with the same clock the
@@ -325,8 +345,10 @@ impl Machine {
             .map(|(i, c)| key(c, i))
             .collect();
         // Per-core op decoded during run-ahead but found to need a shared
-        // structure: it executes when the core is next globally earliest.
-        let mut pending: Vec<Option<TraceOp>> = vec![None; ncores];
+        // structure, with its physical address if its page was mapped (it
+        // then missed the core's L1): it executes when the core is next
+        // globally earliest.
+        let mut pending: Vec<Option<(TraceOp, Option<PAddr>)>> = vec![None; ncores];
         // Per-core last translation, consulted before the page table: a
         // streaming core touches one page for dozens of ops in a row.
         let mut memo = vec![PageMemo::EMPTY; ncores];
@@ -363,18 +385,23 @@ impl Machine {
             let i = (best & ((1 << idx_bits) - 1)) as usize;
             let space = if shared_space { 0 } else { i as u8 };
             let mut left = batch;
+            // Everything of core `i` the epoch touches, borrowed once.
+            let core = &mut cores[i];
+            let (buf, src) = (&mut ops[i], workload.source_mut(i));
+            let (memo, stash) = (&mut memo[i], &mut pending[i]);
 
             // Phase 1 — globally earliest: full semantics (interval ticks,
             // first touches, hierarchy, scheme, DRAM).
-            while key(&cores[i], i) <= other {
-                shared.tick_to(cores[i].now().raw());
-                let op = pending[i]
-                    .take()
-                    .unwrap_or_else(|| ops[i].pop(workload.source_mut(i)));
-                shared.step(i, &mut cores[i], &mut memo[i], space, op);
+            while key(core, i) <= other {
+                shared.tick_to(core.now().raw());
+                match stash.take() {
+                    Some((op, Some(paddr))) => shared.step_l1_miss(i, core, op, paddr),
+                    Some((op, None)) => shared.step(i, core, memo, space, op),
+                    None => shared.step(i, core, memo, space, buf.pop(src)),
+                }
                 left -= 1;
-                if cores[i].retired() >= instrs_per_core || left == 0 {
-                    keys[i] = key(&cores[i], i);
+                if core.retired() >= instrs_per_core || left == 0 {
+                    keys[i] = key(core, i);
                     continue 'epoch;
                 }
             }
@@ -385,25 +412,24 @@ impl Machine {
             // would reorder it against other cores' pending shared ops;
             // L1 hits commute with ticks, so deferring them to the next
             // phase-1 pick is exact.
-            debug_assert!(pending[i].is_none(), "pending op survived phase 1");
+            debug_assert!(stash.is_none(), "pending op survived phase 1");
             loop {
-                let op = ops[i].pop(workload.source_mut(i));
-                let local = memo[i]
-                    .lookup(&shared.pages, space, op.addr)
-                    .is_some_and(|paddr| shared.hierarchy.l1_access_fast(i, paddr, op.kind));
-                if !local {
-                    // Would touch a shared structure: stash it for the next
-                    // pick. The key stays the clock *before* the op — its
-                    // arrival key in the reference schedule.
-                    pending[i] = Some(op);
-                    keys[i] = key(&cores[i], i);
+                let op = buf.pop(src);
+                let paddr = memo.lookup(&shared.pages, space, op.addr);
+                if !paddr.is_some_and(|p| shared.hierarchy.l1_access_fast(i, p, op.kind)) {
+                    // Would touch a shared structure: stash it, with its
+                    // translation if it has one, for the next pick. The
+                    // key stays the clock *before* the op — its arrival
+                    // key in the reference schedule.
+                    *stash = Some((op, paddr));
+                    keys[i] = key(core, i);
                     continue 'epoch;
                 }
-                tick_horizon = tick_horizon.max(cores[i].now().raw());
-                cores[i].advance_instructions(op.instructions());
+                tick_horizon = tick_horizon.max(core.now().raw());
+                core.advance_instructions(op.instructions());
                 left -= 1;
-                if cores[i].retired() >= instrs_per_core || left == 0 {
-                    keys[i] = key(&cores[i], i);
+                if core.retired() >= instrs_per_core || left == 0 {
+                    keys[i] = key(core, i);
                     continue 'epoch;
                 }
             }
