@@ -127,7 +127,16 @@ pub struct Core {
     /// Outstanding LLC-miss loads: (completion cycle, instruction count at
     /// issue), oldest first.
     outstanding: VecDeque<(Cycle, u64)>,
+    /// When the oldest outstanding miss next needs settling: its
+    /// completion cycle and the retired count at which it falls out of
+    /// the ROB reach (both maximal when none is outstanding). Until the
+    /// clock or the retired count reaches one of them, the settle loop
+    /// would change nothing.
+    deadline: (Cycle, u64),
 }
+
+/// The deadline of an empty miss window: never.
+const NO_DEADLINE: (Cycle, u64) = (Cycle::new(u64::MAX), u64::MAX);
 
 impl Core {
     /// Creates a core with the given id and configuration.
@@ -147,6 +156,7 @@ impl Core {
                 .is_power_of_two()
                 .then(|| cfg.issue_width.trailing_zeros()),
             outstanding: VecDeque::with_capacity(cfg.mshrs + 1),
+            deadline: NO_DEADLINE,
         }
     }
 
@@ -173,10 +183,9 @@ impl Core {
     /// Retires `n` instructions at full width, then applies ROB-reach
     /// stalls for outstanding misses that retirement has caught up with.
     ///
-    /// Inlined with an empty-window fast return: the epoch-batched machine
-    /// loop calls this once per run-ahead L1 hit, and during those bursts
-    /// the miss window is usually empty — `settle_window`'s deque-front
-    /// probing is pure overhead there.
+    /// Inlined, and it returns after two compares against the cached
+    /// deadline unless the oldest miss can retire or stall: the machine
+    /// loop calls this once per memory op, and most ops settle nothing.
     #[inline]
     pub fn advance_instructions(&mut self, n: u64) {
         if n > 0 {
@@ -187,8 +196,8 @@ impl Core {
                 None => n.div_ceil(width),
             };
         }
-        if self.outstanding.is_empty() {
-            return; // nothing to retire or stall on: settle is a no-op
+        if self.cycle < self.deadline.0 && self.stats.instructions < self.deadline.1 {
+            return; // the oldest miss neither completed nor left the ROB
         }
         self.settle_window();
     }
@@ -204,6 +213,7 @@ impl Core {
             self.stall_until(oldest_done);
         }
         self.outstanding.push_back((done, self.stats.instructions));
+        self.refresh_deadline();
     }
 
     /// Notes a store/writeback; buffered, never stalls.
@@ -216,6 +226,7 @@ impl Core {
         while let Some((done, _)) = self.outstanding.pop_front() {
             self.stall_until(done);
         }
+        self.deadline = NO_DEADLINE;
     }
 
     /// Drops misses that completed in the past; no time advances.
@@ -244,6 +255,14 @@ impl Core {
                 _ => break,
             }
         }
+        self.refresh_deadline();
+    }
+
+    /// Recomputes [`Core::deadline`] from the oldest outstanding miss.
+    fn refresh_deadline(&mut self) {
+        self.deadline = self.outstanding.front().map_or(NO_DEADLINE, |&(done, at)| {
+            (done, at.saturating_add(self.cfg.rob_instructions))
+        });
     }
 
     fn stall_until(&mut self, t: Cycle) {
@@ -515,6 +534,114 @@ mod proptests {
             let max_cycles = total_instr + total_latency + events_len_bound();
             prop_assert!(core.now().raw() >= min_cycles);
             prop_assert!(core.now().raw() <= max_cycles + total_instr);
+        }
+    }
+
+    /// The core before it cached its settle deadline, kept as the
+    /// reference: every advance runs the settle loop.
+    struct Settling {
+        cfg: CoreConfig,
+        cycle: Cycle,
+        stats: CoreStats,
+        outstanding: VecDeque<(Cycle, u64)>,
+    }
+
+    impl Settling {
+        fn new(cfg: CoreConfig) -> Self {
+            Settling {
+                cfg,
+                cycle: Cycle::ZERO,
+                stats: CoreStats::default(),
+                outstanding: VecDeque::new(),
+            }
+        }
+
+        fn advance_instructions(&mut self, n: u64) {
+            self.stats.instructions += n;
+            self.cycle += n.div_ceil(u64::from(self.cfg.issue_width));
+            loop {
+                self.retire_completed();
+                match self.outstanding.front() {
+                    Some(&(done, at_instr))
+                        if self.stats.instructions - at_instr >= self.cfg.rob_instructions =>
+                    {
+                        self.outstanding.pop_front();
+                        self.stall_until(done);
+                    }
+                    _ => break,
+                }
+            }
+        }
+
+        fn issue_llc_miss_load(&mut self, done: Cycle) {
+            self.stats.miss_loads += 1;
+            self.retire_completed();
+            while self.outstanding.len() >= self.cfg.mshrs {
+                let (oldest_done, _) = self.outstanding.pop_front().unwrap();
+                self.stall_until(oldest_done);
+            }
+            self.outstanding.push_back((done, self.stats.instructions));
+        }
+
+        fn drain(&mut self) {
+            while let Some((done, _)) = self.outstanding.pop_front() {
+                self.stall_until(done);
+            }
+        }
+
+        fn retire_completed(&mut self) {
+            while self
+                .outstanding
+                .front()
+                .is_some_and(|&(done, _)| done <= self.cycle)
+            {
+                self.outstanding.pop_front();
+            }
+        }
+
+        fn stall_until(&mut self, t: Cycle) {
+            if t > self.cycle {
+                self.stats.stall_cycles += t - self.cycle;
+                self.cycle = t;
+            }
+        }
+    }
+
+    proptest! {
+        /// The cached settle deadline changes nothing: under any mix of
+        /// compute gaps, misses (short and long) and drains, at two ROB
+        /// and MSHR shapes and a width that is not a power of two, the
+        /// core's clock and statistics equal the reference's after every
+        /// event.
+        #[test]
+        fn cached_deadline_matches_settle_loop(
+            shape in 0usize..3,
+            events in proptest::collection::vec(
+                (0u64..300, prop_oneof![Just(None), (0u64..3_000).prop_map(Some)], 0u8..40),
+                1..300,
+            )
+        ) {
+            let cfg = [
+                CoreConfig::paper_default(),
+                CoreConfig { issue_width: 4, rob_instructions: 16, mshrs: 2 },
+                CoreConfig { issue_width: 3, rob_instructions: 64, mshrs: 4 },
+            ][shape];
+            let mut core = Core::new(0, cfg);
+            let mut reference = Settling::new(cfg);
+            for (gap, miss, drain) in events {
+                core.advance_instructions(gap);
+                reference.advance_instructions(gap);
+                if let Some(latency) = miss {
+                    core.issue_llc_miss_load(core.now() + latency);
+                    reference.issue_llc_miss_load(reference.cycle + latency);
+                }
+                if drain == 0 {
+                    core.drain();
+                    reference.drain();
+                }
+                prop_assert_eq!(core.now(), reference.cycle);
+                prop_assert_eq!(*core.stats(), reference.stats);
+            }
         }
     }
 
