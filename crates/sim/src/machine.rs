@@ -227,6 +227,17 @@ impl Shared {
     }
 }
 
+/// The clock below which core `i`'s packed key stays no larger than
+/// `other`: `now < clock_bound(other, i, idx_bits)` iff
+/// `scheduler_key(now, i, idx_bits) <= other`, for every `now` the key
+/// can pack. A clock past that range still panics in `scheduler_key`
+/// when the epoch ends.
+#[inline]
+fn clock_bound(other: u64, i: usize, idx_bits: u32) -> u64 {
+    let low = other & ((1 << idx_bits) - 1);
+    (other >> idx_bits) + u64::from(i as u64 <= low)
+}
+
 /// A core's scheduler pick key: its packed clock while it has
 /// instructions left to retire, else the finished sentinel.
 #[inline]
@@ -391,8 +402,11 @@ impl Machine {
             let (memo, stash) = (&mut memo[i], &mut pending[i]);
 
             // Phase 1 — globally earliest: full semantics (interval ticks,
-            // first touches, hierarchy, scheme, DRAM).
-            while key(core, i) <= other {
+            // first touches, hierarchy, scheme, DRAM). The core has
+            // instructions left here, so its key stays no larger than
+            // `other` exactly while its clock stays below `bound`.
+            let bound = clock_bound(other, i, idx_bits);
+            while core.now().raw() < bound {
                 shared.tick_to(core.now().raw());
                 match stash.take() {
                     Some((op, Some(paddr))) => shared.step_l1_miss(i, core, op, paddr),
@@ -630,6 +644,28 @@ mod tests {
         let k3 = scheduler_key(near, 7, 3);
         assert!(k1 < k2 && k2 < k3);
         assert_ne!(k3, u64::MAX);
+    }
+
+    #[test]
+    fn clock_bound_agrees_with_the_packed_key() {
+        let mut rng = sim_types::rng::SplitMix64::new(4);
+        for idx_bits in 1..=4u32 {
+            for _ in 0..2_000 {
+                let i = rng.gen_range(1 << idx_bits) as usize;
+                let now = rng.gen_range(64);
+                let other = match rng.gen_range(3) {
+                    0 => u64::MAX,
+                    _ => rng.gen_range(64 << idx_bits),
+                };
+                assert_eq!(
+                    now < clock_bound(other, i, idx_bits),
+                    scheduler_key(now, i, idx_bits) <= other,
+                    "now {now} core {i} other {other} bits {idx_bits}"
+                );
+            }
+        }
+        // The finished sentinel bounds the clock at the key's headroom.
+        assert_eq!(clock_bound(u64::MAX, 7, 3), 1 << 61);
     }
 
     #[test]
