@@ -197,10 +197,11 @@ impl Hierarchy {
     /// `addr`'s line is resident in `core`'s L1, performs the access with
     /// mutations identical to [`Hierarchy::access`]'s L1-hit path (L1 LRU
     /// order, dirty bit, per-cache and aggregate counters) and returns
-    /// `true`. Otherwise mutates **nothing** and returns `false`; the
-    /// caller must replay the op through [`Hierarchy::access_l1_miss`]
-    /// (or [`Hierarchy::access`]) once it is globally ordered, and that
-    /// replay counts the access exactly once.
+    /// `true`. Otherwise changes nothing observable and returns `false`;
+    /// the caller must replay the op through [`Hierarchy::access`] once it
+    /// is globally ordered, and that replay counts the access exactly
+    /// once (and, if no other access of this core came between, fills the
+    /// L1 without a tag scan).
     ///
     /// Only L1 hits qualify as core-local: an L1 miss can displace a dirty
     /// L1 victim into L2 and from there spill into the shared LLC, so
@@ -221,32 +222,15 @@ impl Hierarchy {
         }
     }
 
-    /// Runs one access from `core` through the hierarchy: one set scan
-    /// per level, except where a line-slot hint lands (see [`Hierarchy`]).
+    /// Runs one access from `core` through the hierarchy: one tag scan
+    /// per level, and none where a line-slot hint lands (see
+    /// [`Hierarchy`]) or, at L1, right after a missed
+    /// [`Hierarchy::l1_access_fast`] of the same line.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
-        self.walk(core, addr, kind, false)
-    }
-
-    /// [`Hierarchy::access`] for an access whose line is known to be
-    /// absent from `core`'s L1: [`Hierarchy::l1_access_fast`] returned
-    /// `false` for it and `core`'s L1 has not been touched since. The L1
-    /// fills without a tag scan; the outcome equals `access`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_l1_miss(&mut self, core: usize, addr: PAddr, kind: AccessKind) -> Outcome {
-        self.walk(core, addr, kind, true)
-    }
-
-    /// The one walk body of [`Hierarchy::access`] and
-    /// [`Hierarchy::access_l1_miss`].
-    #[inline(always)]
-    fn walk(&mut self, core: usize, addr: PAddr, kind: AccessKind, l1_missed: bool) -> Outcome {
         assert!(core < self.cfg.cores, "core {core} out of range");
         let Hierarchy {
             cfg,
@@ -267,11 +251,7 @@ impl Hierarchy {
 
         // L1.
         stats.l1.accesses += 1;
-        let l1_out = if l1_missed {
-            l1.fill(a, write)
-        } else {
-            l1.access(a, write)
-        };
+        let l1_out = l1.access(a, write);
         if l1_out.hit {
             stats.l1.hits += 1;
             return Outcome {
@@ -280,28 +260,27 @@ impl Hierarchy {
                 writeback: None,
             };
         }
-        // The filled slot's old line (the L1 victim) and where it sat in L2.
+        // The L1 slot just filled; its old line, the L1 victim, sat in L2
+        // at `l2_of_l1[l1_slot]`.
         let l1_slot = l1.last_line();
-        let l1_victim = l1_out.evicted;
-        let l1_victim_hint = l2_of_l1[l1_slot];
 
         // L2. Inserting a dirty L1 victim (absorbed by L2, allocate on
         // write) may itself displace a dirty L2 line, which must continue
-        // down to the LLC. Each L2 victim carries its LLC hint.
+        // down to the LLC. Each dirty L2 victim carries its LLC hint.
         stats.l2.accesses += 1;
         let mut spilled_by_l1_victim = None;
-        if let Some(v) = l1_victim.filter(|v| v.dirty) {
-            let out = l2.access_hinted(v.line_addr, true, l1_victim_hint);
+        if let Some(v) = l1_out.evicted.filter(|v| v.dirty) {
+            let out = l2.access_hinted(v.line_addr, true, l2_of_l1[l1_slot]);
             if !out.hit {
                 let slot = l2.last_line();
-                spilled_by_l1_victim = out.evicted.map(|e| (e, llc_of_l2[slot]));
+                spilled_by_l1_victim = dirty_victim(out.evicted, llc_of_l2[slot]);
                 llc_of_l2[slot] = NO_HINT;
             }
         }
         let l2_out = l2.access(a, false);
         let l2_slot = l2.last_line();
         l2_of_l1[l1_slot] = l2_slot as u32;
-        let l2_victim = l2_out.evicted.map(|e| (e, llc_of_l2[l2_slot]));
+        let l2_victim = dirty_victim(l2_out.evicted, llc_of_l2[l2_slot]);
         if l2_out.hit {
             stats.l2.hits += 1;
             // Even on an L2 hit, displaced L2 victims may spill to the LLC.
@@ -362,19 +341,22 @@ impl Hierarchy {
     }
 }
 
+/// A dirty victim's line address with its line-slot hint one level down;
+/// `None` for no victim or a clean one, which needs no write.
+#[inline]
+fn dirty_victim(victim: Option<Evicted>, hint: u32) -> Option<(u64, u32)> {
+    victim.filter(|v| v.dirty).map(|v| (v.line_addr, hint))
+}
+
 /// Writes a dirty L2 victim into the LLC at its hinted line index if it is
 /// still there; returns a dirty LLC victim displaced by the spill, if any.
 fn spill_to_llc(
     llc: &mut SetAssocCache,
     stats: &mut HierarchyStats,
-    victim: Option<(Evicted, u32)>,
+    victim: Option<(u64, u32)>,
 ) -> Option<PAddr> {
-    let (v, hint) = victim?;
-    if !v.dirty {
-        return None;
-    }
-    let out = llc.access_hinted(v.line_addr, true, hint);
-    let ev = out.evicted?;
+    let (line_addr, hint) = victim?;
+    let ev = llc.access_hinted(line_addr, true, hint).evicted?;
     if ev.dirty {
         stats.writebacks += 1;
         Some(PAddr::new(ev.line_addr))
@@ -550,8 +532,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The hierarchy walk before line-slot hints and the known-miss L1
-    /// fill, kept as the reference: every level found by a plain set scan.
+    /// The hierarchy walk before line-slot hints and the negative L1 memo,
+    /// kept as the reference: every level found by a plain set scan.
     struct Reference {
         cfg: HierarchyConfig,
         l1: Vec<SetAssocCache>,
@@ -655,8 +637,8 @@ mod proptests {
 
     /// Drives the hinted hierarchy and the reference through `ops`,
     /// `(core, line, write, machine)`: a `machine` op takes the machine
-    /// loop's path (the L1 fast probe, then the known-miss walk on a
-    /// miss), any other op the plain `access`. Every outcome, every
+    /// loop's path (the L1 fast probe, then on a miss the walk, whose L1
+    /// fill skips the tag scan), any other op the plain `access`. Every outcome, every
     /// counter and every cache's resident lines must agree.
     fn check(cfg: HierarchyConfig, ops: &[(usize, u64, bool, bool)]) {
         let line = cfg.llc.line_size();
@@ -679,7 +661,7 @@ mod proptests {
                     writeback: None,
                 }
             } else {
-                hinted.access_l1_miss(core, addr, kind)
+                hinted.access(core, addr, kind)
             };
             assert_eq!(got, want);
         }

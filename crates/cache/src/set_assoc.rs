@@ -210,10 +210,10 @@ impl CacheStats {
 /// LRU stamp is a per-cache access counter starting at 1, so a valid way's
 /// meta word is at least 2.
 ///
-/// [`SetAssocCache::access`], [`SetAssocCache::access_hinted`] (a caller's
-/// guess at the line index, confirmed by one tag compare) and
-/// [`SetAssocCache::fill`] (a known miss, no tag scan) share one hit path
-/// and one fill path, so they differ only in how they find the way.
+/// [`SetAssocCache::access`] and [`SetAssocCache::access_hinted`] (a
+/// caller's guess at the line index, confirmed by one tag compare) share
+/// one hit path and one fill path, so they differ only in how they find
+/// the way.
 ///
 /// A last-line memo remembers the line number (`addr >> line_shift`) and
 /// physical way of the most recent access (hit or fill) or successful
@@ -223,6 +223,13 @@ impl CacheStats {
 /// places: the shared fill path, which overwrites the memo with the line
 /// it installs, and `clear`, which clears the memo when it empties the
 /// memoised way. Every stamp is taken by a memo update.
+///
+/// A second, negative memo remembers the line the last
+/// [`SetAssocCache::hit_line`] (or `access_if_hit`) missed, and an access
+/// of that line fills without a tag scan. Invariant: **that line is
+/// absent.** Only a fill makes a line resident, and every fill clears the
+/// negative memo. This is how the L1 walk after a missed fast probe skips
+/// its tag scan.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -239,6 +246,10 @@ pub struct SetAssocCache {
     memo_line: u64,
     /// Index into `tags`/`meta` of the memoised line's way.
     memo_way: usize,
+    /// Line number of a line known to be absent, [`NO_TAG`] when none:
+    /// the last line a [`SetAssocCache::hit_line`] missed, until the next
+    /// fill.
+    absent_line: u64,
 }
 
 /// Bit `w` is set iff way `w` of the set holds `tag`. Every way is
@@ -308,6 +319,7 @@ impl SetAssocCache {
             clock: 0,
             memo_line: NO_TAG,
             memo_way: 0,
+            absent_line: NO_TAG,
             cfg,
         }
     }
@@ -368,6 +380,9 @@ impl SetAssocCache {
     /// would overflow the packed victim key.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         let (set, tag) = self.set_of(addr);
+        if addr >> self.line_shift == self.absent_line {
+            return self.fill_at(set, tag, addr, write);
+        }
         let range = self.set_range(set);
         let start = range.start;
         let mask = match_mask(&self.tags[range], tag);
@@ -399,23 +414,8 @@ impl SetAssocCache {
         self.access(addr, write)
     }
 
-    /// [`SetAssocCache::access`] for a line the caller knows is absent
-    /// (a probe just missed and nothing has touched the cache since): the
-    /// fill without the tag scan. The result equals `access`'s.
-    ///
-    /// # Panics
-    ///
-    /// As [`SetAssocCache::access`]. Debug builds also panic if the line
-    /// is resident.
-    #[inline]
-    pub fn fill(&mut self, addr: u64, write: bool) -> Access {
-        debug_assert!(self.scan(addr).is_none(), "fill of a resident line");
-        let (set, tag) = self.set_of(addr);
-        self.fill_at(set, tag, addr, write)
-    }
-
-    /// Line index (`set * associativity + way`) that the most recent
-    /// access, fill or hit hit or filled.
+    /// Line index (`set * associativity + way`) of the line the most
+    /// recent access or successful `hit_line` hit or filled.
     #[inline]
     pub fn last_line(&self) -> usize {
         self.memo_way
@@ -474,6 +474,7 @@ impl SetAssocCache {
         meta[w] = (self.clock << 1) | u64::from(write);
         self.memo_line = addr >> self.line_shift;
         self.memo_way = start + w;
+        self.absent_line = NO_TAG;
         Access {
             hit: false,
             way: w as u32,
@@ -484,10 +485,12 @@ impl SetAssocCache {
     /// Performs the access only if `addr`'s line is resident, mutating
     /// what the hit path of [`SetAssocCache::access`] would mutate (LRU
     /// order, dirty bit, hit/access counters, memo) and returning `true`.
-    /// On a miss **nothing** changes — not even the LRU clock or the
+    /// On a miss nothing observable changes — not the LRU clock, not the
     /// access counter — so replaying the same op through
     /// [`SetAssocCache::access`] later observes the state a plain call
-    /// would have, with the same LRU order and statistics.
+    /// would have, with the same LRU order and statistics. The miss only
+    /// remembers the line as absent, so that replay fills it without a
+    /// tag scan if no other fill came between.
     ///
     /// This is the private-cache fast path of the epoch-batched machine
     /// loop: a run-ahead core may consume L1 hits eagerly, but a miss must
@@ -510,7 +513,10 @@ impl SetAssocCache {
             self.meta[self.memo_way] |= u64::from(write);
             self.memo_way
         } else {
-            let w = self.scan(addr)?;
+            let Some(w) = self.scan(addr) else {
+                self.absent_line = addr >> self.line_shift;
+                return None;
+            };
             self.clock += 1;
             self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
             self.memo_line = addr >> self.line_shift;
@@ -1011,8 +1017,8 @@ mod proptests {
     /// LRU way if the set is full (the memo's other clearing path), then
     /// accesses the line, which refills the emptied way. Op 10 is a hinted
     /// access with the line's own index (or `u32::MAX` when absent), op 11
-    /// one with a scrambled hint, and op 12 the known-miss fill when the
-    /// line is absent (else a plain access).
+    /// one with a scrambled hint, and op 12 a fast probe followed, on a
+    /// miss, by the access (the fill the negative memo answers).
     fn check_against_model(sets: u64, assoc: u32, line_bytes: u64, ops: &[(u8, u64, bool)]) {
         let cfg =
             CacheConfig::new(sets * u64::from(assoc) * line_bytes, assoc, line_bytes).unwrap();
@@ -1057,12 +1063,13 @@ mod proptests {
                     assert_eq!(got, model.access(addr, write));
                 }
                 _ => {
-                    let got = if model.probe(addr) {
-                        fast.access(addr, write)
-                    } else {
-                        fast.fill(addr, write)
-                    };
-                    assert_eq!(got, model.access(addr, write));
+                    // A missed fast probe, then the access: the fill
+                    // through the negative memo.
+                    let hit = fast.access_if_hit(addr, write);
+                    assert_eq!(hit, model.access_if_hit(addr, write));
+                    if !hit {
+                        assert_eq!(fast.access(addr, write), model.access(addr, write));
+                    }
                 }
             }
             assert_eq!(*fast.stats(), model.stats);
@@ -1180,28 +1187,43 @@ mod proptests {
             prop_assert_eq!(&hinted.meta, &plain.meta);
         }
 
-        /// The known-miss fill equals a plain access on every absent line,
-        /// with resident lines going through `access`.
+        /// The negative memo's fill equals the reference model's access: a
+        /// probe that misses, then other ops, then the access of the probed
+        /// line.
+        /// `gap` ops of other lines (`access`, `invalidate` or another
+        /// probe) run between the probe and the access.
         #[test]
-        fn fill_matches_access_on_absent_lines(
-            ops in proptest::collection::vec((0u64..64, any::<bool>()), 1..300)
+        fn missed_probe_then_access_matches_access(
+            ops in proptest::collection::vec(
+                (0u64..64, any::<bool>(), proptest::collection::vec((0u8..3, 0u64..64), 0..4)),
+                1..150,
+            )
         ) {
-            // 2 sets x 8 ways.
+            // 2 sets x 8 ways, lines drawn from four times the capacity.
             let cfg = CacheConfig::new(1024, 8, 64).unwrap();
-            let mut filled = SetAssocCache::new(cfg);
-            let mut plain = SetAssocCache::new(cfg);
-            for (line, write) in ops {
+            let mut probed = SetAssocCache::new(cfg);
+            let mut model = AosCache::new(cfg);
+            for (line, write, gap) in ops {
                 let addr = line * 64;
-                let got = if filled.probe(addr) {
-                    filled.access(addr, write)
-                } else {
-                    filled.fill(addr, write)
-                };
-                prop_assert_eq!(got, plain.access(addr, write));
-                prop_assert_eq!(*filled.stats(), *plain.stats());
+                let hit = probed.access_if_hit(addr, write);
+                prop_assert_eq!(hit, model.access_if_hit(addr, write));
+                for (op, other) in gap {
+                    let other = other * 64;
+                    match op {
+                        0 => prop_assert_eq!(probed.access(other, false), model.access(other, false)),
+                        1 => prop_assert_eq!(probed.invalidate(other), model.invalidate(other)),
+                        _ => prop_assert_eq!(
+                            probed.access_if_hit(other, false),
+                            model.access_if_hit(other, false)
+                        ),
+                    }
+                }
+                if !hit {
+                    prop_assert_eq!(probed.access(addr, write), model.access(addr, write));
+                }
+                prop_assert_eq!(*probed.stats(), model.stats);
             }
-            prop_assert_eq!(&filled.tags, &plain.tags);
-            prop_assert_eq!(&filled.meta, &plain.meta);
+            prop_assert_eq!(probed.resident_lines().collect::<Vec<_>>(), model.resident_lines());
         }
 
         /// The most recently touched line of a set is never the next victim.

@@ -192,18 +192,19 @@ impl Shared {
     /// to `paddr` and missing core `i`'s L1. Both answers still hold: the
     /// page table is append-only, the page memo already holds `paddr`'s
     /// page (so translating again would change nothing and report no first
-    /// touch), and only core `i` touches its private L1.
+    /// touch), and only core `i` touches its private L1, which still
+    /// remembers the line as absent and so fills it without a tag scan.
     #[inline]
     fn step_l1_miss(&mut self, i: usize, core: &mut Core, op: TraceOp, paddr: PAddr) {
         core.advance_instructions(op.instructions());
         self.below_l1(i, core, op.kind, paddr);
     }
 
-    /// The rest of an op whose L1 probe missed: the walk below L1, then
+    /// The rest of an op whose L1 probe missed: the hierarchy walk, then
     /// the dirty LLC victim and the LLC miss to the scheme.
     #[inline]
     fn below_l1(&mut self, i: usize, core: &mut Core, kind: AccessKind, paddr: PAddr) {
-        let out = self.hierarchy.access_l1_miss(i, paddr, kind);
+        let out = self.hierarchy.access(i, paddr, kind);
         if let Some(wb) = out.writeback {
             // Dirty LLC victim: buffered write to memory.
             let req = MemReq::write(wb, 64, core.now()).on_core(i as u8);
@@ -319,9 +320,9 @@ impl Machine {
     /// ops. A stash of a mapped op carries the op's physical address: its
     /// L1 probe has missed, and both answers still hold at the replay (the
     /// page table is append-only and only this core touches its L1), so
-    /// the replay neither translates nor probes again and fills the L1
-    /// without a tag scan ([`Hierarchy::access_l1_miss`]). A first touch is
-    /// stashed bare and replays through the full step.
+    /// the replay neither translates nor probes again, and the L1, which
+    /// remembers the probed line as absent, fills it without a tag scan.
+    /// A first touch is stashed bare and replays through the full step.
     ///
     /// Shared interactions therefore execute in exactly the reference
     /// order: a core arrives at its next shared op with the same clock the
