@@ -417,7 +417,7 @@ impl SetAssocCache {
     /// Line index (`set * associativity + way`) of the line the most
     /// recent access or successful `hit_line` hit or filled.
     #[inline]
-    pub fn last_line(&self) -> usize {
+    pub(crate) fn last_line(&self) -> usize {
         self.memo_way
     }
 
