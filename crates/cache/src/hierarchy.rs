@@ -200,8 +200,7 @@ impl Hierarchy {
     /// `true`. Otherwise changes nothing observable and returns `false`;
     /// the caller must replay the op through [`Hierarchy::access`] once it
     /// is globally ordered, and that replay counts the access exactly
-    /// once (and, if no other access of this core came between, fills the
-    /// L1 without a tag scan).
+    /// once.
     ///
     /// Only L1 hits qualify as core-local: an L1 miss can displace a dirty
     /// L1 victim into L2 and from there spill into the shared LLC, so
@@ -224,8 +223,7 @@ impl Hierarchy {
 
     /// Runs one access from `core` through the hierarchy: one tag scan
     /// per level, and none where a line-slot hint lands (see
-    /// [`Hierarchy`]) or, at L1, right after a missed
-    /// [`Hierarchy::l1_access_fast`] of the same line.
+    /// [`Hierarchy`]).
     ///
     /// # Panics
     ///
@@ -637,9 +635,9 @@ mod proptests {
 
     /// Drives the hinted hierarchy and the reference through `ops`,
     /// `(core, line, write, machine)`: a `machine` op takes the machine
-    /// loop's path (the L1 fast probe, then on a miss the walk, whose L1
-    /// fill skips the tag scan), any other op the plain `access`. Every outcome, every
-    /// counter and every cache's resident lines must agree.
+    /// loop's path (the L1 fast probe, then on a miss the walk), any other
+    /// op the plain `access`. Every outcome, every counter and every
+    /// cache's resident lines must agree.
     fn check(cfg: HierarchyConfig, ops: &[(usize, u64, bool, bool)]) {
         let line = cfg.llc.line_size();
         let mut hinted = Hierarchy::new(cfg.clone());

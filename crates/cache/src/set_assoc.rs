@@ -183,15 +183,6 @@ impl CacheStats {
     pub fn misses(&self) -> u64 {
         self.accesses - self.hits
     }
-
-    /// Hit rate in [0, 1]; 0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A write-back, allocate-on-miss, true-LRU set-associative cache.
@@ -223,13 +214,6 @@ impl CacheStats {
 /// places: the shared fill path, which overwrites the memo with the line
 /// it installs, and `clear`, which clears the memo when it empties the
 /// memoised way. Every stamp is taken by a memo update.
-///
-/// A second, negative memo remembers the line the last
-/// [`SetAssocCache::hit_line`] (or `access_if_hit`) missed, and an access
-/// of that line fills without a tag scan. Invariant: **that line is
-/// absent.** Only a fill makes a line resident, and every fill clears the
-/// negative memo. This is how the L1 walk after a missed fast probe skips
-/// its tag scan.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
@@ -246,10 +230,6 @@ pub struct SetAssocCache {
     memo_line: u64,
     /// Index into `tags`/`meta` of the memoised line's way.
     memo_way: usize,
-    /// Line number of a line known to be absent, [`NO_TAG`] when none:
-    /// the last line a [`SetAssocCache::hit_line`] missed, until the next
-    /// fill.
-    absent_line: u64,
 }
 
 /// Bit `w` is set iff way `w` of the set holds `tag`. Every way is
@@ -319,7 +299,6 @@ impl SetAssocCache {
             clock: 0,
             memo_line: NO_TAG,
             memo_way: 0,
-            absent_line: NO_TAG,
             cfg,
         }
     }
@@ -380,9 +359,6 @@ impl SetAssocCache {
     /// would overflow the packed victim key.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         let (set, tag) = self.set_of(addr);
-        if addr >> self.line_shift == self.absent_line {
-            return self.fill_at(set, tag, addr, write);
-        }
         let range = self.set_range(set);
         let start = range.start;
         let mask = match_mask(&self.tags[range], tag);
@@ -474,7 +450,6 @@ impl SetAssocCache {
         meta[w] = (self.clock << 1) | u64::from(write);
         self.memo_line = addr >> self.line_shift;
         self.memo_way = start + w;
-        self.absent_line = NO_TAG;
         Access {
             hit: false,
             way: w as u32,
@@ -488,9 +463,7 @@ impl SetAssocCache {
     /// On a miss nothing observable changes — not the LRU clock, not the
     /// access counter — so replaying the same op through
     /// [`SetAssocCache::access`] later observes the state a plain call
-    /// would have, with the same LRU order and statistics. The miss only
-    /// remembers the line as absent, so that replay fills it without a
-    /// tag scan if no other fill came between.
+    /// would have, with the same LRU order and statistics.
     ///
     /// This is the private-cache fast path of the epoch-batched machine
     /// loop: a run-ahead core may consume L1 hits eagerly, but a miss must
@@ -513,10 +486,7 @@ impl SetAssocCache {
             self.meta[self.memo_way] |= u64::from(write);
             self.memo_way
         } else {
-            let Some(w) = self.scan(addr) else {
-                self.absent_line = addr >> self.line_shift;
-                return None;
-            };
+            let w = self.scan(addr)?;
             self.clock += 1;
             self.meta[w] = (self.clock << 1) | (self.meta[w] & 1) | u64::from(write);
             self.memo_line = addr >> self.line_shift;
@@ -546,16 +516,6 @@ impl SetAssocCache {
     /// Non-allocating residency probe.
     pub fn probe(&self, addr: u64) -> bool {
         self.find(addr).is_some()
-    }
-
-    /// Marks a resident line dirty without affecting LRU; returns whether the
-    /// line was resident. Used by LGM's "mark instead of migrate" policy.
-    pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let Some(w) = self.find(addr) else {
-            return false;
-        };
-        self.meta[w] |= 1;
-        true
     }
 
     /// Removes a line; returns `Some(dirty)` if it was resident.
@@ -729,15 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_dirty_only_when_resident() {
-        let mut c = small();
-        assert!(!c.mark_dirty(0));
-        c.access(0, false);
-        assert!(c.mark_dirty(0));
-        assert_eq!(c.invalidate(0), Some(true));
-    }
-
-    #[test]
     fn occupancy_and_resident_iteration() {
         let mut c = small();
         c.access(0, false);
@@ -804,15 +755,6 @@ mod tests {
         assert_eq!(a, b);
         // Same next victim: LRU stamps must agree, not just residency.
         assert_eq!(fast.access(768, false), reference.access(768, false));
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let mut c = small();
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }
 
@@ -983,10 +925,6 @@ mod proptests {
             self.find(addr).is_some()
         }
 
-        fn mark_dirty(&mut self, addr: u64) -> bool {
-            self.find(addr).map(|w| w.meta |= Way::DIRTY).is_some()
-        }
-
         fn invalidate(&mut self, addr: u64) -> Option<bool> {
             let w = self.find(addr)?;
             let dirty = w.dirty();
@@ -1018,7 +956,7 @@ mod proptests {
     /// accesses the line, which refills the emptied way. Op 10 is a hinted
     /// access with the line's own index (or `u32::MAX` when absent), op 11
     /// one with a scrambled hint, and op 12 a fast probe followed, on a
-    /// miss, by the access (the fill the negative memo answers).
+    /// miss, by the access.
     fn check_against_model(sets: u64, assoc: u32, line_bytes: u64, ops: &[(u8, u64, bool)]) {
         let cfg =
             CacheConfig::new(sets * u64::from(assoc) * line_bytes, assoc, line_bytes).unwrap();
@@ -1030,12 +968,11 @@ mod proptests {
             let addr = line * line_bytes + (line % line_bytes);
             match op {
                 0 | 1 => assert_eq!(fast.access(addr, write), model.access(addr, write)),
-                2 => assert_eq!(
+                2 | 4 => assert_eq!(
                     fast.access_if_hit(addr, write),
                     model.access_if_hit(addr, write)
                 ),
                 3 => assert_eq!(fast.probe(addr), model.probe(addr)),
-                4 => assert_eq!(fast.mark_dirty(addr), model.mark_dirty(addr)),
                 5 => assert_eq!(fast.invalidate(addr), model.invalidate(addr)),
                 6 => {
                     assert_eq!(fast.invalidate(addr), model.invalidate(addr));
@@ -1063,8 +1000,7 @@ mod proptests {
                     assert_eq!(got, model.access(addr, write));
                 }
                 _ => {
-                    // A missed fast probe, then the access: the fill
-                    // through the negative memo.
+                    // A missed fast probe, then the access.
                     let hit = fast.access_if_hit(addr, write);
                     assert_eq!(hit, model.access_if_hit(addr, write));
                     if !hit {
@@ -1187,11 +1123,10 @@ mod proptests {
             prop_assert_eq!(&hinted.meta, &plain.meta);
         }
 
-        /// The negative memo's fill equals the reference model's access: a
-        /// probe that misses, then other ops, then the access of the probed
-        /// line.
-        /// `gap` ops of other lines (`access`, `invalidate` or another
-        /// probe) run between the probe and the access.
+        /// A probe that misses, then other ops, then the access of the
+        /// probed line equals the reference model's access. `gap` ops of
+        /// other lines (`access`, `invalidate` or another probe) run
+        /// between the probe and the access.
         #[test]
         fn missed_probe_then_access_matches_access(
             ops in proptest::collection::vec(

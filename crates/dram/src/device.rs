@@ -97,15 +97,6 @@ impl DeviceStats {
         self.bytes_by_class[class.index()]
     }
 
-    /// Row-buffer hit rate in [0, 1]; 0 when idle.
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses as f64
-        }
-    }
-
     /// Always 0.0: there is no controller queue. Stays only until
     /// `benchmark/` stops calling it.
     pub fn mean_queue_occupancy(&self) -> f64 {
@@ -138,7 +129,7 @@ impl DeviceStats {
 /// chained traffic at future cycles. An access stamped earlier than one
 /// already presented can thus wait behind it (the benchmark's
 /// `machine.req_out_of_order_frac` reads about 0.68 on `lbm-stream`). The
-/// ROADMAP item "Make DRAM arrival order causal" tracks the fix.
+/// ROADMAP item "One causal event loop" tracks the fix.
 ///
 /// Every geometry parameter is a power of two ([`DeviceConfig::validate`]),
 /// so the address map is precomputed as shifts and masks.
@@ -514,7 +505,7 @@ mod tests {
     fn idle_device_rates_are_zero() {
         let dev = DramDevice::new(DeviceConfig::hbm2_near_memory());
         let s = dev.stats();
-        assert_eq!(s.row_hit_rate(), 0.0);
+        assert_eq!(s.row_hits, 0);
         assert_eq!(s.mean_queue_occupancy(), 0.0);
         assert_eq!(s.queue_peak_occupancy, 0);
     }
@@ -522,12 +513,11 @@ mod tests {
     #[test]
     fn row_hit_rate_reporting() {
         let mut dev = DramDevice::new(DeviceConfig::ddr4_far_memory());
-        assert_eq!(dev.stats().row_hit_rate(), 0.0);
         read_at(&mut dev, 0, Cycle::ZERO);
         read_at(&mut dev, 64, Cycle::ZERO);
         read_at(&mut dev, 128, Cycle::ZERO);
-        let r = dev.stats().row_hit_rate();
-        assert!((r - 2.0 / 3.0).abs() < 1e-12);
+        // One row opened, then two hits in it.
+        assert_eq!((dev.stats().row_hits, dev.stats().accesses), (2, 3));
     }
 
     #[test]

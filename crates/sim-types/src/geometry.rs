@@ -146,28 +146,10 @@ impl Geometry {
             as u32
     }
 
-    /// The first physical address of sector `sector`.
-    #[inline]
-    pub const fn sector_base(&self, sector: SectorId) -> PAddr {
-        PAddr::new(sector.raw() << self.sector_shift)
-    }
-
     /// The physical address of line slot `line` within sector `sector`.
     #[inline]
     pub const fn line_addr(&self, sector: SectorId, line: u32) -> PAddr {
         PAddr::new((sector.raw() << self.sector_shift) + ((line as u64) << self.line_shift))
-    }
-
-    /// The global line index of `addr` (`addr / line_size`).
-    #[inline]
-    pub const fn line_of(&self, addr: PAddr) -> u64 {
-        addr.raw() >> self.line_shift
-    }
-
-    /// Number of sectors needed to cover `bytes` of memory, rounding up.
-    #[inline]
-    pub const fn sectors_in(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.sector_size)
     }
 
     /// `log2(line_size)`.
@@ -255,23 +237,8 @@ mod tests {
         let a = PAddr::new(3 * 2048 + 5 * 256 + 17);
         assert_eq!(g.sector_of(a).raw(), 3);
         assert_eq!(g.line_within_sector(a), 5);
-        assert_eq!(g.sector_base(SectorId::new(3)).raw(), 3 * 2048);
+        assert_eq!(g.line_addr(SectorId::new(3), 0).raw(), 3 * 2048);
         assert_eq!(g.line_addr(SectorId::new(3), 5).raw(), 3 * 2048 + 5 * 256);
-    }
-
-    #[test]
-    fn line_of_is_global_index() {
-        let g = Geometry::new(64, 2048).unwrap();
-        assert_eq!(g.line_of(PAddr::new(640)), 10);
-    }
-
-    #[test]
-    fn sectors_in_rounds_up() {
-        let g = Geometry::paper_default();
-        assert_eq!(g.sectors_in(0), 0);
-        assert_eq!(g.sectors_in(1), 1);
-        assert_eq!(g.sectors_in(2048), 1);
-        assert_eq!(g.sectors_in(2049), 2);
     }
 
     #[test]

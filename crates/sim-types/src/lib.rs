@@ -14,7 +14,7 @@
 //! * [`MemReq`] / [`AccessKind`] / [`TrafficClass`] — the request vocabulary
 //!   spoken between the CPU model, the memory schemes and the DRAM model.
 //! * [`stats`] — geometric means and the min/max/geomean triples the paper
-//!   reports, plus fixed-point percentage formatting.
+//!   reports.
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG so simulations are
 //!   reproducible byte-for-byte across runs and platforms.
 //!
@@ -48,4 +48,4 @@ pub use addr::{FmLoc, NmLoc, PAddr, PageId, SectorId, VAddr};
 pub use cycle::{ClockRatio, Cycle};
 pub use geometry::{Geometry, GeometryError};
 pub use request::{AccessKind, MemReq, MemSide, TrafficClass};
-pub use trace::{TraceOp, TraceSource, VecTrace};
+pub use trace::{TraceOp, TraceSource};

@@ -62,13 +62,6 @@ impl SplitMix64 {
         self.gen_range(den) < num
     }
 
-    /// Returns a uniform `f64` in `[0, 1)`. Used only for workload shaping,
-    /// never for timing decisions.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Derives an independent child generator; handy for giving each core or
     /// each workload phase its own stream.
     #[must_use]
@@ -134,15 +127,6 @@ mod tests {
         for _ in 0..100 {
             assert!(g.chance(1, 1));
             assert!(!g.chance(0, 5));
-        }
-    }
-
-    #[test]
-    fn next_f64_in_unit_interval() {
-        let mut g = SplitMix64::new(11);
-        for _ in 0..1000 {
-            let x = g.next_f64();
-            assert!((0.0..1.0).contains(&x));
         }
     }
 

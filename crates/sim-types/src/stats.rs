@@ -103,49 +103,6 @@ where
     }
 }
 
-/// Formats a fraction `num/den` as a percentage string with one decimal,
-/// returning `"-"` when the denominator is zero.
-///
-/// ```
-/// use sim_types::stats::percent;
-/// assert_eq!(percent(1, 4), "25.0%");
-/// assert_eq!(percent(3, 0), "-");
-/// ```
-pub fn percent(num: u64, den: u64) -> String {
-    if den == 0 {
-        "-".to_owned()
-    } else {
-        format!("{:.1}%", 100.0 * num as f64 / den as f64)
-    }
-}
-
-/// Fraction `num/den` as `f64`, or 0.0 when the denominator is zero.
-#[inline]
-pub fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
-/// Formats a byte count with binary-prefix units for reports
-/// (`1536` → `"1.5 KiB"`).
-pub fn human_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit + 1 < UNITS.len() {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,28 +142,6 @@ mod tests {
     fn mean_basics() {
         assert_eq!(mean([1.0, 3.0]), Some(2.0));
         assert!(mean([]).is_none());
-    }
-
-    #[test]
-    fn percent_formatting() {
-        assert_eq!(percent(0, 10), "0.0%");
-        assert_eq!(percent(10, 10), "100.0%");
-        assert_eq!(percent(1, 3), "33.3%");
-        assert_eq!(percent(1, 0), "-");
-    }
-
-    #[test]
-    fn ratio_zero_denominator() {
-        assert_eq!(ratio(5, 0), 0.0);
-        assert!((ratio(1, 2) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn human_bytes_units() {
-        assert_eq!(human_bytes(512), "512 B");
-        assert_eq!(human_bytes(1536), "1.5 KiB");
-        assert_eq!(human_bytes(64 * 1024 * 1024), "64.0 MiB");
-        assert_eq!(human_bytes(16 * 1024 * 1024 * 1024), "16.0 GiB");
     }
 
     #[test]

@@ -53,27 +53,6 @@ pub trait TraceSource {
     fn next_op(&mut self) -> Option<TraceOp>;
 }
 
-/// A trivial source backed by a vector, used in tests and examples.
-#[derive(Clone, Debug)]
-pub struct VecTrace {
-    ops: std::vec::IntoIter<TraceOp>,
-}
-
-impl VecTrace {
-    /// Wraps a vector of operations.
-    pub fn new(ops: Vec<TraceOp>) -> Self {
-        VecTrace {
-            ops: ops.into_iter(),
-        }
-    }
-}
-
-impl TraceSource for VecTrace {
-    fn next_op(&mut self) -> Option<TraceOp> {
-        self.ops.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,17 +65,5 @@ mod tests {
         let s = TraceOp::store(0, VAddr::new(0));
         assert_eq!(s.kind, AccessKind::Write);
         assert_eq!(s.instructions(), 1);
-    }
-
-    #[test]
-    fn vec_trace_yields_in_order_then_none() {
-        let mut t = VecTrace::new(vec![
-            TraceOp::load(1, VAddr::new(0)),
-            TraceOp::store(2, VAddr::new(64)),
-        ]);
-        assert_eq!(t.next_op().unwrap().gap, 1);
-        assert_eq!(t.next_op().unwrap().gap, 2);
-        assert!(t.next_op().is_none());
-        assert!(t.next_op().is_none());
     }
 }

@@ -206,11 +206,9 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
     }
     // Unknown names are usage errors (exit 2), same as unknown experiment
     // ids — the run path never sees a bad selector.
-    let cat = scenarios::builtin();
     if let Some(sel) = &selector {
-        if scenario::select(cat, sel).is_none() {
-            let hint = cat
-                .nearest(sel)
+        if scenario::select(scenarios::builtin(), sel).is_none() {
+            let hint = scenarios::nearest(sel)
                 .map(|near| format!(" (did you mean {near:?}?)"))
                 .unwrap_or_default();
             return Err(format!(
@@ -726,6 +724,12 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn scenario_typo_suggests_the_nearest_name() {
+        let e = parse(&["scenario", "steam-chase"]).unwrap_err();
+        assert!(e.contains(r#"did you mean "stream-chase""#), "{e}");
     }
 
     /// The flags of the retired text-spec compiler, scenario generator,

@@ -9,55 +9,43 @@
 //! * **§3.8 free-space hints** — the paper's extension sketch: with
 //!   Chameleon-style OS hints, swap-outs of dead data skip their copies.
 
-use dram::DramSystem;
 use hybrid2_core::{Dcmc, Hybrid2Config, Variant};
-use mem_cache::Hierarchy;
-use sim_types::Geometry;
-use workloads::Workload;
+use workloads::WorkloadSpec;
 
-use crate::machine::{Machine, RunResult};
+use crate::machine::RunResult;
 use crate::report::{f2, Report};
-use crate::runner::EvalConfig;
+use crate::runner::{build_scheme, hybrid2_config, run_one, run_scheme, EvalConfig, SchemeKind};
 use crate::scale::{NmRatio, ScaledSystem};
 
 use super::workload_set;
 
-fn run_custom(cfg: &EvalConfig, h2: Hybrid2Config, spec: &workloads::WorkloadSpec) -> RunResult {
-    run_custom_hinted(cfg, h2, spec, false)
+/// The 1 GB machine every ablation runs on.
+fn system(cfg: &EvalConfig) -> ScaledSystem {
+    ScaledSystem::new(NmRatio::OneGb, cfg.scale_den)
 }
 
-fn run_custom_hinted(
-    cfg: &EvalConfig,
-    h2: Hybrid2Config,
-    spec: &workloads::WorkloadSpec,
-    os_hints: bool,
-) -> RunResult {
-    let sys = ScaledSystem::new(NmRatio::OneGb, cfg.scale_den);
-    let dcmc = Dcmc::new(h2).expect("ablation config is valid");
-    let workload = Workload::build(spec, 8, cfg.scale_den, cfg.seed);
-    let mut machine = Machine::new(
-        8,
-        Hierarchy::new(sys.hierarchy()),
-        dcmc.into(),
-        DramSystem::paper_default(),
-        workload,
-        cfg.seed,
-    );
-    if os_hints {
-        machine = machine.with_os_hints();
-    }
-    machine.run_batched(cfg.instrs_per_core, cfg.batch)
-}
-
+/// The paper-best Hybrid2 configuration, the one [`SchemeKind::Hybrid2`]
+/// builds, for a sweep to edit.
 fn base_config(cfg: &EvalConfig) -> Hybrid2Config {
-    let sys = ScaledSystem::new(NmRatio::OneGb, cfg.scale_den);
-    let mut h2 = Hybrid2Config::paper_default();
-    h2.geometry = Geometry::paper_default();
-    h2.nm_bytes = sys.nm_bytes;
-    h2.fm_bytes = sys.fm_bytes;
-    h2.cache_bytes = sys.cache_bytes;
-    h2.variant = Variant::Full;
-    h2
+    let sys = system(cfg);
+    hybrid2_config(&sys, sys.cache_bytes, 2048, 256, Variant::Full)
+}
+
+fn run_custom(cfg: &EvalConfig, h2: Hybrid2Config, spec: &WorkloadSpec) -> RunResult {
+    let dcmc = Dcmc::new(h2).expect("ablation config is valid");
+    run_scheme(dcmc.into(), &system(cfg), spec, cfg, false)
+}
+
+/// Paper-best Hybrid2 with the §3.8 OS free-space hints on.
+fn run_hinted(cfg: &EvalConfig, spec: &WorkloadSpec) -> RunResult {
+    let sys = system(cfg);
+    run_scheme(
+        build_scheme(SchemeKind::Hybrid2, &sys),
+        &sys,
+        spec,
+        cfg,
+        true,
+    )
 }
 
 /// Sweeps the §3.7.3 budget reset period.
@@ -148,13 +136,9 @@ pub fn ablation_free_hints(cfg: &EvalConfig, smoke: bool) -> Vec<Report> {
         ],
     );
     for spec in &specs {
-        let h2 = base_config(cfg);
-        let plain = run_custom_hinted(cfg, h2, spec, false);
-        let hinted = run_custom_hinted(cfg, h2, spec, true);
-        let base = {
-            use crate::runner::{run_one, SchemeKind};
-            run_one(SchemeKind::Baseline, spec, NmRatio::OneGb, cfg)
-        };
+        let plain = run_one(SchemeKind::Hybrid2, spec, NmRatio::OneGb, cfg);
+        let hinted = run_hinted(cfg, spec);
+        let base = run_one(SchemeKind::Baseline, spec, NmRatio::OneGb, cfg);
         report.push_row(vec![
             spec.name.to_owned(),
             f2(base.cycles as f64 / plain.cycles as f64),
@@ -194,9 +178,8 @@ mod tests {
             ..EvalConfig::smoke()
         };
         let spec = workloads::catalog::by_name("lbm").unwrap();
-        let h2 = base_config(&cfg);
-        let plain = run_custom_hinted(&cfg, h2, spec, false);
-        let hinted = run_custom_hinted(&cfg, h2, spec, true);
+        let plain = run_one(SchemeKind::Hybrid2, spec, NmRatio::OneGb, &cfg);
+        let hinted = run_hinted(&cfg, spec);
         assert!(
             hinted.cycles as f64 <= plain.cycles as f64 * 1.05,
             "hints must not hurt: {} vs {}",

@@ -53,5 +53,5 @@ pub use any_scheme::AnyScheme;
 pub use machine::{Machine, RunResult, DEFAULT_BATCH};
 pub use matrix::{ClassSummary, Matrix};
 pub use page_alloc::PageAllocator;
-pub use runner::{build_scheme, run_one, run_one_timed, scheme_label, EvalConfig, SchemeKind};
+pub use runner::{build_scheme, run_one, scheme_label, EvalConfig, SchemeKind};
 pub use scale::{NmRatio, ScaledSystem};

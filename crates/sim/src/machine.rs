@@ -193,7 +193,7 @@ impl Shared {
     /// page table is append-only, the page memo already holds `paddr`'s
     /// page (so translating again would change nothing and report no first
     /// touch), and only core `i` touches its private L1, which still
-    /// remembers the line as absent and so fills it without a tag scan.
+    /// misses the line.
     #[inline]
     fn step_l1_miss(&mut self, i: usize, core: &mut Core, op: TraceOp, paddr: PAddr) {
         core.advance_instructions(op.instructions());
@@ -320,8 +320,7 @@ impl Machine {
     /// ops. A stash of a mapped op carries the op's physical address: its
     /// L1 probe has missed, and both answers still hold at the replay (the
     /// page table is append-only and only this core touches its L1), so
-    /// the replay neither translates nor probes again, and the L1, which
-    /// remembers the probed line as absent, fills it without a tag scan.
+    /// the replay neither translates nor probes again.
     /// A first touch is stashed bare and replays through the full step.
     ///
     /// Shared interactions therefore execute in exactly the reference
@@ -474,7 +473,7 @@ impl Machine {
         // therefore often out of time order (the benchmark's
         // `machine.req_out_of_order_frac` reads about 0.68 on
         // `lbm-stream`); making them causal is an open ROADMAP item
-        // ("Make DRAM arrival order causal"). Core clocks are
+        // ("One causal event loop"). Core clocks are
         // mirrored into a compact array of `now << shift | index` keys
         // (u64::MAX = finished), so the per-op earliest-core pick is a
         // branchless min-reduction over a few contiguous words — the

@@ -1,8 +1,7 @@
-//! The scheme × workload evaluation grid, run in parallel on a
-//! work-stealing scheduler.
+//! The scheme × workload evaluation grid, run in parallel.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use sim_types::stats::geomean;
 use workloads::{MpkiClass, WorkloadSpec};
@@ -117,43 +116,12 @@ fn lpt_order(a: &Job, b: &Job, specs: &[WorkloadSpec]) -> std::cmp::Ordering {
         .then(a.slot.cmp(&b.slot))
 }
 
-/// Per-worker deque of a work-stealing scheduler in the chase-lev shape:
-/// the owner pops from the front of its own deque (where its costliest
-/// LPT-assigned jobs sit), thieves steal from the back (the victim's
-/// cheapest remaining work). Lock-free chase-lev needs a raw circular
-/// buffer, which `#![forbid(unsafe_code)]` rules out, so each deque is a
-/// `Mutex<VecDeque>` — at grid granularity (each job is a whole
-/// simulation, milliseconds to seconds) the lock is nanoseconds of noise.
-struct StealQueue {
-    jobs: Mutex<VecDeque<usize>>,
-}
-
-impl StealQueue {
-    fn new(jobs: VecDeque<usize>) -> Self {
-        StealQueue {
-            jobs: Mutex::new(jobs),
-        }
-    }
-
-    /// Owner path: take my next (costliest) job index.
-    fn pop_own(&self) -> Option<usize> {
-        self.jobs.lock().expect("queue lock poisoned").pop_front()
-    }
-
-    /// Thief path: take the victim's last (cheapest) job index.
-    fn steal(&self) -> Option<usize> {
-        self.jobs.lock().expect("queue lock poisoned").pop_back()
-    }
-}
-
-/// Runs `jobs` (any subset of a grid, in any order) on `cfg.threads`
-/// work-stealing workers; `out[i]` is `jobs[i]`'s result. Dispatch order
-/// is LPT (descending cost, slot tiebreak) dealt round-robin across the
-/// worker deques, so every deque starts with its share of heavy jobs up
-/// front and light ones at the back — owners chew the heavy front,
-/// thieves nibble the light back. Every cell is a pure function of
-/// (scheme, workload, ratio, cfg) and lands in its own [`OnceLock`] slot,
-/// so steal order and thread interleaving affect wall-clock only.
+/// Runs `jobs` on `cfg.threads` workers; `out[i]` is `jobs[i]`'s result.
+/// The workers claim jobs in LPT order (descending cost, slot tiebreak)
+/// from one shared cursor, so the heavy cells start first and the light
+/// ones fill the tail. Every cell is a pure function of (scheme, workload,
+/// ratio, cfg) and lands in its own [`OnceLock`] slot, so claim order and
+/// thread interleaving affect wall-clock only.
 fn run_jobs(
     jobs: &[Job],
     specs: &[WorkloadSpec],
@@ -163,37 +131,22 @@ fn run_jobs(
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| lpt_order(&jobs[a], &jobs[b], specs));
     let results: Vec<OnceLock<(RunResult, f64)>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
     let workers = cfg.threads.max(1).min(jobs.len().max(1));
-    let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, &ji) in order.iter().enumerate() {
-        queues[i % workers].push_back(ji);
-    }
-    let queues: Vec<StealQueue> = queues.into_iter().map(StealQueue::new).collect();
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            scope.spawn(move || loop {
-                // Own deque first; then sweep the other deques as a
-                // thief. New jobs are never produced, so finding every
-                // deque empty means the grid is fully claimed.
-                let ji = queues[me].pop_own().or_else(|| {
-                    (1..workers)
-                        .map(|d| (me + d) % workers)
-                        .find_map(|v| queues[v].steal())
-                });
-                let Some(ji) = ji else {
-                    break;
-                };
-                let Job { w, kind, .. } = jobs[ji];
-                // Per-cell wall clock is run-record telemetry; it never
-                // influences results or scheduling.
-                let started = std::time::Instant::now();
-                let r = run_one(kind, &specs[w], ratio, cfg);
-                let secs = started.elapsed().as_secs_f64();
-                results[ji]
-                    .set((r, secs))
-                    .unwrap_or_else(|_| panic!("job {ji} written twice"));
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(&ji) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let Job { w, kind, .. } = jobs[ji];
+                    // Per-cell wall clock is run-record telemetry; it never
+                    // influences results or scheduling.
+                    let started = std::time::Instant::now();
+                    let r = run_one(kind, &specs[w], ratio, cfg);
+                    let secs = started.elapsed().as_secs_f64();
+                    results[ji]
+                        .set((r, secs))
+                        .unwrap_or_else(|_| panic!("job {ji} written twice"));
+                }
             });
         }
     });
@@ -204,11 +157,11 @@ fn run_jobs(
 }
 
 impl Matrix {
-    /// Runs the grid on `cfg.threads` work-stealing workers. Deterministic
-    /// output: every cell is a pure function of (scheme, workload, ratio,
-    /// cfg) and lands in its own [`OnceLock`] slot, so steal order and
-    /// thread interleaving affect wall-clock only — the assembled `Matrix`
-    /// is byte-identical to [`Matrix::run_sequential`].
+    /// Runs the grid on `cfg.threads` workers. Deterministic output: every
+    /// cell is a pure function of (scheme, workload, ratio, cfg) and lands
+    /// in its own [`OnceLock`] slot, so claim order and thread interleaving
+    /// affect wall-clock only — the assembled `Matrix` is byte-identical to
+    /// [`Matrix::run_sequential`].
     pub fn run(
         kinds: &[SchemeKind],
         specs: &[WorkloadSpec],
@@ -236,7 +189,7 @@ impl Matrix {
 
     /// Single-threaded reference scheduler: runs the same job list in slot
     /// order on the calling thread. Exists so differential tests can pin
-    /// the work-stealing scheduler's output against an implementation with
+    /// the parallel scheduler's output against an implementation with
     /// no scheduling freedom at all.
     pub fn run_sequential(
         kinds: &[SchemeKind],
@@ -435,6 +388,27 @@ mod tests {
         let (m, secs) = Matrix::run_timed(&[SchemeKind::Tagless], &specs, NmRatio::OneGb, &cfg);
         assert_eq!(secs.len(), (m.schemes.len() + 1) * m.workloads.len());
         assert!(secs.iter().all(|s| s.is_finite() && *s >= 0.0));
+    }
+
+    #[test]
+    fn empty_and_oversubscribed_grids_fill_every_slot() {
+        let cfg = EvalConfig {
+            scale_den: 1024,
+            instrs_per_core: 5_000,
+            seed: 5,
+            threads: 8,
+            ..EvalConfig::smoke()
+        };
+        let (m, secs) = Matrix::run_timed(&[], &[], NmRatio::OneGb, &cfg);
+        assert!(m.baseline.is_empty() && m.schemes.is_empty() && secs.is_empty());
+        // One cell, eight workers: every slot still gets its result.
+        let specs = [catalog::by_name("lbm").unwrap().clone()];
+        let (m, secs) = Matrix::run_timed(&[], &specs, NmRatio::OneGb, &cfg);
+        let want = Matrix::run_sequential(&[], &specs, NmRatio::OneGb, &cfg);
+        assert_eq!(secs.len(), 1);
+        assert_eq!(m.baseline.len(), 1);
+        assert_eq!(m.baseline[0].cycles, want.baseline[0].cycles);
+        assert!(m.baseline[0].mem_ops > 0);
     }
 
     #[test]

@@ -206,7 +206,7 @@ pub(crate) fn design_point_config(
     )
 }
 
-fn hybrid2_config(
+pub(crate) fn hybrid2_config(
     sys: &ScaledSystem,
     cache_bytes: u64,
     sector: u64,
@@ -251,32 +251,32 @@ pub fn run_one(
     cfg: &EvalConfig,
 ) -> RunResult {
     let sys = ScaledSystem::new(ratio, cfg.scale_den);
-    let scheme = build_scheme(kind, &sys);
+    run_scheme(build_scheme(kind, &sys), &sys, spec, cfg, false)
+}
+
+/// Simulates `scheme` on a `sys`-sized eight-core machine over `spec`, with
+/// the §3.8 OS free-space hints on if `os_hints` is set: the one machine
+/// assembly behind [`run_one`] and the ablations.
+pub(crate) fn run_scheme(
+    scheme: AnyScheme,
+    sys: &ScaledSystem,
+    spec: &WorkloadSpec,
+    cfg: &EvalConfig,
+    os_hints: bool,
+) -> RunResult {
     let workload = Workload::build(spec, 8, cfg.scale_den, cfg.seed);
-    let hierarchy = Hierarchy::new(sys.hierarchy());
     let mut machine = Machine::new(
         8,
-        hierarchy,
+        Hierarchy::new(sys.hierarchy()),
         scheme,
         DramSystem::paper_default(),
         workload,
         cfg.seed,
     );
+    if os_hints {
+        machine = machine.with_os_hints();
+    }
     machine.run_batched(cfg.instrs_per_core, cfg.batch)
-}
-
-/// [`run_one`] plus the wall-clock seconds the run took — the timing the
-/// `sim::runlog` run records and the perf-smoke floor consume. The result
-/// itself is deterministic; only the seconds vary run to run.
-pub fn run_one_timed(
-    kind: SchemeKind,
-    spec: &WorkloadSpec,
-    ratio: NmRatio,
-    cfg: &EvalConfig,
-) -> (RunResult, f64) {
-    let started = std::time::Instant::now();
-    let r = run_one(kind, spec, ratio, cfg);
-    (r, started.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

@@ -2,43 +2,35 @@
 //! [`workloads::scenarios`] through the six MAIN schemes and renders the
 //! per-scenario speedup, NM-service and traffic tables.
 //!
-//! Scenarios are ordinary [`WorkloadSpec`]s wrapping composite patterns,
-//! so the grid is just [`Matrix::run`] over a different workload set — the
-//! same work-stealing scheduler, the same determinism contract (two runs,
-//! or a `--threads 1` run, are byte-identical).
+//! Scenarios are ordinary [`workloads::WorkloadSpec`]s wrapping composite
+//! patterns, so the grid is just [`Matrix::run`] over a different workload
+//! set — the same parallel scheduler, the same determinism contract (two
+//! runs, or a `--threads 1` run, are byte-identical).
 
-use workloads::{Catalog, Scenario, WorkloadSpec};
+use workloads::Scenario;
 
 use crate::report::{f3, pct, Report};
 use crate::runner::{EvalConfig, SchemeKind};
 use crate::scale::NmRatio;
 use crate::Matrix;
 
-/// Resolves a CLI selector against a catalog: `"all"` for every scenario,
+/// Resolves a CLI selector against `scens`: `"all"` for every scenario,
 /// otherwise a single scenario by name. `None` if the name is unknown.
-pub fn select<'c>(cat: &'c Catalog, selector: &str) -> Option<Vec<&'c Scenario>> {
+pub fn select<'c>(scens: &'c [Scenario], selector: &str) -> Option<Vec<&'c Scenario>> {
     if selector == "all" {
-        Some(cat.iter().collect())
+        Some(scens.iter().collect())
     } else {
-        cat.by_name(selector).map(|s| vec![s])
+        scens.iter().find(|s| s.name() == selector).map(|s| vec![s])
     }
 }
 
-/// The workload list of a scenario selection, in catalog order.
-pub fn workloads_of(scens: &[&Scenario]) -> Vec<WorkloadSpec> {
-    scens.iter().map(|s| s.workload.clone()).collect()
-}
-
-/// Runs the MAIN six schemes (plus the baseline) over `scens` at `ratio`.
-pub fn run_grid(scens: &[&Scenario], ratio: NmRatio, cfg: &EvalConfig) -> Matrix {
-    run_grid_timed(scens, ratio, cfg).0
-}
-
-/// [`run_grid`] plus per-cell wall-clock seconds in slot order — the
-/// telemetry `--runlog` run records carry. The matrix is identical to
-/// [`run_grid`]'s; only the timings vary run to run.
+/// Runs the MAIN six schemes (plus the baseline) over `scens` at `ratio`,
+/// returning the grid plus per-cell wall-clock seconds in slot order — the
+/// telemetry `--runlog` run records carry. Only the timings vary run to
+/// run.
 pub fn run_grid_timed(scens: &[&Scenario], ratio: NmRatio, cfg: &EvalConfig) -> (Matrix, Vec<f64>) {
-    Matrix::run_timed(&SchemeKind::MAIN, &workloads_of(scens), ratio, cfg)
+    let specs: Vec<_> = scens.iter().map(|s| s.workload.clone()).collect();
+    Matrix::run_timed(&SchemeKind::MAIN, &specs, ratio, cfg)
 }
 
 /// One scenario × scheme table: a row per workload, a column per scheme,
@@ -93,13 +85,13 @@ pub fn grid_reports(m: &Matrix) -> Vec<Report> {
     vec![speedup_report(m), nm_served_report(m), fm_traffic_report(m)]
 }
 
-/// A scenario catalog as a table (`reproduce scenario --list`).
-pub fn catalog_report(cat: &Catalog) -> Report {
+/// A scenario list as a table (`reproduce scenario --list`).
+pub fn catalog_report(scens: &[Scenario]) -> Report {
     let mut r = Report::new(
         "Scenario catalog",
         vec!["name", "family", "class", "summary"],
     );
-    for s in cat.iter() {
+    for s in scens {
         let family = if matches!(s.workload.pattern, workloads::PatternSpec::Phased { .. }) {
             "phased"
         } else {
@@ -141,7 +133,7 @@ mod tests {
     #[test]
     fn grid_runs_and_reports_render() {
         let scens = select(scenarios::builtin(), "stream-chase").unwrap();
-        let m = run_grid(&scens, NmRatio::OneGb, &tiny_cfg());
+        let (m, _) = run_grid_timed(&scens, NmRatio::OneGb, &tiny_cfg());
         assert_eq!(m.workloads.len(), 1);
         assert_eq!(m.schemes.len(), SchemeKind::MAIN.len());
         for rep in grid_reports(&m) {
@@ -153,7 +145,7 @@ mod tests {
     #[test]
     fn catalog_report_lists_every_scenario() {
         let text = catalog_report(scenarios::builtin()).render();
-        for s in scenarios::all() {
+        for s in scenarios::builtin() {
             assert!(text.contains(s.name()), "missing {}", s.name());
         }
     }

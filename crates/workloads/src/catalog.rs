@@ -10,7 +10,6 @@
 //! and very limited spatial locality", omnetpp punished by large cache
 //! lines.
 
-use std::collections::HashMap;
 use std::sync::LazyLock;
 
 use crate::patterns::PatternSpec;
@@ -434,127 +433,6 @@ pub fn smoke_set() -> [&'static WorkloadSpec; 3] {
         by_name("omnetpp").expect("catalog contains omnetpp"),
         by_name("xalanc").expect("catalog contains xalanc"),
     ]
-}
-
-// ---- The scenario catalog type ------------------------------------------
-
-/// One named scenario: a composite workload plus its catalog metadata.
-///
-/// For `Mix` scenarios the wrapped spec's `mem_every`/`write_pct` are
-/// *headline* values only (reports, accounting bounds): generation is
-/// driven entirely by each part's own `MixPart::mem_every`/`write_pct`.
-/// Tune a mix's intensity in its part list, not in the spec.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Scenario {
-    /// One-line description printed by `reproduce scenario --list`.
-    pub summary: String,
-    /// The workload the simulator runs (its `name`/`class` are the
-    /// scenario's name and expected MPKI class).
-    pub workload: WorkloadSpec,
-}
-
-impl Scenario {
-    /// The scenario's name (shared with the wrapped workload).
-    pub fn name(&self) -> &str {
-        &self.workload.name
-    }
-
-    /// The scenario's expected MPKI class.
-    pub fn class(&self) -> MpkiClass {
-        self.workload.class
-    }
-}
-
-/// An owned, name-indexed collection of [`Scenario`] values.
-///
-/// The 8 built-ins ([`crate::scenarios::builtin`]) form one, and `sim`'s
-/// grid and runlog layers identify a scenario by its *name* within the
-/// catalog, never by address.
-#[derive(Clone, Debug, Default)]
-pub struct Catalog {
-    scenarios: Vec<Scenario>,
-    index: HashMap<String, usize>,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Catalog::default()
-    }
-
-    /// Adds a scenario; rejects duplicate names (the name is the identity,
-    /// so a catalog with two scenarios of one name is meaningless).
-    pub fn push(&mut self, scenario: Scenario) -> Result<(), String> {
-        let name = scenario.name().to_owned();
-        if self.index.contains_key(&name) {
-            return Err(format!("duplicate scenario name '{name}'"));
-        }
-        self.index.insert(name, self.scenarios.len());
-        self.scenarios.push(scenario);
-        Ok(())
-    }
-
-    /// Number of scenarios.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// True when the catalog holds no scenarios.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
-    }
-
-    /// The scenarios in insertion (catalog) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Scenario> {
-        self.scenarios.iter()
-    }
-
-    /// The scenarios in insertion (catalog) order, as a slice.
-    pub fn as_slice(&self) -> &[Scenario] {
-        &self.scenarios
-    }
-
-    /// O(1) lookup by name via the catalog's name index.
-    pub fn by_name(&self, name: &str) -> Option<&Scenario> {
-        self.index.get(name).map(|&i| &self.scenarios[i])
-    }
-
-    /// The workload of scenario `name`.
-    pub fn workload_of(&self, name: &str) -> Option<&WorkloadSpec> {
-        self.by_name(name).map(|s| &s.workload)
-    }
-
-    /// The closest catalog name within Levenshtein distance 2 of `name` —
-    /// the "did you mean" suggestion for CLI typos. Ties break to the
-    /// earlier catalog entry.
-    pub fn nearest(&self, name: &str) -> Option<&str> {
-        self.scenarios
-            .iter()
-            .filter_map(|s| {
-                let d = edit_distance(name, s.name());
-                (d <= 2).then_some((d, s.name()))
-            })
-            .min_by_key(|&(d, _)| d)
-            .map(|(_, n)| n)
-    }
-}
-
-/// Plain Levenshtein distance, early-exited only by its inputs' size (the
-/// names involved are tens of bytes, so the O(nm) table is irrelevant).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
 }
 
 #[cfg(test)]

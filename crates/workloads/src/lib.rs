@@ -48,8 +48,8 @@ mod patterns;
 pub mod scenarios;
 mod spec;
 
-pub use catalog::{Catalog, Scenario};
 pub use patterns::{MixPart, PatternSpec, Phase, TraceGen};
+pub use scenarios::Scenario;
 pub use spec::{MpkiClass, PaperRow, WorkloadKind, WorkloadSpec};
 
 use sim_types::rng::SplitMix64;

@@ -22,18 +22,44 @@
 //! machinery — `Workload::build`, `run_one`, `Matrix` — runs scenarios
 //! unchanged; `sim::scenario` wires them to the CLI and report tables.
 //!
-//! The 8 built-ins form one [`Catalog`], the unit `sim::scenario`
+//! The 8 built-ins form one slice ([`builtin`]), which `sim::scenario`
 //! selects from by name.
 
 use std::sync::LazyLock;
 
-pub use crate::catalog::{Catalog, Scenario};
 use crate::patterns::{MixPart, PatternSpec, Phase};
 use crate::spec::{MpkiClass, PaperRow, WorkloadKind, WorkloadSpec};
 
 use MpkiClass::{High, Low, Medium};
 use PatternSpec as P;
 use WorkloadKind::{MultiProgrammed as MP, MultiThreaded as MT};
+
+/// One named scenario: a composite workload plus its one-line summary.
+///
+/// For `Mix` scenarios the wrapped spec's `mem_every`/`write_pct` are
+/// *headline* values only (reports, accounting bounds): generation is
+/// driven entirely by each part's own `MixPart::mem_every`/`write_pct`.
+/// Tune a mix's intensity in its part list, not in the spec.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Scenario {
+    /// One-line description printed by `reproduce scenario --list`.
+    pub summary: String,
+    /// The workload the simulator runs (its `name`/`class` are the
+    /// scenario's name and expected MPKI class).
+    pub workload: WorkloadSpec,
+}
+
+impl Scenario {
+    /// The scenario's name (shared with the wrapped workload).
+    pub fn name(&self) -> &str {
+        &self.workload.name
+    }
+
+    /// The scenario's expected MPKI class.
+    pub fn class(&self) -> MpkiClass {
+        self.workload.class
+    }
+}
 
 const fn row(mpki: f64, footprint_gb: f64, traffic_gb: f64) -> PaperRow {
     PaperRow {
@@ -309,9 +335,8 @@ fn scenario(
 
 /// Builds the 8 built-in scenarios, phased first, then mixes, high MPKI
 /// before low (mirroring the benchmark catalog's ordering convention).
-fn build_builtin() -> Catalog {
-    let mut cat = Catalog::new();
-    for s in [
+fn build_builtin() -> Vec<Scenario> {
+    vec![
         scenario(
             "tile-chase-drift",
             "stencil tiles -> pointer chase -> finer tiles (phase drift)",
@@ -404,33 +429,56 @@ fn build_builtin() -> Catalog {
             14,
             30,
         ),
-    ] {
-        cat.push(s).expect("built-in scenario names are unique");
-    }
-    cat
+    ]
 }
 
-static BUILTIN: LazyLock<Catalog> = LazyLock::new(build_builtin);
+static BUILTIN: LazyLock<Vec<Scenario>> = LazyLock::new(build_builtin);
 
-/// The built-in 8-scenario catalog.
-pub fn builtin() -> &'static Catalog {
+/// The 8 built-in scenarios, phased first, then mixes.
+pub fn builtin() -> &'static [Scenario] {
     &BUILTIN
 }
 
-/// All built-in scenarios in catalog order.
-pub fn all() -> &'static [Scenario] {
-    BUILTIN.as_slice()
-}
-
-/// Looks a built-in scenario up by name (e.g. `"stream-chase"`) through
-/// the catalog's name index.
+/// Looks a built-in scenario up by name (e.g. `"stream-chase"`).
 pub fn by_name(name: &str) -> Option<&'static Scenario> {
-    BUILTIN.by_name(name)
+    builtin().iter().find(|s| s.name() == name)
 }
 
 /// The workload of built-in scenario `name`.
 pub fn workload_of(name: &str) -> Option<&'static WorkloadSpec> {
-    BUILTIN.workload_of(name)
+    by_name(name).map(|s| &s.workload)
+}
+
+/// The closest built-in name within Levenshtein distance 2 of `name` —
+/// the "did you mean" suggestion for CLI typos. Ties break to the
+/// earlier scenario.
+pub fn nearest(name: &str) -> Option<&'static str> {
+    builtin()
+        .iter()
+        .filter_map(|s| {
+            let d = edit_distance(name, s.name());
+            (d <= 2).then_some((d, s.name()))
+        })
+        .min_by_key(|&(d, _)| d)
+        .map(|(_, n)| n)
+}
+
+/// Plain Levenshtein distance (the names involved are tens of bytes, so
+/// the O(nm) table is irrelevant).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut cur = vec![0usize; b.len() + 1];
+    for (i, &ca) in a.iter().enumerate() {
+        cur[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[b.len()]
 }
 
 #[cfg(test)]
@@ -441,8 +489,8 @@ mod tests {
 
     #[test]
     fn eight_scenarios_named_uniquely() {
-        assert_eq!(all().len(), 8);
-        let mut names: Vec<_> = all().iter().map(|s| s.name().to_owned()).collect();
+        assert_eq!(builtin().len(), 8);
+        let mut names: Vec<_> = builtin().iter().map(|s| s.name().to_owned()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8);
@@ -458,16 +506,15 @@ mod tests {
 
     #[test]
     fn nearest_suggests_typo_fixes() {
-        let cat = builtin();
-        assert_eq!(cat.nearest("steam-chase"), Some("stream-chase"));
-        assert_eq!(cat.nearest("quad-mx"), Some("quad-mix"));
-        assert_eq!(cat.nearest("drift-duo"), Some("drift-duo"));
-        assert_eq!(cat.nearest("completely-unrelated"), None);
+        assert_eq!(nearest("steam-chase"), Some("stream-chase"));
+        assert_eq!(nearest("quad-mx"), Some("quad-mix"));
+        assert_eq!(nearest("drift-duo"), Some("drift-duo"));
+        assert_eq!(nearest("completely-unrelated"), None);
     }
 
     #[test]
     fn scenario_names_do_not_collide_with_benchmarks() {
-        for s in all() {
+        for s in builtin() {
             assert!(
                 crate::catalog::by_name(s.name()).is_none(),
                 "{} shadows a benchmark",
@@ -478,7 +525,7 @@ mod tests {
 
     #[test]
     fn classes_are_consistent_with_stated_mpki() {
-        for s in all() {
+        for s in builtin() {
             assert_eq!(
                 MpkiClass::of_mpki(s.workload.paper.mpki),
                 s.class(),
@@ -492,7 +539,7 @@ mod tests {
     fn mix_scenarios_are_multi_programmed() {
         // Mix parts are private co-running programs; the generator rejects
         // shared (MT) address spaces, so the catalog must not declare one.
-        for s in all() {
+        for s in builtin() {
             if matches!(s.workload.pattern, P::Mix { .. }) {
                 assert_eq!(
                     s.workload.kind,
@@ -506,39 +553,29 @@ mod tests {
 
     #[test]
     fn every_pattern_is_composite() {
-        for s in all() {
+        for s in builtin() {
             assert!(s.workload.pattern.is_composite(), "{}", s.name());
         }
     }
 
     #[test]
     fn both_generator_families_are_represented() {
-        let phased = all()
+        let phased = builtin()
             .iter()
             .filter(|s| matches!(s.workload.pattern, P::Phased { .. }))
             .count();
-        let mixed = all()
+        let mixed = builtin()
             .iter()
             .filter(|s| matches!(s.workload.pattern, P::Mix { .. }))
             .count();
         assert!(phased >= 2, "need phased scenarios, have {phased}");
         assert!(mixed >= 2, "need mix scenarios, have {mixed}");
-        assert_eq!(phased + mixed, all().len());
-    }
-
-    #[test]
-    fn duplicate_names_rejected_by_catalog() {
-        let mut cat = Catalog::new();
-        let s = by_name("quad-mix").unwrap().clone();
-        cat.push(s.clone()).unwrap();
-        let err = cat.push(s).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        assert!(err.contains("quad-mix"), "{err}");
+        assert_eq!(phased + mixed, builtin().len());
     }
 
     #[test]
     fn scenarios_build_and_generate_in_bounds() {
-        for s in all() {
+        for s in builtin() {
             let mut wl = Workload::build(&s.workload, 8, 1024, 11);
             let bound = wl.core_space_bytes(0);
             let total = wl.footprint_bytes();
@@ -565,7 +602,7 @@ mod tests {
     fn mix_spans_fit_their_region_at_extreme_scale() {
         // The tightest region a scenario sees in tests: 1/1024 scale, MP,
         // 8 cores. Building is enough — the constructor asserts fit.
-        for s in all() {
+        for s in builtin() {
             let _ = Workload::build(&s.workload, 8, 1024, 1);
         }
     }

@@ -68,7 +68,7 @@ fn fold(h: &mut u64, op: &TraceOp) {
 fn workloads() -> Vec<&'static WorkloadSpec> {
     catalog::all()
         .iter()
-        .chain(scenarios::all().iter().map(|s| &s.workload))
+        .chain(scenarios::builtin().iter().map(|s| &s.workload))
         .collect()
 }
 

@@ -69,7 +69,7 @@ pub use sim::{
 pub mod prelude {
     pub use dram::{DramSystem, MemoryScheme, Served};
     pub use hybrid2_core::{Dcmc, Hybrid2Config, Variant};
-    pub use sim::{run_one, run_one_timed, EvalConfig, Machine, Matrix, NmRatio, SchemeKind};
+    pub use sim::{run_one, EvalConfig, Machine, Matrix, NmRatio, SchemeKind};
     pub use sim_types::{AccessKind, Cycle, Geometry, MemReq, MemSide, PAddr, TrafficClass};
     pub use workloads::{catalog, scenarios, MpkiClass, Workload};
 }

@@ -201,7 +201,7 @@ fn hybrid2_lbm_digest_is_stable() {
 /// captured when the scenario engine was introduced (same golden seed and
 /// sizing as the benchmark digests): `(scenario, instructions, cycles,
 /// nm_served ‱, fm_traffic, nm_traffic, energy_mj bits)`. The byte-identical rule covers
-/// composite workloads too: steal-order changes in the matrix scheduler or
+/// composite workloads too: claim-order changes in the matrix scheduler or
 /// refactors of the composite generators must not move these numbers.
 const GOLDEN_SCENARIOS: [(&str, u64, u64, u64, u64, u64, u64); 2] = [
     (

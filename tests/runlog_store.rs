@@ -85,7 +85,7 @@ fn scenario_grid_records_round_trip_bit_for_bit() {
     // matrices must agree (determinism), so either serves as the truth
     // the store is compared against.
     let (m, secs) = scenario::run_grid_timed(&scens, ratio, &cfg);
-    let reference = scenario::run_grid(&scens, ratio, &cfg);
+    let reference = scenario::run_grid_timed(&scens, ratio, &cfg).0;
 
     let dir = run_dir("runlog-differential");
     let mut log = RunLog::create(&dir, "test-differential").expect("log opens");
@@ -102,7 +102,7 @@ fn scenario_grid_records_round_trip_bit_for_bit() {
 
     // Slot order: baseline first, then each scheme row. Compare against
     // the *independent* matrix so the test also proves the recorded run
-    // didn't drift from a plain `run_grid`.
+    // didn't drift from a second, unrecorded run.
     for (w, r) in reference.baseline.iter().enumerate() {
         assert_record_matches(&store.records[w], r, secs[w], &source);
         assert_eq!(store.records[w].kind, SchemeKind::Baseline);

@@ -1,9 +1,9 @@
-//! Differential check on the experiment-matrix scheduler: the
-//! work-stealing deques of `Matrix::run` must produce *exactly* the
-//! results of the single-threaded reference `Matrix::run_sequential`,
-//! field for field, float bits included.
+//! Differential check on the experiment-matrix scheduler: the parallel
+//! scheduler of `Matrix::run` must produce *exactly* the results of the
+//! single-threaded reference `Matrix::run_sequential`, field for field,
+//! float bits included.
 //!
-//! Steal order is nondeterministic at the thread level; this test is the
+//! Claim order is nondeterministic at the thread level; this test is the
 //! tier-1 tripwire that the per-slot `OnceLock` layout really isolates
 //! that nondeterminism from every observable output.
 
@@ -54,7 +54,7 @@ fn assert_matrices_identical(a: &Matrix, b: &Matrix) {
 }
 
 #[test]
-fn work_stealing_matches_sequential_reference() {
+fn parallel_scheduler_matches_sequential_reference() {
     let cfg = EvalConfig {
         scale_den: 1024,
         instrs_per_core: 20_000,
@@ -68,13 +68,13 @@ fn work_stealing_matches_sequential_reference() {
         scenarios::workload_of("stream-chase").unwrap().clone(),
     ];
     let kinds = [SchemeKind::Hybrid2, SchemeKind::Tagless];
-    let stealing = Matrix::run(&kinds, &specs, NmRatio::OneGb, &cfg);
+    let parallel = Matrix::run(&kinds, &specs, NmRatio::OneGb, &cfg);
     let sequential = Matrix::run_sequential(&kinds, &specs, NmRatio::OneGb, &cfg);
-    assert_matrices_identical(&stealing, &sequential);
+    assert_matrices_identical(&parallel, &sequential);
 }
 
 #[test]
-fn work_stealing_deterministic_across_thread_counts() {
+fn parallel_scheduler_deterministic_across_thread_counts() {
     let base = EvalConfig {
         scale_den: 1024,
         instrs_per_core: 15_000,

@@ -123,7 +123,7 @@ fn scenario_window(spec: &workloads::WorkloadSpec) -> u64 {
 /// family and the request split stays balanced.
 #[test]
 fn scenario_traffic_is_conserved() {
-    for sc in workloads::scenarios::all() {
+    for sc in workloads::scenarios::builtin() {
         let c = EvalConfig {
             instrs_per_core: scenario_window(&sc.workload),
             ..cfg()
@@ -167,7 +167,7 @@ fn scenario_traffic_is_conserved() {
 /// (`PatternSpec::max_mem_every`), not just the spec's headline intensity.
 #[test]
 fn scenario_instruction_accounting() {
-    for sc in workloads::scenarios::all() {
+    for sc in workloads::scenarios::builtin() {
         let spec = &sc.workload;
         let c = EvalConfig {
             instrs_per_core: scenario_window(spec),
